@@ -78,7 +78,11 @@ def _build_config(args) -> ExperimentConfig:
     cfg = replace(cfg, **updates)
     env_seed = os.environ.get("PDMPVAL_SEED")
     if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError as exc:
+            raise InputError(f"PDMPVAL_SEED must be an integer, got '{env_seed}'") from exc
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 

@@ -7,9 +7,10 @@ and answer every flow / reward query through two lookups:
 
     flow(y, t)  =  P(T(y) + t)
 
-with P a shape-preserving monotone cubic in time and T(y) computed by Newton
-inversion of P (seeded by a companion interpolant), so the semigroup identity
-holds to machine precision by construction.
+with P a shape-preserving monotone cubic in time and T(y) the inverse of P:
+a cubic Hermite of t(y) with the exact slopes 1/drift(y) (accurate to about
+1e-11) polished by one Newton step on P, with a residual check and a
+bisection fallback, so the semigroup identity holds to machine precision.
 
 The discounted running-reward integral is tabulated alongside the trajectory
 up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
@@ -20,7 +21,9 @@ form, which also keeps every exp() argument bounded.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -65,7 +68,7 @@ class FlowTable:
 
     _pos: CubicHermiteSpline = field(init=False, repr=False)
     _dpos: Callable = field(init=False, repr=False)
-    _seed_time: PchipInterpolator = field(init=False, repr=False)
+    _seed_time: CubicHermiteSpline = field(init=False, repr=False)
     _reward: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -79,7 +82,9 @@ class FlowTable:
         self._pos = CubicHermiteSpline(self.grid_t, self.grid_y, self.grid_dy,
                                        extrapolate=False)
         self._dpos = self._pos.derivative()
-        self._seed_time = PchipInterpolator(self.grid_y, self.grid_t, extrapolate=False)
+        # dt/dy = 1/drift(y): the exact node slopes of the inverse trajectory
+        self._seed_time = CubicHermiteSpline(self.grid_y, self.grid_t,
+                                             1.0 / np.maximum(self.grid_dy, 1e-300))
         if len(self.reward_t) >= 2:
             self._reward = PchipInterpolator(self.reward_t, self.reward_cum, extrapolate=False)
         else:
@@ -111,17 +116,17 @@ class FlowTable:
     def time_of(self, y):
         """Master time at which the curve passes y: the exact inverse of pos_at.
 
-        Newton on the monotone position interpolant, seeded by the companion
-        y -> t interpolant; positions below the start clamp to 0, at or above
-        the table end clamp to the horizon.
+        Seeded by the cubic Hermite of t(y) with the exact slopes 1/drift(y),
+        polished by one Newton step on the position interpolant; any point
+        whose residual then exceeds 1e-11 * span is solved by bisection.
+        Positions below the start clamp to 0, at or above the table end clamp
+        to the horizon.
         """
         y = np.asarray(y, dtype=float)
         yc = np.clip(y, self.y_start, self.y_end)
         t = np.clip(self._seed_time(yc), 0.0, self.horizon)
-        for _ in range(6):
-            resid = self._pos(t) - yc
-            slope = np.maximum(self._dpos(t), 1e-300)
-            t = np.clip(t - resid / slope, 0.0, self.horizon)
+        slope = np.maximum(self._dpos(t), 1e-300)
+        t = np.clip(t - (self._pos(t) - yc) / slope, 0.0, self.horizon)
         # polish stragglers (flat top of the curve) by bisection
         resid = np.abs(self._pos(t) - yc)
         tol = 1e-11 * max(1.0, abs(self.y_end - self.y_start))
@@ -357,50 +362,78 @@ def _strictly_increasing(ts, ys, span):
 
 
 def save_flow_table(table: FlowTable, path):
-    """Little-endian array dump with a 16-byte magic/version header."""
+    """Little-endian array dump with a 16-byte magic/version header.
+
+    Written to a temporary file in the target directory and moved into place
+    with os.replace, so readers never see a partly written table.
+    """
     path = Path(path)
     arrays = [table.grid_t, table.grid_y, table.grid_dy, table.reward_t, table.reward_cum]
     scalars = [table.delta, table.t_tail, table.y_tail, table.l_tail,
                table.lower, table.upper]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", 1, int(table.converged)))
-        for arr in arrays:
-            a = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<Q", a.size))
-            fh.write(a.tobytes())
-        fh.write(np.asarray(scalars, dtype="<f8").tobytes())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", 1, int(table.converged)))
+            for arr in arrays:
+                a = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(struct.pack("<Q", a.size))
+                fh.write(a.tobytes())
+            fh.write(np.asarray(scalars, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_flow_table(path) -> FlowTable:
+    """Read a table written by :func:`save_flow_table`.
+
+    A bad magic, a truncated or overlong file, or arrays that do not form a
+    valid table raise InputError.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise InputError(f"{path}: not a flow table cache (bad magic)")
-        _version, conv = struct.unpack("<II", fh.read(8))
-        arrays = []
+    raw = path.read_bytes()
+    if raw[:8] != _MAGIC:
+        raise InputError(f"{path}: not a flow table cache (bad magic)")
+    try:
+        _version, conv = struct.unpack_from("<II", raw, 8)
+        pos, arrays = 16, []
         for _ in range(5):
-            (n,) = struct.unpack("<Q", fh.read(8))
-            arrays.append(np.frombuffer(fh.read(8 * n), dtype="<f8").copy())
-        scalars = np.frombuffer(fh.read(8 * 6), dtype="<f8")
-    return FlowTable(
-        grid_t=arrays[0], grid_y=arrays[1], grid_dy=arrays[2],
-        reward_t=arrays[3], reward_cum=arrays[4],
-        delta=float(scalars[0]), t_tail=float(scalars[1]), y_tail=float(scalars[2]),
-        l_tail=float(scalars[3]), converged=bool(conv),
-        lower=float(scalars[4]), upper=float(scalars[5]),
-    )
+            (n,) = struct.unpack_from("<Q", raw, pos)
+            arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=pos + 8).copy())
+            pos += 8 + 8 * n
+        if len(raw) != pos + 8 * 6:
+            raise InputError(f"{len(raw)} bytes, header implies {pos + 8 * 6}")
+        scalars = np.frombuffer(raw, dtype="<f8", count=6, offset=pos)
+        return FlowTable(
+            grid_t=arrays[0], grid_y=arrays[1], grid_dy=arrays[2],
+            reward_t=arrays[3], reward_cum=arrays[4],
+            delta=float(scalars[0]), t_tail=float(scalars[1]), y_tail=float(scalars[2]),
+            l_tail=float(scalars[3]), converged=bool(conv),
+            lower=float(scalars[4]), upper=float(scalars[5]),
+        )
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: corrupt flow table cache ({exc})") from exc
 
 
 def cached_flow_table(key_params, builder: Callable[[], FlowTable], cache_dir) -> FlowTable:
-    """Build-or-load keyed by a hash of the model parameters."""
+    """Build-or-load keyed by a hash of the model parameters and file format.
+
+    The key also covers the magic and the build constants that shape the
+    table; a cache file that fails to load is rebuilt and overwritten.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(repr(tuple(key_params)).encode()).hexdigest()[:16]
+    key = (_MAGIC, _TAIL_BAND, _PROXIMITY, _START_OFFSET, *key_params)
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
     path = cache_dir / f"flow_{digest}.bin"
     if path.exists():
-        return load_flow_table(path)
+        try:
+            return load_flow_table(path)
+        except InputError:
+            pass  # truncated or corrupt: rebuild below
     table = builder()
     save_flow_table(table, path)
     return table

@@ -108,22 +108,30 @@ def config_from_mapping(raw: dict, base: Optional[ExperimentConfig] = None) -> E
     updates = {}
     for key, value in raw.items():
         if key in ("c", "rho", "b", "alpha", "delta", "x0"):
-            updates[key] = float(value)
+            updates[key] = _parse(key, value, float)
         elif key == "lambda":
-            updates["lam"] = float(value)
+            updates["lam"] = _parse(key, value, float)
         elif key == "epsilon":
-            updates["eps"] = float(value)
+            updates["eps"] = _parse(key, value, float)
         elif key == "methods":
             updates["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
         elif key == "m_schedule":
-            updates["m_schedule"] = tuple(int(v) for v in value.split(","))
+            updates["m_schedule"] = tuple(_parse(key, v, int) for v in value.split(","))
         elif key in ("jumps", "replicates", "seed", "mc_paths", "workers"):
-            updates[key] = int(value)
+            updates[key] = _parse(key, value, int)
         elif key == "out":
             updates["out"] = value
         else:
             raise InputError(f"unknown config key '{key}'")
     return replace(cfg, **updates)
+
+
+def _parse(key: str, value: str, kind: type):
+    """Convert one config value, reporting a malformed one as InputError."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise InputError(f"config key '{key}': expected {kind.__name__}, got '{value}'") from exc
 
 
 def _fmt(x) -> str:

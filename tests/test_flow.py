@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import pdmpval.flow
 from pdmpval.errors import InputError, ModelError
 from pdmpval.flow import (
     build_flow_table,
@@ -98,6 +100,42 @@ class TestLoanFlow:
 
     def test_time_of_clamps_below_start(self, loan_model):
         assert loan_model.table.time_of(-C / RHO - 5.0) == 0.0
+
+    def test_time_of_clamps_at_and_above_end(self, loan_model):
+        table = loan_model.table
+        assert table.time_of(table.y_end) == table.horizon
+        assert table.time_of(B + 1.0) == table.horizon
+        assert np.all(table.time_of(np.array([table.y_end, B, B + 5.0])) == table.horizon)
+
+    def test_one_step_inverse_residual_and_monotone(self, loan_model):
+        table = loan_model.table
+        ys = _inverse_probe_points(loan_model)
+        t = table.time_of(ys)
+        resid = np.abs(table.pos_at(t) - np.clip(ys, table.y_start, table.y_end))
+        assert np.max(resid) <= 1e-11 * (B + C / RHO)
+        assert np.all(np.diff(t) >= 0.0)
+
+    def test_one_step_inverse_needs_no_bisection(self, loan_model, monkeypatch):
+        calls = []
+        real = pdmpval.flow.brentq
+        monkeypatch.setattr(pdmpval.flow, "brentq",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        loan_model.table.time_of(_inverse_probe_points(loan_model))
+        assert not calls
+
+
+def _inverse_probe_points(loan_model):
+    """About 20k sorted positions over (ruin level, b), dense at both ends."""
+    lo = loan_model.params.ruin_level
+    rng = np.random.default_rng(7)
+    ys = np.concatenate([
+        np.linspace(lo, B, 12_000),
+        B - rng.uniform(0.0, 1e-6, 3_000),
+        B - rng.uniform(0.0, 1e-2, 2_000),
+        lo + rng.uniform(0.0, 1e-6, 1_500),
+        lo + rng.uniform(0.0, 0.1, 1_500),
+    ])
+    return np.sort(ys)
 
 
 class TestRewardIntegral:
@@ -218,3 +256,47 @@ class TestCache:
         b = cached_flow_table(key, make, tmp_path)
         assert len(calls) == 1
         assert np.array_equal(a.grid_y, b.grid_y)
+
+    def test_cache_key_covers_format_constants(self, const_table, tmp_path, monkeypatch):
+        calls = []
+        make = lambda: calls.append(1) or const_table
+        cached_flow_table((1.0, 2.0), make, tmp_path)
+        for name in ("_MAGIC", "_TAIL_BAND", "_PROXIMITY", "_START_OFFSET"):
+            with monkeypatch.context() as mp:
+                old = getattr(pdmpval.flow, name)
+                mp.setattr(pdmpval.flow, name, b"PDMPFLW\x7f" if name == "_MAGIC" else 2.0 * old)
+                cached_flow_table((1.0, 2.0), make, tmp_path)
+        assert len(calls) == 5
+        assert len(list(tmp_path.glob("flow_*.bin"))) == 5
+
+    @pytest.mark.parametrize("cut", [12, 20, "half", -48, -8, -1])
+    def test_truncated_file_rejected(self, const_table, tmp_path, cut):
+        path = tmp_path / "flow.bin"
+        save_flow_table(const_table, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2 if cut == "half" else cut])
+        with pytest.raises(InputError, match="corrupt"):
+            load_flow_table(path)
+
+    def test_cached_builder_rebuilds_truncated_file(self, const_table, tmp_path):
+        calls = []
+        make = lambda: calls.append(1) or const_table
+        cached_flow_table((3.0,), make, tmp_path)
+        (path,) = tmp_path.glob("flow_*.bin")
+        good = path.read_bytes()
+        path.write_bytes(good[: len(good) // 2])
+        table = cached_flow_table((3.0,), make, tmp_path)
+        assert len(calls) == 2
+        assert path.read_bytes() == good
+        assert np.array_equal(table.grid_y, const_table.grid_y)
+
+    def test_failed_save_keeps_previous_file(self, const_table, tmp_path):
+        path = tmp_path / "flow.bin"
+        save_flow_table(const_table, path)
+        good = path.read_bytes()
+        broken = copy.copy(const_table)
+        broken.reward_cum = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_flow_table(broken, path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["flow.bin"]

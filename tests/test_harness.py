@@ -77,6 +77,13 @@ class TestConfig:
         with pytest.raises(InputError):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("line", ["c = five", "jumps = 2.5", "m_schedule = 64, x"])
+    def test_malformed_value_rejected(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InputError, match=line.split()[0]):
+            config_from_mapping(parse_config_file(path))
+
 
 class TestRunConvergence:
     def test_structure_and_determinism(self, tmp_path, loan_model):
@@ -207,6 +214,17 @@ class TestCLI:
                      "--method", "warp-drive"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_env_seed_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("PDMPVAL_SEED", "abc")
+        assert main(["value", "--method", "gauss", "--points", "4", "--jumps", "1"]) == 2
+        assert "PDMPVAL_SEED" in capsys.readouterr().err
+
+    def test_bad_config_value_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("c = five\n")
+        assert main(["value", "--config", str(cfg_file)]) == 2
+        assert "error: config key 'c'" in capsys.readouterr().err
 
     def test_epsilon_study_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "eps.csv"
