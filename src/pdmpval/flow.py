@@ -42,6 +42,9 @@ _MAGIC = b"PDMPFLW\x01"  # 8-byte magic, version folded into the last byte
 _PROXIMITY = 1e-12       # build stops within this fraction of the span from the top
 _TAIL_BAND = 1e-6        # reward rate frozen within this fraction of the span
 _START_OFFSET = 1e-8     # start this fraction of the span above the lower end
+_POS_TOL = 1e-9          # grid march: target cubic interpolation error in position
+_H_CAP = 2.0             # grid march: largest time step
+_STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
 
 
 @dataclass
@@ -318,30 +321,30 @@ def build_flow_table(
 def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     """Curvature-adapted time grid over [0, t_end].
 
-    Step control: h^3 * |d3y/dt3| <= 96e-9 (keeps cubic interpolation error
-    near 1e-9 in position), a global cap of 2.0 (keeps the discounted reward
-    quadrature accurate), fine stepping inside feature windows, and a guard
-    that never jumps over an upcoming feature window in one step.
+    Step control: h^3 * |d3y/dt3| <= 96 * _POS_TOL (keeps cubic interpolation
+    error near _POS_TOL in position), a global cap _H_CAP (keeps the
+    discounted reward quadrature accurate), fine stepping inside feature
+    windows, and a guard that never jumps over an upcoming feature window in
+    one step.  The loop is sequential, so it runs on Python floats: the
+    solver's dense output through :func:`_float_dense_output` and three scalar
+    drift calls per step for the central differences.
     """
-    pos_tol = 1e-9
-    h_cap = 2.0
-    hy = max(1e-3 * fs, 1e-9)
-    windows = [(r - 2.0 * fs, r + 2.0 * fs) for r in refine]
+    y_at = _float_dense_output(sol.sol)
+    hy = max(_STENCIL * fs, 1e-9)
+    windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
     ts = [0.0]
     t = 0.0
     while t < t_end:
-        y = float(sol.sol(t)[0])
-        y = min(y, upper)
-        g3 = np.asarray(drift(np.array([y - hy, y, y + hy])), dtype=float)
-        g = float(g3[1])
-        gp = (g3[2] - g3[0]) / (2.0 * hy)
-        gpp = (g3[2] - 2.0 * g3[1] + g3[0]) / (hy * hy)
+        y = min(y_at(t), upper)
+        g_lo, g, g_hi = float(drift(y - hy)), float(drift(y)), float(drift(y + hy))
+        gp = (g_hi - g_lo) / (2.0 * hy)
+        gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
         y3 = abs((gpp * g + gp * gp) * g)
-        h = (96.0 * pos_tol / (y3 + 1e-300)) ** (1.0 / 3.0)
-        h = min(h, h_cap)
+        h = (96.0 * _POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0)
+        h = min(h, _H_CAP)
         for lo, hi in windows:
             if lo <= y <= hi:
-                h = min(h, fs / (16.0 * max(g, 1e-300)), h_cap)
+                h = min(h, fs / (16.0 * max(g, 1e-300)), _H_CAP)
             elif y < lo and g > 0.0:
                 h = min(h, max((lo - y) / g_max, 1e-7))
         h = max(h, 1e-7, 1e-12 * t_end)
@@ -350,6 +353,35 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
         if len(ts) > 2_000_000:
             raise ModelError("flow grid construction did not terminate")
     return np.asarray(ts)
+
+
+def _float_dense_output(ode_solution):
+    """y(t) of a scalar RK45 ``OdeSolution`` on Python floats, for ascending t.
+
+    Reads each segment's (t_old, h, y_old, Q) once and evaluates
+    y_old + h * (Q . [x, x^2, x^3, x^4]), x = (t - t_old)/h, in the order of
+    scipy's ``RkDenseOutput`` (cumprod, then dot).  BLAS may fuse that dot,
+    so values can differ from ``ode_solution(t)`` in the last ulps.  A
+    segment pointer moves forward with t; like scipy (side="left"), a time
+    on a segment boundary belongs to the segment that ends there.
+    """
+    ts = [float(v) for v in ode_solution.ts]
+    segs = [(float(sp.t_old), float(sp.h), float(sp.y_old[0]), *map(float, sp.Q[0]))
+            for sp in ode_solution.interpolants]
+    last = len(segs) - 1
+    k = 0
+
+    def y_at(t):
+        nonlocal k
+        while k < last and t > ts[k + 1]:
+            k += 1
+        t_old, h, y_old, q1, q2, q3, q4 = segs[k]
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
+
+    return y_at
 
 
 def _strictly_increasing(ts, ys, span):
@@ -422,11 +454,13 @@ def cached_flow_table(key_params, builder: Callable[[], FlowTable], cache_dir) -
     """Build-or-load keyed by a hash of the model parameters and file format.
 
     The key also covers the magic and the build constants that shape the
-    table; a cache file that fails to load is rebuilt and overwritten.
+    table, the grid march's included; a cache file that fails to load is
+    rebuilt and overwritten.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = (_MAGIC, _TAIL_BAND, _PROXIMITY, _START_OFFSET, *key_params)
+    key = (_MAGIC, _TAIL_BAND, _PROXIMITY, _START_OFFSET, _POS_TOL, _H_CAP, _STENCIL,
+           *key_params)
     digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
     path = cache_dir / f"flow_{digest}.bin"
     if path.exists():

@@ -96,18 +96,46 @@ def smoothed_drift_loan(y, c, rho, b, eps):
     Equals the unsmoothed drift outside the two width-eps bands around 0 and
     b; blends with a quartic around 0 and tapers to zero with a quintic just
     below the barrier.  Nonnegative everywhere, zero at and above b.
+
+    A Python float (the flow builder's per-step calls) takes an if-chain and
+    returns a float; anything else goes through np.select.  Both evaluate the
+    same piece formulas, so they agree bit for bit.
     """
     _check_loan_eps(c, rho, b, eps)
+    if isinstance(y, float):
+        y = float(y)  # np.float64 is a float subclass with slow arithmetic
+        if y <= -c / rho:
+            return 0.0
+        if y < -eps:
+            return c + rho * y
+        if y <= eps:
+            return _drift_blend(y, c, rho, eps)
+        if y <= b - eps:
+            return float(c)
+        if y < b:
+            return _drift_taper(y, c, b, eps)
+        return 0.0  # at or above the barrier, and NaN as in np.select
     y = np.asarray(y, dtype=float)
-    w = b - y
-    taper = c * w ** 3 * (15.0 * eps * (y - b) + 6.0 * w * w + 10.0 * eps * eps) / eps ** 5
-    blend = c + rho * (y + 3.0 * eps) * (y - eps) ** 3 / (16.0 * eps ** 3)
     out = np.select(
         [y <= -c / rho, y < -eps, y <= eps, y <= b - eps, y < b],
-        [0.0, c + rho * y, blend, c, taper],
+        [0.0, c + rho * y, _drift_blend(y, c, rho, eps), c, _drift_taper(y, c, b, eps)],
         default=0.0,
     )
     return out if out.ndim else float(out)
+
+
+# The two polynomial pieces, shared by the float and the array path.  Cubes
+# are explicit products: numpy's array power and libm pow differ in the last
+# ulp on some points, which would split the two paths.
+
+def _drift_blend(y, c, rho, eps):
+    d = y - eps
+    return c + rho * (y + 3.0 * eps) * (d * d * d) / (16.0 * eps ** 3)
+
+
+def _drift_taper(y, c, b, eps):
+    w = b - y
+    return c * (w * w * w) * (15.0 * eps * (y - b) + 6.0 * w * w + 10.0 * eps * eps) / eps ** 5
 
 
 def smoothed_reward_loan(y, c, b, eps):

@@ -15,16 +15,21 @@ from pdmpval.flow import (
     reward_integral,
     save_flow_table,
 )
+from pdmpval.loan import SmoothedLoanModel
 from pdmpval.smoothing import smoothed_drift_loan
 
 C, RHO, B, EPS, DELTA = 5.0, 0.05, 3.24289, 0.01, 0.02
 
 
-@pytest.fixture(scope="module")
-def const_table():
+def _build_const_table():
     drift = lambda y: 2.0 + 0.0 * np.asarray(y, dtype=float)
     reward = lambda y: np.where(np.asarray(y, dtype=float) > 8.0, 1.0, 0.0)
     return build_flow_table(drift, (0.0, 10.0), 0.1, reward, tol=1e-11)
+
+
+@pytest.fixture(scope="module")
+def const_table():
+    return _build_const_table()
 
 
 class TestConstantDrift:
@@ -136,6 +141,63 @@ def _inverse_probe_points(loan_model):
         lo + rng.uniform(0.0, 0.1, 1_500),
     ])
     return np.sort(ys)
+
+
+def _march_grid_oracle(sol, drift, upper, t_end, fs, refine, g_max):
+    """Reference march: the step rule of pdmpval.flow._march_grid on scipy's
+    ``OdeSolution`` calls and one 3-point array drift call per step."""
+    hy = max(pdmpval.flow._STENCIL * fs, 1e-9)
+    h_cap = pdmpval.flow._H_CAP
+    windows = [(r - 2.0 * fs, r + 2.0 * fs) for r in refine]
+    ts = [0.0]
+    t = 0.0
+    while t < t_end:
+        y = min(float(sol.sol(t)[0]), upper)
+        g3 = np.asarray(drift(np.array([y - hy, y, y + hy])), dtype=float)
+        g = float(g3[1])
+        gp = (g3[2] - g3[0]) / (2.0 * hy)
+        gpp = (g3[2] - 2.0 * g3[1] + g3[0]) / (hy * hy)
+        y3 = abs((gpp * g + gp * gp) * g)
+        h = min((96.0 * pdmpval.flow._POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0), h_cap)
+        for lo, hi in windows:
+            if lo <= y <= hi:
+                h = min(h, fs / (16.0 * max(g, 1e-300)), h_cap)
+            elif y < lo and g > 0.0:
+                h = min(h, max((lo - y) / g_max, 1e-7))
+        h = max(h, 1e-7, 1e-12 * t_end)
+        t = min(t + h, t_end)
+        ts.append(t)
+    return np.asarray(ts)
+
+
+@pytest.fixture(scope="module", params=["published", "constant"])
+def march_args(request):
+    """Arguments the builder passes to the grid march, captured from a build."""
+    build = SmoothedLoanModel.build if request.param == "published" else _build_const_table
+    seen = []
+    real = pdmpval.flow._march_grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pdmpval.flow, "_march_grid", lambda *a: seen.append(a) or real(*a))
+        build()
+    return seen[0]
+
+
+class TestGridMarch:
+    def test_matches_array_oracle(self, march_args):
+        got = pdmpval.flow._march_grid(*march_args)
+        want = _march_grid_oracle(*march_args)
+        assert got.size == want.size
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    def test_float_dense_output_matches_scipy(self, march_args):
+        # guards the read of scipy's RkDenseOutput internals (t_old, h, y_old, Q)
+        ode = march_args[0].sol
+        rng = np.random.default_rng(5)
+        ts = np.sort(np.concatenate([ode.ts, rng.uniform(ode.ts[0], ode.ts[-1], 2_000)]))
+        y_at = pdmpval.flow._float_dense_output(ode)
+        got = np.array([y_at(float(t)) for t in ts])
+        want = np.array([ode(t)[0] for t in ts])
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
 
 
 class TestRewardIntegral:
@@ -261,13 +323,15 @@ class TestCache:
         calls = []
         make = lambda: calls.append(1) or const_table
         cached_flow_table((1.0, 2.0), make, tmp_path)
-        for name in ("_MAGIC", "_TAIL_BAND", "_PROXIMITY", "_START_OFFSET"):
+        names = ("_MAGIC", "_TAIL_BAND", "_PROXIMITY", "_START_OFFSET",
+                 "_POS_TOL", "_H_CAP", "_STENCIL")
+        for name in names:
             with monkeypatch.context() as mp:
                 old = getattr(pdmpval.flow, name)
                 mp.setattr(pdmpval.flow, name, b"PDMPFLW\x7f" if name == "_MAGIC" else 2.0 * old)
                 cached_flow_table((1.0, 2.0), make, tmp_path)
-        assert len(calls) == 5
-        assert len(list(tmp_path.glob("flow_*.bin"))) == 5
+        assert len(calls) == 1 + len(names)
+        assert len(list(tmp_path.glob("flow_*.bin"))) == 1 + len(names)
 
     @pytest.mark.parametrize("cut", [12, 20, "half", -48, -8, -1])
     def test_truncated_file_rejected(self, const_table, tmp_path, cut):

@@ -141,6 +141,22 @@ class TestSmoothedDrift:
                 scale = max(abs(left), abs(right), C / EPS if order == 1 else C / EPS ** 2)
                 assert abs(left - right) <= 1e-5 * scale
 
+    @pytest.mark.parametrize("eps", (0.08, 0.04, 0.02, 0.01))
+    def test_float_path_matches_array_path(self, eps):
+        # every piece, every knot and its float neighbours, the study's widths
+        rng = np.random.default_rng(31)
+        knots = np.array([-C / RHO, -eps, eps, B - eps, B])
+        edges = np.concatenate([[-C / RHO - 5.0], knots, [B + 5.0]])
+        ys = np.concatenate([
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            *(rng.uniform(lo, hi, 5_000) for lo, hi in zip(edges[:-1], edges[1:])),
+        ])
+        arr = smoothed_drift_loan(ys, C, RHO, B, eps)
+        flt = [smoothed_drift_loan(float(y), C, RHO, B, eps) for y in ys]
+        assert all(type(v) is float for v in flt)
+        assert np.array_equal(np.array(flt).view(np.int64), arr.view(np.int64))
+        assert type(smoothed_drift_loan(np.float64(0.5), C, RHO, B, eps)) is float
+
     def test_eps_window_validated(self):
         with pytest.raises(InputError):
             smoothed_drift_loan(0.0, C, RHO, B, B / 2.0)  # bands would overlap
