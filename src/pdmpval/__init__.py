@@ -16,9 +16,15 @@ from .cubature import (
 )
 from .errors import InputError, ModelError
 from .flow import FlowTable, build_flow_table, load_flow_table, save_flow_table
-from .harness import ExperimentConfig, run_convergence, run_epsilon_study, run_validate
+from .harness import (
+    ExperimentConfig,
+    run_convergence,
+    run_epsilon_study,
+    run_validate,
+    run_value,
+)
 from .loan import LoanParams, SmoothedLoanModel, unsmoothed_loan_model
-from .mc import PathResult, mc_reference, ruin_probability, simulate_path
+from .mc import mc_reference, ruin_probability
 from .model import (
     ComponentSpec,
     Interval,
@@ -33,8 +39,6 @@ from .operators import (
     Estimate,
     IteratedPoint,
     estimate_value,
-    gauss_validate,
-    h_inner,
     iterated_integrand,
     valuation,
 )

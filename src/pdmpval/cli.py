@@ -13,22 +13,16 @@ import os
 import sys
 from dataclasses import replace
 
-from .cubature import CubatureSpec
 from .errors import InputError, ModelError
 from .harness import (
-    CSV_HEADER,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
     run_convergence,
     run_epsilon_study,
     run_validate,
-    _METHOD_KINDS,
-    _estimate_row,
-    _write_lines,
+    run_value,
 )
-from .loan import SmoothedLoanModel
-from .operators import valuation
 
 _DEFAULT_EPS_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
 
@@ -89,18 +83,10 @@ def _build_config(args) -> ExperimentConfig:
 def _cmd_value(args) -> int:
     cfg = _build_config(args)
     method = cfg.methods[0] if args.method else "sobol"
-    model = SmoothedLoanModel.build(c=cfg.c, rho=cfg.rho, b=cfg.b, lam=cfg.lam,
-                                    alpha=cfg.alpha, delta=cfg.delta, eps=cfg.eps)
-    rule = CubatureSpec(kind=_METHOD_KINDS[method], M=cfg.m_schedule[-1],
-                        d=2 * cfg.jumps, seed=cfg.seed,
-                        replicates=1 if method == "gauss" else cfg.replicates)
-    est = valuation(cfg.x0, cfg.jumps, rule, model, workers=cfg.workers)
+    est = run_value(cfg, method, out=args.out)
     se = "n/a" if est.std_error is None else f"{est.std_error:.6g}"
     print(f"value={est.value:.10g} std_error={se} bias_bound={est.bias_bound:.6g} "
           f"M={est.M} d={est.d} replicates={est.replicates}")
-    if args.out:
-        _write_lines(args.out, [CSV_HEADER,
-                                _estimate_row(method, est, cfg.seed, cfg.timings)])
     return 0
 
 

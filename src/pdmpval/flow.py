@@ -35,8 +35,8 @@ from scipy.optimize import brentq
 
 from .errors import InputError, ModelError
 
-__all__ = ["FlowTable", "build_flow_table", "flow_at", "reward_integral",
-           "save_flow_table", "load_flow_table", "cached_flow_table"]
+__all__ = ["FlowTable", "build_flow_table", "save_flow_table", "load_flow_table",
+           "cached_flow_table"]
 
 _MAGIC = b"PDMPFLW\x01"  # 8-byte magic, version folded into the last byte
 _PROXIMITY = 1e-12       # build stops within this fraction of the span from the top
@@ -181,22 +181,6 @@ class FlowTable:
         return out if out.ndim else float(out)
 
 
-def flow_at(table: FlowTable, y, t):
-    """Module-level alias of :meth:`FlowTable.flow_at`."""
-    return table.flow_at(y, t)
-
-
-def reward_integral(table: FlowTable, y, t, delta=None):
-    """Module-level alias of :meth:`FlowTable.reward_integral`.
-
-    ``delta`` is accepted for signature symmetry and checked against the
-    table's own discount rate.
-    """
-    if delta is not None and abs(delta - table.delta) > 1e-15 * max(1.0, abs(delta)):
-        raise InputError(f"table was built with delta={table.delta}, got {delta}")
-    return table.reward_integral(y, t)
-
-
 # --- builder ----------------------------------------------------------------
 
 
@@ -208,14 +192,14 @@ def build_flow_table(
     tol: float = 1e-10,
     feature_scale: float | None = None,
     refine_y: Sequence[float] = (),
-    time_cap: float | None = None,
 ) -> FlowTable:
     """Solve the autonomous ODE once and tabulate the master trajectory.
 
     The solver runs from y_start = lower + 1e-8*(upper-lower) with RK45 at
     local tolerance ``tol`` until the position is within 1e-12*(upper-lower)
-    of the upper end or the time cap is hit (cap -> table flagged
-    non-converged; all queries beyond the horizon pin to the table end).
+    of the upper end or the time cap 1e3*(upper-lower)/max(drift) is hit
+    (cap -> table flagged non-converged; all queries beyond the horizon pin
+    to the table end).
     The dense solution is sampled on a grid adapted to the local third
     time-derivative of the trajectory, refined around ``refine_y`` features
     of width ``feature_scale``.
@@ -238,7 +222,7 @@ def build_flow_table(
     g_max = float(np.max(gs))
     if g_max <= 0.0 or drift(y_start) <= 0.0:
         raise ModelError("drift must be positive at the start offset")
-    cap = time_cap if time_cap is not None else 1e3 * span / g_max
+    cap = 1e3 * span / g_max
     y_stop = upper - _PROXIMITY * span
 
     hit = lambda t, y: y[0] - y_stop

@@ -11,7 +11,7 @@ is inherently irreproducible and would break the byte-identity contract).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -22,11 +22,11 @@ from .cubature import CubatureSpec, RuleKind
 from .errors import InputError
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import mc_reference
-from .model import bias_bound
-from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand
+from .model import bias_bound, value_upper_bound
+from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand, valuation
 
 __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_file",
-           "run_convergence", "run_epsilon_study", "run_validate"]
+           "run_value", "run_convergence", "run_epsilon_study", "run_validate"]
 
 CSV_HEADER = "method,M,d,replicates,mean,std_error,bias_bound,seed,wall_ms"
 EPS_CSV_HEADER = "kind,epsilon,mean,std_error,mc_mean,mc_std_error,abs_diff,flag"
@@ -158,6 +158,23 @@ def _write_lines(path, lines) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
+    """One valuation of ``method`` at the schedule's largest node count.
+
+    Uses the lump-sum convention above the barrier (``valuation``); the Gauss
+    rule runs one deterministic replicate.  Writes the one-row CSV to ``out``
+    when given.
+    """
+    model = SmoothedLoanModel.build(**asdict(config.loan_params()))
+    rule = CubatureSpec(kind=_METHOD_KINDS[method], M=config.m_schedule[-1],
+                        d=2 * config.jumps, seed=config.seed,
+                        replicates=1 if method == "gauss" else config.replicates)
+    est = valuation(config.x0, config.jumps, rule, model, workers=config.workers)
+    if out:
+        _write_lines(out, [CSV_HEADER, _estimate_row(method, est, config.seed, config.timings)])
+    return est
+
+
 def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel] = None):
     """Estimate the value for every (method, M) of the schedule.
 
@@ -166,9 +183,7 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
     Returns (csv_path, rows).
     """
     if model is None:
-        model = SmoothedLoanModel.build(c=config.c, rho=config.rho, b=config.b,
-                                        lam=config.lam, alpha=config.alpha,
-                                        delta=config.delta, eps=config.eps)
+        model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     d = 2 * config.jumps
     rows = [CSV_HEADER]
     plot_data = {m: [] for m in config.methods}
@@ -210,22 +225,19 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
         raise InputError("epsilon schedule must be nonempty")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
-    for eps in eps_schedule:
-        config.loan_params(eps=eps)  # validates eps against (b, c, rho)
+    widths = [config.loan_params(eps=eps) for eps in eps_schedule]  # all checked up front
 
     n = config.jumps
     d = 2 * n
     m_nodes = config.m_schedule[-1]
     estimates = []
-    for eps in eps_schedule:
-        model = SmoothedLoanModel.build(c=config.c, rho=config.rho, b=config.b,
-                                        lam=config.lam, alpha=config.alpha,
-                                        delta=config.delta, eps=eps)
+    for params in widths:
+        model = SmoothedLoanModel.build(**asdict(params))
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m_nodes, d=d,
                             seed=config.seed, replicates=config.replicates)
         estimates.append(estimate_value(config.x0, n, rule, model, workers=config.workers))
 
-    params = config.loan_params()
+    params = widths[-1]  # the unsmoothed reference ignores eps
     mc_paths = config.mc_paths
     ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n)
     for _ in range(2 if escalate else 0):
@@ -266,7 +278,7 @@ def _naive_truncated_integrand(coords, x0, model, n) -> float:
         weight = 1.0
         for j in range(1, i):
             v = max(float(coords[2 * (j - 1)]), 1e-300)
-            chi_pre = float(model.flow(chi, -math.log(v)))
+            chi_pre = float(model.table.flow_at(chi, -math.log(v)))
             span = chi_pre - p.ruin_level
             z = float(coords[2 * (j - 1) + 1])
             yj = z * span
@@ -275,7 +287,7 @@ def _naive_truncated_integrand(coords, x0, model, n) -> float:
             chi = chi_pre - yj
         v_i = max(float(coords[2 * (i - 1)]), 1e-300)
         total += weight * p.lam * v_i ** (p.lam - 1.0) \
-            * float(model.reward_integral(chi, -math.log(v_i)))
+            * float(model.table.reward_integral(chi, -math.log(v_i)))
     return total
 
 
@@ -430,14 +442,14 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
         worst = max(worst, abs(single - naive) / max(abs(naive), 1e-12))
     check("single-pass equals per-term evaluation (rel)", worst, 1e-12)
     from scipy.integrate import quad
-    lam = model.lam
+    lam = model.params.lam
     b_top = model.params.b
     # machinery check at the barrier start, where the substituted integrand is
     # smooth and the 32-point rule is effectively exact; from x0=0 the reward
     # onset kink caps the Gauss truncation error near 1e-3 regardless of the
     # implementation, so that start value cannot separate machinery bugs
     # from rule truncation
-    quad_val, _ = quad(lambda v: lam * v ** (lam - 1.0) * model.reward_integral(b_top, -math.log(v)),
+    quad_val, _ = quad(lambda v: lam * v ** (lam - 1.0) * table.reward_integral(b_top, -math.log(v)),
                        0.0, 1.0, limit=200)
     rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2, seed=0)
     gauss_val = estimate_value(b_top, 1, rule, model).value
@@ -449,7 +461,7 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
           0.0)
     est = estimate_value(0.0, 2, CubatureSpec(kind=RuleKind.SOBOL, M=512, d=4, seed=1,
                                               replicates=4), model)
-    cv = model.value_bound
+    cv = value_upper_bound(model.spec)
     check("estimate within [0, C_V]", float(max(0.0, -est.value, est.value - cv)), 0.0)
     try:
         CubatureSpec(kind=RuleKind.SOBOL, M=0, d=4)

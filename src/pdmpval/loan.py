@@ -21,6 +21,7 @@ from .model import ComponentSpec, Interval, ModelSpec
 from .smoothing import (
     JumpKernelSpec,
     KernelBranch,
+    _check_loan_eps,
     smoothed_drift_loan,
     smoothed_reward_loan,
     unsmoothed_drift_loan,
@@ -31,7 +32,11 @@ __all__ = ["LoanParams", "SmoothedLoanModel", "unsmoothed_loan_model"]
 
 @dataclass(frozen=True)
 class LoanParams:
-    """Parameter block of the numerical experiment."""
+    """Parameter block of the numerical experiment.
+
+    Rates and levels must be finite and positive, and the smoothing width
+    must fit the bands (see ``smoothing._check_loan_eps``).
+    """
 
     c: float = 5.0
     rho: float = 0.05
@@ -43,8 +48,10 @@ class LoanParams:
 
     def __post_init__(self):
         for name in ("c", "rho", "b", "lam", "alpha", "delta"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InputError(f"{name} must be finite and positive, got {value}")
+        _check_loan_eps(self.c, self.rho, self.b, self.eps)
 
     @property
     def ruin_level(self) -> float:
@@ -151,28 +158,6 @@ class SmoothedLoanModel:
         p = self._stay_prob(y)
         size = -math.log1p(-u * p) / self.params.alpha
         return y - size
-
-    # -- derived quantities ----------------------------------------------------
-
-    @property
-    def lam(self) -> float:
-        return self.params.lam
-
-    @property
-    def delta(self) -> float:
-        return self.params.delta
-
-    @property
-    def value_bound(self) -> float:
-        """C_V = c/delta (no terminal cost)."""
-        return self.params.c / self.params.delta
-
-    def flow(self, y, t):
-        return self.table.flow_at(y, t)
-
-    def reward_integral(self, y, t):
-        """L(t, y): discounted dividends along the flow, t may be +inf."""
-        return self.table.reward_integral(y, t)
 
 
 def unsmoothed_loan_model(c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +20,11 @@ from .loan import LoanParams
 from .model import bias_bound
 from .operators import Estimate
 
-__all__ = ["PathResult", "simulate_path", "mc_reference", "ruin_probability"]
+__all__ = ["mc_reference", "ruin_probability"]
 
 _PATH_CHUNK = 8192
 _MC_PATH_TAG = 0x70617468
 _RUIN_TAG = 0x7275696E
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """One simulated path: its discounted dividend stream and how it ended."""
-
-    discounted_dividends: float
-    ruin_time: float  # +inf when the path was truncated before ruin
-    jumps_used: int
-    truncated: bool
 
 
 def _time_to_zero(y, c, rho):
@@ -66,37 +55,6 @@ def _position_after(y, dt, c, rho, b):
     return np.minimum(pos, b)
 
 
-def simulate_path(params: LoanParams, x0: float, rng: np.random.Generator,
-                  max_jumps: int = 512) -> PathResult:
-    """Exact event-driven simulation of one path of the unsmoothed model.
-
-    Dividends accrue at rate c, discounted at delta, exactly while the state
-    sits at the barrier; ruin is a jump to or below -c/rho.  A path that
-    exhausts ``max_jumps`` before ruin is flagged truncated (the induced bias
-    is bounded by bias_bound(max_jumps)).
-    """
-    p = params
-    if x0 > p.b:
-        raise InputError(f"start value {x0} above the barrier {p.b}")
-    if x0 <= p.ruin_level:
-        return PathResult(0.0, 0.0, 0, False)
-    y = float(x0)
-    t = 0.0
-    pv = 0.0
-    for k in range(1, max_jumps + 1):
-        dt = rng.exponential(1.0 / p.lam) if p.lam > 0.0 else math.inf
-        t_hit = float(_barrier_time(y, p.c, p.rho, p.b))
-        if dt > t_hit:
-            pv += p.c / p.delta * (math.exp(-p.delta * (t + t_hit)) - math.exp(-p.delta * (t + dt)))
-        if not math.isfinite(dt):
-            return PathResult(pv, math.inf, k - 1, False)
-        y = float(_position_after(y, dt, p.c, p.rho, p.b)) - rng.exponential(1.0 / p.alpha)
-        t += dt
-        if y <= p.ruin_level:
-            return PathResult(pv, t, k, False)
-    return PathResult(pv, math.inf, max_jumps, True)
-
-
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=(_MC_PATH_TAG, int(seed), int(chunk)))
     return np.random.Generator(np.random.Philox(seed=ss))
@@ -114,8 +72,7 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
     jumps = np.zeros(n_paths, dtype=np.int64)
     for _ in range(max_jumps):
         # fixed draw layout: one (dt, jump) pair per path per step
-        dt = rng.exponential(1.0 / p.lam, size=n_paths) if p.lam > 0.0 \
-            else np.full(n_paths, math.inf)
+        dt = rng.exponential(1.0 / p.lam, size=n_paths)
         sizes = rng.exponential(1.0 / p.alpha, size=n_paths)
         if not alive.any():
             continue  # keep consuming draws so chunk content is layout-stable
@@ -126,12 +83,10 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
             0.0,
         )
         pv += np.where(alive, gain, 0.0)
-        no_jump = ~np.isfinite(dt)
-        landed = _position_after(y, dt, p.c, p.rho, p.b) - sizes
-        y = np.where(alive & ~no_jump, landed, y)
-        t = np.where(alive & ~no_jump, t + dt, t)
-        jumps += (alive & ~no_jump).astype(np.int64)
-        alive &= ~no_jump & (y > p.ruin_level)
+        y = np.where(alive, _position_after(y, dt, p.c, p.rho, p.b) - sizes, y)
+        t = np.where(alive, t + dt, t)
+        jumps += alive.astype(np.int64)
+        alive &= y > p.ruin_level
     return pv, jumps, alive
 
 
@@ -161,8 +116,7 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     else:
         std_error = None
     wall_ms = (time.perf_counter() - start) * 1e3
-    bias = bias_bound(max_jumps, params.lam, params.delta, params.c / params.delta) \
-        if params.lam > 0.0 else 0.0
+    bias = bias_bound(max_jumps, params.lam, params.delta, params.c / params.delta)
     return Estimate(value=mean, std_error=std_error, bias_bound=bias,
                     M=n_paths, d=2 * max_jumps, replicates=1, wall_ms=wall_ms)
 

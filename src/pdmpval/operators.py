@@ -43,10 +43,9 @@ from .cubature import (
 )
 from .errors import InputError, ModelError
 from .loan import SmoothedLoanModel
-from .model import bias_bound
+from .model import bias_bound, value_upper_bound
 
-__all__ = ["Estimate", "IteratedPoint", "h_inner", "iterated_integrand",
-           "estimate_value", "gauss_validate", "valuation"]
+__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value", "valuation"]
 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _LOG_TINY = 1e-300
@@ -82,19 +81,6 @@ class IteratedPoint:
     @property
     def n(self) -> int:
         return self.coords.size // 2
-
-
-def h_inner(y: float, v: float, model: SmoothedLoanModel) -> float:
-    """Integrand of the pre-first-jump reward in the v = exp(-t) variable.
-
-    Returns L(-ln v, y); v = 0 maps to the infinite-horizon tail.  The
-    expected pre-jump reward is the integral of lam * v^(lam-1) * h_inner
-    over v in [0, 1].
-    """
-    if not 0.0 <= v <= 1.0:
-        raise InputError(f"v must lie in [0, 1], got {v}")
-    t = math.inf if v == 0.0 else -math.log(v)
-    return float(model.reward_integral(y, t))
 
 
 def _check_x0(model: SmoothedLoanModel, x0: float) -> None:
@@ -222,13 +208,6 @@ def tensor_gauss_apply(fn: Callable, dims: int, mtilde: int) -> float:
     return acc
 
 
-def _gauss_tensor_value(model: SmoothedLoanModel, x0: float, n: int, mtilde: int) -> float:
-    """Full tensor Gauss-Legendre evaluation over the 2n-1 live dimensions
-    (the final jump coordinate z_n is never read by the integrand)."""
-    return tensor_gauss_apply(
-        lambda cols: _integrand_batch(model, x0, n, cols), 2 * n - 1, mtilde)
-
-
 # --- public estimators --------------------------------------------------------
 
 
@@ -239,8 +218,9 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     Randomized rules run ``rule.replicates`` repetitions (pseudorandom rules
     reseed, low-discrepancy rules are Cranley-Patterson shifted); the value
     is the mean of replicate means and the error bar the standard deviation
-    of replicate means over sqrt(R).  The Gauss product rule is deterministic
-    and carries no error bar.
+    of replicate means over sqrt(R).  The Gauss product rule is deterministic,
+    carries no error bar and runs over the 2n-1 live dimensions (z_n is never
+    read) within a budget of 1e7 nodes.
     """
     if n < 1:
         raise InputError(f"jump count must be >= 1, got {n}")
@@ -252,7 +232,8 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
         if rule.M ** (2 * n) > 10 ** 7:
             raise InputError(
                 f"Gauss product budget exceeded: {rule.M}^{2 * n} > 1e7 nodes")
-        value = _gauss_tensor_value(model, x0, n, rule.M)
+        value = tensor_gauss_apply(
+            lambda cols: _integrand_batch(model, x0, n, cols), 2 * n - 1, rule.M)
         std_error = None
         reps = 1
     else:
@@ -263,29 +244,18 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
         std_error = (float(np.std(means, ddof=1) / math.sqrt(reps))
                      if reps >= 2 else None)
     wall_ms = (time.perf_counter() - start) * 1e3
-    bias = bias_bound(n, model.lam, model.delta, model.value_bound)
+    spec = model.spec
+    bias = bias_bound(n, spec.intensity_bound, spec.discount, value_upper_bound(spec))
     return Estimate(value=value, std_error=std_error, bias_bound=bias,
                     M=rule.M, d=rule.d, replicates=reps, wall_ms=wall_ms)
-
-
-def gauss_validate(x0: float, n: int, mtilde: int, model: SmoothedLoanModel) -> float:
-    """Deterministic tensor Gauss-Legendre value of the n-jump truncated sum.
-
-    Exact for integrands polynomial of degree <= 2*mtilde - 1 per coordinate;
-    usable only at small n (the point budget mtilde^(2n) must stay below 1e7).
-    """
-    if not 1 <= n <= 3:
-        raise InputError(f"tensor Gauss oracle supports n <= 3, got {n}")
-    if mtilde ** (2 * n) > 10 ** 7:
-        raise InputError(f"Gauss product budget exceeded: {mtilde}^{2 * n} > 1e7 nodes")
-    _check_x0(model, x0)
-    return _gauss_tensor_value(model, x0, n, mtilde)
 
 
 def valuation(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanModel,
               workers: int = 1) -> Estimate:
     """Valuation with the lump-sum convention: above the barrier the excess is
     paid out immediately and the remainder is the value at the barrier."""
+    if not math.isfinite(x0):
+        raise InputError(f"start value must be finite, got {x0}")
     if x0 > model.params.b:
         base = estimate_value(model.params.b, n, rule, model, workers=workers)
         return replace(base, value=base.value + (x0 - model.params.b))

@@ -167,14 +167,13 @@ class KernelBranch:
     """One branch of a mixture jump kernel.
 
     ``prob`` is the branch mass p_j(x) (constant or a function of the source
-    position); ``transform`` maps (u, x) with u in [0,1]^dim to the landing
+    position); ``transform`` maps (u, x) with u in [0,1] to the landing
     position via inverse-transform sampling; ``target`` is the component the
     branch lands in.
     """
 
     prob: ProbLike
     transform: Callable
-    dim: int = 1
     target: int = 1
 
     def prob_at(self, y: float) -> float:
@@ -250,8 +249,8 @@ def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec, inner=None):
     branch integrand does not depend on u0, so the double integral factors
     into (weight mass) x (branch integral).  The weight masses are computed
     by adaptive quadrature with the ramp breakpoints supplied; the branch
-    integrals use ``inner`` -- a (nodes, weights) rule on [0,1] applied per
-    axis -- or adaptive quadrature when ``inner`` is None (dim 1 only).
+    integrals use ``inner`` -- a (nodes, weights) rule on [0,1] -- or
+    adaptive quadrature when ``inner`` is None.
 
     As eps -> 0 the result converges to the unsmoothed integral with error
     at most (5/8) * eps * n * sup|f| for n branches.
@@ -268,22 +267,8 @@ def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec, inner=None):
 
 def _branch_integral(f, y, br: KernelBranch, inner):
     if inner is None:
-        if br.dim != 1:
-            raise InputError("adaptive inner quadrature supports dim 1 branches only")
         val, _ = quad(lambda u: f(br.transform(u, y)), 0.0, 1.0, limit=200, epsrel=1e-11)
         return val
     nodes, weights = inner
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if br.dim == 1:
-        vals = np.array([f(br.transform(u, y)) for u in nodes])
-        return float(np.dot(weights, vals))
-    # tensor rule over dim axes
-    grids = np.meshgrid(*([nodes] * br.dim), indexing="ij")
-    wgrids = np.meshgrid(*([weights] * br.dim), indexing="ij")
-    wprod = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        wprod = wprod * wg
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.array([f(br.transform(u, y)) for u in flat])
-    return float(np.dot(wprod.ravel(), vals))
+    vals = np.array([f(br.transform(u, y)) for u in np.asarray(nodes, dtype=float)])
+    return float(np.dot(np.asarray(weights, dtype=float), vals))

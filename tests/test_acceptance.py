@@ -202,14 +202,14 @@ def test_criterion_05_operator_oracle(loan_model):
     # Gauss truncation error near 1e-3 for any implementation (measured and
     # printed below), so the criterion's x0 is taken at the barrier
     expected, _ = quad(
-        lambda v: LAM * v ** (LAM - 1.0) * loan_model.reward_integral(B, -math.log(v)),
+        lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(B, -math.log(v)),
         0.0, 1.0, limit=300, epsabs=1e-12, epsrel=1e-12)
     got = estimate_value(B, 1, CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2),
                          loan_model).value
     n1_err = abs(got - expected)
 
     kink_expected, _ = quad(
-        lambda v: LAM * v ** (LAM - 1.0) * loan_model.reward_integral(X0, -math.log(v)),
+        lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(X0, -math.log(v)),
         0.0, 1.0, limit=400, points=[0.5249], epsabs=1e-13, epsrel=1e-13)
     kink_got = estimate_value(X0, 1, CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2),
                               loan_model).value

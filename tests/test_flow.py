@@ -7,14 +7,7 @@ from scipy.integrate import quad
 
 import pdmpval.flow
 from pdmpval.errors import InputError, ModelError
-from pdmpval.flow import (
-    build_flow_table,
-    cached_flow_table,
-    flow_at,
-    load_flow_table,
-    reward_integral,
-    save_flow_table,
-)
+from pdmpval.flow import build_flow_table, cached_flow_table, load_flow_table, save_flow_table
 from pdmpval.loan import SmoothedLoanModel
 from pdmpval.smoothing import smoothed_drift_loan
 
@@ -93,7 +86,7 @@ class TestLoanFlow:
         assert np.max(np.abs(table.pos_at(table.time_of(sub)) - sub)) < 1e-9
 
     def test_long_run_approaches_barrier(self, loan_model):
-        assert abs(loan_model.flow(0.0, 1e3) - B) < 1e-3
+        assert abs(loan_model.table.flow_at(0.0, 1e3) - B) < 1e-3
 
     def test_band_crossing_time_bracket_and_quadrature_oracle(self, loan_model):
         table = loan_model.table
@@ -202,15 +195,15 @@ class TestGridMarch:
 
 class TestRewardIntegral:
     def test_zero_horizon(self, loan_model):
-        assert loan_model.reward_integral(0.0, 0.0) == 0.0
+        assert loan_model.table.reward_integral(0.0, 0.0) == 0.0
 
     def test_zero_before_reward_band(self, loan_model):
         # from 0 the band starts only after ~0.64 time units
-        assert loan_model.reward_integral(0.0, 0.3) == 0.0
-        assert loan_model.reward_integral(-50.0, 10.0) == 0.0
+        assert loan_model.table.reward_integral(0.0, 0.3) == 0.0
+        assert loan_model.table.reward_integral(-50.0, 10.0) == 0.0
 
     def test_perpetuity_from_barrier(self, loan_model):
-        val = loan_model.reward_integral(B, np.inf)
+        val = loan_model.table.reward_integral(B, np.inf)
         assert 0.999 * C / DELTA <= val <= C / DELTA
 
     def test_bounded_and_monotone(self, loan_model, rng):
@@ -245,14 +238,7 @@ class TestRewardIntegral:
 
     def test_negative_horizon_rejected(self, loan_model):
         with pytest.raises(InputError):
-            loan_model.reward_integral(0.0, -1.0)
-
-    def test_module_alias_checks_delta(self, loan_model):
-        assert reward_integral(loan_model.table, 0.0, 1.0) == \
-            loan_model.reward_integral(0.0, 1.0)
-        assert flow_at(loan_model.table, 0.0, 1.0) == loan_model.flow(0.0, 1.0)
-        with pytest.raises(InputError):
-            reward_integral(loan_model.table, 0.0, 1.0, delta=0.5)
+            loan_model.table.reward_integral(0.0, -1.0)
 
 
 class TestBuilderValidation:

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdmpval import harness
 from pdmpval.cli import main
 from pdmpval.errors import InputError
 from pdmpval.harness import (
@@ -14,6 +15,7 @@ from pdmpval.harness import (
     run_convergence,
     run_epsilon_study,
     run_validate,
+    run_value,
 )
 
 
@@ -85,6 +87,18 @@ class TestConfig:
             config_from_mapping(parse_config_file(path))
 
 
+class TestRunValue:
+    def test_csv_written_only_when_asked(self, tmp_path):
+        cfg = tiny_config(tmp_path, m_schedule=(4,))
+        est = run_value(cfg, "gauss")
+        assert est.replicates == 1 and est.std_error is None
+        assert list(tmp_path.iterdir()) == []
+        out_csv = tmp_path / "value.csv"
+        assert run_value(cfg, "gauss", out=out_csv).value == est.value
+        rows = out_csv.read_text().splitlines()
+        assert rows == [CSV_HEADER, f"gauss,4,4,1,{est.value:.17g},,{est.bias_bound:.17g},7,0"]
+
+
 class TestRunConvergence:
     def test_structure_and_determinism(self, tmp_path, loan_model):
         cfg = tiny_config(tmp_path)
@@ -151,6 +165,15 @@ class TestRunEpsilonStudy:
             run_epsilon_study(cfg, (0.01, 0.02))
         with pytest.raises(InputError):
             run_epsilon_study(cfg, ())
+
+    def test_widths_checked_before_any_build(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = harness.SmoothedLoanModel.build
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw["eps"]) or real_build(**kw))
+        with pytest.raises(InputError, match="smoothing width"):
+            run_epsilon_study(tiny_config(tmp_path), (0.08, 0.0))
+        assert builds == []
 
     def test_noise_dominated_flagged(self, tmp_path):
         # minuscule budgets cannot resolve the eps=0.02 gap
@@ -225,6 +248,19 @@ class TestCLI:
         cfg_file.write_text("c = five\n")
         assert main(["value", "--config", str(cfg_file)]) == 2
         assert "error: config key 'c'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, flags", [
+        ("alpha = nan", []),
+        ("c = inf", []),
+        ("", ["--x0", "inf"]),
+    ], ids=["alpha-nan", "c-inf", "x0-inf"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, line, flags):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(line + "\n")
+        code = main(["value", "--config", str(cfg_file), "--method", "gauss",
+                     "--points", "4", "--jumps", "1", *flags])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_epsilon_study_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "eps.csv"

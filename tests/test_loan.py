@@ -5,6 +5,7 @@ import pytest
 
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams, SmoothedLoanModel
+from pdmpval.model import value_upper_bound
 from pdmpval.smoothing import smoothed_kernel_integrate
 
 C, RHO, B, LAM, ALPHA, DELTA, EPS = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02, 0.01
@@ -23,10 +24,21 @@ class TestLoanParams:
         with pytest.raises(InputError):
             LoanParams(delta=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c", "rho", "b", "lam", "alpha", "delta"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InputError, match=name):
+            LoanParams(**{name: value})
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan, B / 4.0, 1.0])
+    def test_smoothing_width_checked(self, eps):
+        with pytest.raises(InputError, match="smoothing width"):
+            LoanParams(eps=eps)
+
 
 class TestSmoothedLoanModel:
     def test_value_bound(self, loan_model):
-        assert loan_model.value_bound == 250.0
+        assert value_upper_bound(loan_model.spec) == 250.0
 
     def test_spec_validates(self, loan_model):
         loan_model.spec.validate(samples=2000)
@@ -66,4 +78,4 @@ class TestSmoothedLoanModel:
         b = SmoothedLoanModel.build(eps=0.04, cache_dir=tmp_path)
         assert np.array_equal(a.table.grid_y, b.table.grid_y)
         ys = np.linspace(-5.0, 3.0, 17)
-        assert np.array_equal(a.flow(ys, 2.0), b.flow(ys, 2.0))
+        assert np.array_equal(a.table.flow_at(ys, 2.0), b.table.flow_at(ys, 2.0))

@@ -1,13 +1,51 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams
-from pdmpval.mc import mc_reference, ruin_probability, simulate_path
+from pdmpval.mc import _barrier_time, _position_after, mc_reference, ruin_probability
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
+
+
+@dataclass(frozen=True)
+class PathResult:
+    """One simulated path: its discounted dividend stream and how it ended."""
+
+    discounted_dividends: float
+    ruin_time: float  # +inf when the path was truncated before ruin
+    jumps_used: int
+    truncated: bool
+
+
+def simulate_path(params, x0, rng, max_jumps=512):
+    """Scalar event-driven oracle for the vectorised ``mc._simulate_chunk``.
+
+    Dividends accrue at rate c, discounted at delta, exactly while the state
+    sits at the barrier; ruin is a jump to or below -c/rho.  A path that
+    exhausts ``max_jumps`` before ruin is flagged truncated.
+    """
+    p = params
+    if x0 > p.b:
+        raise InputError(f"start value {x0} above the barrier {p.b}")
+    if x0 <= p.ruin_level:
+        return PathResult(0.0, 0.0, 0, False)
+    y = float(x0)
+    t = 0.0
+    pv = 0.0
+    for k in range(1, max_jumps + 1):
+        dt = rng.exponential(1.0 / p.lam)
+        t_hit = float(_barrier_time(y, p.c, p.rho, p.b))
+        if dt > t_hit:
+            pv += p.c / p.delta * (math.exp(-p.delta * (t + t_hit)) - math.exp(-p.delta * (t + dt)))
+        y = float(_position_after(y, dt, p.c, p.rho, p.b)) - rng.exponential(1.0 / p.alpha)
+        t += dt
+        if y <= p.ruin_level:
+            return PathResult(pv, t, k, False)
+    return PathResult(pv, math.inf, max_jumps, True)
 
 
 def path_rng(seed):

@@ -6,11 +6,10 @@ from scipy.integrate import quad
 
 from pdmpval.cubature import CubatureSpec, RuleKind
 from pdmpval.errors import InputError
+from pdmpval.model import value_upper_bound
 from pdmpval.operators import (
     IteratedPoint,
     estimate_value,
-    gauss_validate,
-    h_inner,
     iterated_integrand,
     tensor_gauss_apply,
     valuation,
@@ -18,6 +17,12 @@ from pdmpval.operators import (
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
 RUIN = -C / RHO
+
+
+def gauss_value(x0, n, m, model):
+    """The n-jump truncated sum under the m-point Gauss product rule."""
+    rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=m, d=2 * n)
+    return estimate_value(x0, n, rule, model).value
 
 
 def naive_truncated_sum(coords, x0, model, n):
@@ -37,7 +42,7 @@ def naive_truncated_sum(coords, x0, model, n):
             v_j = float(coords[2 * (j - 1)])
             z_j = float(coords[2 * (j - 1) + 1])
             t_j = -math.log(v_j)
-            chi_pre = float(model.flow(chi, t_j))
+            chi_pre = float(model.table.flow_at(chi, t_j))
             span = chi_pre + C / RHO
             y_j = z_j * span
             density = ALPHA * math.exp(-ALPHA * y_j)
@@ -45,33 +50,30 @@ def naive_truncated_sum(coords, x0, model, n):
             chi = chi_pre - y_j
         v_i = float(coords[2 * (i - 1)])
         total += factors * LAM * v_i ** (LAM - 1.0) * float(
-            model.reward_integral(chi, -math.log(v_i)))
+            model.table.reward_integral(chi, -math.log(v_i)))
     return total
 
 
 class TestHInner:
+    """The pre-jump reward h(y, v) = L(-ln v, y) of the n=1 term, read from
+    the flow table in the v = exp(-t) variable (v = 0 is the infinite horizon)."""
+
     def test_zero_at_v_one(self, loan_model):
-        assert h_inner(0.0, 1.0, loan_model) == 0.0
+        assert loan_model.table.reward_integral(0.0, -math.log(1.0)) == 0.0
 
     def test_perpetuity_limit_at_barrier(self, loan_model):
-        val = h_inner(B, 0.0, loan_model)
+        val = loan_model.table.reward_integral(B, math.inf)
         assert 0.999 * C / DELTA <= val <= C / DELTA
 
     def test_zero_when_band_unreached(self, loan_model):
-        assert h_inner(-50.0, 0.9, loan_model) == 0.0
-
-    def test_input_validated(self, loan_model):
-        with pytest.raises(InputError):
-            h_inner(0.0, 1.5, loan_model)
-        with pytest.raises(InputError):
-            h_inner(0.0, -0.1, loan_model)
+        assert loan_model.table.reward_integral(-50.0, -math.log(0.9)) == 0.0
 
     def test_expected_h_matches_quadrature(self, loan_model):
-        # integral of lam v^(lam-1) h_inner dv equals the n=1 truncated sum
-        expected, _ = quad(lambda v: LAM * v ** (LAM - 1.0) * h_inner(0.0, v, loan_model),
+        # integral of lam v^(lam-1) h dv equals the n=1 truncated sum
+        table = loan_model.table
+        expected, _ = quad(lambda v: LAM * v ** (LAM - 1.0) * table.reward_integral(0.0, -math.log(v)),
                            0.0, 1.0, limit=300)
-        got = gauss_validate(0.0, 1, 64, loan_model)
-        assert got == pytest.approx(expected, abs=2e-4)
+        assert gauss_value(0.0, 1, 64, loan_model) == pytest.approx(expected, abs=2e-4)
 
 
 class TestIteratedPoint:
@@ -113,7 +115,7 @@ class TestIteratedIntegrand:
                 for j in range(1, i):
                     v_j = float(coords[2 * (j - 1)])
                     t_j = -math.log(v_j)
-                    chi_pre = float(loan_model.flow(chi, t_j))
+                    chi_pre = float(loan_model.table.flow_at(chi, t_j))
                     span = chi_pre + C / RHO
                     y_j = float(coords[2 * (j - 1) + 1]) * span
                     # (t, y)-space factors: lam e^{-(lam+delta) t_j} f_Y(y_j)
@@ -122,7 +124,7 @@ class TestIteratedIntegrand:
                     chi = chi_pre - y_j
                 v_i = float(coords[2 * (i - 1)])
                 t_i = -math.log(v_i)
-                weight *= LAM * math.exp(-LAM * t_i) * float(loan_model.reward_integral(chi, t_i))
+                weight *= LAM * math.exp(-LAM * t_i) * float(loan_model.table.reward_integral(chi, t_i))
                 jac *= 1.0 / v_i
                 total += weight * jac
             single = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
@@ -170,20 +172,20 @@ class TestTensorGauss:
 
 
 class TestGaussValidate:
+    """The Gauss product rule as a deterministic check of the truncated sum."""
+
     def test_partial_sums_nondecreasing_in_n(self, loan_model):
-        vals = [gauss_validate(0.0, n, 8, loan_model) for n in (1, 2, 3)]
+        vals = [gauss_value(0.0, n, 8, loan_model) for n in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_refinement_shrinks_changes(self, loan_model):
         # Gauss convergence on the smooth-at-the-barrier integrand
-        v = [gauss_validate(B, 1, m, loan_model) for m in (2, 8, 32)]
+        v = [gauss_value(B, 1, m, loan_model) for m in (2, 8, 32)]
         assert abs(v[2] - v[1]) < abs(v[1] - v[0])
 
     def test_budget_enforced(self, loan_model):
         with pytest.raises(InputError):
-            gauss_validate(0.0, 3, 64, loan_model)
-        with pytest.raises(InputError):
-            gauss_validate(0.0, 4, 2, loan_model)
+            gauss_value(0.0, 3, 64, loan_model)
 
 
 class TestEstimateValue:
@@ -191,7 +193,7 @@ class TestEstimateValue:
         # from the barrier the substituted integrand is smooth: 32-point Gauss
         # agrees with adaptive quadrature to 1e-6
         expected, _ = quad(
-            lambda v: LAM * v ** (LAM - 1.0) * loan_model.reward_integral(B, -math.log(v)),
+            lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(B, -math.log(v)),
             0.0, 1.0, limit=300, epsabs=1e-12, epsrel=1e-12)
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2)
         est = estimate_value(B, 1, rule, loan_model)
@@ -203,7 +205,7 @@ class TestEstimateValue:
         # from x0=0 the reward onset leaves only a C^3 integrand; the 32-point
         # Gauss truncation error is ~1e-3 and cannot reach 1e-6
         expected, _ = quad(
-            lambda v: LAM * v ** (LAM - 1.0) * loan_model.reward_integral(0.0, -math.log(v)),
+            lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(0.0, -math.log(v)),
             0.0, 1.0, limit=400, points=[0.52488], epsabs=1e-13, epsrel=1e-13)
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2)
         est = estimate_value(0.0, 1, rule, loan_model)
@@ -221,8 +223,9 @@ class TestEstimateValue:
     def test_value_within_bounds(self, loan_model):
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=4096, d=4, seed=5, replicates=4)
         est = estimate_value(0.0, 2, rule, loan_model)
-        assert 0.0 <= est.value <= loan_model.value_bound
-        assert abs(est.value) <= loan_model.value_bound + est.bias_bound
+        c_v = value_upper_bound(loan_model.spec)
+        assert 0.0 <= est.value <= c_v
+        assert abs(est.value) <= c_v + est.bias_bound
 
     def test_cross_method_consistency_small(self, loan_model):
         sob = estimate_value(0.0, 2, CubatureSpec(kind=RuleKind.SOBOL, M=8192, d=4,
@@ -255,6 +258,12 @@ class TestEstimateValue:
         est_b = estimate_value(B, 1, rule, loan_model)
         est = valuation(B + 0.5, 1, rule, loan_model)
         assert est.value == pytest.approx(est_b.value + 0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected(self, loan_model, x0):
+        rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=8, d=2)
+        with pytest.raises(InputError, match="finite"):
+            valuation(x0, 1, rule, loan_model)
 
     def test_gauss_budget_guard(self, loan_model):
         with pytest.raises(InputError):
