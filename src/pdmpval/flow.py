@@ -12,6 +12,16 @@ a cubic Hermite of t(y) with the exact slopes 1/drift(y) (accurate to about
 1e-11) polished by one Newton step on P, with a residual check and a
 bisection fallback, so the semigroup identity holds to machine precision.
 
+scipy builds the spline coefficients; the lookups evaluate them with scipy's
+interval rule and summation order, so every value is bit-identical to calling
+the splines.  A stage of the integrand is one call, ``advance(y, t)``, that
+shares interval searches: grid_y = P(grid_t), so the grid_y interval of y is
+also the grid_t interval of the seed and Newton times (a checked neighbour
+step confirms it); the reward grid is a prefix of grid_t, so the reward
+intervals are grid intervals; and one search of T(y) + t serves both the
+position and the reward there.  That is two searches per point instead of
+seven.
+
 The discounted running-reward integral is tabulated alongside the trajectory
 up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
 the anchor the reward rate is frozen and the remaining integral is closed
@@ -45,6 +55,7 @@ _START_OFFSET = 1e-8     # start this fraction of the span above the lower end
 _POS_TOL = 1e-9          # grid march: target cubic interpolation error in position
 _H_CAP = 2.0             # grid march: largest time step
 _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
+_RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 
 
 @dataclass
@@ -69,10 +80,10 @@ class FlowTable:
     lower: float
     upper: float
 
-    _pos: CubicHermiteSpline = field(init=False, repr=False)
-    _dpos: Callable = field(init=False, repr=False)
-    _seed_time: CubicHermiteSpline = field(init=False, repr=False)
-    _reward: PchipInterpolator = field(init=False, repr=False)
+    _pos_c: np.ndarray = field(init=False, repr=False)
+    _dpos_c: np.ndarray = field(init=False, repr=False)
+    _seed_c: np.ndarray = field(init=False, repr=False)
+    _reward_c: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.delta * self.t_tail > 700.0:
@@ -80,18 +91,22 @@ class FlowTable:
                 f"discount * tail time = {self.delta * self.t_tail:.3g} overflows exp(); "
                 "the model's reward horizon is too long for this parameterisation"
             )
+        nr = len(self.reward_t)
+        if not (0 < nr <= len(self.grid_t) and self.reward_t[-1] == self.t_tail
+                and np.array_equal(self.reward_t, self.grid_t[:nr])):
+            raise ModelError("reward_t must be a prefix of grid_t ending at t_tail")
+        # The scipy splines only build the coefficients; every lookup evaluates
+        # them through _interval / _checked_step / _ppoly below.
         # Hermite with the exact node slopes drift(y_i): fourth-order accurate,
         # and monotone because the build enforces the Fritsch-Carlson bound.
-        self._pos = CubicHermiteSpline(self.grid_t, self.grid_y, self.grid_dy,
-                                       extrapolate=False)
-        self._dpos = self._pos.derivative()
+        pos = CubicHermiteSpline(self.grid_t, self.grid_y, self.grid_dy, extrapolate=False)
+        self._pos_c = pos.c
+        self._dpos_c = pos.derivative().c
         # dt/dy = 1/drift(y): the exact node slopes of the inverse trajectory
-        self._seed_time = CubicHermiteSpline(self.grid_y, self.grid_t,
-                                             1.0 / np.maximum(self.grid_dy, 1e-300))
-        if len(self.reward_t) >= 2:
-            self._reward = PchipInterpolator(self.reward_t, self.reward_cum, extrapolate=False)
-        else:
-            self._reward = None
+        self._seed_c = CubicHermiteSpline(self.grid_y, self.grid_t,
+                                          1.0 / np.maximum(self.grid_dy, 1e-300)).c
+        self._reward_c = (PchipInterpolator(self.reward_t, self.reward_cum,
+                                            extrapolate=False).c if nr >= 2 else None)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -111,9 +126,8 @@ class FlowTable:
 
     def pos_at(self, u):
         """Position on the master curve at master time u (clamped, inf ok)."""
-        u = np.asarray(u, dtype=float)
-        uc = np.where(np.isfinite(u), np.clip(u, 0.0, self.horizon), self.horizon)
-        out = self._pos(uc)
+        uc, k = self._clamped_time(np.asarray(u, dtype=float))
+        out = self._position(uc, k)
         return out if out.ndim else float(out)
 
     def time_of(self, y):
@@ -126,30 +140,13 @@ class FlowTable:
         to the horizon.
         """
         y = np.asarray(y, dtype=float)
-        yc = np.clip(y, self.y_start, self.y_end)
-        t = np.clip(self._seed_time(yc), 0.0, self.horizon)
-        slope = np.maximum(self._dpos(t), 1e-300)
-        t = np.clip(t - (self._pos(t) - yc) / slope, 0.0, self.horizon)
-        # polish stragglers (flat top of the curve) by bisection
-        resid = np.abs(self._pos(t) - yc)
-        tol = 1e-11 * max(1.0, abs(self.y_end - self.y_start))
-        bad = np.atleast_1d((resid > tol) & (yc < self.y_end) & (yc > self.y_start))
-        if bad.any():
-            tf = np.atleast_1d(t)
-            yf = np.atleast_1d(yc)
-            for i in np.flatnonzero(bad):
-                tf[i] = brentq(lambda u, yy=yf[i]: float(self._pos(u)) - yy,
-                               0.0, self.horizon, xtol=1e-14)
-            t = tf if np.ndim(t) else float(tf[0])
-        return t if np.ndim(t) else float(t)
+        t, _ = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
+        return t.reshape(y.shape) if y.ndim else float(t[0])
 
     def flow_at(self, y, t):
         """State reached from y after running the flow for time t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise InputError("flow time must be nonnegative")
-        out = self.pos_at(self.time_of(y) + t)
-        return out if np.ndim(out) else float(out)
+        out = self.advance(y, t)[1]
+        return out if out.ndim else float(out)
 
     def reward_integral(self, y, t):
         """Discounted running reward collected along the flow from y over [0, t].
@@ -158,27 +155,131 @@ class FlowTable:
         beyond it; t may be +inf.  Nondecreasing in t and in y, bounded by
         sup(reward)/delta.
         """
-        if np.any(np.asarray(t, dtype=float) < 0.0):
-            raise InputError("reward horizon must be nonnegative")
-        return self.reward_from_master(np.asarray(self.time_of(y), dtype=float), t)
+        out = self.advance(y, t)[0]
+        return out if out.ndim else float(out)
 
     def reward_from_master(self, T0, t):
-        """Reward integral over [0, t] for a state at master time T0 (fast path)."""
-        T0 = np.asarray(T0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        T0, t = np.broadcast_arrays(T0, t)
+        """Reward integral over [0, t] for a state at master time T0."""
+        T0, t = np.broadcast_arrays(np.asarray(T0, dtype=float), np.asarray(t, dtype=float))
         te = T0 + t
-        out = np.zeros(np.broadcast(T0, t).shape, dtype=float)
-        if self._reward is not None and self.t_tail > 0.0:
+        out = self._reward(T0, t, te, _interval(self.grid_t, T0), _interval(self.grid_t, te))
+        return out if out.ndim else float(out)
+
+    def advance(self, y, t):
+        """Reward collected and state reached running the flow from y for time t >= 0.
+
+        Returns the arrays ``(reward_from_master(T0, t), pos_at(T0 + t))``,
+        ``T0 = time_of(y)``, bit for bit, from two interval searches per point
+        instead of seven: the grid_y interval of y serves the seed, Newton and
+        residual steps of time_of and the reward at T0, and the grid_t
+        interval of T0 + t serves both the position and the reward there.
+        """
+        y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+        if np.any(t < 0.0):
+            raise InputError("flow time must be nonnegative")
+        shape = y.shape
+        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
+        t = t.ravel()
+        te = T0 + t
+        uc, ke = self._clamped_time(te)
+        return (self._reward(T0, t, te, k0, ke).reshape(shape),
+                self._position(uc, ke).reshape(shape))
+
+    def _clamped_time(self, u):
+        """u clamped to [0, horizon] (non-finite to the horizon), and its grid_t interval."""
+        uc = np.where(np.isfinite(u), np.clip(u, 0.0, self.horizon), self.horizon)
+        return uc, _interval(self.grid_t, uc)
+
+    def _position(self, uc, k):
+        """Position interpolant at clamped master times uc in grid_t intervals k."""
+        return _ppoly(self._pos_c, k, uc - self.grid_t[k])
+
+    def _time_at(self, yc):
+        """time_of on a flat array of clamped positions, with the grid_t interval of each time.
+
+        grid_y = pos(grid_t), so the grid_y interval of yc is also the grid_t
+        interval of the seed time and of the Newton-polished time, up to a
+        neighbour step near a node.
+        """
+        k = _interval(self.grid_y, yc)
+        t = np.clip(_ppoly(self._seed_c, k, yc - self.grid_y[k]), 0.0, self.horizon)
+        k = _checked_step(self.grid_t, k, t)
+        s = t - self.grid_t[k]
+        slope = np.maximum(_ppoly(self._dpos_c, k, s), 1e-300)
+        t = np.clip(t - (_ppoly(self._pos_c, k, s) - yc) / slope, 0.0, self.horizon)
+        k = _checked_step(self.grid_t, k, t)
+        # polish stragglers (flat top of the curve) by bisection
+        resid = np.abs(self._position(t, k) - yc)
+        tol = _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
+        bad = np.flatnonzero((resid > tol) & (yc < self.y_end) & (yc > self.y_start))
+        if bad.size:
+            for i in bad:
+                t[i] = brentq(lambda u, yy=yc[i]: self.pos_at(u) - yy,
+                              0.0, self.horizon, xtol=1e-14)
+            k[bad] = _interval(self.grid_t, t[bad])
+        return t, k
+
+    def _reward(self, T0, t, te, k0, ke):
+        """reward_from_master given the grid_t intervals k0 of T0 and ke of te = T0 + t."""
+        out = np.zeros(te.shape, dtype=float)
+        if self._reward_c is not None and self.t_tail > 0.0:
+            # reward_t is a prefix of grid_t ending at t_tail, so the reward
+            # intervals of the clipped times are the grid intervals capped
+            last = len(self.reward_t) - 2
+            k1, k0 = np.minimum(ke, last), np.minimum(k0, last)
             t1 = np.clip(np.minimum(te, self.t_tail), 0.0, self.t_tail)
             t0c = np.clip(T0, 0.0, self.t_tail)
-            core = np.exp(self.delta * t0c) * (self._reward(t1) - self._reward(t0c))
+            core = np.exp(self.delta * t0c) * (
+                _ppoly(self._reward_c, k1, t1 - self.reward_t[k1])
+                - _ppoly(self._reward_c, k0, t0c - self.reward_t[k0]))
             out += np.where(T0 < self.t_tail, core, 0.0)
         lead = np.maximum(self.t_tail - T0, 0.0)
         with np.errstate(invalid="ignore"):
             tail = self.l_tail / self.delta * (np.exp(-self.delta * lead) - np.exp(-self.delta * t))
         out += np.where(te > self.t_tail, tail, 0.0)
-        return out if out.ndim else float(out)
+        return out
+
+
+def _interval(knots, x):
+    """Index i with knots[i] <= x < knots[i+1]; the last interval is closed on
+    the right and points outside the knots clip to the end intervals (the
+    rule of scipy's PPoly)."""
+    return np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+
+
+def _checked_step(knots, k, x):
+    """``_interval(knots, x)`` for a flat array x from a guess k that is right
+    or one interval off for nearly every point.
+
+    Points outside their guessed interval move one interval toward x; a point
+    that the move does not settle is searched.
+    """
+    last = len(knots) - 2
+    down = (x < knots[k]) & (k > 0)
+    up = (x >= knots[k + 1]) & (k < last)
+    moved = np.flatnonzero(down | up)
+    if moved.size:
+        k = k + up - down
+        km, xm = k[moved], x[moved]
+        off = ((xm < knots[km]) & (km > 0)) | ((xm >= knots[km + 1]) & (km < last))
+        if off.any():
+            k[moved[off]] = _interval(knots, xm[off])
+    return k
+
+
+def _ppoly(c, k, s):
+    """Piece k of the PPoly coefficients c (highest power first) at offset s.
+
+    Summed in scipy's order, ascending powers with z = s, s*s, (s*s)*s, so the
+    value is bit-identical to calling the PPoly.
+    """
+    out = c[-1][k]
+    z = s
+    for i in range(len(c) - 2, -1, -1):
+        out = out + c[i][k] * z
+        if i:
+            z = z * s
+    return out
 
 
 # --- builder ----------------------------------------------------------------

@@ -99,6 +99,8 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     """
     if n_paths < 1:
         raise InputError(f"need at least one path, got {n_paths}")
+    if not math.isfinite(x0):
+        raise InputError(f"start value must be finite, got {x0}")
     if x0 > params.b:
         raise InputError(f"start value {x0} above the barrier {params.b}")
     start = time.perf_counter()
@@ -128,8 +130,14 @@ def ruin_probability(c: float, lam: float, alpha: float, x0: float, horizon: flo
     Smoke-test estimator: X_t = x0 + c t - compound Poisson, ruin when X < 0
     before the horizon.  Returns (estimate, standard error).
     """
-    if n_paths < 1 or horizon <= 0.0:
-        raise InputError("need n_paths >= 1 and a positive horizon")
+    if n_paths < 1 or not 0.0 < horizon < math.inf:
+        raise InputError(f"need n_paths >= 1 and a positive finite horizon, got "
+                         f"{n_paths} paths, horizon {horizon}")
+    if not (math.isfinite(x0) and math.isfinite(c)):
+        raise InputError(f"start value and premium rate must be finite, got x0={x0}, c={c}")
+    if not (0.0 < lam < math.inf and 0.0 < alpha < math.inf):
+        raise InputError(f"claim rate and size parameter must be positive and finite, "
+                         f"got lam={lam}, alpha={alpha}")
     ruined_total = 0
     for chunk, c0 in enumerate(range(0, n_paths, _PATH_CHUNK)):
         rows = min(_PATH_CHUNK, n_paths - c0)

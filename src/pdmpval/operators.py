@@ -114,11 +114,9 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
             v = np.clip(cols(2 * j), _LOG_TINY, 1.0)
         logv = np.log(v)
         t = -logv
-        t0 = table.time_of(chi)
-        reward = table.reward_from_master(t0, t)
+        reward, chi_pre = table.advance(chi, t)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
         if j < n - 1:
-            chi_pre = table.pos_at(t0 + t)
             span = chi_pre - ruin
             z = cols(2 * j + 1)
             jump = z * span
@@ -229,9 +227,9 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     _check_x0(model, x0)
     start = time.perf_counter()
     if rule.kind is RuleKind.GAUSS_PRODUCT:
-        if rule.M ** (2 * n) > 10 ** 7:
+        if rule.M ** (2 * n - 1) > 10 ** 7:
             raise InputError(
-                f"Gauss product budget exceeded: {rule.M}^{2 * n} > 1e7 nodes")
+                f"Gauss product budget exceeded: {rule.M}^{2 * n - 1} > 1e7 nodes")
         value = tensor_gauss_apply(
             lambda cols: _integrand_batch(model, x0, n, cols), 2 * n - 1, rule.M)
         std_error = None

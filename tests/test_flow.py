@@ -1,9 +1,12 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 import pdmpval.flow
 from pdmpval.errors import InputError, ModelError
@@ -241,6 +244,164 @@ class TestRewardIntegral:
             loan_model.table.reward_integral(0.0, -1.0)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _lookup_probe_states(table, rng):
+    """Positions over the whole table: uniform, the near-ruin band, grid nodes
+    and their nextafter neighbours, and the ends with points beyond them."""
+    gy = table.grid_y
+    return np.concatenate([
+        rng.uniform(table.lower, table.upper, 3000),
+        table.lower + rng.uniform(0.0, 1e-3, 1000),
+        gy[::9], np.nextafter(gy[::13], np.inf), np.nextafter(gy[::13], -np.inf),
+        [table.y_start, table.y_end, table.y_start - 1.0, table.lower - 5.0,
+         table.y_end + 1.0, table.upper],
+    ])
+
+
+def _chain(table, y, t):
+    """The three public lookups that FlowTable.advance fuses."""
+    t0 = table.time_of(y)
+    return table.reward_from_master(t0, t), table.pos_at(t0 + t)
+
+
+class TestAdvance:
+    """advance(y, t) against reward_from_master(time_of(y), t) and pos_at(time_of(y) + t)."""
+
+    def _assert_matches_chain(self, table, y, t):
+        y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+        got, want = table.advance(y, t), _chain(table, y, t)
+        assert _same_bits(got[0], want[0])
+        assert _same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_bit_identical_over_the_table(self, loan_model, const_table, rng, which):
+        table = loan_model.table if which == "loan" else const_table
+        y = _lookup_probe_states(table, rng)
+        t = -np.log(rng.uniform(size=y.size))
+        self._assert_matches_chain(table, y, t)
+
+    def test_grid_nodes_and_neighbours(self, loan_model, rng):
+        table = loan_model.table
+        for y in (table.grid_y, np.nextafter(table.grid_y, np.inf),
+                  np.nextafter(table.grid_y, -np.inf)):
+            self._assert_matches_chain(table, y, rng.uniform(0.0, 3.0, y.size))
+
+    def test_ends_and_beyond(self, loan_model, rng):
+        table = loan_model.table
+        y = np.array([table.y_start, table.y_end, table.y_start - 1e-9, table.lower - 1.0,
+                      table.y_end + 1e-9, table.upper + 1.0])
+        self._assert_matches_chain(table, y, rng.uniform(0.0, 3.0, y.size))
+
+    def test_start_exactly_at_tail_anchor(self, loan_model):
+        table = loan_model.table
+        assert table.time_of(table.y_tail) == table.t_tail
+        y = np.full(5, table.y_tail)
+        self._assert_matches_chain(table, y, np.array([0.0, 1e-9, 0.5, 40.0, np.inf]))
+
+    def test_end_time_past_horizon_and_zero_time(self, loan_model, rng):
+        table = loan_model.table
+        y = _lookup_probe_states(table, rng)[:2000]
+        for t in (0.0, table.horizon, 2.0 * table.horizon, 700.0, np.inf):
+            self._assert_matches_chain(table, y, t)
+        reward, moved = table.advance(y, 0.0)
+        assert np.all(reward == 0.0)
+        assert _same_bits(moved, table.pos_at(table.time_of(y)))
+
+    def test_bisection_straggler(self, loan_model, rng, monkeypatch):
+        table = loan_model.table
+        calls = []
+        real = pdmpval.flow.brentq
+        monkeypatch.setattr(pdmpval.flow, "brentq",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(pdmpval.flow, "_RESID_TOL", 1e-30)
+        y = rng.uniform(-90.0, B - 0.1, 12)
+        self._assert_matches_chain(table, y, rng.uniform(0.0, 3.0, y.size))
+        assert calls
+
+    def test_shapes_broadcast(self, loan_model):
+        table = loan_model.table
+        y = np.array([[-10.0, 0.0], [1.0, B]])
+        reward, moved = table.advance(y, 2.0)
+        assert reward.shape == moved.shape == (2, 2)
+        self._assert_matches_chain(table, y, 2.0)
+        assert isinstance(table.flow_at(1.0, 2.0), float)
+        assert isinstance(table.reward_integral(1.0, 2.0), float)
+
+    def test_negative_time_rejected(self, loan_model):
+        with pytest.raises(InputError):
+            loan_model.table.advance(0.0, -1.0)
+
+
+def _scipy_lookups(table):
+    """The public lookups evaluated by scipy spline objects built from the
+    table's arrays: the interpolants every FlowTable lookup must reproduce."""
+    pos = CubicHermiteSpline(table.grid_t, table.grid_y, table.grid_dy, extrapolate=False)
+    dpos = pos.derivative()
+    seed = CubicHermiteSpline(table.grid_y, table.grid_t,
+                              1.0 / np.maximum(table.grid_dy, 1e-300))
+    rew = PchipInterpolator(table.reward_t, table.reward_cum, extrapolate=False)
+    h = table.horizon
+
+    def pos_at(u):
+        u = np.asarray(u, dtype=float)
+        return pos(np.where(np.isfinite(u), np.clip(u, 0.0, h), h))
+
+    def time_of(y):
+        yc = np.clip(np.asarray(y, dtype=float), table.y_start, table.y_end)
+        t = np.clip(seed(yc), 0.0, h)
+        t = np.clip(t - (pos(t) - yc) / np.maximum(dpos(t), 1e-300), 0.0, h)
+        bad = ((np.abs(pos(t) - yc) > pdmpval.flow._RESID_TOL * max(1.0, table.y_end - table.y_start))
+               & (yc < table.y_end) & (yc > table.y_start))
+        for i in np.flatnonzero(bad):
+            t[i] = brentq(lambda u: float(pos(u)) - yc[i], 0.0, h, xtol=1e-14)
+        return t
+
+    def reward_from_master(t0, t):
+        te = t0 + t
+        t1 = np.clip(np.minimum(te, table.t_tail), 0.0, table.t_tail)
+        t0c = np.clip(t0, 0.0, table.t_tail)
+        out = np.zeros(te.shape)
+        out += np.where(t0 < table.t_tail,
+                        np.exp(table.delta * t0c) * (rew(t1) - rew(t0c)), 0.0)
+        lead = np.maximum(table.t_tail - t0, 0.0)
+        with np.errstate(invalid="ignore"):
+            tail = table.l_tail / table.delta * (np.exp(-table.delta * lead)
+                                                 - np.exp(-table.delta * t))
+        return out + np.where(te > table.t_tail, tail, 0.0)
+
+    return time_of, pos_at, reward_from_master
+
+
+class TestLookupsMatchScipySplines:
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_bit_identical(self, loan_model, const_table, rng, which):
+        table = loan_model.table if which == "loan" else const_table
+        time_of, pos_at, reward_from_master = _scipy_lookups(table)
+        y = _lookup_probe_states(table, rng)
+        t = -np.log(rng.uniform(size=y.size))
+        t0 = table.time_of(y)
+        assert _same_bits(t0, time_of(y))
+        u = np.concatenate([t0 + t, table.grid_t, [-1.0, np.inf, np.nan, 2.0 * table.horizon]])
+        assert _same_bits(table.pos_at(u), pos_at(u))
+        assert _same_bits(table.reward_from_master(t0, t), reward_from_master(t0, t))
+        tr = np.concatenate([table.reward_t, np.nextafter(table.reward_t, np.inf),
+                             np.nextafter(table.reward_t, -np.inf), [-1.0, 1e6]])
+        assert _same_bits(table.reward_from_master(tr, 0.5), reward_from_master(tr, 0.5))
+
+    def test_scalar_lookups_return_floats(self, loan_model):
+        table = loan_model.table
+        time_of, pos_at, _ = _scipy_lookups(table)
+        assert isinstance(table.time_of(1.0), float)
+        assert isinstance(table.pos_at(3.0), float)
+        assert isinstance(table.reward_from_master(3.0, 1.0), float)
+        assert table.time_of(1.0) == time_of(np.array([1.0]))[0]
+        assert table.pos_at(3.0) == pos_at(3.0)
+
+
 class TestBuilderValidation:
     def test_negative_drift_rejected(self):
         with pytest.raises(ModelError):
@@ -339,6 +500,34 @@ class TestCache:
         assert len(calls) == 2
         assert path.read_bytes() == good
         assert np.array_equal(table.grid_y, const_table.grid_y)
+
+    def test_reward_grid_must_be_prefix_of_flow_grid(self, const_table):
+        bad = const_table.reward_t.copy()
+        bad[1] *= 1.0 + 1e-12
+        with pytest.raises(ModelError, match="prefix"):
+            dataclasses.replace(const_table, reward_t=bad)
+        with pytest.raises(ModelError, match="prefix"):
+            dataclasses.replace(const_table, reward_t=const_table.reward_t[:-1],
+                                reward_cum=const_table.reward_cum[:-1])
+
+    def test_cached_builder_rebuilds_perturbed_reward_grid(self, const_table, tmp_path):
+        calls = []
+        make = lambda: calls.append(1) or const_table
+        cached_flow_table((4.0,), make, tmp_path)
+        (path,) = tmp_path.glob("flow_*.bin")
+        good = path.read_bytes()
+        raw = bytearray(good)
+        # header 16 bytes, then grid_t, grid_y, grid_dy (count + values), then reward_t
+        at = 16 + 3 * (8 + 8 * const_table.grid_t.size) + 8 + 8  # reward_t[1]
+        value = np.frombuffer(raw, dtype="<f8", count=1, offset=at)[0]
+        raw[at: at + 8] = np.array([value * (1.0 + 1e-12)], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="prefix"):
+            load_flow_table(path)
+        table = cached_flow_table((4.0,), make, tmp_path)
+        assert len(calls) == 2
+        assert path.read_bytes() == good
+        assert np.array_equal(table.reward_t, const_table.reward_t)
 
     def test_failed_save_keeps_previous_file(self, const_table, tmp_path):
         path = tmp_path / "flow.bin"

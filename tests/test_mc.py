@@ -142,6 +142,11 @@ class TestMCReference:
         with pytest.raises(InputError):
             mc_reference(loan_params, B + 0.1, 10, seed=0)
 
+    @pytest.mark.parametrize("x0", [math.nan, -math.inf])
+    def test_non_finite_start_rejected(self, loan_params, x0):
+        with pytest.raises(InputError, match="finite"):
+            mc_reference(loan_params, x0, 100, seed=1, max_jumps=8)
+
 
 class TestRuinProbability:
     def test_classical_closed_form(self):
@@ -161,3 +166,15 @@ class TestRuinProbability:
             ruin_probability(C, LAM, ALPHA, 0.0, horizon=0.0, n_paths=10)
         with pytest.raises(InputError):
             ruin_probability(C, LAM, ALPHA, 0.0, horizon=1.0, n_paths=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", math.inf), ("horizon", math.nan), ("x0", math.nan), ("x0", math.inf),
+        ("c", math.nan),
+        ("lam", 0.0), ("lam", -1.0), ("lam", math.inf),
+        ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan),
+    ])
+    def test_bad_input_rejected(self, field, value):
+        args = dict(c=C, lam=LAM, alpha=ALPHA, x0=0.0, horizon=10.0, n_paths=100)
+        args[field] = value
+        with pytest.raises(InputError):
+            ruin_probability(**args)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PPoly
 
+import pdmpval.flow
 from pdmpval.cubature import CubatureSpec, RuleKind
 from pdmpval.errors import InputError
 from pdmpval.model import value_upper_bound
@@ -184,8 +186,13 @@ class TestGaussValidate:
         assert abs(v[2] - v[1]) < abs(v[1] - v[0])
 
     def test_budget_enforced(self, loan_model):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"64\^5"):
             gauss_value(0.0, 3, 64, loan_model)
+
+    def test_budget_counts_live_nodes_only(self, loan_model):
+        # 57^3 = 185,193 live nodes; z_n is never read, so 57^4 > 1e7 is no bar
+        value = gauss_value(0.0, 2, 57, loan_model)
+        assert 0.0 < value <= value_upper_bound(loan_model.spec)
 
 
 class TestEstimateValue:
@@ -264,6 +271,39 @@ class TestEstimateValue:
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=8, d=2)
         with pytest.raises(InputError, match="finite"):
             valuation(x0, 1, rule, loan_model)
+
+    def test_deep_estimate_bits_independent_of_workers(self, loan_model):
+        # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=8192 + 512, d=64, seed=3, replicates=2)
+        a = estimate_value(0.0, 32, rule, loan_model, workers=1)
+        b = estimate_value(0.0, 32, rule, loan_model, workers=2)
+        assert a.value.hex() == b.value.hex() and a.std_error.hex() == b.std_error.hex()
+
+    def test_one_flow_table_call_and_two_searches_per_stage(self, loan_model, monkeypatch):
+        calls = {"advance": 0, "search": 0}
+        table_cls = type(loan_model.table)
+        real_advance, real_interval = table_cls.advance, pdmpval.flow._interval
+
+        def advance(self, y, t):
+            calls["advance"] += 1
+            return real_advance(self, y, t)
+
+        def interval(knots, x):
+            calls["search"] += 1
+            return real_interval(knots, x)
+
+        def no_spline(*args, **kwargs):
+            raise AssertionError("lookup called a scipy spline")
+
+        monkeypatch.setattr(table_cls, "advance", advance)
+        monkeypatch.setattr(pdmpval.flow, "_interval", interval)
+        monkeypatch.setattr(PPoly, "__call__", no_spline)
+        for name in ("time_of", "pos_at", "reward_from_master"):
+            monkeypatch.setattr(table_cls, name, no_spline)
+        n = 6
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=512, d=2 * n, seed=1, replicates=1)
+        estimate_value(0.0, n, rule, loan_model)
+        assert calls == {"advance": n, "search": 2 * n}
 
     def test_gauss_budget_guard(self, loan_model):
         with pytest.raises(InputError):
