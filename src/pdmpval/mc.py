@@ -6,11 +6,19 @@ dividends accrue), so the only error sources are sampling noise and the
 jump-count truncation -- there is no discretisation bias.  Per-path random
 streams are keyed by (seed, path chunk), and partial sums combine in chunk
 order, so results are bit-identical for any worker count.
+
+Each jump is one fused pass over the live paths of a chunk: the ascent time
+to zero is computed once and feeds both the barrier time and the post-flow
+position, and a ruined path is written to the chunk's outputs and dropped
+from the working arrays.  Every step still draws full-width (inter-jump
+time, claim size) arrays for the whole chunk and takes the live entries, so
+the draw a path sees never depends on which other paths are ruined.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -27,34 +35,6 @@ _MC_PATH_TAG = 0x70617468
 _RUIN_TAG = 0x7275696E
 
 
-def _time_to_zero(y, c, rho):
-    # ascent time from y < 0 to 0; the clamp keeps dead below-ruin paths NaN-free
-    frac = np.maximum(rho * np.minimum(y, 0.0) / c, -1.0)
-    with np.errstate(divide="ignore"):
-        return -np.log1p(frac) / rho
-
-
-def _barrier_time(y, c, rho, b):
-    """Time for the deterministic flow to reach the barrier from y (vectorised)."""
-    y = np.asarray(y, dtype=float)
-    t_up = np.where(y >= 0.0, (b - np.minimum(y, b)) / c, 0.0)
-    out = np.where(y >= 0.0, t_up, _time_to_zero(y, c, rho) + b / c)
-    return out
-
-
-def _position_after(y, dt, c, rho, b):
-    """Flow position after dt, never above the barrier (vectorised)."""
-    y = np.asarray(y, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    t_zero = np.where(y < 0.0, _time_to_zero(y, c, rho), 0.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        below = (y + c / rho) * np.exp(rho * np.minimum(dt, t_zero)) - c / rho
-    above_start = np.where(y < 0.0, 0.0, y)
-    above = above_start + c * np.maximum(dt - t_zero, 0.0)
-    pos = np.where(dt < t_zero, below, above)
-    return np.minimum(pos, b)
-
-
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=(_MC_PATH_TAG, int(seed), int(chunk)))
     return np.random.Generator(np.random.Philox(seed=ss))
@@ -62,32 +42,95 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
                     chunk: int, max_jumps: int):
-    """Vectorised simulation of one chunk of paths; returns per-path dividends."""
+    """Simulate one chunk of paths from x0 <= b; returns ``(pv, jumps, alive)``.
+
+    ``pv`` is each path's discounted dividends, ``jumps`` the jumps it took
+    (the ruining one included) and ``alive`` whether it survived them all.
+    """
     p = params
+    pv_out = np.zeros(n_paths)
+    jumps = np.zeros(n_paths, dtype=np.int64)
+    alive = np.full(n_paths, x0 > p.ruin_level)
+    if not x0 > p.ruin_level:
+        return pv_out, jumps, alive  # ruined from the start: nothing to draw for
     rng = _chunk_rng(seed, chunk)
+    c_rho = p.c / p.rho
+    c_delta = p.c / p.delta
+    live = np.arange(n_paths)  # chunk index of each working entry
     y = np.full(n_paths, float(x0))
     t = np.zeros(n_paths)
     pv = np.zeros(n_paths)
-    alive = np.full(n_paths, x0 > p.ruin_level)
-    jumps = np.zeros(n_paths, dtype=np.int64)
-    for _ in range(max_jumps):
-        # fixed draw layout: one (dt, jump) pair per path per step
-        dt = rng.exponential(1.0 / p.lam, size=n_paths)
-        sizes = rng.exponential(1.0 / p.alpha, size=n_paths)
-        if not alive.any():
-            continue  # keep consuming draws so chunk content is layout-stable
-        t_hit = _barrier_time(y, p.c, p.rho, p.b)
-        gain = np.where(
-            dt > t_hit,
-            p.c / p.delta * (np.exp(-p.delta * (t + t_hit)) - np.exp(-p.delta * (t + dt))),
-            0.0,
-        )
-        pv += np.where(alive, gain, 0.0)
-        y = np.where(alive, _position_after(y, dt, p.c, p.rho, p.b) - sizes, y)
-        t = np.where(alive, t + dt, t)
-        jumps += alive.astype(np.int64)
-        alive &= y > p.ruin_level
-    return pv, jumps, alive
+    buffers = [np.empty(n_paths) for _ in range(3)]
+    with np.errstate(divide="ignore", over="ignore"):
+        for step in range(max_jumps):
+            # fixed draw layout: an (inter-jump time, claim) pair for every
+            # path of the chunk on every step; the live paths take theirs
+            dt = rng.exponential(1.0 / p.lam, size=n_paths)
+            sizes = rng.exponential(1.0 / p.alpha, size=n_paths)
+            dt, sizes = dt.take(live), sizes.take(live)
+            t_zero, y_up, t_hit = (buf[:y.size] for buf in buffers)
+            # ascent time from y < 0 to 0 (a signed zero for y >= 0, which
+            # every use below treats like +0.0); the clamp keeps it inf, not
+            # NaN, should rounding put rho*y/c below -1 next to the ruin level
+            np.minimum(y, 0.0, out=t_zero)
+            t_zero *= p.rho
+            t_zero /= p.c
+            np.maximum(t_zero, -1.0, out=t_zero)
+            np.log1p(t_zero, out=t_zero)
+            t_zero /= -p.rho
+            # barrier time t_zero + (b - max(y, 0)) / c
+            np.maximum(y, 0.0, out=y_up)
+            np.subtract(p.b, y_up, out=t_hit)
+            t_hit /= p.c
+            t_hit += t_zero
+            # dividends at rate c from the barrier time to the jump
+            pay = np.flatnonzero(dt > t_hit)
+            if pay.size:
+                t_pay = t.take(pay)
+                gain = t_hit.take(pay)
+                gain += t_pay
+                gain *= -p.delta
+                np.exp(gain, out=gain)
+                t_pay += dt.take(pay)
+                t_pay *= -p.delta
+                np.exp(t_pay, out=t_pay)
+                gain -= t_pay
+                gain *= c_delta
+                pv[pay] += gain
+            t += dt
+            # post-flow position: linear past zero, exponential while the
+            # jump comes before zero is reached, capped at the barrier
+            below = np.flatnonzero(dt < t_zero)
+            y_below = y.take(below)
+            np.subtract(dt, t_zero, out=y)
+            np.maximum(y, 0.0, out=y)
+            y *= p.c
+            y += y_up
+            if below.size:
+                growth = dt.take(below)
+                growth *= p.rho
+                np.exp(growth, out=growth)
+                y_below += c_rho
+                y_below *= growth
+                y_below -= c_rho
+                y[below] = y_below
+            np.minimum(y, p.b, out=y)
+            y -= sizes
+            ok = y > p.ruin_level
+            if ok.all():
+                continue
+            gone = ~ok
+            ruined = live[gone]
+            pv_out[ruined] = pv[gone]
+            jumps[ruined] = step + 1
+            alive[ruined] = False
+            live = live[ok]
+            if not live.size:
+                return pv_out, jumps, alive  # nothing left to draw for
+            y, t, pv = y[ok], t[ok], pv[ok]
+    jumps[live] = max_jumps
+    pv_out[live] = pv
+    return pv_out, jumps, alive
 
 
 def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
@@ -97,8 +140,9 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     Deterministic for a fixed seed and independent of any parallel chunking
     (chunked, ordered reduction over fixed-size path blocks).
     """
-    if n_paths < 1:
-        raise InputError(f"need at least one path, got {n_paths}")
+    for name, value in (("n_paths", n_paths), ("max_jumps", max_jumps)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise InputError(f"{name} must be an integer >= 1, got {value!r}")
     if not math.isfinite(x0):
         raise InputError(f"start value must be finite, got {x0}")
     if x0 > params.b:

@@ -4,9 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pdmpval import mc
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams
-from pdmpval.mc import _barrier_time, _position_after, mc_reference, ruin_probability
+from pdmpval.mc import mc_reference, ruin_probability
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
 
@@ -19,6 +20,31 @@ class PathResult:
     ruin_time: float  # +inf when the path was truncated before ruin
     jumps_used: int
     truncated: bool
+
+
+def _time_to_zero(y, c, rho):
+    """Ascent time of the loan flow from y to 0; 0 for y >= 0."""
+    if y >= 0.0:
+        return 0.0
+    frac = rho * y / c
+    return math.inf if frac <= -1.0 else -math.log1p(frac) / rho
+
+
+def _barrier_time(y, c, rho, b):
+    """Time for the deterministic flow to reach the barrier from y."""
+    if y >= 0.0:
+        return (b - min(y, b)) / c
+    return _time_to_zero(y, c, rho) + b / c
+
+
+def _position_after(y, dt, c, rho, b):
+    """Flow position after dt, never above the barrier."""
+    t_zero = _time_to_zero(y, c, rho)
+    if dt < t_zero:
+        pos = (y + c / rho) * math.exp(rho * dt) - c / rho
+    else:
+        pos = max(y, 0.0) + c * (dt - t_zero)
+    return min(pos, b)
 
 
 def simulate_path(params, x0, rng, max_jumps=512):
@@ -38,10 +64,10 @@ def simulate_path(params, x0, rng, max_jumps=512):
     pv = 0.0
     for k in range(1, max_jumps + 1):
         dt = rng.exponential(1.0 / p.lam)
-        t_hit = float(_barrier_time(y, p.c, p.rho, p.b))
+        t_hit = _barrier_time(y, p.c, p.rho, p.b)
         if dt > t_hit:
             pv += p.c / p.delta * (math.exp(-p.delta * (t + t_hit)) - math.exp(-p.delta * (t + dt)))
-        y = float(_position_after(y, dt, p.c, p.rho, p.b)) - rng.exponential(1.0 / p.alpha)
+        y = _position_after(y, dt, p.c, p.rho, p.b) - rng.exponential(1.0 / p.alpha)
         t += dt
         if y <= p.ruin_level:
             return PathResult(pv, t, k, False)
@@ -50,6 +76,109 @@ def simulate_path(params, x0, rng, max_jumps=512):
 
 def path_rng(seed):
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+
+
+def _simulate_chunk_oracle(params, x0, n_paths, seed, chunk, max_jumps):
+    """Full-width vectorised reference for ``mc._simulate_chunk``.
+
+    Every path is advanced on every step and the ruined ones are masked out
+    with ``np.where``; the fused kernel must reproduce it bit for bit.
+    """
+
+    def time_to_zero(y, c, rho):
+        frac = np.maximum(rho * np.minimum(y, 0.0) / c, -1.0)
+        with np.errstate(divide="ignore"):
+            return -np.log1p(frac) / rho
+
+    def barrier_time(y, c, rho, b):
+        t_up = np.where(y >= 0.0, (b - np.minimum(y, b)) / c, 0.0)
+        return np.where(y >= 0.0, t_up, time_to_zero(y, c, rho) + b / c)
+
+    def position_after(y, dt, c, rho, b):
+        t_zero = np.where(y < 0.0, time_to_zero(y, c, rho), 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            below = (y + c / rho) * np.exp(rho * np.minimum(dt, t_zero)) - c / rho
+        above_start = np.where(y < 0.0, 0.0, y)
+        above = above_start + c * np.maximum(dt - t_zero, 0.0)
+        pos = np.where(dt < t_zero, below, above)
+        return np.minimum(pos, b)
+
+    p = params
+    rng = mc._chunk_rng(seed, chunk)
+    y = np.full(n_paths, float(x0))
+    t = np.zeros(n_paths)
+    pv = np.zeros(n_paths)
+    alive = np.full(n_paths, x0 > p.ruin_level)
+    jumps = np.zeros(n_paths, dtype=np.int64)
+    for _ in range(max_jumps):
+        dt = rng.exponential(1.0 / p.lam, size=n_paths)
+        sizes = rng.exponential(1.0 / p.alpha, size=n_paths)
+        if not alive.any():
+            continue
+        t_hit = barrier_time(y, p.c, p.rho, p.b)
+        gain = np.where(
+            dt > t_hit,
+            p.c / p.delta * (np.exp(-p.delta * (t + t_hit)) - np.exp(-p.delta * (t + dt))),
+            0.0,
+        )
+        pv += np.where(alive, gain, 0.0)
+        y = np.where(alive, position_after(y, dt, p.c, p.rho, p.b) - sizes, y)
+        t = np.where(alive, t + dt, t)
+        jumps += alive.astype(np.int64)
+        alive &= y > p.ruin_level
+    return pv, jumps, alive
+
+
+def assert_same_chunk(params, x0, n_paths, seed, chunk, max_jumps):
+    got = mc._simulate_chunk(params, x0, n_paths, seed, chunk, max_jumps)
+    want = _simulate_chunk_oracle(params, x0, n_paths, seed, chunk, max_jumps)
+    for name, g, w in zip(("pv", "jumps", "alive"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+    return got
+
+
+RUIN = -C / RHO
+STARTS = [0.0, -0.0, B, -50.0, -99.9, float(np.nextafter(RUIN, math.inf)), RUIN]
+
+
+class TestSimulateChunk:
+    @pytest.mark.parametrize("max_jumps", [1, 16, 512])
+    @pytest.mark.parametrize("x0", STARTS, ids=["0", "-0", "b", "-50", "-99.9", "ruin+ulp", "ruin"])
+    def test_bits_match_full_width_oracle(self, loan_params, x0, max_jumps):
+        for seed, chunk in ((1, 0), (5, 3), (7, 1)):
+            assert_same_chunk(loan_params, x0, 1000, seed, chunk, max_jumps)
+
+    @pytest.mark.parametrize("x0", [B, -50.0])
+    def test_bits_match_without_jumps(self, x0):
+        pv, jumps, alive = assert_same_chunk(LoanParams(lam=1e-12), x0, 300, 2, 0, 16)
+        assert alive.all() and (jumps == 16).all() and (pv > 0.0).all()
+
+    def test_bits_match_when_live_set_empties(self, loan_params):
+        # from -99.9 every path is ruined within a few jumps of 512
+        pv, jumps, alive = assert_same_chunk(loan_params, -99.9, 2000, 3, 2, 512)
+        assert not alive.any() and 1 <= jumps.min() and jumps.max() < 16
+
+    def test_paths_ruined_mid_run_keep_their_dividends(self, loan_params):
+        pv, jumps, alive = assert_same_chunk(loan_params, 0.0, 4096, 11, 0, 512)
+        ruined = ~alive
+        assert ruined.any() and alive.any()
+        assert (jumps[alive] == 512).all() and jumps[ruined].min() < 512
+        assert (pv[ruined] > 0.0).any()
+
+    def test_mc_reference_bits_and_module_attribute(self, loan_params, monkeypatch):
+        want = mc_reference(loan_params, 0.0, 16_384, seed=7, max_jumps=64)
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            return _simulate_chunk_oracle(*args)
+
+        monkeypatch.setattr(mc, "_simulate_chunk", oracle)
+        got = mc_reference(loan_params, 0.0, 16_384, seed=7, max_jumps=64)
+        assert [a[2:] for a in calls] == [(8192, 7, 0, 64), (8192, 7, 1, 64)]
+        assert got.value.hex() == want.value.hex()
+        assert got.std_error.hex() == want.std_error.hex()
 
 
 class TestSimulatePath:
@@ -141,6 +270,21 @@ class TestMCReference:
     def test_start_above_barrier_rejected(self, loan_params):
         with pytest.raises(InputError):
             mc_reference(loan_params, B + 0.1, 10, seed=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_paths", 0), ("n_paths", -3), ("n_paths", 2.5), ("n_paths", 8.0), ("n_paths", True),
+        ("max_jumps", 0), ("max_jumps", 2.5), ("max_jumps", False), ("max_jumps", "8"),
+    ])
+    def test_counts_must_be_positive_integers(self, loan_params, field, value):
+        args = dict(n_paths=100, max_jumps=8)
+        args[field] = value
+        with pytest.raises(InputError, match=field):
+            mc_reference(loan_params, 0.0, args["n_paths"], seed=1, max_jumps=args["max_jumps"])
+
+    def test_numpy_integer_counts_accepted(self, loan_params):
+        a = mc_reference(loan_params, 0.0, np.int64(100), seed=1, max_jumps=np.int64(8))
+        b = mc_reference(loan_params, 0.0, 100, seed=1, max_jumps=8)
+        assert a.value == b.value
 
     @pytest.mark.parametrize("x0", [math.nan, -math.inf])
     def test_non_finite_start_rejected(self, loan_params, x0):
