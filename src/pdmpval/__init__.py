@@ -15,7 +15,7 @@ from .cubature import (
     star_discrepancy_bruteforce,
 )
 from .errors import InputError, ModelError
-from .flow import FlowTable, build_flow_table, load_flow_table, save_flow_table
+from .flow import FlowTable, build_flow_table
 from .harness import (
     ExperimentConfig,
     run_convergence,

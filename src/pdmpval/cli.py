@@ -44,8 +44,7 @@ def _add_common(sub):
                      help="record wall-clock times in the CSV (not reproducible)")
 
 
-def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _build_config(args, cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
     if args.config:
         cfg = config_from_mapping(parse_config_file(args.config), cfg)
     updates = {}
@@ -81,9 +80,8 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _cmd_value(args) -> int:
-    cfg = _build_config(args)
-    method = cfg.methods[0] if args.method else "sobol"
-    est = run_value(cfg, method, out=args.out)
+    cfg = _build_config(args, ExperimentConfig(methods=("sobol",)))
+    est = run_value(cfg, cfg.methods[0], out=args.out)
     se = "n/a" if est.std_error is None else f"{est.std_error:.6g}"
     print(f"value={est.value:.10g} std_error={se} bias_bound={est.bias_bound:.6g} "
           f"M={est.M} d={est.d} replicates={est.replicates}")

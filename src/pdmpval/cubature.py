@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "RuleKind",
@@ -38,6 +38,7 @@ __all__ = [
     "cranley_patterson_shift",
     "cp_shift_vector",
     "gauss_legendre",
+    "gauss_product_chunk",
     "star_discrepancy_1d",
     "star_discrepancy_bruteforce",
     "first_primes",
@@ -72,12 +73,10 @@ class CubatureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RuleKind(self.kind))
-        if self.d < 1:
-            raise InputError(f"dimension must be >= 1, got {self.d}")
-        if self.M < 1:
-            raise InputError(f"node count must be >= 1, got {self.M}")
-        if self.replicates < 1:
-            raise InputError(f"replicate count must be >= 1, got {self.replicates}")
+        require_int("dimension d", self.d, 1)
+        require_int("node count M", self.M, 1)
+        require_int("seed", self.seed, 0)
+        require_int("replicates", self.replicates, 1)
         if self.kind is RuleKind.SOBOL and self.d > sobol_max_dim():
             raise InputError(
                 f"Sobol dimension {self.d} exceeds the shipped direction table "
@@ -285,6 +284,25 @@ def gauss_legendre(mtilde: int):
         raise InputError(f"Gauss rule size must be in 1..64, got {mtilde}")
     x, w = leggauss(mtilde)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def gauss_product_chunk(mtilde: int, dims: int, start: int, stop: int):
+    """Nodes [start, stop) of the mtilde-point Gauss-Legendre product rule on [0,1]^dims.
+
+    Node i takes in coordinate ``dim`` the 1-d node of digit ``dim`` of i in
+    base mtilde.  Returns the (dims, stop - start) coordinate array and the
+    product weights, which sum to 1 over all mtilde^dims nodes; the rule is
+    exact for polynomials of degree <= 2*mtilde - 1 in each coordinate.
+    """
+    if dims < 1 or not 0 <= start <= stop <= mtilde ** dims:
+        raise InputError(f"Gauss product range [{start}, {stop}) outside {mtilde}^{dims} nodes")
+    nodes, wts = gauss_legendre(mtilde)
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = [(idx // mtilde ** dim) % mtilde for dim in range(dims)]
+    weights = np.ones(idx.shape, dtype=float)
+    for k in digits:
+        weights *= wts[k]
+    return nodes[np.stack(digits)], weights
 
 
 # --- exact star discrepancy (test oracles) ---------------------------------------

@@ -30,12 +30,7 @@ form, which also keeps every exp() argument bounded.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import struct
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,10 +40,8 @@ from scipy.optimize import brentq
 
 from .errors import InputError, ModelError
 
-__all__ = ["FlowTable", "build_flow_table", "save_flow_table", "load_flow_table",
-           "cached_flow_table"]
+__all__ = ["FlowTable", "build_flow_table"]
 
-_MAGIC = b"PDMPFLW\x01"  # 8-byte magic, version folded into the last byte
 _PROXIMITY = 1e-12       # build stops within this fraction of the span from the top
 _TAIL_BAND = 1e-6        # reward rate frozen within this fraction of the span
 _START_OFFSET = 1e-8     # start this fraction of the span above the lower end
@@ -375,12 +368,8 @@ def build_flow_table(
         t_tail, y_tail = float(grid_t[-1]), float(grid_y[-1])
     l_tail = float(reward(y_tail))
 
-    mask = grid_t <= t_tail
-    rt = grid_t[mask]
-    if rt.size < 3 or rt[-1] < t_tail:
-        rt = np.append(rt, t_tail) if rt.size == 0 or rt[-1] < t_tail else rt
-    ry = sol.sol(rt)[0] if rt.size else rt
-    ry = np.minimum(ry, upper)
+    rt = grid_t[grid_t <= t_tail]  # t_tail is a grid node, so rt ends at it
+    ry = np.minimum(sol.sol(rt)[0], upper)
     integrand = np.exp(-delta * rt) * np.asarray(reward(ry), dtype=float)
     if rt.size >= 3:
         rc = cumulative_simpson(integrand, x=rt, initial=0.0)
@@ -474,85 +463,3 @@ def _strictly_increasing(ts, ys, span):
     keep = np.concatenate([[True], np.diff(ys) > 1e-15 * span])
     return ts[keep], ys[keep]
 
-
-# --- optional binary cache ----------------------------------------------------
-
-
-def save_flow_table(table: FlowTable, path):
-    """Little-endian array dump with a 16-byte magic/version header.
-
-    Written to a temporary file in the target directory and moved into place
-    with os.replace, so readers never see a partly written table.
-    """
-    path = Path(path)
-    arrays = [table.grid_t, table.grid_y, table.grid_dy, table.reward_t, table.reward_cum]
-    scalars = [table.delta, table.t_tail, table.y_tail, table.l_tail,
-               table.lower, table.upper]
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", 1, int(table.converged)))
-            for arr in arrays:
-                a = np.ascontiguousarray(arr, dtype="<f8")
-                fh.write(struct.pack("<Q", a.size))
-                fh.write(a.tobytes())
-            fh.write(np.asarray(scalars, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_flow_table(path) -> FlowTable:
-    """Read a table written by :func:`save_flow_table`.
-
-    A bad magic, a truncated or overlong file, or arrays that do not form a
-    valid table raise InputError.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] != _MAGIC:
-        raise InputError(f"{path}: not a flow table cache (bad magic)")
-    try:
-        _version, conv = struct.unpack_from("<II", raw, 8)
-        pos, arrays = 16, []
-        for _ in range(5):
-            (n,) = struct.unpack_from("<Q", raw, pos)
-            arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=pos + 8).copy())
-            pos += 8 + 8 * n
-        if len(raw) != pos + 8 * 6:
-            raise InputError(f"{len(raw)} bytes, header implies {pos + 8 * 6}")
-        scalars = np.frombuffer(raw, dtype="<f8", count=6, offset=pos)
-        return FlowTable(
-            grid_t=arrays[0], grid_y=arrays[1], grid_dy=arrays[2],
-            reward_t=arrays[3], reward_cum=arrays[4],
-            delta=float(scalars[0]), t_tail=float(scalars[1]), y_tail=float(scalars[2]),
-            l_tail=float(scalars[3]), converged=bool(conv),
-            lower=float(scalars[4]), upper=float(scalars[5]),
-        )
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: corrupt flow table cache ({exc})") from exc
-
-
-def cached_flow_table(key_params, builder: Callable[[], FlowTable], cache_dir) -> FlowTable:
-    """Build-or-load keyed by a hash of the model parameters and file format.
-
-    The key also covers the magic and the build constants that shape the
-    table, the grid march's included; a cache file that fails to load is
-    rebuilt and overwritten.
-    """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = (_MAGIC, _TAIL_BAND, _PROXIMITY, _START_OFFSET, _POS_TOL, _H_CAP, _STENCIL,
-           *key_params)
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-    path = cache_dir / f"flow_{digest}.bin"
-    if path.exists():
-        try:
-            return load_flow_table(path)
-        except InputError:
-            pass  # truncated or corrupt: rebuild below
-    table = builder()
-    save_flow_table(table, path)
-    return table

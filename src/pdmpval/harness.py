@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cubature, smoothing
 from .cubature import CubatureSpec, RuleKind
-from .errors import InputError
+from .errors import InputError, require_int
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import mc_reference
 from .model import bias_bound, value_upper_bound
@@ -77,6 +77,7 @@ class ExperimentConfig:
             raise InputError("jumps must be >= 1")
         if self.replicates < 2:
             raise InputError("need replicates >= 2 for standard-error output")
+        require_int("seed", self.seed, 0)
 
     def loan_params(self, eps: Optional[float] = None) -> LoanParams:
         return LoanParams(c=self.c, rho=self.rho, b=self.b, lam=self.lam,
@@ -161,14 +162,12 @@ def _write_lines(path, lines) -> None:
 def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     """One valuation of ``method`` at the schedule's largest node count.
 
-    Uses the lump-sum convention above the barrier (``valuation``); the Gauss
-    rule runs one deterministic replicate.  Writes the one-row CSV to ``out``
-    when given.
+    Uses the lump-sum convention above the barrier (``valuation``).  Writes
+    the one-row CSV to ``out`` when given.
     """
     model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     rule = CubatureSpec(kind=_METHOD_KINDS[method], M=config.m_schedule[-1],
-                        d=2 * config.jumps, seed=config.seed,
-                        replicates=1 if method == "gauss" else config.replicates)
+                        d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
     est = valuation(config.x0, config.jumps, rule, model, workers=config.workers)
     if out:
         _write_lines(out, [CSV_HEADER, _estimate_row(method, est, config.seed, config.timings)])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .flow import FlowTable, build_flow_table, cached_flow_table
+from .flow import FlowTable, build_flow_table
 from .model import ComponentSpec, Interval, ModelSpec
 from .smoothing import (
     JumpKernelSpec,
@@ -86,7 +86,7 @@ class SmoothedLoanModel:
             is_cemetery=True,
         )
         kernel = JumpKernelSpec(
-            branches=(KernelBranch(prob=self._stay_prob, transform=self._jump_to, target=1),),
+            branches=(KernelBranch(prob=self._stay_prob, transform=self._jump_to),),
             eps=p.eps,
         )
         self.spec = ModelSpec(
@@ -103,7 +103,7 @@ class SmoothedLoanModel:
 
     @classmethod
     def build(cls, c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0, delta=0.02,
-              eps=0.01, tol=1e-10, cache_dir=None) -> "SmoothedLoanModel":
+              eps=0.01) -> "SmoothedLoanModel":
         params = LoanParams(c=c, rho=rho, b=b, lam=lam, alpha=alpha, delta=delta, eps=eps)
         if lam + delta <= 3.0:
             # integrability condition for the substituted integrand to stay
@@ -115,19 +115,14 @@ class SmoothedLoanModel:
             )
         drift = lambda y: smoothed_drift_loan(y, c, rho, b, eps)
         reward = lambda y: smoothed_reward_loan(y, c, b, eps)
-        make = lambda: build_flow_table(
+        table = build_flow_table(
             drift,
             (params.ruin_level, b),
             delta,
             reward,
-            tol=tol,
             feature_scale=eps,
             refine_y=(-eps, 0.0, eps, b - 2.0 * eps, b - eps, b),
         )
-        if cache_dir is not None:
-            table = cached_flow_table((c, rho, b, eps, delta, tol), make, cache_dir)
-        else:
-            table = make()
         model = cls(params=params, table=table)
         model.spec.validate()  # sample-check declared bounds and support rules
         return model

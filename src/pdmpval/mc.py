@@ -18,12 +18,11 @@ the draw a path sees never depends on which other paths are ruined.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .loan import LoanParams
 from .model import bias_bound
 from .operators import Estimate
@@ -140,9 +139,9 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     Deterministic for a fixed seed and independent of any parallel chunking
     (chunked, ordered reduction over fixed-size path blocks).
     """
-    for name, value in (("n_paths", n_paths), ("max_jumps", max_jumps)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    require_int("n_paths", n_paths, 1)
+    require_int("max_jumps", max_jumps, 1)
+    require_int("seed", seed, 0)
     if not math.isfinite(x0):
         raise InputError(f"start value must be finite, got {x0}")
     if x0 > params.b:
@@ -174,9 +173,10 @@ def ruin_probability(c: float, lam: float, alpha: float, x0: float, horizon: flo
     Smoke-test estimator: X_t = x0 + c t - compound Poisson, ruin when X < 0
     before the horizon.  Returns (estimate, standard error).
     """
-    if n_paths < 1 or not 0.0 < horizon < math.inf:
-        raise InputError(f"need n_paths >= 1 and a positive finite horizon, got "
-                         f"{n_paths} paths, horizon {horizon}")
+    require_int("n_paths", n_paths, 1)
+    require_int("seed", seed, 0)
+    if not 0.0 < horizon < math.inf:
+        raise InputError(f"horizon must be positive and finite, got {horizon}")
     if not (math.isfinite(x0) and math.isfinite(c)):
         raise InputError(f"start value and premium rate must be finite, got x0={x0}, c={c}")
     if not (0.0 < lam < math.inf and 0.0 < alpha < math.inf):

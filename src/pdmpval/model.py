@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from .errors import InputError, ModelError
 from .smoothing import JumpKernelSpec
@@ -72,10 +72,10 @@ class ComponentSpec:
 
     ``intensity`` may be a constant (the common case, enabling closed-form
     survival) or a callable of the position.  ``intensity_bound`` is the
-    declared C_lambda >= sup lambda_k.  ``flow`` is an optional (y, t) -> y
-    evaluator wired in by model builders that tabulate the ODE flow; when
-    absent, a zero/None drift means the identity flow and anything else is
-    integrated on demand.
+    declared C_lambda >= sup lambda_k.  ``flow`` is the (y, t) -> y
+    evaluator wired in by model builders that tabulate the ODE flow; a
+    component without one has the identity flow if its drift is None and no
+    flow otherwise.
     """
 
     domain: Interval
@@ -102,11 +102,7 @@ class ComponentSpec:
             return self.flow(y, t)
         if self.drift is None:
             return y
-        sol = solve_ivp(lambda s, z: [self.drift(z[0])], (0.0, float(t)), [y],
-                        rtol=1e-10, atol=1e-12, dense_output=True)
-        if not sol.success:
-            raise ModelError(f"on-demand flow integration failed: {sol.message}")
-        return float(sol.y[0, -1])
+        raise ModelError("component has a drift but no flow evaluator")
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .cubature import (
     CubatureSpec,
     RuleKind,
     cp_shift_vector,
-    gauss_legendre,
+    gauss_product_chunk,
     halton_column,
     halton_permutations,
     mc_chunk,
@@ -146,32 +146,39 @@ def _replicate_mean(model: SmoothedLoanModel, x0: float, n: int, rule: CubatureS
                     rep: int, workers: int) -> float:
     """Mean of the integrand over one replicate's node set.
 
-    Nodes are processed in fixed-size chunks; each chunk accumulates in index
-    order and chunk sums combine in index order, so the result is bit
-    identical for any worker count.
+    The Gauss product rule runs over the 2n-1 live dimensions (z_n is never
+    read), and its mean is the weighted sum.  Nodes are processed in
+    fixed-size chunks; each chunk accumulates in index order and chunk sums
+    combine in index order, so the result is bit identical for any worker
+    count.
     """
     d = rule.d
-    if rule.kind is RuleKind.MC:
-        shift = None
-        perms = None
-    else:
+    gauss = rule.kind is RuleKind.GAUSS_PRODUCT
+    size = rule.M ** (d - 1) if gauss else rule.M
+    shift = perms = None
+    if rule.kind in (RuleKind.SOBOL, RuleKind.SCRAMBLED_HALTON):
         shift = cp_shift_vector(d, rule.seed, rep)
-        perms = halton_permutations(d, rule.seed) if rule.kind is RuleKind.SCRAMBLED_HALTON else None
+    if rule.kind is RuleKind.SCRAMBLED_HALTON:
+        perms = halton_permutations(d, rule.seed)
 
     def chunk_sum(ci: int) -> float:
         i0 = ci * _CHUNK
-        i1 = min(i0 + _CHUNK, rule.M)
+        i1 = min(i0 + _CHUNK, size)
+        weights = None
         if rule.kind is RuleKind.MC:
             block = mc_chunk(ci, i1 - i0, d, rule.seed, rep)
             cols = lambda dim: block[:, dim]
         elif rule.kind is RuleKind.SOBOL:
             cols = lambda dim: np.mod(sobol_column(dim + 1, i0 + 1, i1 + 1) + shift[dim], 1.0)
-        else:
+        elif rule.kind is RuleKind.SCRAMBLED_HALTON:
             cols = lambda dim: np.mod(halton_column(dim + 1, i0 + 1, i1 + 1, perms) + shift[dim], 1.0)
+        else:
+            block, weights = gauss_product_chunk(rule.M, d - 1, i0, i1)
+            cols = lambda dim: block[dim]
         vals = _integrand_batch(model, x0, n, cols)
-        return float(np.add.reduce(vals))
+        return float(np.add.reduce(vals if weights is None else weights * vals))
 
-    n_chunks = (rule.M + _CHUNK - 1) // _CHUNK
+    n_chunks = (size + _CHUNK - 1) // _CHUNK
     if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sums = list(pool.map(chunk_sum, range(n_chunks)))
@@ -180,30 +187,7 @@ def _replicate_mean(model: SmoothedLoanModel, x0: float, n: int, rule: CubatureS
     total = 0.0
     for s in sums:  # ordered combine
         total += s
-    return total / rule.M
-
-
-def tensor_gauss_apply(fn: Callable, dims: int, mtilde: int) -> float:
-    """Apply the mtilde-point Gauss-Legendre product rule over [0,1]^dims.
-
-    ``fn(cols)`` evaluates the integrand on a batch, pulling coordinate
-    arrays through ``cols(dim)``; exact for integrands polynomial of degree
-    <= 2*mtilde - 1 in each coordinate.
-    """
-    nodes, wts = gauss_legendre(mtilde)
-    total_pts = mtilde ** dims
-    acc = 0.0
-    for i0 in range(0, total_pts, _CHUNK):
-        idx = np.arange(i0, min(i0 + _CHUNK, total_pts), dtype=np.int64)
-
-        def cols(dim: int, _idx=idx) -> np.ndarray:
-            return nodes[(_idx // mtilde ** dim) % mtilde]
-
-        w = np.ones(idx.shape, dtype=float)
-        for dim in range(dims):
-            w *= wts[(idx // mtilde ** dim) % mtilde]
-        acc += float(np.add.reduce(w * fn(cols)))
-    return acc
+    return total if gauss else total / rule.M
 
 
 # --- public estimators --------------------------------------------------------
@@ -216,9 +200,9 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     Randomized rules run ``rule.replicates`` repetitions (pseudorandom rules
     reseed, low-discrepancy rules are Cranley-Patterson shifted); the value
     is the mean of replicate means and the error bar the standard deviation
-    of replicate means over sqrt(R).  The Gauss product rule is deterministic,
-    carries no error bar and runs over the 2n-1 live dimensions (z_n is never
-    read) within a budget of 1e7 nodes.
+    of replicate means over sqrt(R).  The Gauss product rule is deterministic:
+    it runs one replicate over the 2n-1 live dimensions (z_n is never read)
+    within a budget of 1e7 nodes and carries no error bar.
     """
     if n < 1:
         raise InputError(f"jump count must be >= 1, got {n}")
@@ -230,17 +214,12 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
         if rule.M ** (2 * n - 1) > 10 ** 7:
             raise InputError(
                 f"Gauss product budget exceeded: {rule.M}^{2 * n - 1} > 1e7 nodes")
-        value = tensor_gauss_apply(
-            lambda cols: _integrand_batch(model, x0, n, cols), 2 * n - 1, rule.M)
-        std_error = None
         reps = 1
     else:
-        means = [_replicate_mean(model, x0, n, rule, r, workers)
-                 for r in range(rule.replicates)]
-        value = float(np.mean(means))
         reps = rule.replicates
-        std_error = (float(np.std(means, ddof=1) / math.sqrt(reps))
-                     if reps >= 2 else None)
+    means = [_replicate_mean(model, x0, n, rule, r, workers) for r in range(reps)]
+    value = float(np.mean(means))
+    std_error = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps >= 2 else None
     wall_ms = (time.perf_counter() - start) * 1e3
     spec = model.spec
     bias = bias_bound(n, spec.intensity_bound, spec.discount, value_upper_bound(spec))

@@ -168,13 +168,11 @@ class KernelBranch:
 
     ``prob`` is the branch mass p_j(x) (constant or a function of the source
     position); ``transform`` maps (u, x) with u in [0,1] to the landing
-    position via inverse-transform sampling; ``target`` is the component the
-    branch lands in.
+    position via inverse-transform sampling.
     """
 
     prob: ProbLike
     transform: Callable
-    target: int = 1
 
     def prob_at(self, y: float) -> float:
         p = self.prob(y) if callable(self.prob) else float(self.prob)

@@ -283,3 +283,19 @@ class TestCubatureSpec:
     def test_gauss_size_capped(self):
         with pytest.raises(InputError):
             CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=65, d=2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
+        ("M", 8.5), ("M", 8.0), ("M", True), ("d", 4.0), ("d", "4"),
+        ("replicates", 2.5), ("replicates", 0),
+    ])
+    def test_rejects_non_integer_or_negative_fields(self, field, value):
+        args = dict(kind=RuleKind.SOBOL, M=8, d=4, seed=0, replicates=2)
+        args[field] = value
+        with pytest.raises(InputError, match=field):
+            CubatureSpec(**args)
+
+    def test_numpy_integers_accepted(self):
+        spec = CubatureSpec(kind=RuleKind.MC, M=np.int64(8), d=np.int32(4),
+                            seed=np.uint32(3), replicates=np.int64(2))
+        assert spec.M == 8 and spec.seed == 3

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -10,7 +9,7 @@ from scipy.optimize import brentq
 
 import pdmpval.flow
 from pdmpval.errors import InputError, ModelError
-from pdmpval.flow import build_flow_table, cached_flow_table, load_flow_table, save_flow_table
+from pdmpval.flow import build_flow_table
 from pdmpval.loan import SmoothedLoanModel
 from pdmpval.smoothing import smoothed_drift_loan
 
@@ -423,84 +422,6 @@ class TestBuilderValidation:
             build_flow_table(lambda y: 1.0 + 0.0 * np.asarray(y), (0.0, 1.0), 0.0,
                              lambda y: 0.0 * np.asarray(y))
 
-
-class TestCache:
-    def test_save_load_roundtrip(self, const_table, tmp_path):
-        path = tmp_path / "flow.bin"
-        save_flow_table(const_table, path)
-        loaded = load_flow_table(path)
-        assert np.array_equal(loaded.grid_t, const_table.grid_t)
-        assert np.array_equal(loaded.grid_y, const_table.grid_y)
-        assert np.array_equal(loaded.reward_cum, const_table.reward_cum)
-        assert loaded.converged == const_table.converged
-        ts = np.linspace(0.0, 6.0, 50)
-        assert np.array_equal(loaded.pos_at(ts), const_table.pos_at(ts))
-        assert loaded.reward_integral(5.0, np.inf) == const_table.reward_integral(5.0, np.inf)
-
-    def test_header_is_16_bytes_little_endian(self, const_table, tmp_path):
-        path = tmp_path / "flow.bin"
-        save_flow_table(const_table, path)
-        raw = path.read_bytes()
-        assert raw[:8] == b"PDMPFLW\x01"
-        assert int.from_bytes(raw[8:12], "little") == 1  # version
-        assert int.from_bytes(raw[12:16], "little") == int(const_table.converged)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTAFLOW" + b"\x00" * 64)
-        with pytest.raises(InputError):
-            load_flow_table(path)
-
-    def test_cached_builder_hits_disk(self, tmp_path):
-        calls = []
-
-        def make():
-            calls.append(1)
-            drift = lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float)
-            reward = lambda y: 0.0 * np.asarray(y, dtype=float)
-            return build_flow_table(drift, (0.0, 2.0), 0.1, reward)
-
-        key = (1.0, 2.0, 0.1)
-        a = cached_flow_table(key, make, tmp_path)
-        b = cached_flow_table(key, make, tmp_path)
-        assert len(calls) == 1
-        assert np.array_equal(a.grid_y, b.grid_y)
-
-    def test_cache_key_covers_format_constants(self, const_table, tmp_path, monkeypatch):
-        calls = []
-        make = lambda: calls.append(1) or const_table
-        cached_flow_table((1.0, 2.0), make, tmp_path)
-        names = ("_MAGIC", "_TAIL_BAND", "_PROXIMITY", "_START_OFFSET",
-                 "_POS_TOL", "_H_CAP", "_STENCIL")
-        for name in names:
-            with monkeypatch.context() as mp:
-                old = getattr(pdmpval.flow, name)
-                mp.setattr(pdmpval.flow, name, b"PDMPFLW\x7f" if name == "_MAGIC" else 2.0 * old)
-                cached_flow_table((1.0, 2.0), make, tmp_path)
-        assert len(calls) == 1 + len(names)
-        assert len(list(tmp_path.glob("flow_*.bin"))) == 1 + len(names)
-
-    @pytest.mark.parametrize("cut", [12, 20, "half", -48, -8, -1])
-    def test_truncated_file_rejected(self, const_table, tmp_path, cut):
-        path = tmp_path / "flow.bin"
-        save_flow_table(const_table, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) // 2 if cut == "half" else cut])
-        with pytest.raises(InputError, match="corrupt"):
-            load_flow_table(path)
-
-    def test_cached_builder_rebuilds_truncated_file(self, const_table, tmp_path):
-        calls = []
-        make = lambda: calls.append(1) or const_table
-        cached_flow_table((3.0,), make, tmp_path)
-        (path,) = tmp_path.glob("flow_*.bin")
-        good = path.read_bytes()
-        path.write_bytes(good[: len(good) // 2])
-        table = cached_flow_table((3.0,), make, tmp_path)
-        assert len(calls) == 2
-        assert path.read_bytes() == good
-        assert np.array_equal(table.grid_y, const_table.grid_y)
-
     def test_reward_grid_must_be_prefix_of_flow_grid(self, const_table):
         bad = const_table.reward_t.copy()
         bad[1] *= 1.0 + 1e-12
@@ -509,33 +430,3 @@ class TestCache:
         with pytest.raises(ModelError, match="prefix"):
             dataclasses.replace(const_table, reward_t=const_table.reward_t[:-1],
                                 reward_cum=const_table.reward_cum[:-1])
-
-    def test_cached_builder_rebuilds_perturbed_reward_grid(self, const_table, tmp_path):
-        calls = []
-        make = lambda: calls.append(1) or const_table
-        cached_flow_table((4.0,), make, tmp_path)
-        (path,) = tmp_path.glob("flow_*.bin")
-        good = path.read_bytes()
-        raw = bytearray(good)
-        # header 16 bytes, then grid_t, grid_y, grid_dy (count + values), then reward_t
-        at = 16 + 3 * (8 + 8 * const_table.grid_t.size) + 8 + 8  # reward_t[1]
-        value = np.frombuffer(raw, dtype="<f8", count=1, offset=at)[0]
-        raw[at: at + 8] = np.array([value * (1.0 + 1e-12)], dtype="<f8").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(InputError, match="prefix"):
-            load_flow_table(path)
-        table = cached_flow_table((4.0,), make, tmp_path)
-        assert len(calls) == 2
-        assert path.read_bytes() == good
-        assert np.array_equal(table.reward_t, const_table.reward_t)
-
-    def test_failed_save_keeps_previous_file(self, const_table, tmp_path):
-        path = tmp_path / "flow.bin"
-        save_flow_table(const_table, path)
-        good = path.read_bytes()
-        broken = copy.copy(const_table)
-        broken.reward_cum = np.array(["not a number"])
-        with pytest.raises(ValueError):
-            save_flow_table(broken, path)
-        assert path.read_bytes() == good
-        assert [p.name for p in tmp_path.iterdir()] == ["flow.bin"]

@@ -243,6 +243,38 @@ class TestCLI:
         assert main(["value", "--method", "gauss", "--points", "4", "--jumps", "1"]) == 2
         assert "PDMPVAL_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, flags, want", [
+        ("methods = halton\n", [], "halton"),
+        ("methods = mc, sobol\n", [], "mc"),
+        ("", [], "sobol"),
+        ("methods = halton\n", ["--method", "mc"], "mc"),
+    ], ids=["config", "config-list", "default", "flag-over-config"])
+    def test_value_uses_first_configured_method(self, tmp_path, config, flags, want):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(config)
+        out_csv = tmp_path / "v.csv"
+        code = main(["value", "--config", str(cfg_file), "--points", "64", "--jumps", "1",
+                     "--replicates", "2", "--out", str(out_csv), *flags])
+        assert code == 0
+        assert out_csv.read_text().splitlines()[1].split(",")[0] == want
+
+    @pytest.mark.parametrize("config, env, flags", [
+        ("", None, ["--seed", "-1"]),
+        ("", "-5", []),
+        ("seed = -1\n", None, []),
+    ], ids=["flag", "env", "config"])
+    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, capsys, config, env, flags):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(config)
+        if env is not None:
+            monkeypatch.setenv("PDMPVAL_SEED", env)
+        for command in ("value", "convergence", "epsilon-study"):
+            code = main([command, "--config", str(cfg_file), "--points", "64", "--jumps", "1",
+                         "--out", str(tmp_path / "x.csv"), *flags])
+            assert code == 2
+            assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("c = five\n")

@@ -70,12 +70,3 @@ class TestSmoothedLoanModel:
     def test_boundedness_warning_below_threshold(self):
         with pytest.warns(UserWarning, match="unbounded near"):
             SmoothedLoanModel.build(lam=1.0, delta=0.5, eps=0.01)
-
-    def test_disk_cache_roundtrip(self, tmp_path):
-        a = SmoothedLoanModel.build(eps=0.04, cache_dir=tmp_path)
-        files = list(tmp_path.glob("flow_*.bin"))
-        assert len(files) == 1
-        b = SmoothedLoanModel.build(eps=0.04, cache_dir=tmp_path)
-        assert np.array_equal(a.table.grid_y, b.table.grid_y)
-        ys = np.linspace(-5.0, 3.0, 17)
-        assert np.array_equal(a.table.flow_at(ys, 2.0), b.table.flow_at(ys, 2.0))

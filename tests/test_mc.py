@@ -274,12 +274,14 @@ class TestMCReference:
     @pytest.mark.parametrize("field,value", [
         ("n_paths", 0), ("n_paths", -3), ("n_paths", 2.5), ("n_paths", 8.0), ("n_paths", True),
         ("max_jumps", 0), ("max_jumps", 2.5), ("max_jumps", False), ("max_jumps", "8"),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
     ])
     def test_counts_must_be_positive_integers(self, loan_params, field, value):
-        args = dict(n_paths=100, max_jumps=8)
+        args = dict(n_paths=100, max_jumps=8, seed=1)
         args[field] = value
         with pytest.raises(InputError, match=field):
-            mc_reference(loan_params, 0.0, args["n_paths"], seed=1, max_jumps=args["max_jumps"])
+            mc_reference(loan_params, 0.0, args["n_paths"], seed=args["seed"],
+                         max_jumps=args["max_jumps"])
 
     def test_numpy_integer_counts_accepted(self, loan_params):
         a = mc_reference(loan_params, 0.0, np.int64(100), seed=1, max_jumps=np.int64(8))
@@ -312,6 +314,7 @@ class TestRuinProbability:
             ruin_probability(C, LAM, ALPHA, 0.0, horizon=1.0, n_paths=0)
 
     @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 2.5), ("seed", False), ("n_paths", 10.0),
         ("horizon", math.inf), ("horizon", math.nan), ("x0", math.nan), ("x0", math.inf),
         ("c", math.nan),
         ("lam", 0.0), ("lam", -1.0), ("lam", math.inf),

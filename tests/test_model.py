@@ -107,6 +107,15 @@ class TestSurvival:
             expect = math.exp(-(y0 * t + t * t / 2.0))
             assert survival(spec, State(1, y0), t) == pytest.approx(expect, rel=1e-8)
 
+    def test_drift_without_flow_evaluator_rejected(self):
+        comp = ComponentSpec(domain=Interval(0.0, 100.0, closed_lower=True),
+                             drift=lambda y: 1.0, intensity=lambda y: y, intensity_bound=100.0)
+        spec = ModelSpec(components={1: comp}, jump_kernel=None,
+                         reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
+                         discount=1.0, reward_bound=0.0, terminal_bound=0.0)
+        with pytest.raises(ModelError, match="no flow evaluator"):
+            survival(spec, State(1, 1.0), 2.0)
+
     def test_semigroup_composition(self, rng):
         comp = ComponentSpec(domain=Interval(0.0, 100.0, closed_lower=True),
                              drift=lambda y: 1.0, intensity=lambda y: y,

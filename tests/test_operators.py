@@ -6,14 +6,13 @@ from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
 import pdmpval.flow
-from pdmpval.cubature import CubatureSpec, RuleKind
+from pdmpval.cubature import CubatureSpec, RuleKind, gauss_legendre, gauss_product_chunk
 from pdmpval.errors import InputError
 from pdmpval.model import value_upper_bound
 from pdmpval.operators import (
     IteratedPoint,
     estimate_value,
     iterated_integrand,
-    tensor_gauss_apply,
     valuation,
 )
 
@@ -152,25 +151,46 @@ class TestIteratedIntegrand:
 
 
 class TestTensorGauss:
+    @staticmethod
+    def apply(fn, dims, m, chunk=1000):
+        """The product rule as a chunked weighted sum over gauss_product_chunk."""
+        total = 0.0
+        for i0 in range(0, m ** dims, chunk):
+            cols, weights = gauss_product_chunk(m, dims, i0, min(i0 + chunk, m ** dims))
+            total += float(np.sum(weights * fn(cols)))
+        return total
+
     def test_polynomial_exactness(self):
         # product polynomial of degree 2m-1 per axis: rule exact to 1e-12
         m, dims = 4, 3
         deg = 2 * m - 1
-
-        def fn(cols):
-            out = 1.0
-            for d in range(dims):
-                out = out * cols(d) ** deg
-            return out
-
-        got = tensor_gauss_apply(fn, dims, m)
+        got = self.apply(lambda cols: np.prod(cols ** deg, axis=0), dims, m)
         assert got == pytest.approx((1.0 / (deg + 1)) ** dims, abs=1e-12)
 
     def test_mixed_monomials(self):
-        def fn(cols):
-            return cols(0) ** 2 * cols(1) ** 5
+        got = self.apply(lambda cols: cols[0] ** 2 * cols[1] ** 5, 2, 8)
+        assert got == pytest.approx(1.0 / 3.0 / 6.0, abs=1e-13)
 
-        assert tensor_gauss_apply(fn, 2, 8) == pytest.approx(1.0 / 3.0 / 6.0, abs=1e-13)
+    def test_node_layout_and_weights(self):
+        # node i takes digit `dim` of i in base m as its 1-d node index
+        nodes, wts = gauss_legendre(3)
+        cols, weights = gauss_product_chunk(3, 2, 0, 9)
+        assert cols.shape == (2, 9)
+        assert np.array_equal(cols[0], np.tile(nodes, 3))
+        assert np.array_equal(cols[1], np.repeat(nodes, 3))
+        assert np.array_equal(weights, np.tile(wts, 3) * np.repeat(wts, 3))
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-15)
+
+    def test_chunks_tile_the_rule(self):
+        whole, w_whole = gauss_product_chunk(5, 3, 0, 125)
+        parts = [gauss_product_chunk(5, 3, i0, min(i0 + 40, 125)) for i0 in range(0, 125, 40)]
+        assert np.array_equal(np.concatenate([c for c, _ in parts], axis=1), whole)
+        assert np.array_equal(np.concatenate([w for _, w in parts]), w_whole)
+
+    @pytest.mark.parametrize("args", [(3, 2, 0, 10), (3, 2, -1, 4), (3, 2, 5, 4), (3, 0, 0, 1)])
+    def test_range_outside_rule_rejected(self, args):
+        with pytest.raises(InputError):
+            gauss_product_chunk(*args)
 
 
 class TestGaussValidate:
@@ -193,6 +213,14 @@ class TestGaussValidate:
         # 57^3 = 185,193 live nodes; z_n is never read, so 57^4 > 1e7 is no bar
         value = gauss_value(0.0, 2, 57, loan_model)
         assert 0.0 < value <= value_upper_bound(loan_model.spec)
+
+    def test_worker_count_does_not_change_bits(self, loan_model):
+        # 57^3 live nodes fill 23 chunks, summed in order for any worker count
+        rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=57, d=4)
+        a = estimate_value(0.0, 2, rule, loan_model, workers=1)
+        b = estimate_value(0.0, 2, rule, loan_model, workers=2)
+        assert a.value.hex() == b.value.hex()
+        assert a.std_error is None and b.std_error is None and a.replicates == 1
 
 
 class TestEstimateValue:
