@@ -15,12 +15,17 @@ bisection fallback, so the semigroup identity holds to machine precision.
 scipy builds the spline coefficients; the lookups evaluate them with scipy's
 interval rule and summation order, so every value is bit-identical to calling
 the splines.  A stage of the integrand is one call, ``advance(y, t)``, that
-shares interval searches: grid_y = P(grid_t), so the grid_y interval of y is
+shares interval lookups: grid_y = P(grid_t), so the grid_y interval of y is
 also the grid_t interval of the seed and Newton times (a checked neighbour
 step confirms it); the reward grid is a prefix of grid_t, so the reward
-intervals are grid intervals; and one search of T(y) + t serves both the
-position and the reward there.  That is two searches per point instead of
-seven.
+intervals are grid intervals; and one lookup of T(y) + t serves both the
+position and the reward there.  That is two lookups per point instead of
+seven, and neither is a binary search: a guide table per knot array (Chen &
+Asau 1974; Devroye 1986, section III.2.4) maps a point to a guessed interval
+in O(1), and the checked neighbour step finishes it.  grid_t is guided on the
+time itself, grid_y on the log-distance above the ruin end, where the drift
+vanishes linearly and the knots are geometric.  The few points the step does
+not settle are searched, so every interval equals the binary search's.
 
 The discounted running-reward integral is tabulated alongside the trajectory
 up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
@@ -49,6 +54,8 @@ _POS_TOL = 1e-9          # grid march: target cubic interpolation error in posit
 _H_CAP = 2.0             # grid march: largest time step
 _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
+_GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
+_GUIDE_BLOCK = 4096      # guide table: knots per block of the build
 
 
 @dataclass
@@ -74,9 +81,10 @@ class FlowTable:
     upper: float
 
     _pos_c: np.ndarray = field(init=False, repr=False)
-    _dpos_c: np.ndarray = field(init=False, repr=False)
     _seed_c: np.ndarray = field(init=False, repr=False)
     _reward_c: np.ndarray | None = field(init=False, repr=False)
+    _t_guide: "_Guide" = field(init=False, repr=False)
+    _y_guide: "_Guide" = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.delta * self.t_tail > 700.0:
@@ -89,17 +97,19 @@ class FlowTable:
                 and np.array_equal(self.reward_t, self.grid_t[:nr])):
             raise ModelError("reward_t must be a prefix of grid_t ending at t_tail")
         # The scipy splines only build the coefficients; every lookup evaluates
-        # them through _interval / _checked_step / _ppoly below.
+        # them through the guided interval lookups and _ppoly below.
         # Hermite with the exact node slopes drift(y_i): fourth-order accurate,
         # and monotone because the build enforces the Fritsch-Carlson bound.
         pos = CubicHermiteSpline(self.grid_t, self.grid_y, self.grid_dy, extrapolate=False)
         self._pos_c = pos.c
-        self._dpos_c = pos.derivative().c
         # dt/dy = 1/drift(y): the exact node slopes of the inverse trajectory
         self._seed_c = CubicHermiteSpline(self.grid_y, self.grid_t,
                                           1.0 / np.maximum(self.grid_dy, 1e-300)).c
         self._reward_c = (PchipInterpolator(self.reward_t, self.reward_cum,
                                             extrapolate=False).c if nr >= 2 else None)
+        lower, y0 = self.lower, self.y_start
+        self._t_guide = _Guide(self.grid_t)
+        self._y_guide = _Guide(self.grid_y, lambda y: np.log(np.maximum(y, y0) - lower))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -155,14 +165,16 @@ class FlowTable:
         """Reward integral over [0, t] for a state at master time T0."""
         T0, t = np.broadcast_arrays(np.asarray(T0, dtype=float), np.asarray(t, dtype=float))
         te = T0 + t
-        out = self._reward(T0, t, te, _interval(self.grid_t, T0), _interval(self.grid_t, te))
+        find = self._t_guide.find
+        out = self._reward(T0, t, te, find(T0.ravel()).reshape(T0.shape),
+                           find(te.ravel()).reshape(te.shape))
         return out if out.ndim else float(out)
 
     def advance(self, y, t):
         """Reward collected and state reached running the flow from y for time t >= 0.
 
         Returns the arrays ``(reward_from_master(T0, t), pos_at(T0 + t))``,
-        ``T0 = time_of(y)``, bit for bit, from two interval searches per point
+        ``T0 = time_of(y)``, bit for bit, from two interval lookups per point
         instead of seven: the grid_y interval of y serves the seed, Newton and
         residual steps of time_of and the reward at T0, and the grid_t
         interval of T0 + t serves both the position and the reward there.
@@ -181,7 +193,7 @@ class FlowTable:
     def _clamped_time(self, u):
         """u clamped to [0, horizon] (non-finite to the horizon), and its grid_t interval."""
         uc = np.where(np.isfinite(u), np.clip(u, 0.0, self.horizon), self.horizon)
-        return uc, _interval(self.grid_t, uc)
+        return uc, self._t_guide.find(uc.ravel()).reshape(uc.shape)
 
     def _position(self, uc, k):
         """Position interpolant at clamped master times uc in grid_t intervals k."""
@@ -194,13 +206,20 @@ class FlowTable:
         interval of the seed time and of the Newton-polished time, up to a
         neighbour step near a node.
         """
-        k = _interval(self.grid_y, yc)
+        k = self._y_guide.find(yc)
         t = np.clip(_ppoly(self._seed_c, k, yc - self.grid_y[k]), 0.0, self.horizon)
-        k = _checked_step(self.grid_t, k, t)
+        settle = self._t_guide.settle
+        k = settle(k, t)
+        # Newton step: position and slope share the coefficient reads; the
+        # slope's coefficients are scipy's derivative ones (3 c0, 2 c1, c2),
+        # summed in _ppoly's order
+        c0, c1, c2, c3 = (c[k] for c in self._pos_c)
         s = t - self.grid_t[k]
-        slope = np.maximum(_ppoly(self._dpos_c, k, s), 1e-300)
-        t = np.clip(t - (_ppoly(self._pos_c, k, s) - yc) / slope, 0.0, self.horizon)
-        k = _checked_step(self.grid_t, k, t)
+        s2 = s * s
+        pos = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        slope = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * s2, 1e-300)
+        t = np.clip(t - (pos - yc) / slope, 0.0, self.horizon)
+        k = settle(k, t)
         # polish stragglers (flat top of the curve) by bisection
         resid = np.abs(self._position(t, k) - yc)
         tol = _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
@@ -209,7 +228,7 @@ class FlowTable:
             for i in bad:
                 t[i] = brentq(lambda u, yy=yc[i]: self.pos_at(u) - yy,
                               0.0, self.horizon, xtol=1e-14)
-            k[bad] = _interval(self.grid_t, t[bad])
+            k[bad] = self._t_guide.find(t[bad])
         return t, k
 
     def _reward(self, T0, t, te, k0, ke):
@@ -240,24 +259,81 @@ def _interval(knots, x):
     return np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
 
 
-def _checked_step(knots, k, x):
-    """``_interval(knots, x)`` for a flat array x from a guess k that is right
-    or one interval off for nearly every point.
+class _Guide:
+    """O(1) interval lookup on one increasing knot array: a guide table.
 
-    Points outside their guessed interval move one interval toward x; a point
-    that the move does not settle is searched.
+    A monotone key spreads the knots out; uniform buckets, one per knot,
+    cover the key range, and bucket b is split again into
+    min(64, 2 * count_b) uniform sub-buckets, count_b being the knots in it.
+    Each sub-bucket (a slot) stores the interval that starts at the last
+    knot of the earlier slots, so a point's slot guesses its interval, short
+    by the knots that share its slot: at most one where the knots are no
+    denser than the sub-buckets.
+    :meth:`settle` checks the guess exactly and a binary search takes the
+    rest, so :meth:`find` equals :func:`_interval` for every point.  Tables
+    are int32 and built in blocks of knots, to keep the guide small.
     """
-    last = len(knots) - 2
-    down = (x < knots[k]) & (k > 0)
-    up = (x >= knots[k + 1]) & (k < last)
-    moved = np.flatnonzero(down | up)
-    if moved.size:
-        k = k + up - down
-        km, xm = k[moved], x[moved]
-        off = ((xm < knots[km]) & (km > 0)) | ((xm >= knots[km + 1]) & (km < last))
-        if off.any():
-            k[moved[off]] = _interval(knots, xm[off])
-    return k
+
+    def __init__(self, knots, key=None):
+        self.knots = knots
+        self.key = key
+        n = len(knots)
+        self.last = n - 2
+        keys = knots if key is None else key(knots)
+        self.lo = float(keys[0])
+        self.scale = n / (float(keys[-1]) - self.lo)
+        self.top = float(np.nextafter(n, 0.0))  # largest bucket coordinate
+        blocks = [keys[i:i + _GUIDE_BLOCK] for i in range(0, n, _GUIDE_BLOCK)]
+        counts = np.zeros(n, dtype=np.int32)
+        for block in blocks:
+            counts += np.bincount(self._coord(block).astype(np.intp), minlength=n)
+        self.split = np.minimum(2 * counts, _GUIDE_SPLIT).clip(1).astype(np.int32)
+        first = np.cumsum(self.split) - self.split
+        # slot = floor(coord * split[b] + base[b]) = first[b] + the sub-bucket
+        self.base = (first - np.arange(n, dtype=np.int32) * self.split).astype(np.int32)
+        # one slot of slack at the top takes a rounded-up last coordinate
+        per_slot = np.zeros(int(first[-1]) + int(self.split[-1]) + 1, dtype=np.int32)
+        for block in blocks:
+            per_slot += np.bincount(self._slot(block), minlength=per_slot.size)
+        # guess: the interval of the last knot in an earlier slot
+        self.table = np.clip(np.cumsum(per_slot, dtype=np.int32) - per_slot - 1, 0, self.last)
+
+    def _coord(self, keys):
+        """Bucket coordinate in [0, n) of each key; -inf and NaN go to 0, +inf to the top."""
+        f = (keys - self.lo) * self.scale
+        np.fmax(f, 0.0, out=f)
+        np.fmin(f, self.top, out=f)
+        return f
+
+    def _slot(self, keys):
+        f = self._coord(keys)
+        b = f.astype(np.intp)
+        return (f * self.split[b] + self.base[b]).astype(np.intp)
+
+    def find(self, x):
+        """``_interval(knots, x)`` for a flat float array x."""
+        keys = x if self.key is None else self.key(x)
+        return self.settle(self.table[self._slot(keys)].astype(np.intp), x)
+
+    def settle(self, k, x):
+        """``_interval(knots, x)`` for a flat array x from a guess k that is right
+        or one interval off for nearly every point.
+
+        Points outside their guessed interval move one interval toward x; a
+        point that the move does not settle is searched, and so is a NaN, a
+        point below the first knot or at or above the last (the search clamps
+        those to the end intervals).
+        """
+        knots, upper = self.knots, self.knots[1:]
+        off = np.flatnonzero(~((x >= knots[k]) & (x < upper[k])))
+        if off.size:
+            ko, xo = k[off], x[off]
+            ko = np.clip(ko + (xo >= upper[ko]) - (xo < knots[ko]), 0, self.last)
+            k[off] = ko
+            still = ~((xo >= knots[ko]) & (xo < upper[ko]))
+            if still.any():
+                k[off[still]] = _interval(knots, xo[still])
+        return k
 
 
 def _ppoly(c, k, s):

@@ -75,9 +75,11 @@ class ExperimentConfig:
             raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")
         if self.jumps < 1:
             raise InputError("jumps must be >= 1")
-        if self.replicates < 2:
-            raise InputError("need replicates >= 2 for standard-error output")
+        # the randomized rules need two replicates for an error bar; Gauss runs one
+        randomized = any(_METHOD_KINDS[m] is not RuleKind.GAUSS_PRODUCT for m in self.methods)
+        require_int("replicates", self.replicates, 2 if randomized else 1)
         require_int("seed", self.seed, 0)
+        require_int("workers", self.workers, 1)
 
     def loan_params(self, eps: Optional[float] = None) -> LoanParams:
         return LoanParams(c=self.c, rho=self.rho, b=self.b, lam=self.lam,
@@ -225,6 +227,7 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
     widths = [config.loan_params(eps=eps) for eps in eps_schedule]  # all checked up front
+    require_int("replicates", config.replicates, 2)  # Sobol' error bars, whatever the methods
 
     n = config.jumps
     d = 2 * n

@@ -35,6 +35,7 @@ from .cubature import (
     CubatureSpec,
     RuleKind,
     cp_shift_vector,
+    cranley_patterson_shift,
     gauss_product_chunk,
     halton_column,
     halton_permutations,
@@ -142,52 +143,71 @@ def iterated_integrand(point: IteratedPoint, x0: float, model: SmoothedLoanModel
 # --- node streams -----------------------------------------------------------
 
 
-def _replicate_mean(model: SmoothedLoanModel, x0: float, n: int, rule: CubatureSpec,
-                    rep: int, workers: int) -> float:
-    """Mean of the integrand over one replicate's node set.
+def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: CubatureSpec,
+                     reps: int, workers: int) -> list:
+    """Mean of the integrand over each of the first ``reps`` replicates' node sets.
 
     The Gauss product rule runs over the 2n-1 live dimensions (z_n is never
     read), and its mean is the weighted sum.  Nodes are processed in
-    fixed-size chunks; each chunk accumulates in index order and chunk sums
-    combine in index order, so the result is bit identical for any worker
-    count.
+    fixed-size chunks, chunk by chunk: a chunk's unshifted Sobol'/Halton
+    columns are generated once, each on first use, and every replicate's
+    Cranley-Patterson shift reads them.  Each chunk accumulates in index
+    order and each replicate's chunk sums combine in index order, so the
+    result is bit identical for any worker count.
     """
     d = rule.d
     gauss = rule.kind is RuleKind.GAUSS_PRODUCT
     size = rule.M ** (d - 1) if gauss else rule.M
-    shift = perms = None
+    shifts = perms = None
     if rule.kind in (RuleKind.SOBOL, RuleKind.SCRAMBLED_HALTON):
-        shift = cp_shift_vector(d, rule.seed, rep)
+        shifts = [cp_shift_vector(d, rule.seed, rep) for rep in range(reps)]
     if rule.kind is RuleKind.SCRAMBLED_HALTON:
         perms = halton_permutations(d, rule.seed)
 
-    def chunk_sum(ci: int) -> float:
+    def chunk_sums(ci: int) -> list:
         i0 = ci * _CHUNK
         i1 = min(i0 + _CHUNK, size)
-        weights = None
+
+        def chunk_sum(cols, weights=None) -> float:
+            vals = _integrand_batch(model, x0, n, cols)
+            return float(np.add.reduce(vals if weights is None else weights * vals))
+
         if rule.kind is RuleKind.MC:
-            block = mc_chunk(ci, i1 - i0, d, rule.seed, rep)
-            cols = lambda dim: block[:, dim]
-        elif rule.kind is RuleKind.SOBOL:
-            cols = lambda dim: np.mod(sobol_column(dim + 1, i0 + 1, i1 + 1) + shift[dim], 1.0)
-        elif rule.kind is RuleKind.SCRAMBLED_HALTON:
-            cols = lambda dim: np.mod(halton_column(dim + 1, i0 + 1, i1 + 1, perms) + shift[dim], 1.0)
-        else:
+            sums = []
+            for rep in range(reps):
+                block = mc_chunk(ci, i1 - i0, d, rule.seed, rep)
+                sums.append(chunk_sum(lambda dim: block[:, dim]))
+            return sums
+        if gauss:
             block, weights = gauss_product_chunk(rule.M, d - 1, i0, i1)
-            cols = lambda dim: block[dim]
-        vals = _integrand_batch(model, x0, n, cols)
-        return float(np.add.reduce(vals if weights is None else weights * vals))
+            return [chunk_sum(lambda dim: block[dim], weights)]
+        base = {}
+
+        def column(dim: int) -> np.ndarray:
+            if dim not in base:
+                base[dim] = (sobol_column(dim + 1, i0 + 1, i1 + 1) if perms is None
+                             else halton_column(dim + 1, i0 + 1, i1 + 1, perms))
+            return base[dim]
+
+        sums = []
+        for shift in shifts:
+            sums.append(chunk_sum(lambda dim: cranley_patterson_shift(column(dim),
+                                                                      shift=shift[dim])))
+        return sums
 
     n_chunks = (size + _CHUNK - 1) // _CHUNK
     if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(chunk_sum, range(n_chunks)))
+            chunks = list(pool.map(chunk_sums, range(n_chunks)))
     else:
-        sums = [chunk_sum(ci) for ci in range(n_chunks)]
-    total = 0.0
-    for s in sums:  # ordered combine
-        total += s
-    return total if gauss else total / rule.M
+        chunks = [chunk_sums(ci) for ci in range(n_chunks)]
+    means = []
+    for rep in range(reps):
+        total = 0.0
+        for sums in chunks:  # ordered combine
+            total += sums[rep]
+        means.append(total if gauss else total / rule.M)
+    return means
 
 
 # --- public estimators --------------------------------------------------------
@@ -217,7 +237,7 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
         reps = 1
     else:
         reps = rule.replicates
-    means = [_replicate_mean(model, x0, n, rule, r, workers) for r in range(reps)]
+    means = _replicate_means(model, x0, n, rule, reps, workers)
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps >= 2 else None
     wall_ms = (time.perf_counter() - start) * 1e3

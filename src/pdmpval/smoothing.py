@@ -99,9 +99,11 @@ def smoothed_drift_loan(y, c, rho, b, eps):
 
     A Python float (the flow builder's per-step calls) takes an if-chain and
     returns a float; anything else goes through np.select.  Both evaluate the
-    same piece formulas, so they agree bit for bit.
+    same piece formulas, so they agree bit for bit.  The width is checked
+    once per parameter set: the flow builder calls this for every grid step.
     """
-    _check_loan_eps(c, rho, b, eps)
+    if (c, rho, b, eps) != _valid_loan_params:
+        _check_loan_eps(c, rho, b, eps)
     if isinstance(y, float):
         y = float(y)  # np.float64 is a float subclass with slow arithmetic
         if y <= -c / rho:
@@ -147,14 +149,19 @@ def smoothed_reward_loan(y, c, b, eps):
     return out if np.ndim(out) else float(out)
 
 
+_valid_loan_params = None  # the (c, rho, b, eps) that last passed _check_loan_eps
+
+
 def _check_loan_eps(c, rho, b, eps):
     # eps < b/4 keeps the two bands disjoint, eps < c/(2 rho) keeps the
     # blended drift positive on the band around 0.
+    global _valid_loan_params
     limit = min(b / 4.0, c / (2.0 * rho))
     if not 0.0 < eps < limit:
         raise InputError(
             f"smoothing width eps={eps} outside (0, {limit}) for c={c}, rho={rho}, b={b}"
         )
+    _valid_loan_params = (c, rho, b, eps)
 
 
 # --- mixture jump kernels -------------------------------------------------

@@ -178,6 +178,16 @@ class TestCranleyPatterson:
         d1 = np.mod(shifted[i] - shifted[j], 1.0)
         assert np.max(np.abs(d0 - d1)) < 1e-12
 
+    def test_bit_identical_to_np_mod(self, rng):
+        tiny = np.nextafter(0.0, 1.0)
+        pts = np.concatenate([rng.random(5000), rng.uniform(-3.0, 3.0, 5000),
+                              [0.0, -0.0, tiny, -tiny, 1.0, np.nextafter(1.0, 0.0), -1.0,
+                               np.nextafter(-1.0, 0.0), 2.0 - 2.0 ** -52, 1e-300]])
+        for shift in (0.0, -0.0, 0.5, np.nextafter(1.0, 0.0), 0.3, -0.7, *rng.random(20)):
+            want = np.mod(pts + shift, 1.0)
+            got = cranley_patterson_shift(pts, shift=shift)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_seeded_shift_reproducible(self):
         assert np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 1))
         assert not np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 2))

@@ -335,6 +335,65 @@ class TestAdvance:
             loan_model.table.advance(0.0, -1.0)
 
 
+@pytest.fixture(scope="module")
+def wide_table():
+    """The widest width of the epsilon study, the other loan table shape."""
+    return SmoothedLoanModel.build(eps=0.08).table
+
+
+def _guide_probes(knots, origin):
+    """Every knot (the ends are y_start and y_end on grid_y), its float
+    neighbours, the midpoints, points beyond both ends, the infinities and
+    NaN."""
+    span = knots[-1] - knots[0]
+    return np.concatenate([
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        0.5 * (knots[:-1] + knots[1:]),
+        [knots[0] - 1e-9 * span, knots[0] - span, origin, origin - 1.0,
+         knots[-1] + 1e-9 * span, knots[-1] + span, np.inf, -np.inf, np.nan],
+    ])
+
+
+class TestGuidedLookup:
+    """The guide tables' intervals against the binary search they replace."""
+
+    @pytest.mark.parametrize("which", ["eps=0.01", "eps=0.08", "const"])
+    def test_equals_binary_search(self, loan_model, wide_table, const_table, which):
+        table = {"eps=0.01": loan_model.table, "eps=0.08": wide_table,
+                 "const": const_table}[which]
+        for knots, guide in ((table.grid_t, table._t_guide), (table.grid_y, table._y_guide)):
+            x = _guide_probes(knots, table.lower)
+            got = guide.find(x.copy())
+            assert got.dtype == np.intp
+            assert np.array_equal(got, pdmpval.flow._interval(knots, x))
+
+    def test_settle_from_any_guess(self, loan_model, rng):
+        guide, knots = loan_model.table._y_guide, loan_model.table.grid_y
+        x = _guide_probes(knots, loan_model.table.lower)
+        want = pdmpval.flow._interval(knots, x)
+        for guess in (want, np.maximum(want - 1, 0), np.minimum(want + 1, len(knots) - 2),
+                      rng.integers(0, len(knots) - 1, x.size)):
+            assert np.array_equal(guide.settle(guess.astype(np.intp), x), want)
+
+    def test_guess_is_one_step_from_most_queries(self, loan_model, rng):
+        # queries spread like the integrand's: geometric above the ruin end,
+        # uniform over the master times a deep estimate reaches
+        table = loan_model.table
+        gap0 = table.y_start - table.lower
+        reach = np.log((table.y_end - table.lower) / gap0)
+        y = table.lower + gap0 * np.exp(rng.uniform(0.0, reach, 20_000))
+        t = rng.uniform(0.0, 400.0, 20_000)
+        for guide, x in ((table._y_guide, y), (table._t_guide, t)):
+            guess = guide.table[guide._slot(x if guide.key is None else guide.key(x))]
+            gap = pdmpval.flow._interval(guide.knots, x) - guess
+            assert np.mean(np.abs(gap) <= 1) >= 0.99
+
+    def test_guide_is_small(self, loan_model):
+        for guide in (loan_model.table._t_guide, loan_model.table._y_guide):
+            assert guide.table.dtype == guide.split.dtype == guide.base.dtype == np.int32
+            assert guide.table.size <= 3 * guide.knots.size
+
+
 def _scipy_lookups(table):
     """The public lookups evaluated by scipy spline objects built from the
     table's arrays: the interpolants every FlowTable lookup must reproduce."""

@@ -48,6 +48,21 @@ class TestConfig:
         with pytest.raises(InputError):
             ExperimentConfig(replicates=1)
 
+    @pytest.mark.parametrize("methods", [("mc",), ("sobol",), ("halton",), ("gauss", "sobol")])
+    def test_replicates_floor_for_randomized_rules(self, methods):
+        with pytest.raises(InputError, match="replicates"):
+            ExperimentConfig(methods=methods, replicates=1)
+
+    def test_gauss_alone_needs_one_replicate(self):
+        assert ExperimentConfig(methods=("gauss",), replicates=1).replicates == 1
+        with pytest.raises(InputError, match="replicates"):
+            ExperimentConfig(methods=("gauss",), replicates=0)
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_workers_validated(self, workers):
+        with pytest.raises(InputError, match="workers"):
+            ExperimentConfig(workers=workers)
+
     def test_unknown_method(self):
         with pytest.raises(InputError):
             ExperimentConfig(methods=("sobol", "lattice"))
@@ -274,6 +289,31 @@ class TestCLI:
             assert code == 2
             assert "error: seed must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_workers_exit_code(self, capsys):
+        code = main(["value", "--method", "sobol", "--points", "64", "--jumps", "1",
+                     "--workers", "-3"])
+        assert code == 2
+        assert "error: workers must be an integer >= 1" in capsys.readouterr().err
+
+    def test_gauss_value_with_one_replicate(self, tmp_path, capsys):
+        out_csv = tmp_path / "g.csv"
+        code = main(["value", "--method", "gauss", "--points", "8", "--jumps", "1",
+                     "--replicates", "1", "--out", str(out_csv)])
+        assert code == 0
+        assert "std_error=n/a" in capsys.readouterr().out
+        assert out_csv.read_text().splitlines()[1].startswith("gauss,8,2,1,")
+        code = main(["value", "--method", "sobol", "--points", "8", "--jumps", "1",
+                     "--replicates", "1"])
+        assert code == 2
+        assert "replicates" in capsys.readouterr().err
+
+    def test_epsilon_study_needs_two_replicates(self, tmp_path, capsys):
+        code = main(["epsilon-study", "--method", "gauss", "--points", "64", "--jumps", "1",
+                     "--replicates", "1", "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        assert "replicates" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
 import pdmpval.flow
+import pdmpval.operators
 from pdmpval.cubature import CubatureSpec, RuleKind, gauss_legendre, gauss_product_chunk
 from pdmpval.errors import InputError
 from pdmpval.model import value_upper_bound
@@ -300,6 +301,21 @@ class TestEstimateValue:
         with pytest.raises(InputError, match="finite"):
             valuation(x0, 1, rule, loan_model)
 
+    # value and std_error at the deep-qmc shape over two chunks, recorded with
+    # the replicate-by-replicate estimator loop that regenerated every column
+    _DEEP_GOLDENS = {
+        "sobol": ("0x1.0ffc5d3b26da7p-1", "0x1.0574fc07b52e3p-2"),
+        "halton": ("0x1.a550c3f6e6a7dp+1", "0x1.4de319ff96600p+1"),
+        "mc": ("0x1.282ab4d6928d8p-1", "0x1.29a3854aee7b6p-2"),
+    }
+
+    @pytest.mark.parametrize("kind", ["sobol", "halton", "mc"])
+    def test_deep_estimate_goldens(self, loan_model, kind):
+        rule = CubatureSpec(kind=RuleKind(kind), M=8192 + 512, d=64, seed=11, replicates=3)
+        for workers in (1, 2):
+            est = estimate_value(0.0, 32, rule, loan_model, workers=workers)
+            assert (est.value.hex(), est.std_error.hex()) == self._DEEP_GOLDENS[kind]
+
     def test_deep_estimate_bits_independent_of_workers(self, loan_model):
         # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=8192 + 512, d=64, seed=3, replicates=2)
@@ -307,31 +323,56 @@ class TestEstimateValue:
         b = estimate_value(0.0, 32, rule, loan_model, workers=2)
         assert a.value.hex() == b.value.hex() and a.std_error.hex() == b.std_error.hex()
 
-    def test_one_flow_table_call_and_two_searches_per_stage(self, loan_model, monkeypatch):
-        calls = {"advance": 0, "search": 0}
+    def test_one_flow_table_call_and_two_guided_lookups_per_stage(self, loan_model,
+                                                                  monkeypatch):
+        calls = {"advance": 0, "find": 0}
+        searched = []
         table_cls = type(loan_model.table)
         real_advance, real_interval = table_cls.advance, pdmpval.flow._interval
+        real_find = pdmpval.flow._Guide.find
 
         def advance(self, y, t):
             calls["advance"] += 1
             return real_advance(self, y, t)
 
+        def find(self, x):
+            calls["find"] += 1
+            return real_find(self, x)
+
         def interval(knots, x):
-            calls["search"] += 1
+            searched.append(np.size(x))
             return real_interval(knots, x)
 
         def no_spline(*args, **kwargs):
             raise AssertionError("lookup called a scipy spline")
 
         monkeypatch.setattr(table_cls, "advance", advance)
+        monkeypatch.setattr(pdmpval.flow._Guide, "find", find)
         monkeypatch.setattr(pdmpval.flow, "_interval", interval)
         monkeypatch.setattr(PPoly, "__call__", no_spline)
         for name in ("time_of", "pos_at", "reward_from_master"):
             monkeypatch.setattr(table_cls, name, no_spline)
-        n = 6
-        rule = CubatureSpec(kind=RuleKind.SOBOL, M=512, d=2 * n, seed=1, replicates=1)
+        n, m = 6, 512
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
         estimate_value(0.0, n, rule, loan_model)
-        assert calls == {"advance": n, "search": 2 * n}
+        assert calls == {"advance": n, "find": 2 * n}
+        # binary searches only for the residue the guided step leaves
+        assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
+
+    @pytest.mark.parametrize("kind, name", [("sobol", "sobol_column"),
+                                            ("halton", "halton_column")])
+    def test_base_columns_generated_once_for_all_replicates(self, loan_model, monkeypatch,
+                                                            kind, name):
+        calls = []
+        real = getattr(pdmpval.operators, name)
+        monkeypatch.setattr(pdmpval.operators, name,
+                            lambda dim, *a: calls.append((dim, a[:2])) or real(dim, *a))
+        n, m = 3, 8192 + 100
+        rule = CubatureSpec(kind=RuleKind(kind), M=m, d=2 * n, seed=2, replicates=4)
+        estimate_value(0.0, n, rule, loan_model, workers=2)
+        # one call per live dimension (z_n is never read) and chunk
+        assert sorted(calls) == sorted((dim, rows) for rows in ((1, 8193), (8193, m + 1))
+                                       for dim in range(1, 2 * n))
 
     def test_gauss_budget_guard(self, loan_model):
         with pytest.raises(InputError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdmpval import smoothing
 from pdmpval.errors import InputError, ModelError
 from pdmpval.smoothing import (
     JumpKernelSpec,
@@ -164,6 +165,26 @@ class TestSmoothedDrift:
             smoothed_drift_loan(0.0, C, RHO, B, 0.0)
         with pytest.raises(InputError):
             smoothed_drift_loan(0.0, 0.01, 10.0, B, 0.01)  # eps >= c/(2 rho)
+
+    def test_eps_checked_once_per_parameter_set(self, monkeypatch):
+        checks = []
+        real = smoothing._check_loan_eps
+        monkeypatch.setattr(smoothing, "_check_loan_eps",
+                            lambda *a: checks.append(a) or real(*a))
+        monkeypatch.setattr(smoothing, "_valid_loan_params", None)
+        for y in np.linspace(-C / RHO, B, 500):
+            smoothed_drift_loan(float(y), C, RHO, B, EPS)
+        smoothed_drift_loan(np.array([0.0, 1.0]), C, RHO, B, EPS)
+        assert checks == [(C, RHO, B, EPS)]
+        smoothed_drift_loan(0.5, C, RHO, B, 0.02)
+        smoothed_drift_loan(0.5, C, RHO, B, EPS)
+        assert len(checks) == 3
+        # a bad width raises on every call, also right after a good one
+        for bad in (0.0, -EPS, B / 2.0, math.nan):
+            for y in (0.5, np.array([0.5])):
+                with pytest.raises(InputError):
+                    smoothed_drift_loan(y, C, RHO, B, bad)
+            smoothed_drift_loan(0.5, C, RHO, B, EPS)
 
 
 class TestSmoothedReward:
