@@ -229,18 +229,19 @@ def halton_scrambled_points(M: int, d: int, seed: Optional[int] = None) -> np.nd
 
 
 def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """One fixed-size chunk of the (seed, replicate) uniform stream.
+    """The first ``rows`` nodes of one fixed-size chunk of the (seed, replicate)
+    uniform stream.
 
-    Chunk ``chunk_index`` covers node indices [chunk*8192, ...); the chunk is
-    always generated in full so every node's coordinates depend only on
-    (seed, replicate, node index), never on how many nodes the caller uses.
+    Chunk ``chunk_index`` covers node indices [chunk*8192, ...) and has its
+    own stream, filled row by row, so its first rows are a prefix of that
+    stream: every node's coordinates depend only on (seed, replicate, node
+    index), never on how many nodes the caller uses.
     """
     if rows < 1 or rows > MC_CHUNK_NODES:
         raise InputError(f"rows must be in 1..{MC_CHUNK_NODES}")
     ss = np.random.SeedSequence(entropy=(_MC_TAG, int(seed), int(replicate), int(chunk_index)))
     gen = np.random.Generator(np.random.Philox(seed=ss))
-    block = gen.random((MC_CHUNK_NODES, d))
-    return block[:rows]
+    return gen.random((rows, d))
 
 
 def mc_points(M: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:

@@ -26,6 +26,9 @@ in O(1), and the checked neighbour step finishes it.  grid_t is guided on the
 time itself, grid_y on the log-distance above the ruin end, where the drift
 vanishes linearly and the knots are geometric.  The few points the step does
 not settle are searched, so every interval equals the binary search's.
+Positions at y_start, where every path parked at the ruin end and every
+position below it clamp, take one time and interval solved by the same chain
+at build time, so the chain runs only on the other points.
 
 The discounted running-reward integral is tabulated alongside the trajectory
 up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
@@ -85,6 +88,7 @@ class FlowTable:
     _reward_c: np.ndarray | None = field(init=False, repr=False)
     _t_guide: "_Guide" = field(init=False, repr=False)
     _y_guide: "_Guide" = field(init=False, repr=False)
+    _start_time: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.delta * self.t_tail > 700.0:
@@ -110,6 +114,9 @@ class FlowTable:
         lower, y0 = self.lower, self.y_start
         self._t_guide = _Guide(self.grid_t)
         self._y_guide = _Guide(self.grid_y, lambda y: np.log(np.maximum(y, y0) - lower))
+        # time and grid_t interval of y_start, solved once by the same chain
+        t, k = self._solve_time(np.array([y0]))
+        self._start_time = (t[0], k[0])
 
     # -- basic geometry ----------------------------------------------------
 
@@ -201,6 +208,25 @@ class FlowTable:
 
     def _time_at(self, yc):
         """time_of on a flat array of clamped positions, with the grid_t interval of each time.
+
+        Points at y_start (paths parked at the ruin end, and every position
+        clamped up to it) take the constant solved once in __post_init__; the
+        chain runs on the others only.  It is elementwise, so the result is
+        the chain's on the whole array bit for bit.
+        """
+        at = yc == self.y_start
+        if not at.any():
+            return self._solve_time(yc)
+        t0, k0 = self._start_time
+        t = np.full(yc.shape, t0)
+        k = np.full(yc.shape, k0, dtype=np.intp)
+        rest = np.flatnonzero(~at)
+        if rest.size:
+            t[rest], k[rest] = self._solve_time(yc[rest])
+        return t, k
+
+    def _solve_time(self, yc):
+        """The time_of chain of :meth:`_time_at` on a flat array of clamped positions.
 
         grid_y = pos(grid_t), so the grid_y interval of yc is also the grid_t
         interval of the seed time and of the Newton-polished time, up to a

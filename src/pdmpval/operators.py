@@ -35,20 +35,20 @@ from .cubature import (
     CubatureSpec,
     RuleKind,
     cp_shift_vector,
-    cranley_patterson_shift,
     gauss_product_chunk,
     halton_column,
     halton_permutations,
     mc_chunk,
     sobol_column,
 )
-from .errors import InputError, ModelError
+from .errors import InputError, ModelError, require_int
 from .loan import SmoothedLoanModel
 from .model import bias_bound, value_upper_bound
 
 __all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value", "valuation"]
 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
+_STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
 _LOG_TINY = 1e-300
 
 
@@ -75,8 +75,8 @@ class IteratedPoint:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1 or c.size == 0 or c.size % 2:
             raise InputError("coordinates must form a nonempty even-length vector")
-        if np.any((c < 0.0) | (c > 1.0)):
-            raise InputError("coordinates must lie in [0, 1]")
+        if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails both comparisons
+            raise InputError("coordinates must be finite and lie in [0, 1]")
         object.__setattr__(self, "coords", c)
 
     @property
@@ -105,25 +105,27 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     log_lam = math.log(lam)
     log_alpha = math.log(alpha)
 
-    v = np.clip(cols(0), _LOG_TINY, 1.0)
-    m = v.shape[0]
+    logv = np.clip(cols(0), _LOG_TINY, 1.0)
+    m = logv.shape[0]
     chi = np.full(m, float(x0))
     logw = np.zeros(m)
     total = np.zeros(m)
     for j in range(n):
         if j:
-            v = np.clip(cols(2 * j), _LOG_TINY, 1.0)
-        logv = np.log(v)
-        t = -logv
-        reward, chi_pre = table.advance(chi, t)
+            logv = np.clip(cols(2 * j), _LOG_TINY, 1.0)
+        np.log(logv, out=logv)
+        reward, chi_pre = table.advance(chi, -logv)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
         if j < n - 1:
             span = chi_pre - ruin
-            z = cols(2 * j + 1)
-            jump = z * span
+            jump = cols(2 * j + 1) * span
             logw += (log_lam + (lam + delta - 1.0) * logv
                      + log_alpha - alpha * jump + np.log(span))
             chi = chi_pre - jump
+            del span, jump
+        # free this stage's arrays before the next stage's lookups, the
+        # point where a stacked batch holds the most temporaries
+        del reward, chi_pre, logv
     if not np.all(np.isfinite(total)):
         raise ModelError("iterated integrand overflowed at a corner node")
     return total
@@ -149,9 +151,15 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
 
     The Gauss product rule runs over the 2n-1 live dimensions (z_n is never
     read), and its mean is the weighted sum.  Nodes are processed in
-    fixed-size chunks, chunk by chunk: a chunk's unshifted Sobol'/Halton
-    columns are generated once, each on first use, and every replicate's
-    Cranley-Patterson shift reads them.  Each chunk accumulates in index
+    fixed-size chunks, chunk by chunk.  The randomized rules evaluate a
+    chunk's replicates as stacks: one integrand batch over the replicates'
+    columns laid end to end, at most ``_STACK`` nodes, so the per-call cost of
+    a stage is paid once per stack instead of once per replicate.  A Sobol'/
+    Halton stack holds the Cranley-Patterson shifts of the chunk's unshifted
+    columns, each generated once on first use; an MC stack holds the
+    replicates' Philox blocks.  The integrand is elementwise, and each
+    replicate's chunk sum reduces its own contiguous slice, so every sum is
+    the one-replicate batch's bit for bit.  Each chunk accumulates in index
     order and each replicate's chunk sums combine in index order, so the
     result is bit identical for any worker count.
     """
@@ -160,27 +168,18 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
     size = rule.M ** (d - 1) if gauss else rule.M
     shifts = perms = None
     if rule.kind in (RuleKind.SOBOL, RuleKind.SCRAMBLED_HALTON):
-        shifts = [cp_shift_vector(d, rule.seed, rep) for rep in range(reps)]
+        shifts = np.stack([cp_shift_vector(d, rule.seed, rep) for rep in range(reps)])
     if rule.kind is RuleKind.SCRAMBLED_HALTON:
         perms = halton_permutations(d, rule.seed)
 
     def chunk_sums(ci: int) -> list:
         i0 = ci * _CHUNK
         i1 = min(i0 + _CHUNK, size)
-
-        def chunk_sum(cols, weights=None) -> float:
-            vals = _integrand_batch(model, x0, n, cols)
-            return float(np.add.reduce(vals if weights is None else weights * vals))
-
-        if rule.kind is RuleKind.MC:
-            sums = []
-            for rep in range(reps):
-                block = mc_chunk(ci, i1 - i0, d, rule.seed, rep)
-                sums.append(chunk_sum(lambda dim: block[:, dim]))
-            return sums
+        rows = i1 - i0
         if gauss:
             block, weights = gauss_product_chunk(rule.M, d - 1, i0, i1)
-            return [chunk_sum(lambda dim: block[dim], weights)]
+            vals = _integrand_batch(model, x0, n, lambda dim: block[dim])
+            return [float(np.add.reduce(weights * vals))]
         base = {}
 
         def column(dim: int) -> np.ndarray:
@@ -189,10 +188,27 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
                              else halton_column(dim + 1, i0 + 1, i1 + 1, perms))
             return base[dim]
 
+        per_stack = _STACK // rows
         sums = []
-        for shift in shifts:
-            sums.append(chunk_sum(lambda dim: cranley_patterson_shift(column(dim),
-                                                                      shift=shift[dim])))
+        for r0 in range(0, reps, per_stack):
+            stack = range(r0, min(r0 + per_stack, reps))
+            if rule.kind is RuleKind.MC:
+                blocks = [mc_chunk(ci, rows, d, rule.seed, rep) for rep in stack]
+
+                def cols(dim: int) -> np.ndarray:
+                    return np.concatenate([block[:, dim] for block in blocks])
+            else:
+                rep_shifts = shifts[stack.start:stack.stop]
+
+                def cols(dim: int) -> np.ndarray:
+                    # cranley_patterson_shift of each replicate, end to end
+                    u = np.add.outer(rep_shifts[:, dim], column(dim)).ravel()
+                    u -= np.floor(u)
+                    return u
+
+            vals = _integrand_batch(model, x0, n, cols)
+            sums.extend(float(np.add.reduce(vals[i:i + rows]))
+                        for i in range(0, vals.size, rows))
         return sums
 
     n_chunks = (size + _CHUNK - 1) // _CHUNK
@@ -224,8 +240,7 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     it runs one replicate over the 2n-1 live dimensions (z_n is never read)
     within a budget of 1e7 nodes and carries no error bar.
     """
-    if n < 1:
-        raise InputError(f"jump count must be >= 1, got {n}")
+    require_int("jump count n", n, 1)
     if rule.d != 2 * n:
         raise InputError(f"rule dimension {rule.d} does not match 2n = {2 * n}")
     _check_x0(model, x0)

@@ -335,6 +335,60 @@ class TestAdvance:
             loan_model.table.advance(0.0, -1.0)
 
 
+def _ruin_end_batches(table, rng):
+    """Stage-start batches around the ruin end: the compaction's cases."""
+    y0 = table.y_start
+    never = rng.uniform(y0, table.y_end, 40)
+    never[:3] = np.nextafter(y0, np.inf), y0 + 4e-15 * (abs(y0) + 1.0), y0 + 1e-10
+    interleaved = never.copy()
+    interleaved[::3] = y0
+    with_nan = interleaved.copy()
+    with_nan[4] = np.nan
+    below = np.concatenate([y0 - rng.uniform(0.0, 1e-3, 20), [np.nextafter(y0, -np.inf)],
+                            table.lower - rng.uniform(0.0, 10.0, 19)])
+    return {"all at y_start": np.full(40, y0), "all below": below, "never at": never,
+            "interleaved": interleaved, "with NaN": with_nan}
+
+
+class TestRuinEndConstant:
+    """Positions at y_start (clamped there or parked at the ruin end) take the
+    time solved once at build; only the other positions run the time_of chain."""
+
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    @pytest.mark.parametrize("name", ["all at y_start", "all below", "never at",
+                                      "interleaved", "with NaN"])
+    def test_batch_equals_scalar_calls(self, loan_model, const_table, rng, which, name):
+        table = loan_model.table if which == "loan" else const_table
+        y = _ruin_end_batches(table, rng)[name]
+        t = rng.uniform(0.0, 3.0, y.size)
+        reward, moved = table.advance(y, t)
+        times = table.time_of(y)
+        for i in range(y.size):
+            r, m = table.advance(y[i], t[i])
+            assert _same_bits(reward[i], r) and _same_bits(moved[i], m)
+            assert _same_bits(times[i], table.time_of(y[i]))
+
+    @pytest.mark.parametrize("name", ["all at y_start", "all below", "never at",
+                                      "interleaved", "with NaN"])
+    def test_equals_the_chain_on_the_whole_batch(self, loan_model, rng, name):
+        table = loan_model.table
+        yc = np.clip(_ruin_end_batches(table, rng)[name], table.y_start, table.y_end)
+        t, k = table._time_at(yc)
+        t_chain, k_chain = table._solve_time(yc)
+        assert _same_bits(t, t_chain) and np.array_equal(k, k_chain)
+
+    def test_chain_runs_on_the_other_points_only(self, loan_model, rng, monkeypatch):
+        table = loan_model.table
+        sizes = []
+        real = type(table)._solve_time
+        monkeypatch.setattr(type(table), "_solve_time",
+                            lambda self, yc: sizes.append(yc.size) or real(self, yc))
+        batches = _ruin_end_batches(table, rng)
+        for name in ("all at y_start", "all below", "never at", "interleaved"):
+            table.time_of(batches[name])
+        assert sizes == [40, 26]  # never at: the whole batch; interleaved: 14 at y_start
+
+
 @pytest.fixture(scope="module")
 def wide_table():
     """The widest width of the epsilon study, the other loan table shape."""

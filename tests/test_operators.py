@@ -7,7 +7,19 @@ from scipy.interpolate import PPoly
 
 import pdmpval.flow
 import pdmpval.operators
-from pdmpval.cubature import CubatureSpec, RuleKind, gauss_legendre, gauss_product_chunk
+from pdmpval.cubature import (
+    MC_CHUNK_NODES,
+    CubatureSpec,
+    RuleKind,
+    cp_shift_vector,
+    cranley_patterson_shift,
+    gauss_legendre,
+    gauss_product_chunk,
+    halton_column,
+    halton_permutations,
+    mc_chunk,
+    sobol_column,
+)
 from pdmpval.errors import InputError
 from pdmpval.model import value_upper_bound
 from pdmpval.operators import (
@@ -85,6 +97,11 @@ class TestIteratedPoint:
         with pytest.raises(InputError):
             IteratedPoint(np.array([0.1, 1.2]))  # outside [0, 1]
         assert IteratedPoint(np.array([0.2, 0.4, 0.6, 0.8])).n == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            IteratedPoint(np.array([0.5, 0.5, bad, 0.5]))
 
 
 class TestIteratedIntegrand:
@@ -301,6 +318,13 @@ class TestEstimateValue:
         with pytest.raises(InputError, match="finite"):
             valuation(x0, 1, rule, loan_model)
 
+    @pytest.mark.parametrize("n", [2.0, True, 0, -1])
+    def test_jump_count_must_be_a_positive_integer(self, loan_model, n):
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=64, d=2 if n is True else 4, replicates=2)
+        for entry in (estimate_value, valuation):
+            with pytest.raises(InputError, match="jump count n"):
+                entry(0.0, n, rule, loan_model)
+
     # value and std_error at the deep-qmc shape over two chunks, recorded with
     # the replicate-by-replicate estimator loop that regenerated every column
     _DEEP_GOLDENS = {
@@ -378,3 +402,61 @@ class TestEstimateValue:
         with pytest.raises(InputError):
             estimate_value(0.0, 4, CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=64, d=8),
                            loan_model)
+
+
+def naive_replicate_means(model, x0, n, rule):
+    """Each replicate's mean from one integrand batch per replicate and chunk,
+    with the replicate's own node columns, chunk sums combined in order."""
+    d = rule.d
+    perms = halton_permutations(d, rule.seed) if rule.kind is RuleKind.SCRAMBLED_HALTON else None
+    means = []
+    for rep in range(rule.replicates):
+        shift = cp_shift_vector(d, rule.seed, rep)
+        total = 0.0
+        for i0 in range(0, rule.M, MC_CHUNK_NODES):
+            i1 = min(i0 + MC_CHUNK_NODES, rule.M)
+            if rule.kind is RuleKind.MC:
+                block = mc_chunk(i0 // MC_CHUNK_NODES, i1 - i0, d, rule.seed, rep)
+                cols = lambda dim, block=block: block[:, dim]
+            else:
+                def cols(dim, i0=i0, i1=i1, shift=shift):
+                    base = (sobol_column(dim + 1, i0 + 1, i1 + 1) if perms is None
+                            else halton_column(dim + 1, i0 + 1, i1 + 1, perms))
+                    return cranley_patterson_shift(base, shift=shift[dim])
+            vals = pdmpval.operators._integrand_batch(model, x0, n, cols)
+            total += float(np.add.reduce(vals))
+        means.append(total / rule.M)
+    return means
+
+
+class TestStackedReplicates:
+    """A chunk's replicates run as stacked integrand batches; every replicate's
+    mean is the one-replicate-per-batch loop's bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["sobol", "halton", "mc"])
+    @pytest.mark.parametrize("n, reps", [(1, 5), (1, 10), (8, 5), (8, 10)])
+    def test_matches_per_replicate_loop(self, loan_model, kind, n, reps):
+        # M = 10000: a full chunk, whose stacks hold 4 replicates, and a
+        # partial one of 1808 nodes
+        rule = CubatureSpec(kind=RuleKind(kind), M=10000, d=2 * n, seed=5, replicates=reps)
+        naive = naive_replicate_means(loan_model, 0.0, n, rule)
+        means = pdmpval.operators._replicate_means(loan_model, 0.0, n, rule, reps, 1)
+        assert [m.hex() for m in means] == [m.hex() for m in naive]
+        est = estimate_value(0.0, n, rule, loan_model, workers=2)
+        assert est.value.hex() == float(np.mean(naive)).hex()
+        assert est.std_error.hex() == float(np.std(naive, ddof=1) / math.sqrt(reps)).hex()
+
+    def test_stacks_hold_at_most_the_cap(self, loan_model, monkeypatch):
+        sizes = []
+        real = pdmpval.operators._integrand_batch
+
+        def batch(model, x0, n, cols):
+            vals = real(model, x0, n, cols)
+            sizes.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(pdmpval.operators, "_integrand_batch", batch)
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=10000, d=4, seed=5, replicates=10)
+        estimate_value(0.0, 2, rule, loan_model)
+        # full chunk: stacks of 4, 4 and 2 replicates; partial chunk: all 10
+        assert sizes == [4 * 8192, 4 * 8192, 2 * 8192, 10 * 1808]
