@@ -33,7 +33,16 @@ at build time, so the chain runs only on the other points.
 The discounted running-reward integral is tabulated alongside the trajectory
 up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
 the anchor the reward rate is frozen and the remaining integral is closed
-form, which also keeps every exp() argument bounded.
+form, which also keeps every exp() argument bounded.  The build refuses a
+reward whose rate varies across that frozen stretch by more than 1% of its
+supremum, and a drift that is not finite on the domain.
+
+The time grid is marched one step at a time on Python floats from a bound on
+the trajectory's third derivative, with a step cap.  Most of the barrier tail
+is one run of capped steps: there each capped step predicts the next times by
+adding the cap, as the loop would, and one array pass of the same step rule
+takes the prefix of them that is certainly capped, so the grid is the scalar
+loop's bit for bit at about a quarter of the drift calls.
 """
 
 from __future__ import annotations
@@ -52,9 +61,14 @@ __all__ = ["FlowTable", "build_flow_table"]
 
 _PROXIMITY = 1e-12       # build stops within this fraction of the span from the top
 _TAIL_BAND = 1e-6        # reward rate frozen within this fraction of the span
+_TAIL_RATE_TOL = 0.01    # largest spread of the frozen reward rate, as a fraction of its supremum
 _START_OFFSET = 1e-8     # start this fraction of the span above the lower end
 _POS_TOL = 1e-9          # grid march: target cubic interpolation error in position
 _H_CAP = 2.0             # grid march: largest time step
+_BATCH_MIN = 64          # grid march: predicted capped steps in a run's first batch
+_BATCH_MAX = 8192        # grid march: most predicted capped steps in one batch
+_BATCH_MARGIN = 1e-3     # grid march: relative margin by which a batched step clears the cap
+_MAX_NODES = 2_000_000   # grid march: most grid nodes before the build gives up
 _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 _GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
@@ -399,6 +413,9 @@ def build_flow_table(
     The dense solution is sampled on a grid adapted to the local third
     time-derivative of the trajectory, refined around ``refine_y`` features
     of width ``feature_scale``.
+    ModelError if the drift is not finite or is negative on a 10,000-point
+    sample of the domain, or if the reward rate varies across the frozen
+    tail band (see :func:`_check_frozen_rate`).
     """
     lower, upper = float(domain[0]), float(domain[1])
     if not upper > lower:
@@ -413,10 +430,12 @@ def build_flow_table(
 
     ys = np.linspace(y_start, upper - _PROXIMITY * span, 10_000)
     gs = np.asarray(drift(ys), dtype=float)
+    if not np.all(np.isfinite(gs)):
+        raise ModelError("drift must be finite on the domain")
     if np.any(gs < -1e-12 * max(1.0, np.max(np.abs(gs)))):
         raise ModelError("drift must be nonnegative on the domain")
     g_max = float(np.max(gs))
-    if g_max <= 0.0 or drift(y_start) <= 0.0:
+    if g_max <= 0.0 or not drift(y_start) > 0.0:
         raise ModelError("drift must be positive at the start offset")
     cap = 1e3 * span / g_max
     y_stop = upper - _PROXIMITY * span
@@ -462,7 +481,8 @@ def build_flow_table(
 
     # tail anchor: first time within the frozen band below the upper end
     y_freeze = upper - _TAIL_BAND * span
-    if grid_y[-1] >= y_freeze:
+    in_band = grid_y[-1] >= y_freeze  # else the anchor is the table end, where paths pin
+    if in_band:
         k = int(np.searchsorted(grid_y, y_freeze))
         t_tail = float(grid_t[min(k, len(grid_t) - 1)])
         y_tail = float(grid_y[min(k, len(grid_t) - 1)])
@@ -472,7 +492,10 @@ def build_flow_table(
 
     rt = grid_t[grid_t <= t_tail]  # t_tail is a grid node, so rt ends at it
     ry = np.minimum(sol.sol(rt)[0], upper)
-    integrand = np.exp(-delta * rt) * np.asarray(reward(ry), dtype=float)
+    rates = np.asarray(reward(ry), dtype=float)
+    if in_band:
+        _check_frozen_rate(reward, y_tail, upper, np.max(np.abs(rates)))
+    integrand = np.exp(-delta * rt) * rates
     if rt.size >= 3:
         rc = cumulative_simpson(integrand, x=rt, initial=0.0)
     else:
@@ -494,6 +517,26 @@ def build_flow_table(
     )
 
 
+def _check_frozen_rate(reward, y_tail, upper, sup):
+    """ModelError unless the reward rate is flat across the frozen tail band.
+
+    Past the tail anchor (the first node in the band) the table charges the
+    rate at y_tail forever, while the path goes on toward the upper end.  So
+    the rate must not vary over [y_tail, upper] by more than _TAIL_RATE_TOL
+    of its supremum, the largest rate on the tabulated path or in the band;
+    a reward feature that narrow would otherwise be valued at the wrong rate.
+    """
+    band = np.asarray(reward(np.linspace(y_tail, upper, 65)), dtype=float)
+    sup = max(sup, float(np.max(np.abs(band))))
+    spread = float(np.max(band) - np.min(band))
+    if not spread <= _TAIL_RATE_TOL * sup:
+        raise ModelError(
+            f"the reward rate varies by {spread:.3g} (supremum {sup:.3g}) across the frozen "
+            f"tail band [{y_tail!r}, {upper!r}]: the table does not resolve reward features "
+            "this close to the upper end"
+        )
+
+
 def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     """Curvature-adapted time grid over [0, t_end].
 
@@ -504,11 +547,25 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     one step.  The loop is sequential, so it runs on Python floats: the
     solver's dense output through :func:`_float_dense_output` and three scalar
     drift calls per step for the central differences.
+
+    Runs of capped steps (most of the barrier tail) are taken as array steps:
+    a step of size _H_CAP from t predicts the next times t + _H_CAP,
+    t + 2 _H_CAP, ... by sequential sums (the loop's own roundings), and
+    :func:`_capped_prefix` evaluates the step rule at all of them in one
+    array pass.  The times whose every term clears the cap by the margin
+    _BATCH_MARGIN are certainly capped steps of the loop too, so they are
+    appended as they are and the loop resumes at the first time in doubt;
+    the grid is the scalar loop's bit for bit.  A batch holds _BATCH_MIN
+    times and doubles, up to _BATCH_MAX, while batches are taken whole.
     """
-    y_at = _float_dense_output(sol.sol)
+    segments = _rk_segments(sol.sol)
+    y_at = _float_dense_output(segments)
+    ys_at = _array_dense_output(segments)
     hy = max(_STENCIL * fs, 1e-9)
     windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
+    pieces = []  # finished stretches of the grid, in order
     ts = [0.0]
+    count = 1
     t = 0.0
     while t < t_end:
         y = min(y_at(t), upper)
@@ -526,24 +583,83 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
         h = max(h, 1e-7, 1e-12 * t_end)
         t = min(t + h, t_end)
         ts.append(t)
-        if len(ts) > 2_000_000:
+        count += 1
+        if count > _MAX_NODES:
             raise ModelError("flow grid construction did not terminate")
-    return np.asarray(ts)
+        if h != _H_CAP:
+            continue
+        size = _BATCH_MIN
+        while t < t_end:
+            steps = np.full(size + 1, _H_CAP)
+            steps[0] = t
+            times = np.add.accumulate(steps)  # times[i + 1] = times[i] + _H_CAP, as the loop adds
+            live = int(np.searchsorted(times[:size], t_end))  # times the loop would step from
+            taken = _capped_prefix(times[:live], ys_at, drift, upper, hy, fs, windows, g_max)
+            if not taken:
+                break
+            nodes = times[1:taken + 1]
+            nodes[-1] = min(nodes[-1], t_end)
+            pieces += [np.asarray(ts), nodes]
+            ts = []
+            count += taken
+            if count > _MAX_NODES:
+                raise ModelError("flow grid construction did not terminate")
+            t = float(nodes[-1])
+            if taken < size:
+                break
+            size = min(2 * size, _BATCH_MAX)
+    return np.concatenate(pieces + [np.asarray(ts)])
 
 
-def _float_dense_output(ode_solution):
-    """y(t) of a scalar RK45 ``OdeSolution`` on Python floats, for ascending t.
+def _capped_prefix(times, ys_at, drift, upper, hy, fs, windows, g_max):
+    """How many leading ``times`` certainly get the step _H_CAP from the step rule.
 
-    Reads each segment's (t_old, h, y_old, Q) once and evaluates
-    y_old + h * (Q . [x, x^2, x^3, x^4]), x = (t - t_old)/h, in the order of
-    scipy's ``RkDenseOutput`` (cumprod, then dot).  BLAS may fuse that dot,
-    so values can differ from ``ode_solution(t)`` in the last ulps.  A
-    segment pointer moves forward with t; like scipy (side="left"), a time
-    on a segment boundary belongs to the segment that ends there.
+    The rule of :func:`_march_grid` on arrays: one drift call on the three
+    stencils of every time, the central differences, the curvature step and
+    the window and guard terms.  A time counts only if every term that can
+    bind clears the cap by the relative margin _BATCH_MARGIN, so the ulp by
+    which numpy's power may differ from Python's cannot change a step; nor
+    can small differences between a drift's array and float paths (the loan
+    drift's two paths agree bit for bit).  The guard term is applied
+    whatever the drift's sign, which can only turn times away.
     """
+    n = len(times)
+    y = np.minimum(ys_at(times), upper)
+    g3 = np.asarray(drift(np.concatenate([y - hy, y, y + hy])), dtype=float)
+    g_lo, g, g_hi = g3[:n], g3[n:2 * n], g3[2 * n:]
+    bar = _H_CAP * (1.0 + _BATCH_MARGIN)
+    with np.errstate(all="ignore"):  # the float loop warns of nothing either
+        gp = (g_hi - g_lo) / (2.0 * hy)
+        gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
+        y3 = np.abs((gpp * g + gp * gp) * g)
+        ok = (96.0 * _POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0) >= bar
+        for lo, hi in windows:
+            inside = (lo <= y) & (y <= hi)
+            ok &= ~inside | (fs / (16.0 * np.maximum(g, 1e-300)) >= bar)
+            ok &= ~(y < lo) | ((lo - y) / g_max >= bar)
+    return n if ok.all() else int(np.argmin(ok))
+
+
+def _rk_segments(ode_solution):
+    """Segment bounds and each segment's (t_old, h, y_old, q1, q2, q3, q4) of a
+    scalar RK45 ``OdeSolution``, as Python floats."""
     ts = [float(v) for v in ode_solution.ts]
     segs = [(float(sp.t_old), float(sp.h), float(sp.y_old[0]), *map(float, sp.Q[0]))
             for sp in ode_solution.interpolants]
+    return ts, segs
+
+
+def _float_dense_output(segments):
+    """y(t) of a scalar RK45 ``OdeSolution`` on Python floats, for ascending t.
+
+    Takes each segment's (t_old, h, y_old, Q) from :func:`_rk_segments` and
+    evaluates y_old + h * (Q . [x, x^2, x^3, x^4]), x = (t - t_old)/h, in
+    the order of scipy's ``RkDenseOutput`` (cumprod, then dot).  BLAS may
+    fuse that dot, so values can differ from ``ode_solution(t)`` in the last
+    ulps.  A segment pointer moves forward with t; like scipy (side="left"),
+    a time on a segment boundary belongs to the segment that ends there.
+    """
+    ts, segs = segments
     last = len(segs) - 1
     k = 0
 
@@ -558,6 +674,29 @@ def _float_dense_output(ode_solution):
         return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
 
     return y_at
+
+
+def _array_dense_output(segments):
+    """The numpy twin of :func:`_float_dense_output`: y at an array of times.
+
+    The same segment rule (a time on a boundary belongs to the segment that
+    ends there) and the same operations in the same order, elementwise, so
+    every value equals the float function's bit for bit.
+    """
+    ts, segs = segments
+    ends = np.asarray(ts[1:])
+    cols = np.asarray(segs).T
+    last = len(segs) - 1
+
+    def ys_at(t):
+        k = np.minimum(np.searchsorted(ends, t, side="left"), last)
+        t_old, h, y_old, q1, q2, q3, q4 = (c[k] for c in cols)
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
+
+    return ys_at
 
 
 def _strictly_increasing(ts, ys, span):

@@ -92,8 +92,8 @@ class SmoothedLoanModel:
         self.spec = ModelSpec(
             components={1: live, 2: below, 3: edge},
             jump_kernel=kernel,
-            reward=lambda k, y: self.reward(y) if k == 1 else 0.0,
-            terminal=lambda k, y: 0.0,
+            reward=lambda k, y: self.reward(y) if k == 1 else _zeros(y),
+            terminal=lambda k, y: _zeros(y),
             discount=p.delta,
             reward_bound=p.c,
             terminal_bound=0.0,
@@ -153,6 +153,14 @@ class SmoothedLoanModel:
         p = self._stay_prob(y)
         size = -math.log1p(-u * p) / self.params.alpha
         return y - size
+
+
+def _zeros(y):
+    """Zero at every position of y: an array of y's shape, or 0.0 for a scalar.
+
+    The shape lets ``ModelSpec.validate`` check a whole sample grid in one call.
+    """
+    return np.zeros(np.shape(y)) if np.ndim(y) else 0.0
 
 
 def unsmoothed_loan_model(c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0,

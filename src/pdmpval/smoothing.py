@@ -154,13 +154,16 @@ _valid_loan_params = None  # the (c, rho, b, eps) that last passed _check_loan_e
 
 def _check_loan_eps(c, rho, b, eps):
     # eps < b/4 keeps the two bands disjoint, eps < c/(2 rho) keeps the
-    # blended drift positive on the band around 0.
+    # blended drift positive on the band around 0, and b - eps < b keeps a
+    # float inside the taper band below the barrier.
     global _valid_loan_params
     limit = min(b / 4.0, c / (2.0 * rho))
     if not 0.0 < eps < limit:
         raise InputError(
             f"smoothing width eps={eps} outside (0, {limit}) for c={c}, rho={rho}, b={b}"
         )
+    if not b - eps < b:
+        raise InputError(f"smoothing width eps={eps} is below the float resolution at b={b}")
     _valid_loan_params = (c, rho, b, eps)
 
 

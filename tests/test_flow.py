@@ -8,6 +8,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 import pdmpval.flow
+import pdmpval.loan
 from pdmpval.errors import InputError, ModelError
 from pdmpval.flow import build_flow_table
 from pdmpval.loan import SmoothedLoanModel
@@ -189,10 +190,126 @@ class TestGridMarch:
         ode = march_args[0].sol
         rng = np.random.default_rng(5)
         ts = np.sort(np.concatenate([ode.ts, rng.uniform(ode.ts[0], ode.ts[-1], 2_000)]))
-        y_at = pdmpval.flow._float_dense_output(ode)
+        y_at = pdmpval.flow._float_dense_output(pdmpval.flow._rk_segments(ode))
         got = np.array([y_at(float(t)) for t in ts])
         want = np.array([ode(t)[0] for t in ts])
         assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
+
+
+def _scalar_march_grid(sol, drift, upper, t_end, fs, refine, g_max):
+    """The grid march one scalar step at a time, as it ran before capped runs
+    were batched: the oracle the batched march must equal bit for bit."""
+    y_at = pdmpval.flow._float_dense_output(pdmpval.flow._rk_segments(sol.sol))
+    hy = max(pdmpval.flow._STENCIL * fs, 1e-9)
+    h_cap, pos_tol = pdmpval.flow._H_CAP, pdmpval.flow._POS_TOL
+    windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
+    ts = [0.0]
+    t = 0.0
+    while t < t_end:
+        y = min(y_at(t), upper)
+        g_lo, g, g_hi = float(drift(y - hy)), float(drift(y)), float(drift(y + hy))
+        gp = (g_hi - g_lo) / (2.0 * hy)
+        gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
+        y3 = abs((gpp * g + gp * gp) * g)
+        h = (96.0 * pos_tol / (y3 + 1e-300)) ** (1.0 / 3.0)
+        h = min(h, h_cap)
+        for lo, hi in windows:
+            if lo <= y <= hi:
+                h = min(h, fs / (16.0 * max(g, 1e-300)), h_cap)
+            elif y < lo and g > 0.0:
+                h = min(h, max((lo - y) / g_max, 1e-7))
+        h = max(h, 1e-7, 1e-12 * t_end)
+        t = min(t + h, t_end)
+        ts.append(t)
+    return np.asarray(ts)
+
+
+def _slow_drift(y):
+    return 0.01 + 0.0 * np.asarray(y, dtype=float)
+
+
+def _flat_reward(y):
+    return 0.0 * np.asarray(y, dtype=float)
+
+
+_MARCH_BUILDS = {
+    # the epsilon study's four widths
+    **{f"loan-{eps}": lambda eps=eps: SmoothedLoanModel.build(eps=eps)
+       for eps in (0.08, 0.04, 0.02, 0.01)},
+    # every step capped, t_end inside the first batch
+    "constant": _build_const_table,
+    # a 500-step capped run cut by the guard and the window around y = 5
+    "window-cut": lambda: build_flow_table(_slow_drift, (0.0, 10.0), 0.1, _flat_reward,
+                                           refine_y=(5.0,)),
+    # a capped run inside the window around y = 2, cut where the window's
+    # step fs / (16 drift) falls below the cap (drift 0.0102, at y = 2)
+    "window-binds": lambda: build_flow_table(lambda y: 0.01 + 1e-4 * np.asarray(y, dtype=float),
+                                             (0.0, 10.0), 0.1, _flat_reward,
+                                             feature_scale=0.3264, refine_y=(2.0,)),
+    # t_end just below 1030 falls inside the fourth batch (512 predicted steps)
+    "end-in-run": lambda: build_flow_table(_slow_drift, (0.0, 10.3), 0.1, _flat_reward),
+    # the curvature bound binds everywhere (third derivative >= 2), so no
+    # step reaches the cap
+    "no-cap": lambda: build_flow_table(lambda y: 1.0 + np.asarray(y, dtype=float) ** 2,
+                                       (0.0, 10.0), 0.1, _flat_reward),
+}
+
+
+def _capture_march(build):
+    seen = []
+    real = pdmpval.flow._march_grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pdmpval.flow, "_march_grid", lambda *a: seen.append(a) or real(*a))
+        build()
+    return seen[0]
+
+
+@pytest.fixture(scope="module", params=sorted(_MARCH_BUILDS))
+def march_case(request):
+    args = _capture_march(_MARCH_BUILDS[request.param])
+    return request.param, args, _scalar_march_grid(*args)
+
+
+class TestBatchedMarch:
+    def test_grid_equals_scalar_march(self, march_case):
+        name, args, want = march_case
+        got = pdmpval.flow._march_grid(*args)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        capped = np.diff(want) == pdmpval.flow._H_CAP
+        assert capped.any() == (name != "no-cap")
+
+    def test_array_dense_output_equals_float(self, march_case):
+        _, args, grid = march_case
+        ode = args[0].sol
+        segments = pdmpval.flow._rk_segments(ode)
+        ts = np.sort(np.concatenate([grid, ode.ts]))
+        y_at = pdmpval.flow._float_dense_output(segments)
+        want = np.array([y_at(float(t)) for t in ts])
+        assert _same_bits(pdmpval.flow._array_dense_output(segments)(ts), want)
+
+    def test_loan_build_takes_capped_runs_as_batches(self, monkeypatch):
+        calls = []
+        real = pdmpval.loan.smoothed_drift_loan
+        monkeypatch.setattr(pdmpval.loan, "smoothed_drift_loan",
+                            lambda *a: calls.append(1) or real(*a))
+        table = SmoothedLoanModel.build().table
+        assert len(calls) <= 15_000  # 42.7k one step at a time
+        assert np.sum(np.diff(table.grid_t) == pdmpval.flow._H_CAP) > 10_000
+
+    def test_node_guard_counts_batched_nodes(self, monkeypatch):
+        args = _capture_march(_MARCH_BUILDS["end-in-run"])
+        nodes = len(_scalar_march_grid(*args))
+        taken = []
+        real = pdmpval.flow._capped_prefix
+        monkeypatch.setattr(pdmpval.flow, "_capped_prefix",
+                            lambda *a: taken.append(real(*a)) or taken[-1])
+        monkeypatch.setattr(pdmpval.flow, "_MAX_NODES", nodes)
+        assert len(pdmpval.flow._march_grid(*args)) == nodes
+        assert sum(taken) > nodes - 10  # nearly every node came from a batch
+        for limit in (nodes - 1, 200):
+            monkeypatch.setattr(pdmpval.flow, "_MAX_NODES", limit)
+            with pytest.raises(ModelError, match="did not terminate"):
+                pdmpval.flow._march_grid(*args)
 
 
 class TestRewardIntegral:
@@ -534,6 +651,22 @@ class TestBuilderValidation:
         with pytest.raises(InputError):
             build_flow_table(lambda y: 1.0 + 0.0 * np.asarray(y), (0.0, 1.0), 0.0,
                              lambda y: 0.0 * np.asarray(y))
+
+    @pytest.mark.parametrize("drift", [
+        lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),  # NaN on part of the domain
+        lambda y: np.full(np.shape(y), np.nan),
+        lambda y: np.full(np.shape(y), np.inf),
+    ], ids=["nan-part", "nan-all", "inf"])
+    def test_non_finite_drift_rejected(self, drift):
+        with pytest.raises(ModelError, match="finite"):
+            build_flow_table(drift, (0.0, 1.0), 0.1, _flat_reward)
+
+    def test_reward_feature_inside_frozen_band_rejected(self):
+        # the path ends 1e-12 of the span below the top, at the tail anchor:
+        # a reward step above it would be charged at the rate below forever
+        step = lambda y: np.where(np.asarray(y, dtype=float) > 10.0 - 1e-12, 1.0, 0.0)
+        with pytest.raises(ModelError, match="frozen tail band"):
+            build_flow_table(lambda y: 2.0 + 0.0 * np.asarray(y), (0.0, 10.0), 0.1, step)
 
     def test_reward_grid_must_be_prefix_of_flow_grid(self, const_table):
         bad = const_table.reward_t.copy()

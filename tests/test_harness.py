@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,19 @@ class TestCLI:
                      "--workers", "-3"])
         assert code == 2
         assert "error: workers must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps, message", [
+        ("1e-4", "frozen tail band"), ("1e-12", "frozen tail band"),
+        ("1e-40", "float resolution"), ("1e-60", "float resolution"),
+    ])
+    def test_unresolved_smoothing_width_exit_code(self, capsys, eps, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["value", "--points", "64", "--jumps", "1", "--replicates", "2",
+                         "--epsilon", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "value=" not in captured.out
 
     def test_gauss_value_with_one_replicate(self, tmp_path, capsys):
         out_csv = tmp_path / "g.csv"

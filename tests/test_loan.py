@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pdmpval.errors import InputError
+from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams, SmoothedLoanModel
 from pdmpval.model import value_upper_bound
 from pdmpval.smoothing import smoothed_kernel_integrate
@@ -30,7 +32,7 @@ class TestLoanParams:
         with pytest.raises(InputError, match=name):
             LoanParams(**{name: value})
 
-    @pytest.mark.parametrize("eps", [0.0, math.nan, B / 4.0, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, math.nan, B / 4.0, 1.0, 1e-16, 1e-40, 1e-60, 5e-324])
     def test_smoothing_width_checked(self, eps):
         with pytest.raises(InputError, match="smoothing width"):
             LoanParams(eps=eps)
@@ -66,6 +68,31 @@ class TestSmoothedLoanModel:
             u = float(rng.uniform(0.0, 1.0 - 1e-12))
             landed = branch.transform(u, y)
             assert -C / RHO < landed <= y + 1e-12
+
+    def test_validate_evaluates_whole_sample_grids(self, loan_model):
+        spec = loan_model.spec
+        calls = []
+        counted = dataclasses.replace(
+            spec,
+            reward=lambda k, y: calls.append(k) or spec.reward(k, y),
+            terminal=lambda k, y: calls.append(k) or spec.terminal(k, y),
+        )
+        counted.validate()
+        assert len(calls) == 2 * len(spec.components)  # no per-sample fallback
+        assert spec.reward(2, 1.0) == spec.terminal(1, 1.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [2e-4, 1e-4, 1e-12])
+    def test_width_below_tail_band_rejected(self, eps):
+        # at 1e-4 the rate frozen at the tail anchor would be 0.5 c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="frozen tail band"):
+                SmoothedLoanModel.build(eps=eps)
+
+    def test_narrowest_resolved_width_builds(self):
+        # the frozen rate is 0.9913 c at 5e-4, within 1% of the rate at b
+        table = SmoothedLoanModel.build(eps=5e-4).table
+        assert 0.99 * C < table.l_tail < C
 
     def test_boundedness_warning_below_threshold(self):
         with pytest.warns(UserWarning, match="unbounded near"):
