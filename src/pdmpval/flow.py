@@ -14,17 +14,20 @@ bisection fallback, so the semigroup identity holds to machine precision.
 
 scipy builds the spline coefficients; the lookups evaluate them with scipy's
 interval rule and summation order, so every value is bit-identical to calling
-the splines.  A stage of the integrand is one call, ``advance(y, t)``, that
-shares interval lookups: grid_y = P(grid_t), so the grid_y interval of y is
-also the grid_t interval of the seed and Newton times (a checked neighbour
-step confirms it); the reward grid is a prefix of grid_t, so the reward
-intervals are grid intervals; and one lookup of T(y) + t serves both the
-position and the reward there.  That is two lookups per point instead of
-seven, and neither is a binary search: a guide table per knot array (Chen &
-Asau 1974; Devroye 1986, section III.2.4) maps a point to a guessed interval
-in O(1), and the checked neighbour step finishes it.  grid_t is guided on the
-time itself, grid_y on the log-distance above the ruin end, where the drift
-vanishes linearly and the knots are geometric.  The few points the step does
+the splines.  A stage of the integrand is one call, ``advance(y, t)``, or
+``reward_integral(y, t)`` on the last stage, whose position nothing reads;
+a scalar y (the first stage, where every node starts at x0) is solved once
+and broadcast against t.  The call shares interval lookups: grid_y =
+P(grid_t), so the grid_y interval of y is also the grid_t interval of the
+seed and Newton times (a checked neighbour step confirms it); the reward
+grid is a prefix of grid_t, so the reward intervals are grid intervals; and
+one lookup of T(y) + t serves both the position and the reward there.  That
+is two lookups per point instead of seven, and neither is a binary search:
+a guide table per knot array (Chen & Asau 1974; Devroye 1986, section
+III.2.4) maps a point to a guessed interval in O(1), and the checked
+neighbour step finishes it.  grid_t is guided on the time itself, grid_y on
+the log-distance above the ruin end, where the drift vanishes linearly and
+the knots are geometric.  The few points the step does
 not settle are searched, so every interval equals the binary search's.
 Positions at y_start, where every path parked at the ruin end and every
 position below it clamp, take one time and interval solved by the same chain
@@ -42,7 +45,9 @@ the trajectory's third derivative, with a step cap.  Most of the barrier tail
 is one run of capped steps: there each capped step predicts the next times by
 adding the cap, as the loop would, and one array pass of the same step rule
 takes the prefix of them that is certainly capped, so the grid is the scalar
-loop's bit for bit at about a quarter of the drift calls.
+loop's bit for bit at about a quarter of the drift calls.  A batch that
+takes nothing is not retried until a step falls below the cap.  A march
+that hits the solver's time cap ends short of the upper end by ``end_gap``.
 """
 
 from __future__ import annotations
@@ -93,7 +98,6 @@ class FlowTable:
     t_tail: float
     y_tail: float
     l_tail: float
-    converged: bool
     lower: float
     upper: float
 
@@ -146,6 +150,11 @@ class FlowTable:
     def horizon(self) -> float:
         return float(self.grid_t[-1])
 
+    @property
+    def end_gap(self) -> float:
+        """Distance upper - y_end by which the table stops short of the upper end."""
+        return self.upper - self.y_end
+
     # -- lookups -----------------------------------------------------------
 
     def pos_at(self, u):
@@ -177,9 +186,10 @@ class FlowTable:
 
         Table lookup up to the tail anchor plus the frozen-rate closed form
         beyond it; t may be +inf.  Nondecreasing in t and in y, bounded by
-        sup(reward)/delta.
+        sup(reward)/delta.  The reward of :meth:`advance`, bit for bit,
+        without evaluating the position reached.
         """
-        out = self.advance(y, t)[0]
+        out = self._reward_and_end(y, t)[0]
         return out if out.ndim else float(out)
 
     def reward_from_master(self, T0, t):
@@ -199,17 +209,33 @@ class FlowTable:
         instead of seven: the grid_y interval of y serves the seed, Newton and
         residual steps of time_of and the reward at T0, and the grid_t
         interval of T0 + t serves both the position and the reward there.
+        A scalar y (every path's shared start) is solved once.
         """
-        y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
+        reward, uc, ke = self._reward_and_end(y, t)
+        return reward, self._position(uc, ke).reshape(reward.shape)
+
+    def _reward_and_end(self, y, t):
+        """The reward of :meth:`advance`, and the clamped end time and its grid_t interval.
+
+        A scalar y takes one time_of solve: T0 and its interval stay scalars
+        and broadcast against t, so exp(delta T0), the reward at T0 and the
+        tail's lead term are computed once, and the result takes t's shape.
+        Every operation is elementwise, so the values are those of y broadcast
+        to t's shape, bit for bit.
+        """
+        y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
+        if y.ndim:
+            y, t = np.broadcast_arrays(y, t)
         if np.any(t < 0.0):
             raise InputError("flow time must be nonnegative")
-        shape = y.shape
+        shape = t.shape
         T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
+        if not y.ndim:
+            T0, k0 = T0[0], k0[0]
         t = t.ravel()
         te = T0 + t
         uc, ke = self._clamped_time(te)
-        return (self._reward(T0, t, te, k0, ke).reshape(shape),
-                self._position(uc, ke).reshape(shape))
+        return self._reward(T0, t, te, k0, ke).reshape(shape), uc, ke
 
     def _clamped_time(self, u):
         """u clamped to [0, horizon] (non-finite to the horizon), and its grid_t interval."""
@@ -408,8 +434,8 @@ def build_flow_table(
     The solver runs from y_start = lower + 1e-8*(upper-lower) with RK45 at
     local tolerance ``tol`` until the position is within 1e-12*(upper-lower)
     of the upper end or the time cap 1e3*(upper-lower)/max(drift) is hit
-    (cap -> table flagged non-converged; all queries beyond the horizon pin
-    to the table end).
+    (then the table ends short of the upper end by its ``end_gap``; all
+    queries beyond the horizon pin to the table end).
     The dense solution is sampled on a grid adapted to the local third
     time-derivative of the trajectory, refined around ``refine_y`` features
     of width ``feature_scale``.
@@ -455,7 +481,6 @@ def build_flow_table(
     )
     if not sol.success:
         raise ModelError(f"flow integration failed: {sol.message}")
-    converged = sol.status == 1
     t_end = float(sol.t[-1])
 
     grid_t = _march_grid(sol, drift, upper, t_end, fs, np.sort(np.asarray(refine_y, float)), g_max)
@@ -511,7 +536,6 @@ def build_flow_table(
         t_tail=t_tail,
         y_tail=y_tail,
         l_tail=l_tail,
-        converged=converged,
         lower=lower,
         upper=upper,
     )
@@ -556,7 +580,9 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     _BATCH_MARGIN are certainly capped steps of the loop too, so they are
     appended as they are and the loop resumes at the first time in doubt;
     the grid is the scalar loop's bit for bit.  A batch holds _BATCH_MIN
-    times and doubles, up to _BATCH_MAX, while batches are taken whole.
+    times and doubles, up to _BATCH_MAX, while batches are taken whole.  A
+    batch that takes nothing (a step in the margin zone) starts no new batch
+    until a step falls below the cap.
     """
     segments = _rk_segments(sol.sol)
     y_at = _float_dense_output(segments)
@@ -567,6 +593,7 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     ts = [0.0]
     count = 1
     t = 0.0
+    batching = True  # off after a batch takes nothing, until a step falls below the cap
     while t < t_end:
         y = min(y_at(t), upper)
         g_lo, g, g_hi = float(drift(y - hy)), float(drift(y)), float(drift(y + hy))
@@ -586,7 +613,9 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
         count += 1
         if count > _MAX_NODES:
             raise ModelError("flow grid construction did not terminate")
-        if h != _H_CAP:
+        if h < _H_CAP:
+            batching = True
+        if h != _H_CAP or not batching:
             continue
         size = _BATCH_MIN
         while t < t_end:
@@ -596,6 +625,7 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
             live = int(np.searchsorted(times[:size], t_end))  # times the loop would step from
             taken = _capped_prefix(times[:live], ys_at, drift, upper, hy, fs, windows, g_max)
             if not taken:
+                batching = False
                 break
             nodes = times[1:taken + 1]
             nodes[-1] = min(nodes[-1], t_end)

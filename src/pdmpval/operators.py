@@ -18,6 +18,10 @@ overflow (possible only on an astronomically unlikely corner of the cube)
 is detected rather than silently wrapped.  Jumps below the ruin level carry
 zero mass by construction (the substitution samples sizes on
 (0, chi + c/rho)), so the integrand never leaves the live component.
+
+Each stage is one flow-table call.  Every node starts at x0, so the first
+stage passes it as a scalar and its master time is solved once; the last
+stage reads only the reward L, since chi_n is never used.
 """
 
 from __future__ import annotations
@@ -107,14 +111,17 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
 
     logv = np.clip(cols(0), _LOG_TINY, 1.0)
     m = logv.shape[0]
-    chi = np.full(m, float(x0))
+    chi = float(x0)  # every node starts here: the first stage solves its time once
     logw = np.zeros(m)
     total = np.zeros(m)
     for j in range(n):
         if j:
             logv = np.clip(cols(2 * j), _LOG_TINY, 1.0)
         np.log(logv, out=logv)
-        reward, chi_pre = table.advance(chi, -logv)
+        if j == n - 1:  # nothing reads the last stage's position
+            reward = table.reward_integral(chi, -logv)
+        else:
+            reward, chi_pre = table.advance(chi, -logv)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
         if j < n - 1:
             span = chi_pre - ruin
@@ -122,10 +129,9 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
             logw += (log_lam + (lam + delta - 1.0) * logv
                      + log_alpha - alpha * jump + np.log(span))
             chi = chi_pre - jump
-            del span, jump
-        # free this stage's arrays before the next stage's lookups, the
-        # point where a stacked batch holds the most temporaries
-        del reward, chi_pre, logv
+            # free this stage's arrays before the next stage's lookups, the
+            # point where a stacked batch holds the most temporaries
+            del reward, chi_pre, logv, span, jump
     if not np.all(np.isfinite(total)):
         raise ModelError("iterated integrand overflowed at a corner node")
     return total

@@ -340,6 +340,35 @@ class TestEstimateValue:
             est = estimate_value(0.0, 32, rule, loan_model, workers=workers)
             assert (est.value.hex(), est.std_error.hex()) == self._DEEP_GOLDENS[kind]
 
+    # value and std_error at n = 1 and 2 over two chunks and two stacks,
+    # recorded before the first stage solved the shared start once
+    _SHALLOW_GOLDENS = {
+        ("sobol", 1): ("0x1.7a6f634b592b2p-4", "0x1.ab20d2f637717p-25"),
+        ("halton", 1): ("0x1.7a6f634b592b2p-4", "0x1.ab20d2f637717p-25"),
+        ("mc", 1): ("0x1.7f1617a63ecfdp-4", "0x1.54d2a7ff8e1d5p-11"),
+        ("sobol", 2): ("0x1.1684cb7b30066p-2", "0x1.088b3661c8f8bp-7"),
+        ("halton", 2): ("0x1.1f6305f22f996p-2", "0x1.92a2896fa3ca2p-9"),
+        ("mc", 2): ("0x1.164fd47a6090bp-2", "0x1.27bc8911a767bp-6"),
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(_SHALLOW_GOLDENS))
+    def test_shallow_estimate_goldens(self, loan_model, kind, n):
+        rule = CubatureSpec(kind=RuleKind(kind), M=8192 + 512, d=2 * n, seed=11, replicates=5)
+        for workers in (1, 2):
+            est = estimate_value(0.0, n, rule, loan_model, workers=workers)
+            assert (est.value.hex(), est.std_error.hex()) == self._SHALLOW_GOLDENS[kind, n]
+
+    _GAUSS_GOLDENS = {
+        (1, 32, 0.0): "0x1.765f834b3ee5ep-4",
+        (1, 32, 1.5): "0x1.3b17cfca0f251p-2",
+        (2, 12, 0.0): "0x1.eac67030f7acdp-3",
+        (2, 12, 1.5): "0x1.45963c84329c4p-1",
+    }
+
+    @pytest.mark.parametrize("n, m, x0", sorted(_GAUSS_GOLDENS))
+    def test_shallow_gauss_goldens(self, loan_model, n, m, x0):
+        assert gauss_value(x0, n, m, loan_model).hex() == self._GAUSS_GOLDENS[n, m, x0]
+
     def test_deep_estimate_bits_independent_of_workers(self, loan_model):
         # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=8192 + 512, d=64, seed=3, replicates=2)
@@ -349,15 +378,36 @@ class TestEstimateValue:
 
     def test_one_flow_table_call_and_two_guided_lookups_per_stage(self, loan_model,
                                                                   monkeypatch):
-        calls = {"advance": 0, "find": 0}
+        calls = {"advance": 0, "reward_integral": 0, "find": 0}
+        solved, end_positions = [], []  # time_of solve sizes; stage of each end position
         searched = []
         table_cls = type(loan_model.table)
         real_advance, real_interval = table_cls.advance, pdmpval.flow._interval
+        real_reward_integral = table_cls.reward_integral
+        real_solve, real_position = table_cls._solve_time, table_cls._position
         real_find = pdmpval.flow._Guide.find
+        in_solve = []
 
         def advance(self, y, t):
             calls["advance"] += 1
             return real_advance(self, y, t)
+
+        def reward_integral(self, y, t):
+            calls["reward_integral"] += 1
+            return real_reward_integral(self, y, t)
+
+        def solve_time(self, yc):
+            solved.append(yc.size)
+            in_solve.append(1)
+            try:
+                return real_solve(self, yc)
+            finally:
+                in_solve.pop()
+
+        def position(self, uc, k):
+            if not in_solve:  # the residual check of time_of reads positions too
+                end_positions.append(calls["advance"] + calls["reward_integral"] - 1)
+            return real_position(self, uc, k)
 
         def find(self, x):
             calls["find"] += 1
@@ -371,6 +421,9 @@ class TestEstimateValue:
             raise AssertionError("lookup called a scipy spline")
 
         monkeypatch.setattr(table_cls, "advance", advance)
+        monkeypatch.setattr(table_cls, "reward_integral", reward_integral)
+        monkeypatch.setattr(table_cls, "_solve_time", solve_time)
+        monkeypatch.setattr(table_cls, "_position", position)
         monkeypatch.setattr(pdmpval.flow._Guide, "find", find)
         monkeypatch.setattr(pdmpval.flow, "_interval", interval)
         monkeypatch.setattr(PPoly, "__call__", no_spline)
@@ -379,7 +432,11 @@ class TestEstimateValue:
         n, m = 6, 512
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
         estimate_value(0.0, n, rule, loan_model)
-        assert calls == {"advance": n, "find": 2 * n}
+        # the last stage reads only the reward: nothing takes its position
+        assert calls == {"advance": n - 1, "reward_integral": 1, "find": 2 * n}
+        assert end_positions == list(range(n - 1))
+        # every node starts at x0, so the first stage solves one time
+        assert len(solved) == n and solved[0] == 1
         # binary searches only for the residue the guided step leaves
         assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
 
