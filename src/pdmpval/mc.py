@@ -11,8 +11,9 @@ Each jump is one fused pass over the live paths of a chunk: the ascent time
 to zero is computed once and feeds both the barrier time and the post-flow
 position, and a ruined path is written to the chunk's outputs and dropped
 from the working arrays.  Every step still draws full-width (inter-jump
-time, claim size) arrays for the whole chunk and takes the live entries, so
-the draw a path sees never depends on which other paths are ruined.
+time, claim size) arrays for the whole chunk, as one standard-exponential
+fill of a reused buffer, and takes the live entries once a path is ruined,
+so the draw a path sees never depends on which other paths are ruined.
 """
 
 from __future__ import annotations
@@ -60,13 +61,19 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
     t = np.zeros(n_paths)
     pv = np.zeros(n_paths)
     buffers = [np.empty(n_paths) for _ in range(3)]
+    draw = np.empty((2, n_paths))
     with np.errstate(divide="ignore", over="ignore"):
         for step in range(max_jumps):
             # fixed draw layout: an (inter-jump time, claim) pair for every
-            # path of the chunk on every step; the live paths take theirs
-            dt = rng.exponential(1.0 / p.lam, size=n_paths)
-            sizes = rng.exponential(1.0 / p.alpha, size=n_paths)
-            dt, sizes = dt.take(live), sizes.take(live)
+            # path of the chunk on every step; the live paths take theirs.
+            # numpy's exponential(s) is s * standard_exponential(), so one
+            # fill scaled in place draws the same bits as two exponential()s
+            rng.standard_exponential(out=draw)
+            draw[0] *= 1.0 / p.lam
+            draw[1] *= 1.0 / p.alpha
+            dt, sizes = draw
+            if live.size < n_paths:
+                dt, sizes = dt.take(live), sizes.take(live)
             t_zero, y_up, t_hit = (buf[:y.size] for buf in buffers)
             # ascent time from y < 0 to 0 (a signed zero for y >= 0, which
             # every use below treats like +0.0); the clamp keeps it inf, not

@@ -499,6 +499,10 @@ class TestAdvance:
             loan_model.table.advance(0.0, -1.0)
         with pytest.raises(InputError):
             loan_model.table.reward_integral(0.0, np.array([1.0, -1.0]))
+        with pytest.raises(InputError):
+            loan_model.table.reward_from_master(0.0, -1.0)
+        with pytest.raises(InputError):
+            loan_model.table.reward_from_master(np.array([0.0, 400.0]), np.array([1.0, -1e-300]))
 
 
 def _ruin_end_batches(table, rng):
@@ -669,6 +673,66 @@ class TestLookupsMatchScipySplines:
         tr = np.concatenate([table.reward_t, np.nextafter(table.reward_t, np.inf),
                              np.nextafter(table.reward_t, -np.inf), [-1.0, 1e6]])
         assert _same_bits(table.reward_from_master(tr, 0.5), reward_from_master(tr, 0.5))
+
+    def test_zero_stretch_ends_where_reward_turns_nonzero(self, loan_model, wide_table,
+                                                          const_table):
+        # Simpson's rule can make the first nonzero value negative (-1.5e-22
+        # at eps = 0.08, -0.11 on the constant table, where nothing is
+        # skipped), so the stretch ends at the first nonzero value
+        for table in (loan_model.table, wide_table, const_table):
+            kz = table._kz
+            assert kz == int(np.argmax(table.reward_cum != 0.0)) - 1
+            assert not table._reward_c[:, :kz].any() and table._reward_c[:, kz].any()
+        # the eps = 0.01 table reaches b - 2 eps, where dividends start, in interval 3188
+        assert loan_model.table._kz == 3188
+        assert loan_model.table.reward_cum[3189] > 0.0
+        assert const_table._kz == 0 and const_table.reward_cum[1] < 0.0
+
+    def test_zero_stretch_edges(self, loan_model, rng):
+        table = loan_model.table
+        kz = table._kz
+        time_of, _, reward_from_master = _scipy_lookups(table)
+        ends = table.reward_t[kz - 2:kz + 2]
+        ends = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+        # starts in [end / 2, end] make end - start exact, so start + t is the end
+        t0 = np.stack([0.5 * ends, rng.uniform(0.5, 1.0, ends.size) * ends,
+                       np.nextafter(ends, -np.inf), ends, np.zeros_like(ends)])
+        t = ends - t0
+        assert np.array_equal(t0 + t, np.broadcast_to(ends, t0.shape))
+        got = table.reward_from_master(t0, t)  # 2-D T0
+        assert _same_bits(got, reward_from_master(t0, t))
+        assert (got == 0.0).any() and (got > 0.0).any()
+        # a scalar T0: broadcast by reward_from_master, and kept scalar by
+        # reward_integral, whose start time is solved once
+        for start in (table.reward_t[kz - 3], 0.5 * (table.reward_t[kz - 3] + ends.min()),
+                      ends.min()):
+            assert _same_bits(table.reward_from_master(float(start), ends - start),
+                              reward_from_master(np.full(ends.shape, start), ends - start))
+            y = table.pos_at(start)
+            assert _same_bits(table.reward_integral(y, ends - start),
+                              reward_from_master(time_of(np.full(ends.shape, y)), ends - start))
+
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_tail_only_reward(self, loan_model, const_table, rng, which):
+        # a reward collected only past the tail anchor: the core is zero on
+        # every interval, so only the frozen-rate tail counts.  The constant
+        # table's reward grid is its whole grid, whose last interval, closed
+        # on the right, is never skipped
+        base = loan_model.table if which == "loan" else const_table
+        table = dataclasses.replace(base, reward_cum=np.zeros_like(base.reward_cum))
+        nr = len(table.reward_t)
+        assert table._kz == min(nr - 1, len(table.grid_t) - 2) and table.l_tail > 0.0
+        time_of, _, reward_from_master = _scipy_lookups(table)
+        tt = table.t_tail
+        t0 = np.concatenate([time_of(_lookup_probe_states(table, rng)), table.reward_t[-3:],
+                             [tt, np.nextafter(tt, -np.inf)]])
+        for t in (-np.log(rng.uniform(size=t0.size)), tt - t0, np.nextafter(tt - t0, np.inf),
+                  0.0, np.inf, np.nan):
+            t = np.maximum(np.broadcast_to(t, t0.shape), 0.0)
+            got = table.reward_from_master(t0, t)
+            assert _same_bits(got, reward_from_master(t0, t))
+        assert table.reward_from_master(0.0, tt) == 0.0
+        assert table.reward_from_master(0.0, np.inf) > 0.0
 
     def test_scalar_lookups_return_floats(self, loan_model):
         table = loan_model.table

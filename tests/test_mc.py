@@ -293,6 +293,32 @@ class TestMCReference:
         with pytest.raises(InputError, match="finite"):
             mc_reference(loan_params, x0, 100, seed=1, max_jumps=8)
 
+    # value and std_error at seed 0, recorded when each step drew its
+    # inter-jump times and claim sizes by two exponential() calls
+    _GOLDENS = {
+        (0.0, 65_536, 512): ("0x1.4be555897ec36p+5", "0x1.0316f6bfdc14cp-4"),
+        (0.0, 10_000, 64): ("0x1.cb1740d9a4c1ap+3", "0x1.6c72ce35ff728p-4"),
+        (0.0, 70_000, 2): ("0x1.15334733b67aap-2", "0x1.9a9fc3765d23ap-9"),
+        (0.0, 3, 30): ("0x1.bffd348b04dedp+2", "0x1.252b06520c320p+2"),
+        (-50.0, 65_536, 512): ("0x1.1dcb5d4aa69fdp-11", "0x1.9d39a4b82d730p-12"),
+        (-50.0, 10_000, 64): ("0x0.0p+0", "0x0.0p+0"),
+        (-50.0, 70_000, 2): ("0x0.0p+0", "0x0.0p+0"),
+        (-50.0, 3, 30): ("0x0.0p+0", "0x0.0p+0"),
+        (B, 65_536, 512): ("0x1.665b765694ed4p+5", "0x1.01a110b4dc9bbp-4"),
+        (B, 10_000, 64): ("0x1.186c6baa3fe05p+4", "0x1.70017ab25aa30p-4"),
+        (B, 70_000, 2): ("0x1.ee093f92857b1p+0", "0x1.96f235d9c5b74p-8"),
+        (B, 3, 30): ("0x1.29f4a68de8741p+3", "0x1.54ce6705faa05p+2"),
+        (-99.0, 65_536, 512): ("0x0.0p+0", "0x0.0p+0"),
+        (-99.0, 10_000, 64): ("0x0.0p+0", "0x0.0p+0"),
+        (-99.0, 70_000, 2): ("0x0.0p+0", "0x0.0p+0"),
+        (-99.0, 3, 30): ("0x0.0p+0", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("x0, n_paths, max_jumps", sorted(_GOLDENS))
+    def test_goldens(self, loan_params, x0, n_paths, max_jumps):
+        est = mc_reference(loan_params, x0, n_paths, seed=0, max_jumps=max_jumps)
+        assert (est.value.hex(), est.std_error.hex()) == self._GOLDENS[x0, n_paths, max_jumps]
+
 
 class TestRuinProbability:
     def test_classical_closed_form(self):

@@ -440,6 +440,36 @@ class TestEstimateValue:
         # binary searches only for the residue the guided step leaves
         assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
 
+    @pytest.mark.parametrize("n, skipped", [(32, 0.9), (1, 0.3)])
+    def test_reward_evaluated_only_past_the_zero_stretch(self, loan_model, monkeypatch,
+                                                         n, skipped):
+        # a point whose end interval lies in the zero stretch (ke < kz) has
+        # collected +0.0: no reward spline evaluation may see it.  n = 1 is
+        # one scalar-start stage; at n = 32 nearly every stage ends there
+        table = loan_model.table
+        table_cls = type(table)
+        real_reward, real_ppoly = table_cls._reward, pdmpval.flow._ppoly
+        live, total, widest = [], [], []  # per _reward call
+
+        def reward(self, T0, t, te, k0, ke):
+            live.append(int(np.count_nonzero(ke >= self._kz)))
+            total.append(ke.size)
+            widest.append(0)
+            return real_reward(self, T0, t, te, k0, ke)
+
+        def ppoly(c, k, s):
+            if c is table._reward_c:
+                widest[-1] = max(widest[-1], np.size(k))
+            return real_ppoly(c, k, s)
+
+        monkeypatch.setattr(table_cls, "_reward", reward)
+        monkeypatch.setattr(pdmpval.flow, "_ppoly", ppoly)
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=2048, d=2 * n, seed=5, replicates=2)
+        estimate_value(0.0, n, rule, loan_model)
+        assert len(live) == n
+        assert all(w <= m for w, m in zip(widest, live))
+        assert 0 < sum(live) <= (1.0 - skipped) * sum(total)
+
     @pytest.mark.parametrize("kind, name", [("sobol", "sobol_column"),
                                             ("halton", "halton_column")])
     def test_base_columns_generated_once_for_all_replicates(self, loan_model, monkeypatch,
