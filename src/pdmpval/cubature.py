@@ -34,6 +34,7 @@ __all__ = [
     "halton_permutations",
     "mc_points",
     "mc_chunk",
+    "keyed_stream",
     "MC_CHUNK_NODES",
     "cranley_patterson_shift",
     "cp_shift_vector",
@@ -48,7 +49,7 @@ _NBITS = 32
 _SCALE = float(2.0 ** -_NBITS)
 MC_CHUNK_NODES = 8192
 
-_MC_TAG = 0x6D63706E  # stream-domain separators for SeedSequence entropy
+_MC_TAG = 0x6D63706E  # stream-domain separators: the first integer of a keyed_stream key
 _CP_TAG = 0x63707368
 _HALTON_TAG = 0x686C746E
 
@@ -183,9 +184,7 @@ def halton_permutations(d: int, seed: Optional[int]):
         return None
     perms = []
     for j, base in enumerate(first_primes(d)):
-        rng = np.random.Generator(
-            np.random.Philox(seed=np.random.SeedSequence(entropy=(_HALTON_TAG, seed, j)))
-        )
+        rng = keyed_stream(_HALTON_TAG, seed, j)
         perm = np.concatenate([[0], 1 + rng.permutation(int(base) - 1)])
         perms.append(perm.astype(np.int64))
     return perms
@@ -228,6 +227,13 @@ def halton_scrambled_points(M: int, d: int, seed: Optional[int] = None) -> np.nd
 # --- pseudorandom -------------------------------------------------------------
 
 
+def keyed_stream(*key: int) -> np.random.Generator:
+    """The Philox stream keyed by a tuple of integers: a stream-domain tag,
+    then the indices that pick the stream (seed, replicate, chunk, ...)."""
+    entropy = tuple(int(k) for k in key)
+    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=entropy)))
+
+
 def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
     """The first ``rows`` nodes of one fixed-size chunk of the (seed, replicate)
     uniform stream.
@@ -239,9 +245,7 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0)
     """
     if rows < 1 or rows > MC_CHUNK_NODES:
         raise InputError(f"rows must be in 1..{MC_CHUNK_NODES}")
-    ss = np.random.SeedSequence(entropy=(_MC_TAG, int(seed), int(replicate), int(chunk_index)))
-    gen = np.random.Generator(np.random.Philox(seed=ss))
-    return gen.random((rows, d))
+    return keyed_stream(_MC_TAG, seed, replicate, chunk_index).random((rows, d))
 
 
 def mc_points(M: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
@@ -257,8 +261,7 @@ def mc_points(M: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
 
 def cp_shift_vector(d: int, seed: int, replicate: int = 0) -> np.ndarray:
     """The Cranley-Patterson shift vector of one replicate."""
-    ss = np.random.SeedSequence(entropy=(_CP_TAG, int(seed), int(replicate)))
-    return np.random.Generator(np.random.Philox(seed=ss)).random(d)
+    return keyed_stream(_CP_TAG, seed, replicate).random(d)
 
 
 def cranley_patterson_shift(points: np.ndarray, seed: Optional[int] = None,

@@ -30,19 +30,21 @@ the log-distance above the ruin end, where the drift vanishes linearly and
 the knots are geometric.  The few points the step does
 not settle are searched, so every interval equals the binary search's.
 Positions at y_start, where every path parked at the ruin end and every
-position below it clamp, take one time and interval solved by the same chain
-at build time, so the chain runs only on the other points.
+position below it clamp, take time 0 in interval 0 (the first knot of both
+grids), so the chain runs only on the other points.
 
-The discounted running-reward integral is tabulated alongside the trajectory
-up to the tail anchor (the time the curve enters the 1e-6 barrier band); past
-the anchor the reward rate is frozen and the remaining integral is closed
-form, which also keeps every exp() argument bounded.  A reward that is zero
-up to some time (the loan dividends start at b - 2 eps) leaves a leading
-stretch of reward intervals with all-zero coefficients; a point whose end
-time lies in it has collected exactly +0.0, so the reward formulas run only
-on the other points (about 2% of a 32-jump estimate's).  The build refuses a
-reward whose rate varies across that frozen stretch by more than 1% of its
-supremum, and a drift that is not finite on the domain.
+The discounted running-reward integral is tabulated on the first knots of
+the trajectory grid, up to the tail anchor (the first knot in the 1e-6
+barrier band), so the table derives the reward grid and the anchor from the
+integral's length.  Past the anchor the reward rate is frozen and the
+remaining integral is closed form, which also keeps every exp() argument
+bounded.  A reward that is zero up to some time (the loan dividends start
+at b - 2 eps) leaves a leading stretch of reward intervals with all-zero
+coefficients; a point whose end time lies in it has collected exactly +0.0,
+so the reward formulas run only on the other points (about 2% of a 32-jump
+estimate's).  The build refuses a reward whose rate varies across that
+frozen stretch by more than 1% of its supremum, and a drift that is not
+finite on the domain.
 
 The time grid is marched one step at a time on Python floats from a bound on
 the trajectory's third derivative, with a step cap.  Most of the barrier tail
@@ -81,7 +83,7 @@ _MAX_NODES = 2_000_000   # grid march: most grid nodes before the build gives up
 _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 _GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
-_GUIDE_BLOCK = 4096      # guide table: knots per block of the build
+_RK_TOL = 1e-10          # RK45 relative tolerance of the master-trajectory solve
 
 
 @dataclass
@@ -89,40 +91,42 @@ class FlowTable:
     """Tabulated master trajectory with both parameterisations.
 
     grid_t / grid_y trace the trajectory from y_start toward the upper domain
-    end; reward_t / reward_cum hold the cumulative discounted reward integral
-    along the master clock up to the tail anchor (t_tail, y_tail, l_tail).
+    end; reward_cum holds the cumulative discounted reward integral along the
+    master clock at the first len(reward_cum) >= 2 knots, reward_t, up to the
+    tail anchor (t_tail, y_tail), the last of them, where the reward rate is
+    frozen at l_tail.
     """
 
     grid_t: np.ndarray
     grid_y: np.ndarray
     grid_dy: np.ndarray
-    reward_t: np.ndarray
     reward_cum: np.ndarray
     delta: float
-    t_tail: float
-    y_tail: float
     l_tail: float
     lower: float
     upper: float
 
+    reward_t: np.ndarray = field(init=False)
+    t_tail: float = field(init=False)
+    y_tail: float = field(init=False)
     _pos_c: np.ndarray = field(init=False, repr=False)
     _seed_c: np.ndarray = field(init=False, repr=False)
-    _reward_c: np.ndarray | None = field(init=False, repr=False)
+    _reward_c: np.ndarray = field(init=False, repr=False)
     _t_guide: "_Guide" = field(init=False, repr=False)
     _y_guide: "_Guide" = field(init=False, repr=False)
-    _start_time: tuple = field(init=False, repr=False)
     _kz: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the reward grid is the first nr knots of grid_t; the last is the tail anchor
+        nr = len(self.reward_cum)
+        self.reward_t = self.grid_t[:nr]
+        self.t_tail = float(self.grid_t[nr - 1])
+        self.y_tail = float(self.grid_y[nr - 1])
         if self.delta * self.t_tail > 700.0:
             raise ModelError(
                 f"discount * tail time = {self.delta * self.t_tail:.3g} overflows exp(); "
                 "the model's reward horizon is too long for this parameterisation"
             )
-        nr = len(self.reward_t)
-        if not (0 < nr <= len(self.grid_t) and self.reward_t[-1] == self.t_tail
-                and np.array_equal(self.reward_t, self.grid_t[:nr])):
-            raise ModelError("reward_t must be a prefix of grid_t ending at t_tail")
         # The scipy splines only build the coefficients; every lookup evaluates
         # them through the guided interval lookups and _ppoly below.
         # Hermite with the exact node slopes drift(y_i): fourth-order accurate,
@@ -132,23 +136,16 @@ class FlowTable:
         # dt/dy = 1/drift(y): the exact node slopes of the inverse trajectory
         self._seed_c = CubicHermiteSpline(self.grid_y, self.grid_t,
                                           1.0 / np.maximum(self.grid_dy, 1e-300)).c
-        self._reward_c = (PchipInterpolator(self.reward_t, self.reward_cum,
-                                            extrapolate=False).c if nr >= 2 else None)
+        self._reward_c = PchipInterpolator(self.reward_t, self.reward_cum, extrapolate=False).c
         # reward intervals [0, _kz) have all-zero coefficients: PCHIP takes
         # slope 0 at the last zero knot, so the stretch ends where reward_cum
         # turns nonzero.  The last grid interval, closed on the right and the
         # one every non-finite time lands in, is never part of it.
-        if self._reward_c is None:
-            self._kz = 0
-        else:
-            nonzero = np.flatnonzero(np.any(self._reward_c != 0.0, axis=0))
-            self._kz = min(int(nonzero[0]) if nonzero.size else nr - 1, len(self.grid_t) - 2)
+        nonzero = np.flatnonzero(np.any(self._reward_c != 0.0, axis=0))
+        self._kz = min(int(nonzero[0]) if nonzero.size else nr - 1, len(self.grid_t) - 2)
         lower, y0 = self.lower, self.y_start
         self._t_guide = _Guide(self.grid_t)
         self._y_guide = _Guide(self.grid_y, lambda y: np.log(np.maximum(y, y0) - lower))
-        # time and grid_t interval of y_start, solved once by the same chain
-        t, k = self._solve_time(np.array([y0]))
-        self._start_time = (t[0], k[0])
 
     # -- basic geometry ----------------------------------------------------
 
@@ -266,16 +263,16 @@ class FlowTable:
         """time_of on a flat array of clamped positions, with the grid_t interval of each time.
 
         Points at y_start (paths parked at the ruin end, and every position
-        clamped up to it) take the constant solved once in __post_init__; the
-        chain runs on the others only.  It is elementwise, so the result is
-        the chain's on the whole array bit for bit.
+        clamped up to it) take time +0.0 in interval 0: grid_y[0] = y_start is
+        the position at grid_t[0] = 0, and the chain returns exactly that
+        there.  The chain runs on the other points only.  It is elementwise,
+        so the result is the chain's on the whole array bit for bit.
         """
         at = yc == self.y_start
         if not at.any():
             return self._solve_time(yc)
-        t0, k0 = self._start_time
-        t = np.full(yc.shape, t0)
-        k = np.full(yc.shape, k0, dtype=np.intp)
+        t = np.zeros(yc.shape)
+        k = np.zeros(yc.shape, dtype=np.intp)
         rest = np.flatnonzero(~at)
         if rest.size:
             t[rest], k[rest] = self._solve_time(yc[rest])
@@ -336,17 +333,16 @@ class FlowTable:
     def _reward_full(self, T0, t, te, k0, ke):
         """The reward formulas of :meth:`_reward` on every point."""
         out = np.zeros(te.shape, dtype=float)
-        if self._reward_c is not None and self.t_tail > 0.0:
-            # reward_t is a prefix of grid_t ending at t_tail, so the reward
-            # intervals of the clipped times are the grid intervals capped
-            last = len(self.reward_t) - 2
-            k1, k0 = np.minimum(ke, last), np.minimum(k0, last)
-            t1 = np.clip(np.minimum(te, self.t_tail), 0.0, self.t_tail)
-            t0c = np.clip(T0, 0.0, self.t_tail)
-            core = np.exp(self.delta * t0c) * (
-                _ppoly(self._reward_c, k1, t1 - self.reward_t[k1])
-                - _ppoly(self._reward_c, k0, t0c - self.reward_t[k0]))
-            out += np.where(T0 < self.t_tail, core, 0.0)
+        # reward_t is a prefix of grid_t ending at t_tail, so the reward
+        # intervals of the clipped times are the grid intervals capped
+        last = len(self.reward_t) - 2
+        k1, k0 = np.minimum(ke, last), np.minimum(k0, last)
+        t1 = np.clip(np.minimum(te, self.t_tail), 0.0, self.t_tail)
+        t0c = np.clip(T0, 0.0, self.t_tail)
+        core = np.exp(self.delta * t0c) * (
+            _ppoly(self._reward_c, k1, t1 - self.reward_t[k1])
+            - _ppoly(self._reward_c, k0, t0c - self.reward_t[k0]))
+        out += np.where(T0 < self.t_tail, core, 0.0)
         lead = np.maximum(self.t_tail - T0, 0.0)
         with np.errstate(invalid="ignore"):
             tail = self.l_tail / self.delta * (np.exp(-self.delta * lead) - np.exp(-self.delta * t))
@@ -373,7 +369,7 @@ class _Guide:
     denser than the sub-buckets.
     :meth:`settle` checks the guess exactly and a binary search takes the
     rest, so :meth:`find` equals :func:`_interval` for every point.  Tables
-    are int32 and built in blocks of knots, to keep the guide small.
+    are int32, to keep the guide small.
     """
 
     def __init__(self, knots, key=None):
@@ -385,20 +381,15 @@ class _Guide:
         self.lo = float(keys[0])
         self.scale = n / (float(keys[-1]) - self.lo)
         self.top = float(np.nextafter(n, 0.0))  # largest bucket coordinate
-        blocks = [keys[i:i + _GUIDE_BLOCK] for i in range(0, n, _GUIDE_BLOCK)]
-        counts = np.zeros(n, dtype=np.int32)
-        for block in blocks:
-            counts += np.bincount(self._coord(block).astype(np.intp), minlength=n)
+        counts = np.bincount(self._coord(keys).astype(np.intp), minlength=n)
         self.split = np.minimum(2 * counts, _GUIDE_SPLIT).clip(1).astype(np.int32)
         first = np.cumsum(self.split) - self.split
         # slot = floor(coord * split[b] + base[b]) = first[b] + the sub-bucket
         self.base = (first - np.arange(n, dtype=np.int32) * self.split).astype(np.int32)
         # one slot of slack at the top takes a rounded-up last coordinate
-        per_slot = np.zeros(int(first[-1]) + int(self.split[-1]) + 1, dtype=np.int32)
-        for block in blocks:
-            per_slot += np.bincount(self._slot(block), minlength=per_slot.size)
+        per_slot = np.bincount(self._slot(keys), minlength=int(first[-1] + self.split[-1]) + 1)
         # guess: the interval of the last knot in an earlier slot
-        self.table = np.clip(np.cumsum(per_slot, dtype=np.int32) - per_slot - 1, 0, self.last)
+        self.table = np.clip(np.cumsum(per_slot) - per_slot - 1, 0, self.last).astype(np.int32)
 
     def _coord(self, keys):
         """Bucket coordinate in [0, n) of each key; -inf and NaN go to 0, +inf to the top."""
@@ -461,20 +452,21 @@ def build_flow_table(
     domain,
     delta: float,
     reward: Callable,
-    tol: float = 1e-10,
     feature_scale: float | None = None,
     refine_y: Sequence[float] = (),
 ) -> FlowTable:
     """Solve the autonomous ODE once and tabulate the master trajectory.
 
     The solver runs from y_start = lower + 1e-8*(upper-lower) with RK45 at
-    local tolerance ``tol`` until the position is within 1e-12*(upper-lower)
+    local tolerance ``_RK_TOL`` until the position is within 1e-12*(upper-lower)
     of the upper end or the time cap 1e3*(upper-lower)/max(drift) is hit
     (then the table ends short of the upper end by its ``end_gap``; all
     queries beyond the horizon pin to the table end).
     The dense solution is sampled on a grid adapted to the local third
     time-derivative of the trajectory, refined around ``refine_y`` features
-    of width ``feature_scale``.
+    of width ``feature_scale``.  The reward integral is tabulated on the first
+    nr knots of that grid, the last being the tail anchor: the first knot at
+    or above upper - 1e-6*(upper-lower), or the last knot if none is.
     ModelError if the drift is not finite or is negative on a 10,000-point
     sample of the domain, or if the reward rate varies across the frozen
     tail band (see :func:`_check_frozen_rate`).
@@ -510,8 +502,8 @@ def build_flow_table(
         (0.0, cap),
         [y_start],
         method="RK45",
-        rtol=tol,
-        atol=tol * span * 1e-2,
+        rtol=_RK_TOL,
+        atol=_RK_TOL * span * 1e-2,
         dense_output=True,
         events=hit,
     )
@@ -540,22 +532,14 @@ def build_flow_table(
     else:
         raise ModelError("could not refine the flow grid to a monotone interpolant")
 
-    # tail anchor: first time within the frozen band below the upper end
+    # tail anchor: the first node within the frozen band below the upper end,
+    # or the table end, where paths pin, if the grid stops short of the band
     y_freeze = upper - _TAIL_BAND * span
-    in_band = grid_y[-1] >= y_freeze  # else the anchor is the table end, where paths pin
-    if in_band:
-        k = int(np.searchsorted(grid_y, y_freeze))
-        t_tail = float(grid_t[min(k, len(grid_t) - 1)])
-        y_tail = float(grid_y[min(k, len(grid_t) - 1)])
-    else:
-        t_tail, y_tail = float(grid_t[-1]), float(grid_y[-1])
-    l_tail = float(reward(y_tail))
-
-    rt = grid_t[grid_t <= t_tail]  # t_tail is a grid node, so rt ends at it
-    ry = np.minimum(sol.sol(rt)[0], upper)
+    nr = min(int(np.searchsorted(grid_y, y_freeze)), len(grid_t) - 1) + 1
+    rt, ry = grid_t[:nr], grid_y[:nr]
     rates = np.asarray(reward(ry), dtype=float)
-    if in_band:
-        _check_frozen_rate(reward, y_tail, upper, np.max(np.abs(rates)))
+    if grid_y[-1] >= y_freeze:
+        _check_frozen_rate(reward, float(ry[-1]), upper, np.max(np.abs(rates)))
     integrand = np.exp(-delta * rt) * rates
     if rt.size >= 3:
         rc = cumulative_simpson(integrand, x=rt, initial=0.0)
@@ -566,12 +550,9 @@ def build_flow_table(
         grid_t=grid_t,
         grid_y=grid_y,
         grid_dy=grid_dy,
-        reward_t=rt,
         reward_cum=rc,
         delta=delta,
-        t_tail=t_tail,
-        y_tail=y_tail,
-        l_tail=l_tail,
+        l_tail=float(reward(ry[-1])),
         lower=lower,
         upper=upper,
     )

@@ -44,16 +44,15 @@ _DESK_SCHEDULE = tuple(50 * 2 ** j for j in range(1, 11))
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameter block of one experiment run (defaults: desk-scale study of
-    the published parameter set c=5, rho=0.05, b=3.24289, lam=4, alpha=1,
-    delta=0.02, eps=0.01, x0=0)."""
+    the published parameter set, the defaults of LoanParams, from x0=0)."""
 
-    c: float = 5.0
-    rho: float = 0.05
-    b: float = 3.24289
-    lam: float = 4.0
-    alpha: float = 1.0
-    delta: float = 0.02
-    eps: float = 0.01
+    c: float = LoanParams.c
+    rho: float = LoanParams.rho
+    b: float = LoanParams.b
+    lam: float = LoanParams.lam
+    alpha: float = LoanParams.alpha
+    delta: float = LoanParams.delta
+    eps: float = LoanParams.eps
     x0: float = 0.0
     methods: tuple = ("mc", "sobol")
     m_schedule: tuple = _DESK_SCHEDULE
@@ -350,7 +349,8 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
     check("smooth_join exterior exactness", float(np.max(np.abs(joined(outside) - expect))), 0.0)
 
     # loan drift: band equality and knot smoothness
-    c, rho, b, eps = 5.0, 0.05, 3.24289, 0.01
+    published = LoanParams()
+    c, rho, b, eps = published.c, published.rho, published.b, published.eps
     g = lambda y: funcs["smoothed_drift_loan"](y, c, rho, b, eps)
     ys = np.concatenate([np.linspace(-c / rho + 1e-6, -eps - 1e-9, 300),
                          np.linspace(eps + 1e-9, b - eps, 300)])
@@ -406,7 +406,7 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
     check("reward integral monotone in horizon",
           float(max(0.0, -np.min(np.diff(lvals, axis=1)))), 1e-12)
     check("reward integral bounded by c/delta",
-          float(max(0.0, np.max(lvals) - c / 0.02)), 1e-9)
+          float(max(0.0, np.max(lvals) - c / published.delta)), 1e-9)
 
     # cubature primitives
     nodes, wts = cubature.gauss_legendre(2)

@@ -32,7 +32,8 @@ __all__ = ["LoanParams", "SmoothedLoanModel", "unsmoothed_loan_model"]
 
 @dataclass(frozen=True)
 class LoanParams:
-    """Parameter block of the numerical experiment.
+    """Parameter block of the numerical experiment; the defaults are the
+    published parameter set, which every other default reads from here.
 
     Rates and levels must be finite and positive, and the smoothing width
     must fit the bands (see ``smoothing._check_loan_eps``).
@@ -102,14 +103,15 @@ class SmoothedLoanModel:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def build(cls, c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0, delta=0.02,
-              eps=0.01) -> "SmoothedLoanModel":
-        params = LoanParams(c=c, rho=rho, b=b, lam=lam, alpha=alpha, delta=delta, eps=eps)
-        if lam + delta <= 3.0:
+    def build(cls, **params) -> "SmoothedLoanModel":
+        """Build the model of ``LoanParams(**params)``: the published set by default."""
+        p = LoanParams(**params)
+        c, rho, b, eps = p.c, p.rho, p.b, p.eps
+        if p.lam + p.delta <= 3.0:
             # integrability condition for the substituted integrand to stay
             # bounded at the origin corner; a warning, not an error
             warnings.warn(
-                f"lam + delta = {lam + delta} <= 3: the substituted integrand "
+                f"lam + delta = {p.lam + p.delta} <= 3: the substituted integrand "
                 "is unbounded near v = 0",
                 stacklevel=2,
             )
@@ -117,13 +119,13 @@ class SmoothedLoanModel:
         reward = lambda y: smoothed_reward_loan(y, c, b, eps)
         table = build_flow_table(
             drift,
-            (params.ruin_level, b),
-            delta,
+            (p.ruin_level, b),
+            p.delta,
             reward,
             feature_scale=eps,
             refine_y=(-eps, 0.0, eps, b - 2.0 * eps, b - eps, b),
         )
-        model = cls(params=params, table=table)
+        model = cls(params=p, table=table)
         model.spec.validate()  # sample-check declared bounds and support rules
         return model
 
@@ -163,14 +165,15 @@ def _zeros(y):
     return np.zeros(np.shape(y)) if np.ndim(y) else 0.0
 
 
-def unsmoothed_loan_model(c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0,
-                          delta=0.02) -> ModelSpec:
-    """Five-component description of the original (unsmoothed) loan model.
+def unsmoothed_loan_model(**params) -> ModelSpec:
+    """Five-component description of the original (unsmoothed) loan model of
+    ``LoanParams(**params)``, which checks the rates (the width eps is unused).
 
     Used for boundary-hitting demonstrations; the crude Monte Carlo reference
     simulates this model with piecewise closed-form flows instead.
     """
-    ruin = -c / rho
+    p = LoanParams(**params)
+    c, rho, b, lam, ruin = p.c, p.rho, p.b, p.lam, p.ruin_level
     drift1 = lambda y: unsmoothed_drift_loan(y, c, rho, b)
     comps = {
         1: ComponentSpec(domain=Interval(0.0, b, closed_lower=True), drift=drift1,
@@ -188,7 +191,7 @@ def unsmoothed_loan_model(c=5.0, rho=0.05, b=3.24289, lam=4.0, alpha=1.0,
         jump_kernel=None,
         reward=lambda k, y: c if k == 3 else 0.0,
         terminal=lambda k, y: 0.0,
-        discount=delta,
+        discount=p.delta,
         reward_bound=c,
         terminal_bound=0.0,
     )

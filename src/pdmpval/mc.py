@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from .cubature import keyed_stream
 from .errors import InputError, require_int
 from .loan import LoanParams
 from .model import bias_bound
@@ -33,11 +34,6 @@ __all__ = ["mc_reference", "ruin_probability"]
 _PATH_CHUNK = 8192
 _MC_PATH_TAG = 0x70617468
 _RUIN_TAG = 0x7275696E
-
-
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=(_MC_PATH_TAG, int(seed), int(chunk)))
-    return np.random.Generator(np.random.Philox(seed=ss))
 
 
 def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
@@ -53,7 +49,7 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
     alive = np.full(n_paths, x0 > p.ruin_level)
     if not x0 > p.ruin_level:
         return pv_out, jumps, alive  # ruined from the start: nothing to draw for
-    rng = _chunk_rng(seed, chunk)
+    rng = keyed_stream(_MC_PATH_TAG, seed, chunk)
     c_rho = p.c / p.rho
     c_delta = p.c / p.delta
     live = np.arange(n_paths)  # chunk index of each working entry
@@ -192,8 +188,7 @@ def ruin_probability(c: float, lam: float, alpha: float, x0: float, horizon: flo
     ruined_total = 0
     for chunk, c0 in enumerate(range(0, n_paths, _PATH_CHUNK)):
         rows = min(_PATH_CHUNK, n_paths - c0)
-        ss = np.random.SeedSequence(entropy=(_RUIN_TAG, int(seed), int(chunk)))
-        rng = np.random.Generator(np.random.Philox(seed=ss))
+        rng = keyed_stream(_RUIN_TAG, seed, chunk)
         t = np.zeros(rows)
         x = np.full(rows, float(x0))
         alive = np.ones(rows, dtype=bool)  # not yet ruined, horizon not passed

@@ -39,6 +39,7 @@ from .cubature import (
     CubatureSpec,
     RuleKind,
     cp_shift_vector,
+    cranley_patterson_shift,
     gauss_product_chunk,
     halton_column,
     halton_permutations,
@@ -207,10 +208,8 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
                 rep_shifts = shifts[stack.start:stack.stop]
 
                 def cols(dim: int) -> np.ndarray:
-                    # cranley_patterson_shift of each replicate, end to end
-                    u = np.add.outer(rep_shifts[:, dim], column(dim)).ravel()
-                    u -= np.floor(u)
-                    return u
+                    shift = rep_shifts[:, dim, None]  # one row per replicate, laid end to end
+                    return cranley_patterson_shift(column(dim), shift=shift).ravel()
 
             vals = _integrand_batch(model, x0, n, cols)
             sums.extend(float(np.add.reduce(vals[i:i + rows]))

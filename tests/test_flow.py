@@ -20,7 +20,7 @@ C, RHO, B, EPS, DELTA = 5.0, 0.05, 3.24289, 0.01, 0.02
 def _build_const_table():
     drift = lambda y: 2.0 + 0.0 * np.asarray(y, dtype=float)
     reward = lambda y: np.where(np.asarray(y, dtype=float) > 8.0, 1.0, 0.0)
-    return build_flow_table(drift, (0.0, 10.0), 0.1, reward, tol=1e-11)
+    return build_flow_table(drift, (0.0, 10.0), 0.1, reward)
 
 
 @pytest.fixture(scope="module")
@@ -521,8 +521,15 @@ def _ruin_end_batches(table, rng):
 
 
 class TestRuinEndConstant:
-    """Positions at y_start (clamped there or parked at the ruin end) take the
-    time solved once at build; only the other positions run the time_of chain."""
+    """Positions at y_start (clamped there or parked at the ruin end) take time
+    +0.0 in interval 0; only the other positions run the time_of chain."""
+
+    @pytest.mark.parametrize("name", sorted(_MARCH_BUILDS))
+    def test_chain_puts_y_start_at_time_zero(self, name):
+        built = _MARCH_BUILDS[name]()
+        table = getattr(built, "table", built)
+        t, k = table._solve_time(np.array([table.y_start]))
+        assert _same_bits(t, [0.0]) and k.tolist() == [0]
 
     @pytest.mark.parametrize("which", ["loan", "const"])
     @pytest.mark.parametrize("name", ["all at y_start", "all below", "never at",
@@ -734,6 +741,14 @@ class TestLookupsMatchScipySplines:
         assert table.reward_from_master(0.0, tt) == 0.0
         assert table.reward_from_master(0.0, np.inf) > 0.0
 
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_reward_grid_and_anchor_follow_the_integral(self, loan_model, const_table, which):
+        base = loan_model.table if which == "loan" else const_table
+        for k in (2, len(base.reward_cum) - 1):
+            table = dataclasses.replace(base, reward_cum=base.reward_cum[:k])
+            assert np.array_equal(table.reward_t, base.grid_t[:k])
+            assert table.t_tail == base.grid_t[k - 1] and table.y_tail == base.grid_y[k - 1]
+
     def test_scalar_lookups_return_floats(self, loan_model):
         table = loan_model.table
         time_of, pos_at, _ = _scipy_lookups(table)
@@ -780,12 +795,3 @@ class TestBuilderValidation:
         step = lambda y: np.where(np.asarray(y, dtype=float) > 10.0 - 1e-12, 1.0, 0.0)
         with pytest.raises(ModelError, match="frozen tail band"):
             build_flow_table(lambda y: 2.0 + 0.0 * np.asarray(y), (0.0, 10.0), 0.1, step)
-
-    def test_reward_grid_must_be_prefix_of_flow_grid(self, const_table):
-        bad = const_table.reward_t.copy()
-        bad[1] *= 1.0 + 1e-12
-        with pytest.raises(ModelError, match="prefix"):
-            dataclasses.replace(const_table, reward_t=bad)
-        with pytest.raises(ModelError, match="prefix"):
-            dataclasses.replace(const_table, reward_t=const_table.reward_t[:-1],
-                                reward_cum=const_table.reward_cum[:-1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdmpval import mc
+from pdmpval.cubature import keyed_stream
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams
 from pdmpval.mc import mc_reference, ruin_probability
@@ -104,7 +105,7 @@ def _simulate_chunk_oracle(params, x0, n_paths, seed, chunk, max_jumps):
         return np.minimum(pos, b)
 
     p = params
-    rng = mc._chunk_rng(seed, chunk)
+    rng = keyed_stream(mc._MC_PATH_TAG, seed, chunk)
     y = np.full(n_paths, float(x0))
     t = np.zeros(n_paths)
     pv = np.zeros(n_paths)

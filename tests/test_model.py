@@ -67,6 +67,12 @@ class TestTStar:
         expect = math.log((C / RHO) / (y0 + C / RHO)) / RHO
         assert t_star(unsmoothed_spec, State(2, y0)) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["c", "rho", "b", "lam", "alpha", "delta"])
+    def test_unsmoothed_model_rejects_bad_rates(self, name, value):
+        with pytest.raises(InputError, match=name):
+            unsmoothed_loan_model(**{name: value})
+
     def test_domain_violation(self, loan_model):
         with pytest.raises(InputError):
             t_star(loan_model.spec, State(1, -C / RHO - 1.0))
