@@ -137,12 +137,26 @@ def sobol_column(dim: int, start: int, stop: int) -> np.ndarray:
         raise InputError(f"Sobol dimension {dim} outside 1..{sobol_max_dim()}")
     if start < 0 or stop > 1 << _NBITS:
         raise InputError("Sobol index range outside the 32-bit sequence")
-    idx = np.arange(start, stop, dtype=np.uint64)
     v = _direction_integers(dim)
-    acc = np.zeros(idx.shape, dtype=np.uint64)
-    top = int(stop - 1).bit_length()
-    for b in range(top):
-        acc ^= ((idx >> np.uint64(b)) & np.uint64(1)) * v[b]
+    # The integer of index i is the XOR of v[b] over the set bits b of i, so
+    # it is high(i >> k) ^ low(i mod 2^k).  The low table is built by
+    # doubling, low[j + 2^b] = low[j] ^ v[b]; with 2^k <= stop - start the
+    # range meets at most three blocks of 2^k indices, each one XOR of a
+    # slice of the table with that block's high part.
+    n = max(stop - start, 0)
+    k = max(n.bit_length() - 1, 0)
+    low = np.zeros(1 << k, dtype=np.uint64)
+    for b in range(k):
+        np.bitwise_xor(low[:1 << b], v[b], out=low[1 << b:2 << b])
+    acc = np.empty(n, dtype=np.uint64)
+    for blk in range(start >> k, ((stop - 1) >> k) + 1):
+        high = np.uint64(0)
+        for b in range(k, _NBITS):
+            if (blk >> (b - k)) & 1:
+                high ^= v[b]
+        base = blk << k
+        i0, i1 = max(start, base), min(stop, base + (1 << k))
+        np.bitwise_xor(low[i0 - base:i1 - base], high, out=acc[i0 - start:i1 - start])
     return acc.astype(np.float64) * _SCALE
 
 

@@ -14,7 +14,11 @@ bisection fallback, so the semigroup identity holds to machine precision.
 
 scipy builds the spline coefficients; the lookups evaluate them with scipy's
 interval rule and summation order, so every value is bit-identical to calling
-the splines.  A stage of the integrand is one call, ``advance(y, t)``, or
+the splines.  scipy is imported by the functions that use it, so importing
+the package (and the crude Monte Carlo reference, which needs only numpy)
+loads none of it; the first table build pays the import once.
+
+A stage of the integrand is one call, ``advance(y, t)``, or
 ``reward_integral(y, t)`` on the last stage, whose position nothing reads;
 a scalar y (the first stage, where every node starts at x0) is solved once
 and broadcast against t.  The call shares interval lookups: grid_y =
@@ -62,9 +66,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import InputError, ModelError
 
@@ -84,6 +85,12 @@ _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of t
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 _GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
 _RK_TOL = 1e-10          # RK45 relative tolerance of the master-trajectory solve
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy's ``brentq``, imported at the first straggler (see the module notes)."""
+    from scipy.optimize import brentq as _brentq
+    return _brentq(f, a, b, **kwargs)
 
 
 @dataclass
@@ -117,6 +124,8 @@ class FlowTable:
     _kz: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
         # the reward grid is the first nr knots of grid_t; the last is the tail anchor
         nr = len(self.reward_cum)
         self.reward_t = self.grid_t[:nr]
@@ -196,9 +205,13 @@ class FlowTable:
         """Discounted running reward collected along the flow from y over [0, t].
 
         Table lookup up to the tail anchor plus the frozen-rate closed form
-        beyond it; t may be +inf.  Nondecreasing in t and in y, bounded by
-        sup(reward)/delta.  The reward of :meth:`advance`, bit for bit,
-        without evaluating the position reached.
+        beyond it; t may be +inf.  For a nonnegative reward whose features
+        the build's ``refine_y`` names (the loan tables), nondecreasing in t
+        and in y and bounded by sup(reward)/delta; a feature the grid does
+        not resolve is integrated across coarse knots, and the value can then
+        dip below zero (a step reward on a four-knot table reads -0.112 where
+        the exact integral is 0).  The reward of :meth:`advance`, bit for
+        bit, without evaluating the position reached.
         """
         out = self._reward_and_end(y, t)[0]
         return out if out.ndim else float(out)
@@ -471,6 +484,8 @@ def build_flow_table(
     sample of the domain, or if the reward rate varies across the frozen
     tail band (see :func:`_check_frozen_rate`).
     """
+    from scipy.integrate import cumulative_simpson, solve_ivp
+
     lower, upper = float(domain[0]), float(domain[1])
     if not upper > lower:
         raise InputError(f"empty domain ({lower}, {upper})")

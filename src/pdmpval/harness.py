@@ -67,11 +67,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.m_schedule:
             raise InputError("the node-count schedule must be nonempty")
+        for m in self.m_schedule:
+            require_int("node count", m, 1)
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
             raise InputError("the node-count schedule must be strictly increasing")
         unknown = [m for m in self.methods if m not in _METHOD_KINDS]
         if unknown:
             raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")
+        if not math.isfinite(self.x0):
+            raise InputError(f"start value x0 must be finite, got {self.x0}")
         if self.jumps < 1:
             raise InputError("jumps must be >= 1")
         # the randomized rules need two replicates for an error bar; Gauss runs one

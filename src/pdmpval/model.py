@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError, ModelError
 from .smoothing import JumpKernelSpec
@@ -221,6 +220,8 @@ def t_star(model: ModelSpec, x: State) -> float:
     scale = float(np.max(np.abs(gz)))
     if np.any(sign * gz <= 0.0) or abs(gz[-1]) < 1e-9 * max(scale, 1.0):
         return math.inf  # equilibrium blocks the way or the approach is asymptotic
+    from scipy.integrate import quad
+
     val, _ = quad(lambda z: 1.0 / abs(float(comp.drift(z))), min(y, target), max(y, target),
                   limit=200)
     return float(val)

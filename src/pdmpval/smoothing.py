@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError, ModelError
 
@@ -237,6 +236,8 @@ def _weight_mass(a: float, b: float, eps: float) -> float:
     """Integral over [0,1] of the mollified indicator of [a, b)."""
     if eps == 0.0:
         return b - a
+    from scipy.integrate import quad
+
     pts = sorted({min(max(p, 0.0), 1.0) for p in (a - eps, a + eps, b - eps, b + eps)})
     val, _ = quad(
         lambda u: heaviside((u - a) / eps) * heaviside((b - u) / eps),
@@ -275,6 +276,8 @@ def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec, inner=None):
 
 def _branch_integral(f, y, br: KernelBranch, inner):
     if inner is None:
+        from scipy.integrate import quad
+
         val, _ = quad(lambda u: f(br.transform(u, y)), 0.0, 1.0, limit=200, epsrel=1e-11)
         return val
     nodes, weights = inner

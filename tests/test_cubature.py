@@ -23,8 +23,23 @@ from pdmpval.cubature import (
     sobol_points,
     star_discrepancy_1d,
     star_discrepancy_bruteforce,
+    _direction_integers,
 )
 from pdmpval.errors import InputError
+
+
+def _sobol_column_by_bits(dim, start, stop):
+    """Oracle: the XOR of v[b] over the set bits b of each index, one bit at a time."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    v = _direction_integers(dim)
+    acc = np.zeros(idx.shape, dtype=np.uint64)
+    for b in range(int(stop - 1).bit_length()):
+        acc ^= ((idx >> np.uint64(b)) & np.uint64(1)) * v[b]
+    return acc.astype(np.float64) * 2.0 ** -32
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSobol:
@@ -47,6 +62,25 @@ class TestSobol:
         mine = np.sort(sobol_points(2 ** k - 1, d), axis=0)
         ref = np.sort(qmc.Sobol(d=d, scramble=False).random(2 ** k)[1:], axis=0)
         assert np.allclose(mine, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, start, stop", [
+        (1, 0, 1), (30, 1, 4097), (30, 8193, 16385), (64, 4095, 4098), (7, 5, 6),
+        (1024, 1000, 70_000), (3, 2 ** 32 - 1, 2 ** 32), (3, 2 ** 32 - 5000, 2 ** 32),
+        (12, 2 ** 31 - 700, 2 ** 31 + 9000), (5, 9, 9),
+    ], ids=lambda x: str(x))
+    def test_column_matches_bit_loop(self, dim, start, stop):
+        # ranges inside one block, across 2^k boundaries, at both ends of the
+        # 32-bit sequence and empty
+        assert _same_bits(sobol_column(dim, start, stop), _sobol_column_by_bits(dim, start, stop))
+
+    def test_column_matches_bit_loop_on_random_ranges(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            dim = int(rng.integers(1, sobol_max_dim() + 1))
+            n = int(rng.integers(1, 10_000))
+            start = int(rng.integers(0, 2 ** 32 - n if rng.random() < 0.5 else 40_000))
+            assert _same_bits(sobol_column(dim, start, start + n),
+                              _sobol_column_by_bits(dim, start, start + n))
 
     def test_prefix_star_discrepancy(self):
         for k in range(1, 13):

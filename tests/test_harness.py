@@ -1,3 +1,4 @@
+import math
 import warnings
 from pathlib import Path
 
@@ -44,6 +45,20 @@ class TestConfig:
             ExperimentConfig(m_schedule=(100, 100))
         with pytest.raises(InputError):
             ExperimentConfig(m_schedule=())
+
+    @pytest.mark.parametrize("schedule", [(0,), (-4, 8), (64, 128.0), (64.5,)])
+    def test_schedule_entries_are_positive_integers(self, schedule):
+        with pytest.raises(InputError, match="node count"):
+            ExperimentConfig(m_schedule=schedule)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_x0_must_be_finite(self, x0):
+        with pytest.raises(InputError, match="finite"):
+            ExperimentConfig(x0=x0)
+
+    def test_x0_above_barrier_is_accepted(self):
+        # the lump-sum convention above the barrier is the valuation's business
+        assert ExperimentConfig(x0=10.0).x0 == 10.0
 
     def test_replicates_floor(self):
         with pytest.raises(InputError):
