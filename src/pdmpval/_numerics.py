@@ -1,0 +1,374 @@
+"""The numerical routines of the flow-table build, on numpy alone.
+
+Twins of the five scipy routines the build used: ``solve_ivp``'s RK45 with
+dense output and one terminal event, the ``brentq`` that solves the event,
+``cumulative_simpson``, and the coefficients of ``CubicHermiteSpline`` and
+``PchipInterpolator``.  Each makes scipy's numpy calls on arrays of the
+same shapes in the same order (scipy 1.17), so every table is the one the
+scipy routines built, bit for bit, and building one loads no scipy.  Only
+the parts the build uses are kept: a scalar state, a forward solve from
+t = 0, one terminal upward crossing, 1-D data.  The tests compare each
+routine with scipy's.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import ModelError
+
+__all__ = ["brentq", "rk45", "rk45_dense", "cumulative_simpson", "hermite_coeffs",
+           "pchip_coeffs"]
+
+_EPS = float(np.finfo(float).eps)
+
+# --- brentq -----------------------------------------------------------------
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """scipy's ``brentq`` (a port of its C routine): a root of f in [a, b],
+    for xtol > 0 and rtol >= 4 eps.
+
+    ValueError if f(a) and f(b) have the same sign or f returns NaN, and
+    RuntimeError if maxiter iterations do not converge, as scipy raises.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _div(a, b):
+    """a / b in IEEE arithmetic, as C divides: +-inf or NaN where b is zero."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+# --- RK45 ---------------------------------------------------------------------
+
+# Dormand-Prince 5(4): scipy's RK45 tableau, error weights and dense-output matrix
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _norm(x):
+    """RMS norm (scipy's ``common.norm``)."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def rk45(fun, t_bound, y0, rtol, atol, y_stop):
+    """``solve_ivp(fun, (0, t_bound), [y0], method="RK45", rtol=rtol, atol=atol,
+    dense_output=True, events=hit)`` for a scalar state, where ``hit`` is the
+    terminal event ``y - y_stop`` crossed upward, and its dense output.
+
+    ``fun(t, y)`` takes y of shape (1,); rtol must be at least 100 eps,
+    where scipy would raise it.  Returns the segment table
+    ``(ts, segs)``: the solution's segment bounds (the last one the time the
+    event stopped the solve, or t_bound) and, per segment, the floats
+    ``(t_old, h, y_old, q1, q2, q3, q4)`` of scipy's ``RkDenseOutput``,
+    whose value is ``y_old + h * (Q . [x, x^2, x^3, x^4])``, x = (t - t_old)/h.
+    ModelError if y0 is not finite or the step size falls below the spacing
+    of floats (scipy's failure status).
+    """
+    t0, tf = 0.0, float(t_bound)
+    y = np.asarray([y0], dtype=float)
+    if not np.isfinite(y).all():
+        raise ModelError("flow integration failed: the initial state must be finite")
+    call = lambda t, yy: np.asarray(fun(t, yy), dtype=float)
+    direction = np.sign(tf - t0) if tf != t0 else 1
+    atol = np.asarray(atol)
+    f = call(t0, y)
+    h_abs = _initial_step(call, t0, y, tf, f, direction, rtol, atol)
+    K = np.empty((7, 1))
+    t = t0
+    g = y[0] - y_stop
+    ts, segs = [t0], []
+    while True:
+        t_old, y_old = t, y
+        t, y, f, h_abs = _step(call, t, y, f, h_abs, direction, tf, rtol, atol, K)
+        finished = direction * (t - tf) >= 0
+        Q = K.T.dot(_P)
+        seg = (float(t_old), float(t - t_old), float(y_old[0]), *map(float, Q[0]))
+        end = t
+        g_new = y[0] - y_stop
+        if g <= 0 and g_new >= 0:  # the terminal event
+            end = _event_time(t_old, t, y_old, Q, y_stop)
+            finished = True
+        g = g_new
+        # like scipy, drop a segment whose end repeats the last bound
+        if len(ts) == 1 or ts[-1] != end:
+            ts.append(float(end))
+            segs.append(seg)
+        if finished:
+            return ts, segs
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """scipy's ``select_initial_step`` for RK45 (error estimator order 4, no max step)."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
+    """One accepted step of scipy's ``RungeKutta._step_impl``; fills the stages K.
+
+    Returns (t_new, y_new, f_new, next h_abs).  ModelError on scipy's
+    failure, a step below ten times the spacing of floats at t.
+    """
+    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    if h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise ModelError(f"flow integration failed: {_TOO_SMALL_STEP}")
+        h = h_abs * direction
+        t_new = t + h
+        if direction * (t_new - t_bound) > 0:
+            t_new = t_bound
+        h = t_new - t
+        h_abs = np.abs(h)
+        # rk_step
+        K[0] = f
+        for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+            dy = np.dot(K[:s].T, a[:s]) * h
+            K[s] = fun(t + c * h, y + dy)
+        y_new = y + h * np.dot(K[:-1].T, _B)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _norm(np.dot(K.T, _E) * h / scale)
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1, factor)
+            return t_new, y_new, f_new, h_abs * factor
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected = True
+
+
+def _event_time(t_old, t, y_old, Q, y_stop):
+    """scipy's ``solve_event_equation``: brentq for y - y_stop = 0 on the
+    step's dense output (``RkDenseOutput`` at a scalar time) over [t_old, t]."""
+    h = t - t_old
+
+    def event(u):
+        x = (np.asarray(u) - t_old) / h
+        y = h * np.dot(Q, np.cumprod(np.tile(x, 4)))
+        y += y_old
+        return y[0] - y_stop
+
+    return brentq(event, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+
+
+def rk45_dense(table, t):
+    """The dense output of :func:`rk45` at a 1-D array of times: scipy's
+    ``OdeSolution`` call.
+
+    A time on a segment bound belongs to the segment that ends there
+    (``searchsorted(side="left")``), times outside clip to the end segments,
+    and each run of sorted times in one segment is one ``RkDenseOutput``
+    call, so the values are scipy's bit for bit.
+    """
+    ts, segs = table
+    t = np.asarray(t, dtype=float)
+    order = np.argsort(t)
+    reverse = np.empty_like(order)
+    reverse[order] = np.arange(order.shape[0])
+    t_sorted = t[order]
+    seg = np.clip(np.searchsorted(np.asarray(ts), t_sorted, side="left") - 1, 0, len(segs) - 1)
+    starts = np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
+    ys = []
+    for lo, hi in zip(starts, [*starts[1:], len(t_sorted)]):
+        t_old, h, y_old, *q = segs[seg[lo]]
+        x = (t_sorted[lo:hi] - t_old) / h
+        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        y = h * np.dot(np.array([q]), p)
+        y += y_old
+        ys.append(y)
+    return np.hstack(ys)[0, reverse]
+
+
+# --- cumulative Simpson -----------------------------------------------------------
+
+
+def cumulative_simpson(y, x):
+    """``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)`` for 1-D y
+    and x of the same length >= 3.  ModelError unless x strictly increases."""
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ModelError("Input x must be strictly increasing.")
+    h1 = _simpson_pieces(y, dx)
+    h2 = np.flip(_simpson_pieces(np.flip(y), np.flip(dx)))
+    pieces = np.empty(len(h1) + 1)
+    pieces[:-1:2] = h1[::2]
+    pieces[1::2] = h2[::2]
+    pieces[-1] = h2[-1]  # the last interval only has the reversed formula
+    res = np.cumsum(pieces)
+    initial = np.zeros(1)
+    res += initial
+    return np.concatenate((initial, res))
+
+
+def _simpson_pieces(y, dx):
+    """Simpson integral over the first interval of each three-point window,
+    unequal widths (scipy's ``_cumulative_simpson_unequal_intervals``)."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    f1 = y[:-2]
+    f2 = y[1:-1]
+    f3 = y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+# --- cubic Hermite and PCHIP coefficients ------------------------------------------
+
+
+def hermite_coeffs(x, y, dydx):
+    """The coefficients ``c`` (4, n-1), highest power first, of scipy's
+    ``CubicHermiteSpline(x, y, dydx)``.  ModelError on data scipy refuses:
+    fewer than two knots, knots not strictly increasing, a value not finite."""
+    x, dx, y, dydx = _spline_data(x, y, dydx)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def pchip_coeffs(x, y):
+    """The coefficients of scipy's ``PchipInterpolator(x, y)``: Hermite
+    coefficients with Fritsch-Butland slopes and Moler's one-sided end slopes."""
+    x, hk, y = _spline_data(x, y)
+    mk = (y[1:] - y[:-1]) / hk
+    if y.shape[0] == 2:  # linear
+        return hermite_coeffs(x, y, np.concatenate((mk, mk)))
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    return hermite_coeffs(x, y, dk)
+
+
+def _spline_data(x, *values):
+    """(x, diff(x), *values) as float arrays after scipy's ``prepare_input`` checks."""
+    x = np.asarray(x, dtype=float)
+    values = [np.asarray(v, dtype=float) for v in values]
+    if x.ndim != 1 or x.shape[0] < 2 or any(v.shape != x.shape for v in values):
+        raise ModelError("spline data must be 1-D arrays of one length >= 2")
+    if not all(np.all(np.isfinite(a)) for a in (x, *values)):
+        raise ModelError("spline data must contain only finite values")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ModelError("spline knots must be strictly increasing")
+    return (x, dx, *values)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept shape-preserving (scipy's ``_edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d

@@ -12,11 +12,12 @@ a cubic Hermite of t(y) with the exact slopes 1/drift(y) (accurate to about
 1e-11) polished by one Newton step on P, with a residual check and a
 bisection fallback, so the semigroup identity holds to machine precision.
 
-scipy builds the spline coefficients; the lookups evaluate them with scipy's
-interval rule and summation order, so every value is bit-identical to calling
-the splines.  scipy is imported by the functions that use it, so importing
-the package (and the crude Monte Carlo reference, which needs only numpy)
-loads none of it; the first table build pays the import once.
+The build runs on numpy alone: the RK45 solve, its event root, the reward
+quadrature and the spline coefficients come from :mod:`pdmpval._numerics`,
+twins of scipy's routines that reproduce their results bit for bit, so a
+build and an estimate load no scipy.  The lookups evaluate the coefficients
+with scipy's interval rule and summation order, so every value is
+bit-identical to calling scipy's splines.
 
 A stage of the integrand is one call, ``advance(y, t)``, or
 ``reward_integral(y, t)`` on the last stage, whose position nothing reads;
@@ -67,6 +68,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numerics import (brentq, cumulative_simpson, hermite_coeffs, pchip_coeffs, rk45,
+                        rk45_dense)
 from .errors import InputError, ModelError
 
 __all__ = ["FlowTable", "build_flow_table"]
@@ -85,12 +88,6 @@ _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of t
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 _GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
 _RK_TOL = 1e-10          # RK45 relative tolerance of the master-trajectory solve
-
-
-def brentq(f, a, b, **kwargs):
-    """scipy's ``brentq``, imported at the first straggler (see the module notes)."""
-    from scipy.optimize import brentq as _brentq
-    return _brentq(f, a, b, **kwargs)
 
 
 @dataclass
@@ -124,8 +121,6 @@ class FlowTable:
     _kz: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
         # the reward grid is the first nr knots of grid_t; the last is the tail anchor
         nr = len(self.reward_cum)
         self.reward_t = self.grid_t[:nr]
@@ -136,16 +131,15 @@ class FlowTable:
                 f"discount * tail time = {self.delta * self.t_tail:.3g} overflows exp(); "
                 "the model's reward horizon is too long for this parameterisation"
             )
-        # The scipy splines only build the coefficients; every lookup evaluates
-        # them through the guided interval lookups and _ppoly below.
+        # Every lookup evaluates these coefficients through the guided
+        # interval lookups and _ppoly below.
         # Hermite with the exact node slopes drift(y_i): fourth-order accurate,
         # and monotone because the build enforces the Fritsch-Carlson bound.
-        pos = CubicHermiteSpline(self.grid_t, self.grid_y, self.grid_dy, extrapolate=False)
-        self._pos_c = pos.c
+        self._pos_c = hermite_coeffs(self.grid_t, self.grid_y, self.grid_dy)
         # dt/dy = 1/drift(y): the exact node slopes of the inverse trajectory
-        self._seed_c = CubicHermiteSpline(self.grid_y, self.grid_t,
-                                          1.0 / np.maximum(self.grid_dy, 1e-300)).c
-        self._reward_c = PchipInterpolator(self.reward_t, self.reward_cum, extrapolate=False).c
+        self._seed_c = hermite_coeffs(self.grid_y, self.grid_t,
+                                      1.0 / np.maximum(self.grid_dy, 1e-300))
+        self._reward_c = pchip_coeffs(self.reward_t, self.reward_cum)
         # reward intervals [0, _kz) have all-zero coefficients: PCHIP takes
         # slope 0 at the last zero knot, so the stretch ends where reward_cum
         # turns nonzero.  The last grid interval, closed on the right and the
@@ -484,8 +478,6 @@ def build_flow_table(
     sample of the domain, or if the reward rate varies across the frozen
     tail band (see :func:`_check_frozen_rate`).
     """
-    from scipy.integrate import cumulative_simpson, solve_ivp
-
     lower, upper = float(domain[0]), float(domain[1])
     if not upper > lower:
         raise InputError(f"empty domain ({lower}, {upper})")
@@ -509,25 +501,13 @@ def build_flow_table(
     cap = 1e3 * span / g_max
     y_stop = upper - _PROXIMITY * span
 
-    hit = lambda t, y: y[0] - y_stop
-    hit.terminal = True
-    hit.direction = 1.0
-    sol = solve_ivp(
-        lambda t, y: [drift(min(y[0], upper))],
-        (0.0, cap),
-        [y_start],
-        method="RK45",
-        rtol=_RK_TOL,
-        atol=_RK_TOL * span * 1e-2,
-        dense_output=True,
-        events=hit,
-    )
-    if not sol.success:
-        raise ModelError(f"flow integration failed: {sol.message}")
-    t_end = float(sol.t[-1])
+    segments = rk45(lambda t, y: [drift(min(y[0], upper))], cap, y_start,
+                    _RK_TOL, _RK_TOL * span * 1e-2, y_stop)
+    t_end = segments[0][-1]
 
-    grid_t = _march_grid(sol, drift, upper, t_end, fs, np.sort(np.asarray(refine_y, float)), g_max)
-    grid_y = sol.sol(grid_t)[0]
+    grid_t = _march_grid(segments, drift, upper, t_end, fs,
+                         np.sort(np.asarray(refine_y, float)), g_max)
+    grid_y = rk45_dense(segments, grid_t)
     grid_y = np.minimum.accumulate(np.minimum(grid_y, upper)[::-1])[::-1]  # clip solver overshoot
     grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
     # shape guard: refine any interval violating the Fritsch-Carlson monotone
@@ -542,7 +522,7 @@ def build_flow_table(
             break
         mids = 0.5 * (grid_t[:-1][bad] + grid_t[1:][bad])
         grid_t = np.sort(np.concatenate([grid_t, mids]))
-        grid_y = np.minimum.accumulate(np.minimum(sol.sol(grid_t)[0], upper)[::-1])[::-1]
+        grid_y = np.minimum.accumulate(np.minimum(rk45_dense(segments, grid_t), upper)[::-1])[::-1]
         grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
     else:
         raise ModelError("could not refine the flow grid to a monotone interpolant")
@@ -557,7 +537,7 @@ def build_flow_table(
         _check_frozen_rate(reward, float(ry[-1]), upper, np.max(np.abs(rates)))
     integrand = np.exp(-delta * rt) * rates
     if rt.size >= 3:
-        rc = cumulative_simpson(integrand, x=rt, initial=0.0)
+        rc = cumulative_simpson(integrand, rt)
     else:
         rc = np.zeros_like(rt)
 
@@ -593,7 +573,7 @@ def _check_frozen_rate(reward, y_tail, upper, sup):
         )
 
 
-def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
+def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     """Curvature-adapted time grid over [0, t_end].
 
     Step control: h^3 * |d3y/dt3| <= 96 * _POS_TOL (keeps cubic interpolation
@@ -601,8 +581,9 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     discounted reward quadrature accurate), fine stepping inside feature
     windows, and a guard that never jumps over an upcoming feature window in
     one step.  The loop is sequential, so it runs on Python floats: the
-    solver's dense output through :func:`_float_dense_output` and three scalar
-    drift calls per step for the central differences.
+    dense output of the solver's segment table through
+    :func:`_float_dense_output` and three scalar drift calls per step for the
+    central differences.
 
     Runs of capped steps (most of the barrier tail) are taken as array steps:
     a step of size _H_CAP from t predicts the next times t + _H_CAP,
@@ -616,7 +597,6 @@ def _march_grid(sol, drift, upper, t_end, fs, refine, g_max):
     batch that takes nothing (a step in the margin zone) starts no new batch
     until a step falls below the cap.
     """
-    segments = _rk_segments(sol.sol)
     y_at = _float_dense_output(segments)
     ys_at = _array_dense_output(segments)
     hy = max(_STENCIL * fs, 1e-9)
@@ -702,22 +682,13 @@ def _capped_prefix(times, ys_at, drift, upper, hy, fs, windows, g_max):
     return n if ok.all() else int(np.argmin(ok))
 
 
-def _rk_segments(ode_solution):
-    """Segment bounds and each segment's (t_old, h, y_old, q1, q2, q3, q4) of a
-    scalar RK45 ``OdeSolution``, as Python floats."""
-    ts = [float(v) for v in ode_solution.ts]
-    segs = [(float(sp.t_old), float(sp.h), float(sp.y_old[0]), *map(float, sp.Q[0]))
-            for sp in ode_solution.interpolants]
-    return ts, segs
-
-
 def _float_dense_output(segments):
-    """y(t) of a scalar RK45 ``OdeSolution`` on Python floats, for ascending t.
+    """y(t) of the RK45 segment table on Python floats, for ascending t.
 
-    Takes each segment's (t_old, h, y_old, Q) from :func:`_rk_segments` and
+    Takes each segment's (t_old, h, y_old, Q) from :func:`rk45` and
     evaluates y_old + h * (Q . [x, x^2, x^3, x^4]), x = (t - t_old)/h, in
     the order of scipy's ``RkDenseOutput`` (cumprod, then dot).  BLAS may
-    fuse that dot, so values can differ from ``ode_solution(t)`` in the last
+    fuse that dot, so values can differ from :func:`rk45_dense` in the last
     ulps.  A segment pointer moves forward with t; like scipy (side="left"),
     a time on a segment boundary belongs to the segment that ends there.
     """

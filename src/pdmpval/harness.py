@@ -76,8 +76,8 @@ class ExperimentConfig:
             raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")
         if not math.isfinite(self.x0):
             raise InputError(f"start value x0 must be finite, got {self.x0}")
-        if self.jumps < 1:
-            raise InputError("jumps must be >= 1")
+        require_int("jumps", self.jumps, 1)
+        require_int("mc_paths", self.mc_paths, 1)
         # the randomized rules need two replicates for an error bar; Gauss runs one
         randomized = any(_METHOD_KINDS[m] is not RuleKind.GAUSS_PRODUCT for m in self.methods)
         require_int("replicates", self.replicates, 2 if randomized else 1)

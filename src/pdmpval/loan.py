@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -73,10 +74,14 @@ class SmoothedLoanModel:
     spec: ModelSpec = field(init=False)
 
     def __post_init__(self):
+        # The spec's callables hold the parameters and the table, not the
+        # model: a model that is dropped is freed at once, with its table,
+        # instead of at the next cyclic garbage collection.
         p = self.params
+        reward = partial(_reward, p)
         live = ComponentSpec(
             domain=Interval(p.ruin_level, math.inf),
-            drift=self.drift,
+            drift=partial(_drift, p),
             intensity=p.lam,
             intensity_bound=p.lam,
             flow=self.table.flow_at,
@@ -87,13 +92,13 @@ class SmoothedLoanModel:
             is_cemetery=True,
         )
         kernel = JumpKernelSpec(
-            branches=(KernelBranch(prob=self._stay_prob, transform=self._jump_to),),
+            branches=(KernelBranch(prob=partial(_stay_prob, p), transform=partial(_jump_to, p)),),
             eps=p.eps,
         )
         self.spec = ModelSpec(
             components={1: live, 2: below, 3: edge},
             jump_kernel=kernel,
-            reward=lambda k, y: self.reward(y) if k == 1 else _zeros(y),
+            reward=lambda k, y: reward(y) if k == 1 else _zeros(y),
             terminal=lambda k, y: _zeros(y),
             discount=p.delta,
             reward_bound=p.c,
@@ -132,12 +137,10 @@ class SmoothedLoanModel:
     # -- local characteristics ------------------------------------------------
 
     def drift(self, y):
-        p = self.params
-        return smoothed_drift_loan(y, p.c, p.rho, p.b, p.eps)
+        return _drift(self.params, y)
 
     def reward(self, y):
-        p = self.params
-        return smoothed_reward_loan(y, p.c, p.b, p.eps)
+        return _reward(self.params, y)
 
     def jump_density(self, y):
         """Claim-size density f_Y(y) = alpha exp(-alpha y) on y >= 0."""
@@ -146,15 +149,24 @@ class SmoothedLoanModel:
         out = np.where(y >= 0.0, a * np.exp(-a * np.minimum(y, 700.0 / a)), 0.0)
         return out if out.ndim else float(out)
 
-    def _stay_prob(self, y):
-        # mass of claims that do not ruin from position y
-        return 1.0 - math.exp(-self.params.alpha * (y - self.params.ruin_level))
 
-    def _jump_to(self, u, y):
-        # inverse transform of the claim size conditioned on surviving
-        p = self._stay_prob(y)
-        size = -math.log1p(-u * p) / self.params.alpha
-        return y - size
+def _drift(p: LoanParams, y):
+    return smoothed_drift_loan(y, p.c, p.rho, p.b, p.eps)
+
+
+def _reward(p: LoanParams, y):
+    return smoothed_reward_loan(y, p.c, p.b, p.eps)
+
+
+def _stay_prob(p: LoanParams, y):
+    # mass of claims that do not ruin from position y
+    return 1.0 - math.exp(-p.alpha * (y - p.ruin_level))
+
+
+def _jump_to(p: LoanParams, u, y):
+    # inverse transform of the claim size conditioned on surviving
+    size = -math.log1p(-u * _stay_prob(p, y)) / p.alpha
+    return y - size
 
 
 def _zeros(y):

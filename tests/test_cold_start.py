@@ -1,5 +1,6 @@
-"""Importing the package, the crude Monte Carlo reference, CLI parsing and
-config errors load no scipy; the first flow-table build does.
+"""Importing the package, the crude Monte Carlo reference, a flow-table
+build, an estimate, a CLI valuation, CLI parsing and config errors load no
+scipy; the adaptive quadratures (``t_star`` here) still do.
 
 Each check runs in a fresh interpreter, since this one has scipy loaded.
 """
@@ -27,8 +28,13 @@ import pdmpval
 seen["import pdmpval"] = scipy_modules()
 pdmpval.mc_reference(pdmpval.LoanParams(), 0.0, 1000, max_jumps=8)
 seen["mc_reference"] = scipy_modules()
-pdmpval.SmoothedLoanModel.build()
+model = pdmpval.SmoothedLoanModel.build()
 seen["build"] = scipy_modules()
+rule = pdmpval.CubatureSpec(kind=pdmpval.RuleKind.SOBOL, M=64, d=4, seed=1, replicates=2)
+pdmpval.estimate_value(0.0, 2, rule, model)
+seen["estimate_value"] = scipy_modules()
+pdmpval.t_star(pdmpval.unsmoothed_loan_model(), pdmpval.State(1, 2.0))
+seen["t_star"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -46,13 +52,30 @@ def _imported(importtime_log: str) -> list:
             if line.startswith("import time:") and "|" in line]
 
 
-def test_package_and_crude_mc_load_no_scipy_until_a_build():
+def _scipy(modules) -> list:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_package_build_and_estimate_load_no_scipy():
     done = _python("-c", PROBE)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
     assert seen["import pdmpval"] == []
     assert seen["mc_reference"] == []
-    assert "scipy.integrate" in seen["build"]  # the check is not vacuous
+    assert seen["build"] == []
+    assert seen["estimate_value"] == []
+    assert "scipy.integrate" in seen["t_star"]  # the probe can see a scipy import
+
+
+def test_cli_valuation_loads_no_scipy(tmp_path):
+    out = tmp_path / "value.csv"
+    done = _python("-X", "importtime", "-m", "pdmpval", "value", "--method", "sobol",
+                   "--points", "64", "--jumps", "2", "--replicates", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    modules = _imported(done.stderr)
+    assert "pdmpval._numerics" in modules
+    assert _scipy(modules) == []
+    assert out.read_text().startswith("method,")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -65,7 +88,7 @@ def test_cli_exits_without_scipy(argv, code):
     assert done.returncode == code, done.stderr
     modules = _imported(done.stderr)
     assert "pdmpval.cli" in modules
-    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert _scipy(modules) == []
     if code == 0:
         assert done.stdout.startswith("usage: pdmpval")
     else:

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
+import pdmpval._numerics
 import pdmpval.flow
 import pdmpval.loan
 from pdmpval.errors import InputError, ModelError
@@ -172,40 +173,60 @@ def _march_grid_oracle(sol, drift, upper, t_end, fs, refine, g_max):
     return np.asarray(ts)
 
 
+def _scipy_solve(fun, t_bound, y0, rtol, atol, y_stop):
+    """scipy's ``solve_ivp`` on the arguments of a ``flow.rk45`` call."""
+    hit = lambda t, y: y[0] - y_stop
+    hit.terminal = True
+    hit.direction = 1.0
+    return solve_ivp(fun, (0.0, t_bound), [y0], method="RK45", rtol=rtol, atol=atol,
+                     dense_output=True, events=hit)
+
+
+def _capture(build, *names):
+    """The arguments of the first call to each named ``pdmpval.flow`` function
+    during ``build()``, and the build's result."""
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            real = getattr(pdmpval.flow, name)
+            mp.setattr(pdmpval.flow, name,
+                       lambda *a, name=name, real=real: seen.setdefault(name, a) and real(*a))
+        built = build()
+    return [seen[name] for name in names], built
+
+
 @pytest.fixture(scope="module", params=["published", "constant"])
 def march_args(request):
-    """Arguments the builder passes to the grid march, captured from a build."""
+    """Arguments the builder passes to the grid march, captured from a build,
+    and scipy's solution of the build's RK45 solve."""
     build = SmoothedLoanModel.build if request.param == "published" else _build_const_table
-    seen = []
-    real = pdmpval.flow._march_grid
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pdmpval.flow, "_march_grid", lambda *a: seen.append(a) or real(*a))
-        build()
-    return seen[0]
+    (solve, march), _ = _capture(build, "rk45", "_march_grid")
+    return march, _scipy_solve(*solve)
 
 
 class TestGridMarch:
     def test_matches_array_oracle(self, march_args):
-        got = pdmpval.flow._march_grid(*march_args)
-        want = _march_grid_oracle(*march_args)
+        args, sol = march_args
+        got = pdmpval.flow._march_grid(*args)
+        want = _march_grid_oracle(sol, *args[1:])
         assert got.size == want.size
         assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
     def test_float_dense_output_matches_scipy(self, march_args):
-        # guards the read of scipy's RkDenseOutput internals (t_old, h, y_old, Q)
-        ode = march_args[0].sol
+        args, sol = march_args
+        ode = sol.sol
         rng = np.random.default_rng(5)
         ts = np.sort(np.concatenate([ode.ts, rng.uniform(ode.ts[0], ode.ts[-1], 2_000)]))
-        y_at = pdmpval.flow._float_dense_output(pdmpval.flow._rk_segments(ode))
+        y_at = pdmpval.flow._float_dense_output(args[0])
         got = np.array([y_at(float(t)) for t in ts])
         want = np.array([ode(t)[0] for t in ts])
         assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
 
 
-def _scalar_march_grid(sol, drift, upper, t_end, fs, refine, g_max):
+def _scalar_march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     """The grid march one scalar step at a time, as it ran before capped runs
     were batched: the oracle the batched march must equal bit for bit."""
-    y_at = pdmpval.flow._float_dense_output(pdmpval.flow._rk_segments(sol.sol))
+    y_at = pdmpval.flow._float_dense_output(segments)
     hy = max(pdmpval.flow._STENCIL * fs, 1e-9)
     h_cap, pos_tol = pdmpval.flow._H_CAP, pdmpval.flow._POS_TOL
     windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
@@ -262,12 +283,7 @@ _MARCH_BUILDS = {
 
 
 def _capture_march(build):
-    seen = []
-    real = pdmpval.flow._march_grid
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pdmpval.flow, "_march_grid", lambda *a: seen.append(a) or real(*a))
-        build()
-    return seen[0]
+    return _capture(build, "_march_grid")[0][0]
 
 
 @pytest.fixture(scope="module", params=sorted(_MARCH_BUILDS))
@@ -286,9 +302,8 @@ class TestBatchedMarch:
 
     def test_array_dense_output_equals_float(self, march_case):
         _, args, grid = march_case
-        ode = args[0].sol
-        segments = pdmpval.flow._rk_segments(ode)
-        ts = np.sort(np.concatenate([grid, ode.ts]))
+        segments = args[0]
+        ts = np.sort(np.concatenate([grid, segments[0]]))
         y_at = pdmpval.flow._float_dense_output(segments)
         want = np.array([y_at(float(t)) for t in ts])
         assert _same_bits(pdmpval.flow._array_dense_output(segments)(ts), want)
@@ -335,6 +350,40 @@ class TestBatchedMarch:
             monkeypatch.setattr(pdmpval.flow, "_MAX_NODES", limit)
             with pytest.raises(ModelError, match="did not terminate"):
                 pdmpval.flow._march_grid(*args)
+
+
+# the loan drift at six widths and every march table's drift
+_SOLVE_BUILDS = {**_MARCH_BUILDS,
+                 **{f"loan-{eps}": lambda eps=eps: SmoothedLoanModel.build(eps=eps)
+                    for eps in (0.0025, 5e-4)}}
+
+
+@pytest.fixture(scope="module", params=sorted(_SOLVE_BUILDS))
+def solve_case(request):
+    """A build's RK45 segment table and grid, with scipy's solve of the same problem."""
+    (solve,), built = _capture(_SOLVE_BUILDS[request.param], "rk45")
+    table = getattr(built, "table", built)
+    return pdmpval._numerics.rk45(*solve), _scipy_solve(*solve), table.grid_t
+
+
+class TestSolverMatchesScipy:
+    """The in-package RK45 and its dense output against scipy's ``solve_ivp``."""
+
+    def test_segments_bit_identical(self, solve_case):
+        (ts, segs), sol, _ = solve_case
+        assert sol.success
+        ode = sol.sol
+        want = [(sp.t_old, sp.h, sp.y_old[0], *sp.Q[0]) for sp in ode.interpolants]
+        assert _same_bits(ts, ode.ts) and _same_bits(ts[-1], sol.t[-1])
+        assert _same_bits(segs, want)
+
+    def test_dense_output_bit_identical(self, solve_case):
+        (ts, segs), sol, grid_t = solve_case
+        # unsorted, with every segment bound and times beyond both ends
+        t = np.concatenate([grid_t[::-1], ts, [-1.0, ts[-1] + 1.0],
+                            np.random.default_rng(3).uniform(0.0, ts[-1], 1_000)])
+        assert _same_bits(pdmpval._numerics.rk45_dense((ts, segs), t), sol.sol(t)[0])
+        assert _same_bits(pdmpval._numerics.rk45_dense((ts, segs), grid_t), sol.sol(grid_t)[0])
 
 
 class TestRewardIntegral:

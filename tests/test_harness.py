@@ -79,6 +79,16 @@ class TestConfig:
         with pytest.raises(InputError, match="workers"):
             ExperimentConfig(workers=workers)
 
+    @pytest.mark.parametrize("jumps", [0, -2, 2.5, 2.0, True, "2"])
+    def test_jumps_validated(self, jumps):
+        with pytest.raises(InputError, match="jumps"):
+            ExperimentConfig(jumps=jumps)
+
+    @pytest.mark.parametrize("mc_paths", [0, -5, 1000.0, False, "100"])
+    def test_mc_paths_validated(self, mc_paths):
+        with pytest.raises(InputError, match="mc_paths"):
+            ExperimentConfig(mc_paths=mc_paths)
+
     def test_unknown_method(self):
         with pytest.raises(InputError):
             ExperimentConfig(methods=("sobol", "lattice"))
@@ -205,6 +215,20 @@ class TestRunEpsilonStudy:
         with pytest.raises(InputError, match="smoothing width"):
             run_epsilon_study(tiny_config(tmp_path), (0.08, 0.0))
         assert builds == []
+
+    @pytest.mark.parametrize("line", ["mc_paths = 0", "jumps = 0"])
+    def test_bad_config_fails_before_any_build(self, tmp_path, monkeypatch, capsys, line):
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(line + "\n")
+        code = main(["epsilon-study", "--config", str(cfg_file), "--points", "64",
+                     "--replicates", "2", "--out", str(tmp_path / "eps.csv")])
+        assert code == 2
+        assert builds == []
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
 
     def test_noise_dominated_flagged(self, tmp_path):
         # minuscule budgets cannot resolve the eps=0.02 gap

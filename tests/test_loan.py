@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,19 @@ class TestSmoothedLoanModel:
         counted.validate()
         assert len(calls) == 2 * len(spec.components)  # no per-sample fallback
         assert spec.reward(2, 1.0) == spec.terminal(1, 1.0) == 0.0
+
+    def test_dropped_model_is_freed_without_a_collection(self):
+        # the spec's callables must not refer back to the model: a study that
+        # builds one model per width would otherwise hold every table until
+        # the next cyclic garbage collection
+        gc.disable()
+        try:
+            model = SmoothedLoanModel.build(eps=0.08)
+            refs = [weakref.ref(model), weakref.ref(model.table), weakref.ref(model.spec)]
+            del model
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("eps", [2e-4, 1e-4, 1e-12])
     def test_width_below_tail_band_rejected(self, eps):
