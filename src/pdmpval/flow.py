@@ -19,10 +19,14 @@ build and an estimate load no scipy.  The lookups evaluate the coefficients
 with scipy's interval rule and summation order, so every value is
 bit-identical to calling scipy's splines.
 
-A stage of the integrand is one call, ``advance(y, t)``, or
-``reward_integral(y, t)`` on the last stage, whose position nothing reads;
-a scalar y (the first stage, where every node starts at x0) is solved once
-and broadcast against t.  The call shares interval lookups: grid_y =
+A stage of the integrand is two calls: ``start(y)``, the time solve T0 =
+T(y) with its grid_t interval, and ``stage(T0, k0, t)``, the reward and, on
+every stage but the last (whose position nothing reads), the position
+reached.  ``advance(y, t)`` and ``reward_integral(y, t)`` are the two
+composed.  The split lets the integrand drop, between the halves, the nodes
+that :meth:`FlowTable.reward_cut` shows can no longer reach the reward.  A
+scalar y (the first stage, where every node starts at x0) is solved once
+and broadcast against t.  The calls share interval lookups: grid_y =
 P(grid_t), so the grid_y interval of y is also the grid_t interval of the
 seed and Newton times (a checked neighbour step confirms it); the reward
 grid is a prefix of grid_t, so the reward intervals are grid intervals; and
@@ -88,6 +92,7 @@ _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of t
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
 _GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
 _RK_TOL = 1e-10          # RK45 relative tolerance of the master-trajectory solve
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -99,6 +104,10 @@ class FlowTable:
     master clock at the first len(reward_cum) >= 2 knots, reward_t, up to the
     tail anchor (t_tail, y_tail), the last of them, where the reward rate is
     frozen at l_tail.
+
+    A stage of the integrand runs in two halves, :meth:`start` (the time
+    solve) and :meth:`stage` (the rest); :meth:`advance`,
+    :meth:`reward_integral` and :meth:`flow_at` compose them.
     """
 
     grid_t: np.ndarray
@@ -146,6 +155,7 @@ class FlowTable:
         # one every non-finite time lands in, is never part of it.
         nonzero = np.flatnonzero(np.any(self._reward_c != 0.0, axis=0))
         self._kz = min(int(nonzero[0]) if nonzero.size else nr - 1, len(self.grid_t) - 2)
+        self._cut_t, self._cut_step = self._zero_reach()
         lower, y0 = self.lower, self.y_start
         self._t_guide = _Guide(self.grid_t)
         self._y_guide = _Guide(self.grid_y, lambda y: np.log(np.maximum(y, y0) - lower))
@@ -207,7 +217,7 @@ class FlowTable:
         the exact integral is 0).  The reward of :meth:`advance`, bit for
         bit, without evaluating the position reached.
         """
-        out = self._reward_and_end(y, t)[0]
+        out = self.stage(*self.start(y), t)
         return out if out.ndim else float(out)
 
     def reward_from_master(self, T0, t):
@@ -231,31 +241,92 @@ class FlowTable:
         interval of T0 + t serves both the position and the reward there.
         A scalar y (every path's shared start) is solved once.
         """
-        reward, uc, ke = self._reward_and_end(y, t)
-        return reward, self._position(uc, ke).reshape(reward.shape)
+        return self.stage(*self.start(y), t, position=True)
 
-    def _reward_and_end(self, y, t):
-        """The reward of :meth:`advance`, and the clamped end time and its grid_t interval.
+    def start(self, y):
+        """The time solve of a stage: ``T0 = time_of(y)`` and its grid_t interval k0.
 
-        A scalar y takes one time_of solve: T0 and its interval stay scalars
-        and broadcast against t, so exp(delta T0), the reward at T0 and the
-        tail's lead term are computed once, and the result takes t's shape.
-        Every operation is elementwise, so the values are those of y broadcast
-        to t's shape, bit for bit.
+        Arrays of y's shape; a scalar y gives scalars, which :meth:`stage`
+        broadcasts against t.
         """
-        y, t = np.asarray(y, dtype=float), np.asarray(t, dtype=float)
-        if y.ndim:
-            y, t = np.broadcast_arrays(y, t)
+        y = np.asarray(y, dtype=float)
+        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
+        if not y.ndim:
+            return T0[0], k0[0]
+        return T0.reshape(y.shape), k0.reshape(y.shape)
+
+    def stage(self, T0, k0, t, position=False):
+        """The rest of a stage from the time solve ``(T0, k0) = start(y)``.
+
+        The reward of running the flow from y for time t >= 0, and with
+        ``position`` the state reached as well: :meth:`advance` is
+        ``stage(*start(y), t, position=True)`` and :meth:`reward_integral`
+        ``stage(*start(y), t)``.  A scalar T0 (one solve for every path's
+        shared start) computes exp(delta T0), the reward at T0 and the tail's
+        lead term once, and the result takes t's shape.  Every operation is
+        elementwise, so the values are those of T0 broadcast to t's shape,
+        bit for bit.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.ndim(T0):
+            T0, k0, t = np.broadcast_arrays(T0, k0, t)
+            T0, k0 = T0.ravel(), k0.ravel()
         if np.any(t < 0.0):
             raise InputError("flow time must be nonnegative")
         shape = t.shape
-        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
-        if not y.ndim:
-            T0, k0 = T0[0], k0[0]
         t = t.ravel()
         te = T0 + t
         uc, ke = self._clamped_time(te)
-        return self._reward(T0, t, te, k0, ke).reshape(shape), uc, ke
+        reward = self._reward(T0, t, te, k0, ke).reshape(shape)
+        if not position:
+            return reward
+        return reward, self._position(uc, ke).reshape(shape)
+
+    def reward_cut(self, stages):
+        """Master time below which the next ``stages`` stages collect exactly +0.0.
+
+        A state at master time T0 (from :meth:`start`) whose next ``stages``
+        flows last r in all, with jumps in between that only lower the
+        state, ends each of them before grid_t[_kz], and so collects the
+        +0.0 of the zero stretch (see :meth:`_reward`), if T0 + r <
+        reward_cut(stages) = grid_t[_kz] - stages * e.  Here e bounds how far
+        a time solve overshoots: time_of of a state at or below P(u), with
+        u + e below grid_t[_kz], returns at most u + e, because the residual
+        it accepts (the tolerance plus two positions' rounding) is less than
+        P rises over e at the smallest slope of the position interpolant on
+        [0, grid_t[_kz]], and the interpolant is monotone (the build's shape
+        guard).  e also covers a time sum's rounding.  The operators module
+        docstring chains this over the stages.  The cut is -inf when that
+        slope is not positive or the stretch is empty.  It holds only for a
+        stage that reads nothing but the reward of a flow ending below the
+        band: a start function of the end state, or a reward of the state
+        itself, is nonzero there.
+        """
+        return self._cut_t - stages * self._cut_step
+
+    def _zero_reach(self):
+        """(grid_t[_kz], e) of :meth:`reward_cut`; (-inf, 0) when nothing can be cut."""
+        kz = self._kz
+        c0, c1, c2 = (c[:kz] for c in self._pos_c[:3])
+        h = np.diff(self.grid_t[:kz + 1])
+        # a piece's slope 3 c0 s^2 + 2 c1 s + c2 is smallest at an end or,
+        # when convex, at its vertex s = -c1 / (3 c0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -c1 / (3.0 * c0)
+            vertex = np.where((c0 > 0.0) & (s > 0.0) & (s < h), c2 - c1 * c1 / (3.0 * c0), np.inf)
+        right = (3.0 * c0 * h + 2.0 * c1) * h + c2
+        slope = float(np.min(np.minimum(np.minimum(c2, right), vertex), initial=np.inf))
+        if kz == 0 or not 0.0 < slope < np.inf:
+            return -np.inf, 0.0
+        t_cut = float(self.grid_t[kz])
+        y_round = 16.0 * _EPS * max(abs(self.y_start), abs(self.y_end))
+        # a time sum's rounding, and brentq's xtol (1e-14) and rtol on a straggler
+        t_round = 16.0 * _EPS * t_cut + 1e-13
+        return t_cut, (self._resid_tol() + 2.0 * y_round) / slope + t_round
+
+    def _resid_tol(self):
+        """Largest position residual time_of accepts from its Newton step."""
+        return _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
 
     def _clamped_time(self, u):
         """u clamped to [0, horizon] (non-finite to the horizon), and its grid_t interval."""
@@ -308,8 +379,8 @@ class FlowTable:
         k = settle(k, t)
         # polish stragglers (flat top of the curve) by bisection
         resid = np.abs(self._position(t, k) - yc)
-        tol = _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
-        bad = np.flatnonzero((resid > tol) & (yc < self.y_end) & (yc > self.y_start))
+        bad = np.flatnonzero((resid > self._resid_tol()) & (yc < self.y_end)
+                             & (yc > self.y_start))
         if bad.size:
             for i in bad:
                 t[i] = brentq(lambda u, yy=yc[i]: self.pos_at(u) - yy,

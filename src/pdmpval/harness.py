@@ -71,6 +71,9 @@ class ExperimentConfig:
             require_int("node count", m, 1)
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
             raise InputError("the node-count schedule must be strictly increasing")
+        if not self.methods:
+            raise InputError("the method list must be nonempty; "
+                             f"choose from {sorted(_METHOD_KINDS)}")
         unknown = [m for m in self.methods if m not in _METHOD_KINDS]
         if unknown:
             raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")

@@ -19,9 +19,47 @@ is detected rather than silently wrapped.  Jumps below the ruin level carry
 zero mass by construction (the substitution samples sizes on
 (0, chi + c/rho)), so the integrand never leaves the live component.
 
-Each stage is one flow-table call.  Every node starts at x0, so the first
-stage passes it as a scalar and its master time is solved once; the last
-stage reads only the reward L, since chi_n is never used.
+Each stage is two flow-table calls: ``start``, the time solve T0 = T(chi)
+on the master clock, and ``stage``, the reward and the position reached.
+Every node starts at x0, so the first stage passes it as a scalar and its
+master time is solved once; the last stage reads only the reward L, since
+chi_n is never used.
+
+Nodes that can no longer earn are dropped.  The reward rate is zero below
+the dividend band, so a flow that ends before grid_t[_kz], the start of the
+table's zero-reward stretch, adds exactly +0.0.  Before the stage loop one
+pass over the v columns sums each node's n inter-jump times into its
+remaining time r (each stage then subtracts its own).  At stage j, with s =
+n - j stages left, a node whose T0 + r < ``table.reward_cut(s)`` = grid_t[_kz]
+- s e (less the rounding of r) is written to the output with its total and
+compacted out of the working arrays, and its columns are no longer read;
+the loop ends when no node is left, so the z columns nobody reads are never
+generated.  The rule is exact, by this chain over the stages k >= j:
+
+    te_k = T0_k + t_k                          (the end time of stage k)
+    T0_{k+1} = T(chi_{k+1}) <= T(chi_k-) + e   (jumps only lower chi, and a
+                                               time solve overshoots by <= e)
+             <= te_k + e                       (chi_k- = P(te_k))
+    so te_k <= T0_j + (t_j + ... + t_k) + (k - j) e
+            <= T0_j + r + (s - 1) e < grid_t[_kz] - e,
+
+so every stage from j on ends in the zero stretch, each adds W * 0.0 = +0.0,
+and the dropped total is the every-stage loop's bit for bit.  Here e bounds
+one time solve's overshoot below the band: the residual tolerance of
+time_of (plus a position's rounding) over the smallest slope of the
+position interpolant on [0, grid_t[_kz]] (0.02 time units on the loan
+table, whose slope at the ruin end is about 5e-8), plus a time sum's
+rounding.  The cut is -inf when that slope is 0, and then nothing is
+dropped.  A weight guard keeps the overflow report: W * 0.0 is NaN once W
+overflows exp(), so a node is dropped only if a bound on its later weight
+exponents (each stage adds at most log(lam alpha (y_end + c/rho)) plus, for
+lam + delta < 1 or lam < 1, a multiple of its time) stays below 700.
+
+The rule rests on the reward being zero below the band and on nothing else
+being read from a stage's end state.  A start function V0 added at the last
+stage, or a stage reward r-bar(chi) that integrates the reward over the
+inter-jump time, is nonzero below the band, and there the rule does not
+hold.
 """
 
 from __future__ import annotations
@@ -55,6 +93,8 @@ __all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value", 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
 _LOG_TINY = 1e-300
+_LOG_SAFE = 700.0  # a weight exponent below this cannot overflow exp()
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -102,40 +142,77 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     """Evaluate the n-term accumulated integrand at a batch of points.
 
     ``cols(dim)`` returns the batch's coordinate array for dimension ``dim``
-    in the (v_1, z_1, ...) layout; dimension 2n-1 (z_n) is never requested.
+    in the (v_1, z_1, ...) layout; dimension 2n-1 (z_n) is never requested,
+    and no z column once every node is dropped.  Each v column is requested
+    twice: once for the remaining times, once for its stage.
     """
     p = model.params
     table = model.table
     lam, delta, alpha, ruin = p.lam, p.delta, p.alpha, p.ruin_level
     log_lam = math.log(lam)
     log_alpha = math.log(alpha)
+    # the weight guard's bounds: a stage raises logw by at most `grow` plus
+    # `per_time` times its time, and a term's exponent exceeds logw by at
+    # most log_lam plus `per_time` times its time
+    grow = max(0.0, log_lam + log_alpha + math.log(table.y_end - ruin))
+    per_time = max(0.0, 1.0 - lam - delta) + max(0.0, 1.0 - lam)
+    live = None  # indices of the nodes still evaluated; None while that is all of them
 
-    logv = np.clip(cols(0), _LOG_TINY, 1.0)
-    m = logv.shape[0]
+    def column(dim: int) -> np.ndarray:
+        c = cols(dim)
+        return c if live is None else c.take(live)
+
+    def log_v(dim: int) -> np.ndarray:
+        return np.log(np.clip(column(dim), _LOG_TINY, 1.0))
+
+    logv = log_v(0)
+    rem = -logv  # each node's remaining time: the sum of its inter-jump times
+    for j in range(1, n):
+        rem -= log_v(2 * j)
+    m = rem.size
+    out = np.empty(m)
+    # rem's rounding: a sum of n times, then up to n subtractions
+    slack = 2.0 * n * _EPS * float(np.max(rem, initial=0.0))
     chi = float(x0)  # every node starts here: the first stage solves its time once
     logw = np.zeros(m)
     total = np.zeros(m)
     for j in range(n):
         if j:
-            logv = np.clip(cols(2 * j), _LOG_TINY, 1.0)
-        np.log(logv, out=logv)
+            logv = log_v(2 * j)
+        T0, k0 = table.start(chi)
+        left = n - j
+        gone = T0 + rem < table.reward_cut(left) - slack
+        gone &= logw + per_time * rem < _LOG_SAFE - log_lam - (left - 1) * grow
+        if gone.any():
+            idx = np.arange(m) if live is None else live
+            out[idx[gone]] = total[gone]
+            keep = np.flatnonzero(~gone)
+            live = idx.take(keep)
+            if not live.size:
+                break
+            total, logw, rem, logv = (a.take(keep) for a in (total, logw, rem, logv))
+            if np.ndim(T0):
+                T0, k0 = T0.take(keep), k0.take(keep)
         if j == n - 1:  # nothing reads the last stage's position
-            reward = table.reward_integral(chi, -logv)
+            reward = table.stage(T0, k0, -logv)
         else:
-            reward, chi_pre = table.advance(chi, -logv)
+            reward, chi_pre = table.stage(T0, k0, -logv, position=True)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
         if j < n - 1:
             span = chi_pre - ruin
-            jump = cols(2 * j + 1) * span
+            jump = column(2 * j + 1) * span
             logw += (log_lam + (lam + delta - 1.0) * logv
                      + log_alpha - alpha * jump + np.log(span))
             chi = chi_pre - jump
+            rem += logv
             # free this stage's arrays before the next stage's lookups, the
             # point where a stacked batch holds the most temporaries
-            del reward, chi_pre, logv, span, jump
-    if not np.all(np.isfinite(total)):
+            del reward, chi_pre, logv, span, jump, T0, k0
+    else:
+        out[slice(None) if live is None else live] = total
+    if not np.all(np.isfinite(out)):
         raise ModelError("iterated integrand overflowed at a corner node")
-    return total
+    return out
 
 
 def iterated_integrand(point: IteratedPoint, x0: float, model: SmoothedLoanModel) -> float:

@@ -93,6 +93,14 @@ class TestConfig:
         with pytest.raises(InputError):
             ExperimentConfig(methods=("sobol", "lattice"))
 
+    def test_empty_methods_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="method list"):
+            ExperimentConfig(methods=())
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("methods = ,\n")
+        with pytest.raises(InputError, match="method list"):
+            config_from_mapping(parse_config_file(cfg_file))
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
@@ -367,6 +375,20 @@ class TestCLI:
         assert code == 2
         assert "replicates" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    def test_empty_methods_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # "methods = ," parses to no methods: every subcommand stops before any build
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("methods = ,\n")
+        out_csv = tmp_path / "out.csv"
+        code = main([command, "--config", str(cfg_file), "--points", "64", "--jumps", "1",
+                     "--replicates", "2", "--out", str(out_csv)])
+        assert code == 2
+        assert "method list" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from pdmpval.cubature import (
     mc_chunk,
     sobol_column,
 )
-from pdmpval.errors import InputError
+from pdmpval.errors import InputError, ModelError
+from pdmpval.loan import SmoothedLoanModel
 from pdmpval.model import value_upper_bound
 from pdmpval.operators import (
     IteratedPoint,
@@ -376,25 +378,25 @@ class TestEstimateValue:
         b = estimate_value(0.0, 32, rule, loan_model, workers=2)
         assert a.value.hex() == b.value.hex() and a.std_error.hex() == b.std_error.hex()
 
-    def test_one_flow_table_call_and_two_guided_lookups_per_stage(self, loan_model,
-                                                                  monkeypatch):
-        calls = {"advance": 0, "reward_integral": 0, "find": 0}
+    def test_one_time_solve_and_two_guided_lookups_per_stage(self, loan_model, monkeypatch):
+        calls = {"start": 0, "stage": 0, "position": 0, "find": 0}
         solved, end_positions = [], []  # time_of solve sizes; stage of each end position
         searched = []
         table_cls = type(loan_model.table)
-        real_advance, real_interval = table_cls.advance, pdmpval.flow._interval
-        real_reward_integral = table_cls.reward_integral
+        real_start, real_stage = table_cls.start, table_cls.stage
+        real_interval = pdmpval.flow._interval
         real_solve, real_position = table_cls._solve_time, table_cls._position
         real_find = pdmpval.flow._Guide.find
         in_solve = []
 
-        def advance(self, y, t):
-            calls["advance"] += 1
-            return real_advance(self, y, t)
+        def start(self, y):
+            calls["start"] += 1
+            return real_start(self, y)
 
-        def reward_integral(self, y, t):
-            calls["reward_integral"] += 1
-            return real_reward_integral(self, y, t)
+        def stage(self, T0, k0, t, position=False):
+            calls["stage"] += 1
+            calls["position"] += position
+            return real_stage(self, T0, k0, t, position)
 
         def solve_time(self, yc):
             solved.append(yc.size)
@@ -406,7 +408,7 @@ class TestEstimateValue:
 
         def position(self, uc, k):
             if not in_solve:  # the residual check of time_of reads positions too
-                end_positions.append(calls["advance"] + calls["reward_integral"] - 1)
+                end_positions.append(calls["stage"] - 1)
             return real_position(self, uc, k)
 
         def find(self, x):
@@ -420,23 +422,29 @@ class TestEstimateValue:
         def no_spline(*args, **kwargs):
             raise AssertionError("lookup called a scipy spline")
 
-        monkeypatch.setattr(table_cls, "advance", advance)
-        monkeypatch.setattr(table_cls, "reward_integral", reward_integral)
+        monkeypatch.setattr(table_cls, "start", start)
+        monkeypatch.setattr(table_cls, "stage", stage)
         monkeypatch.setattr(table_cls, "_solve_time", solve_time)
         monkeypatch.setattr(table_cls, "_position", position)
         monkeypatch.setattr(pdmpval.flow._Guide, "find", find)
         monkeypatch.setattr(pdmpval.flow, "_interval", interval)
         monkeypatch.setattr(PPoly, "__call__", no_spline)
-        for name in ("time_of", "pos_at", "reward_from_master"):
+        for name in ("time_of", "pos_at", "reward_from_master", "advance", "reward_integral"):
             monkeypatch.setattr(table_cls, name, no_spline)
         n, m = 6, 512
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
         estimate_value(0.0, n, rule, loan_model)
-        # the last stage reads only the reward: nothing takes its position
-        assert calls == {"advance": n - 1, "reward_integral": 1, "find": 2 * n}
-        assert end_positions == list(range(n - 1))
+        # the loop ends once no node can reach the band: a stage that drops
+        # every node solves its times and evaluates nothing more
+        ran = calls["stage"]
+        assert 2 <= ran <= n
+        cut_short = int(ran < n)
+        # the last stage reads only the reward, not its position
+        assert calls == {"start": ran + cut_short, "stage": ran,
+                         "position": min(ran, n - 1), "find": 2 * ran + cut_short}
+        assert end_positions == list(range(min(ran, n - 1)))
         # every node starts at x0, so the first stage solves one time
-        assert len(solved) == n and solved[0] == 1
+        assert len(solved) == ran + cut_short and solved[0] == 1
         # binary searches only for the residue the guided step leaves
         assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
 
@@ -445,15 +453,16 @@ class TestEstimateValue:
                                                          n, skipped):
         # a point whose end interval lies in the zero stretch (ke < kz) has
         # collected +0.0: no reward spline evaluation may see it.  n = 1 is
-        # one scalar-start stage; at n = 32 nearly every stage ends there
+        # one scalar-start stage; at n = 32 nearly every node-stage ends
+        # there, and most of them are dropped before their stage runs, so
+        # the share is taken of all M R n node-stages
         table = loan_model.table
         table_cls = type(table)
         real_reward, real_ppoly = table_cls._reward, pdmpval.flow._ppoly
-        live, total, widest = [], [], []  # per _reward call
+        live, widest = [], []  # per _reward call
 
         def reward(self, T0, t, te, k0, ke):
             live.append(int(np.count_nonzero(ke >= self._kz)))
-            total.append(ke.size)
             widest.append(0)
             return real_reward(self, T0, t, te, k0, ke)
 
@@ -464,11 +473,26 @@ class TestEstimateValue:
 
         monkeypatch.setattr(table_cls, "_reward", reward)
         monkeypatch.setattr(pdmpval.flow, "_ppoly", ppoly)
-        rule = CubatureSpec(kind=RuleKind.SOBOL, M=2048, d=2 * n, seed=5, replicates=2)
+        m, reps = 2048, 2
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=5, replicates=reps)
         estimate_value(0.0, n, rule, loan_model)
-        assert len(live) == n
-        assert all(w <= m for w, m in zip(widest, live))
-        assert 0 < sum(live) <= (1.0 - skipped) * sum(total)
+        assert 1 <= len(live) <= n
+        assert all(w <= k for w, k in zip(widest, live))
+        assert 0 < sum(live) <= (1.0 - skipped) * m * reps * n
+
+    def test_deep_estimate_evaluates_a_third_of_the_node_stages(self, loan_model, monkeypatch):
+        # at the deep-qmc shape most nodes fall toward the ruin end and are
+        # dropped once no remaining stage can reach the dividend band
+        sizes = []
+        table_cls = type(loan_model.table)
+        real_stage = table_cls.stage
+        monkeypatch.setattr(table_cls, "stage", lambda self, T0, k0, t, position=False:
+                            sizes.append(np.size(t)) or real_stage(self, T0, k0, t, position))
+        n, m, reps = 32, 4096, 4
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=reps)
+        estimate_value(0.0, n, rule, loan_model)
+        assert 1 <= len(sizes) <= n
+        assert sum(sizes) <= 0.35 * m * reps * n
 
     @pytest.mark.parametrize("kind, name", [("sobol", "sobol_column"),
                                             ("halton", "halton_column")])
@@ -547,3 +571,147 @@ class TestStackedReplicates:
         estimate_value(0.0, 2, rule, loan_model)
         # full chunk: stacks of 4, 4 and 2 replicates; partial chunk: all 10
         assert sizes == [4 * 8192, 4 * 8192, 2 * 8192, 10 * 1808]
+
+
+def _integrand_batch_oracle(model, x0, n, cols):
+    """The integrand before nodes were dropped: every node runs every stage.
+
+    Kept as it was, as the reference the dropping loop must match bit for bit.
+    """
+    p = model.params
+    table = model.table
+    lam, delta, alpha, ruin = p.lam, p.delta, p.alpha, p.ruin_level
+    log_lam = math.log(lam)
+    log_alpha = math.log(alpha)
+
+    logv = np.clip(cols(0), pdmpval.operators._LOG_TINY, 1.0)
+    m = logv.shape[0]
+    chi = float(x0)  # every node starts here: the first stage solves its time once
+    logw = np.zeros(m)
+    total = np.zeros(m)
+    for j in range(n):
+        if j:
+            logv = np.clip(cols(2 * j), pdmpval.operators._LOG_TINY, 1.0)
+        np.log(logv, out=logv)
+        if j == n - 1:  # nothing reads the last stage's position
+            reward = table.reward_integral(chi, -logv)
+        else:
+            reward, chi_pre = table.advance(chi, -logv)
+        total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
+        if j < n - 1:
+            span = chi_pre - ruin
+            jump = cols(2 * j + 1) * span
+            logw += (log_lam + (lam + delta - 1.0) * logv
+                     + log_alpha - alpha * jump + np.log(span))
+            chi = chi_pre - jump
+            del reward, chi_pre, logv, span, jump
+    if not np.all(np.isfinite(total)):
+        raise ModelError("iterated integrand overflowed at a corner node")
+    return total
+
+
+# the published parameters at three widths, one more parameter set and one
+# with lam + delta < 1, whose weights grow as v -> 0
+_DROP_MODELS = {
+    "eps=0.08": dict(eps=0.08),
+    "eps=0.0025": dict(eps=0.0025),
+    "eps=5e-4": dict(eps=5e-4),
+    "wide-band": dict(c=6.0, rho=0.05, b=4.0, lam=2.5, alpha=0.8, delta=0.05, eps=0.02),
+    "lam+delta<1": dict(c=4.0, rho=0.04, b=3.5, lam=0.7, alpha=2.0, delta=0.2, eps=0.01),
+}
+_DROP_GAUSS_M = {1: 16, 2: 8, 3: 4, 8: 2, 32: 1, 64: 1}  # within the 1e7-node budget
+
+
+@pytest.fixture(scope="module")
+def drop_models():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lam + delta <= 3 warns of an unbounded integrand
+        return {name: SmoothedLoanModel.build(**kw) for name, kw in _DROP_MODELS.items()}
+
+
+def _outcome(model, x0, n, rule):
+    """The estimate's value and error bar in hex, or the ModelError it raised."""
+    try:
+        est = estimate_value(x0, n, rule, model)
+    except ModelError as exc:
+        return "ModelError", str(exc)
+    return est.value.hex(), None if est.std_error is None else est.std_error.hex()
+
+
+def _evaluated_stage_sizes(monkeypatch, table):
+    """Record the node count of every evaluated stage (one list per patch)."""
+    sizes = []
+    real = type(table).stage
+    monkeypatch.setattr(type(table), "stage", lambda self, T0, k0, t, position=False:
+                        sizes.append(np.size(t)) or real(self, T0, k0, t, position))
+    return sizes
+
+
+class TestDroppedNodes:
+    """A node is dropped once no remaining stage can reach the dividend band;
+    every value is the every-node-every-stage loop's bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["sobol", "halton", "mc", "gauss"])
+    @pytest.mark.parametrize("name", sorted(_DROP_MODELS))
+    def test_estimates_match_the_oracle(self, drop_models, monkeypatch, name, kind):
+        model = drop_models[name]
+        p = model.params
+        sizes = _evaluated_stage_sizes(monkeypatch, model.table)
+        nodes = 0
+        for x0 in (0.0, -99.99, -50.0, 3.0, p.b, float(np.nextafter(p.ruin_level, np.inf))):
+            for n in (1, 2, 3, 8, 32, 64):
+                if kind == "gauss":
+                    rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=_DROP_GAUSS_M[n], d=2 * n)
+                else:
+                    rule = CubatureSpec(kind=RuleKind(kind), M=128, d=2 * n, seed=n,
+                                        replicates=3)
+                got = _outcome(model, x0, n, rule)
+                nodes += n * (rule.M ** (2 * n - 1) if kind == "gauss" else 3 * rule.M)
+                mark = len(sizes)
+                with monkeypatch.context() as patch:
+                    patch.setattr(pdmpval.operators, "_integrand_batch", _integrand_batch_oracle)
+                    want = _outcome(model, x0, n, rule)
+                del sizes[mark:]  # the oracle's stages
+                assert got == want, (x0, n)
+        # the rule drops nodes here: fewer node-stages ran than the oracle's
+        assert 0 < sum(sizes) < nodes
+
+    def test_margin_edge_nodes_match_the_oracle(self, loan_model, monkeypatch):
+        # nodes whose start time plus remaining time lies within a few steps
+        # e of grid_t[_kz], where dividends start, a third of them never
+        # jumping, so they stay at the edge on every stage; and nodes within
+        # 1e-10 of it that never jump, where a cut without the steps e
+        # drops nodes whose rounded times still reach the band
+        table = loan_model.table
+        t_cut, e = table._cut_t, table._cut_step
+        assert 0.0 < e < 0.03  # the ruin end's slope makes e about 0.02 here
+        sizes = _evaluated_stage_sizes(monkeypatch, table)
+        for n in (1, 3, 8, 16):
+            for x0 in (-50.0, -1.0, 0.0):
+                offsets = np.concatenate([e * np.linspace(-(n + 3), 3, 301),
+                                          np.linspace(-1e-10, 1e-10, 2001)])
+                v = np.exp(-(t_cut - table.time_of(x0) + offsets) / n)
+                z = np.concatenate([np.resize([0.0, 1e-12, 0.5], 301), np.zeros(2001)])
+                cols = lambda dim: v if dim % 2 == 0 else z
+                sizes.clear()
+                got = pdmpval.operators._integrand_batch(loan_model, x0, n, cols)
+                want = _integrand_batch_oracle(loan_model, x0, n, cols)
+                assert got.tobytes() == want.tobytes(), (n, x0)
+                assert (got > 0.0).any() and (got == 0.0).any()
+                assert sizes[0] < v.size  # the edge's lower side is dropped at once
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_corner_node_still_raises(self, loan_model):
+        # 128 stages without a jump from -20 end far below the band, so the
+        # time rule alone would drop the node at once; its weight overflows
+        # exp() on the way, which the every-stage loop reports
+        n, x0, r = 128, -20.0, 1.0
+        table = loan_model.table
+        assert table.time_of(x0) + r < table.reward_cut(n)
+        coords = np.zeros(2 * n)
+        coords[0::2] = math.exp(-r / n)
+        with pytest.raises(ModelError, match="overflowed"):
+            _integrand_batch_oracle(loan_model, x0, n, lambda dim: coords[dim:dim + 1])
+        with pytest.raises(ModelError, match="overflowed"):
+            iterated_integrand(IteratedPoint(coords), x0, loan_model)
