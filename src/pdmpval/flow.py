@@ -24,20 +24,22 @@ T(y) with its grid_t interval, and ``stage(T0, k0, t)``, the reward and, on
 every stage but the last (whose position nothing reads), the position
 reached.  ``advance(y, t)`` and ``reward_integral(y, t)`` are the two
 composed.  The split lets the integrand drop, between the halves, the nodes
-that :meth:`FlowTable.reward_cut` shows can no longer reach the reward.  A
-scalar y (the first stage, where every node starts at x0) is solved once
-and broadcast against t.  The calls share interval lookups: grid_y =
-P(grid_t), so the grid_y interval of y is also the grid_t interval of the
-seed and Newton times (a checked neighbour step confirms it); the reward
-grid is a prefix of grid_t, so the reward intervals are grid intervals; and
-one lookup of T(y) + t serves both the position and the reward there.  That
-is two lookups per point instead of seven, and neither is a binary search:
-a guide table per knot array (Chen & Asau 1974; Devroye 1986, section
-III.2.4) maps a point to a guessed interval in O(1), and the checked
-neighbour step finishes it.  grid_t is guided on the time itself, grid_y on
-the log-distance above the ruin end, where the drift vanishes linearly and
-the knots are geometric.  The few points the step does
-not settle are searched, so every interval equals the binary search's.
+that :meth:`FlowTable.reward_cut` shows can no longer reach the reward;
+``locate(y)``, the first lookup of the time solve, bounds T(y) by the end
+of y's interval, so most of them are dropped before ``start``, which then
+reuses the lookup.  A scalar y (the first stage, where every node starts at
+x0) is solved once and broadcast against t.  The calls share interval
+lookups: grid_y = P(grid_t), so the grid_y interval of y is also the grid_t
+interval of the seed and Newton times (a checked neighbour step confirms
+it); the reward grid is a prefix of grid_t, so the reward intervals are
+grid intervals; and one lookup of T(y) + t serves both the position and the
+reward there.  That is two lookups per point instead of seven, and neither
+is a binary search: a guide table per knot array (Chen & Asau 1974; Devroye
+1986, section III.2.4) maps a point to a guessed interval in O(1), and the
+checked neighbour step finishes it.  grid_t is guided on the time itself,
+grid_y on the log-distance above the ruin end, where the drift vanishes
+linearly and the knots are geometric.  The few points the step does not
+settle are searched, so every interval equals the binary search's.
 Positions at y_start, where every path parked at the ruin end and every
 position below it clamp, take time 0 in interval 0 (the first knot of both
 grids), so the chain runs only on the other points.
@@ -107,7 +109,11 @@ class FlowTable:
 
     A stage of the integrand runs in two halves, :meth:`start` (the time
     solve) and :meth:`stage` (the rest); :meth:`advance`,
-    :meth:`reward_integral` and :meth:`flow_at` compose them.
+    :meth:`reward_integral` and :meth:`flow_at` compose them.  The table
+    owns the rule for dropping a node that can no longer earn:
+    :meth:`reward_cut` bounds the master times from which the next stages
+    collect +0.0, and :meth:`locate` bounds a state's master time from its
+    grid_y interval before the time solve, so most drops skip the solve.
     """
 
     grid_t: np.ndarray
@@ -243,14 +249,31 @@ class FlowTable:
         """
         return self.stage(*self.start(y), t, position=True)
 
-    def start(self, y):
+    def locate(self, y):
+        """The grid_y interval k of each y (clamped to the table) and a bound on its time.
+
+        Returns ``(k, t_up)``, arrays of y's shape, with t_up = grid_t[k + 1].
+        grid_y = P(grid_t) at the knots, so a clamped y lies at or below
+        grid_y[k + 1] = P(t_up), and the time solve overshoots by at most the
+        step e of :meth:`reward_cut` while t_up + e lies below grid_t[_kz]:
+        time_of(y) <= t_up + e.  So t_up + r < reward_cut(stages + 1) implies
+        time_of(y) + r < reward_cut(stages), and a node can be dropped before
+        its time is solved.  :meth:`start` takes k and skips its own lookup.
+        """
+        y = np.asarray(y, dtype=float)
+        k = self._y_guide.find(np.clip(y, self.y_start, self.y_end).ravel()).reshape(y.shape)
+        return k, self.grid_t[1:].take(k)
+
+    def start(self, y, k=None):
         """The time solve of a stage: ``T0 = time_of(y)`` and its grid_t interval k0.
 
         Arrays of y's shape; a scalar y gives scalars, which :meth:`stage`
-        broadcasts against t.
+        broadcasts against t.  ``k``, the intervals :meth:`locate` found for
+        y, saves the solve's first lookup; the solve overwrites it.
         """
         y = np.asarray(y, dtype=float)
-        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
+        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel(),
+                               None if k is None else np.ravel(k))
         if not y.ndim:
             return T0[0], k0[0]
         return T0.reshape(y.shape), k0.reshape(y.shape)
@@ -296,11 +319,13 @@ class FlowTable:
         P rises over e at the smallest slope of the position interpolant on
         [0, grid_t[_kz]], and the interpolant is monotone (the build's shape
         guard).  e also covers a time sum's rounding.  The operators module
-        docstring chains this over the stages.  The cut is -inf when that
-        slope is not positive or the stretch is empty.  It holds only for a
-        stage that reads nothing but the reward of a flow ending below the
-        band: a start function of the end state, or a reward of the state
-        itself, is nonzero there.
+        docstring chains this over the stages.  Before the solve,
+        :meth:`locate` gives t_up with T0 <= t_up + e, so t_up + r <
+        reward_cut(stages + 1) = reward_cut(stages) - e implies the test on
+        T0.  The cut is -inf when that slope is not positive or the stretch
+        is empty.  It holds only for a stage that reads nothing but the
+        reward of a flow ending below the band: a start function of the end
+        state, or a reward of the state itself, is nonzero there.
         """
         return self._cut_t - stages * self._cut_step
 
@@ -337,33 +362,36 @@ class FlowTable:
         """Position interpolant at clamped master times uc in grid_t intervals k."""
         return _ppoly(self._pos_c, k, uc - self.grid_t[k])
 
-    def _time_at(self, yc):
+    def _time_at(self, yc, ky=None):
         """time_of on a flat array of clamped positions, with the grid_t interval of each time.
 
         Points at y_start (paths parked at the ruin end, and every position
         clamped up to it) take time +0.0 in interval 0: grid_y[0] = y_start is
         the position at grid_t[0] = 0, and the chain returns exactly that
         there.  The chain runs on the other points only.  It is elementwise,
-        so the result is the chain's on the whole array bit for bit.
+        so the result is the chain's on the whole array bit for bit.  ``ky``,
+        the grid_y intervals of yc if already found, is passed on.
         """
         at = yc == self.y_start
         if not at.any():
-            return self._solve_time(yc)
+            return self._solve_time(yc, ky)
         t = np.zeros(yc.shape)
         k = np.zeros(yc.shape, dtype=np.intp)
         rest = np.flatnonzero(~at)
         if rest.size:
-            t[rest], k[rest] = self._solve_time(yc[rest])
+            t[rest], k[rest] = self._solve_time(yc[rest], None if ky is None else ky[rest])
         return t, k
 
-    def _solve_time(self, yc):
+    def _solve_time(self, yc, k=None):
         """The time_of chain of :meth:`_time_at` on a flat array of clamped positions.
 
-        grid_y = pos(grid_t), so the grid_y interval of yc is also the grid_t
-        interval of the seed time and of the Newton-polished time, up to a
-        neighbour step near a node.
+        grid_y = pos(grid_t), so the grid_y interval k of yc (found here
+        unless given, and overwritten) is also the grid_t interval of the
+        seed time and of the Newton-polished time, up to a neighbour step
+        near a node.
         """
-        k = self._y_guide.find(yc)
+        if k is None:
+            k = self._y_guide.find(yc)
         t = np.clip(_ppoly(self._seed_c, k, yc - self.grid_y[k]), 0.0, self.horizon)
         settle = self._t_guide.settle
         k = settle(k, t)

@@ -77,6 +77,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in _METHOD_KINDS]
         if unknown:
             raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise InputError(f"methods {repeated} given more than once; each runs once")
         if not math.isfinite(self.x0):
             raise InputError(f"start value x0 must be finite, got {self.x0}")
         require_int("jumps", self.jumps, 1)

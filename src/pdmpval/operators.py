@@ -23,7 +23,9 @@ Each stage is two flow-table calls: ``start``, the time solve T0 = T(chi)
 on the master clock, and ``stage``, the reward and the position reached.
 Every node starts at x0, so the first stage passes it as a scalar and its
 master time is solved once; the last stage reads only the reward L, since
-chi_n is never used.
+chi_n is never used.  Every later stage first calls ``locate``, the grid_y
+interval of chi that the time solve starts from, for the drop pre-test
+below, and ``start`` reuses it.
 
 Nodes that can no longer earn are dropped.  The reward rate is zero below
 the dividend band, so a flow that ends before grid_t[_kz], the start of the
@@ -44,7 +46,18 @@ generated.  The rule is exact, by this chain over the stages k >= j:
             <= T0_j + r + (s - 1) e < grid_t[_kz] - e,
 
 so every stage from j on ends in the zero stretch, each adds W * 0.0 = +0.0,
-and the dropped total is the every-stage loop's bit for bit.  Here e bounds
+and the dropped total is the every-stage loop's bit for bit.  At j >= 1 most
+nodes that are dropped are dropped before their time solve, by a pre-test
+on chi's grid_y interval k (``table.locate``): with t_up = grid_t[k+1],
+
+    T0_j = T(chi_j) <= t_up + e                (chi_j <= grid_y[k+1] = P(t_up),
+                                               and a time solve overshoots by <= e)
+    so t_up + r < reward_cut(s + 1) = reward_cut(s) - e
+    implies T0_j + r < reward_cut(s),
+
+and a node that passes it (and the weight guard) is dropped as above, its
+stage v column never read; the exact test on T0 then runs on the rest,
+whose intervals the time solve reuses.  Here e bounds
 one time solve's overshoot below the band: the residual tolerance of
 time_of (plus a position's rounding) over the smallest slope of the
 position interpolant on [0, grid_t[_kz]] (0.02 time units on the loan
@@ -132,10 +145,9 @@ class IteratedPoint:
 def _check_x0(model: SmoothedLoanModel, x0: float) -> None:
     p = model.params
     if not p.ruin_level < x0 <= p.b:
-        raise InputError(
-            f"start value {x0} outside ({p.ruin_level}, {p.b}]; "
-            "use valuation() for the lump-sum convention above the barrier"
-        )
+        hint = ("; use valuation() for the lump-sum convention above the barrier"
+                if x0 > p.b else "")
+        raise InputError(f"start value {x0} outside ({p.ruin_level}, {p.b}]{hint}")
 
 
 def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable) -> np.ndarray:
@@ -173,26 +185,43 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     out = np.empty(m)
     # rem's rounding: a sum of n times, then up to n subtractions
     slack = 2.0 * n * _EPS * float(np.max(rem, initial=0.0))
+
+    def drop(gone, *arrays):
+        """Write the gone nodes' totals (arrays[0]) to out; each array's other nodes.
+
+        Scalars (the first stage's shared start) pass through.
+        """
+        nonlocal live
+        idx = np.arange(m) if live is None else live
+        out[idx[gone]] = arrays[0][gone]
+        keep = np.flatnonzero(~gone)
+        live = idx.take(keep)
+        return [a.take(keep) if np.ndim(a) else a for a in arrays]
+
     chi = float(x0)  # every node starts here: the first stage solves its time once
     logw = np.zeros(m)
     total = np.zeros(m)
     for j in range(n):
-        if j:
-            logv = log_v(2 * j)
-        T0, k0 = table.start(chi)
         left = n - j
-        gone = T0 + rem < table.reward_cut(left) - slack
-        gone &= logw + per_time * rem < _LOG_SAFE - log_lam - (left - 1) * grow
+        safe = logw + per_time * rem < _LOG_SAFE - log_lam - (left - 1) * grow
+        if j:
+            # pre-test before the time solve: T0 <= t_up + e (FlowTable.locate),
+            # so a node that passes it passes the test on T0 below
+            k, t_up = table.locate(chi)
+            gone = (t_up + rem < table.reward_cut(left + 1) - slack) & safe
+            if gone.any():
+                total, logw, rem, chi, k, safe = drop(gone, total, logw, rem, chi, k, safe)
+                if not live.size:
+                    break
+            logv = log_v(2 * j)
+            T0, k0 = table.start(chi, k)
+        else:
+            T0, k0 = table.start(chi)
+        gone = (T0 + rem < table.reward_cut(left) - slack) & safe
         if gone.any():
-            idx = np.arange(m) if live is None else live
-            out[idx[gone]] = total[gone]
-            keep = np.flatnonzero(~gone)
-            live = idx.take(keep)
+            total, logw, rem, logv, T0, k0 = drop(gone, total, logw, rem, logv, T0, k0)
             if not live.size:
                 break
-            total, logw, rem, logv = (a.take(keep) for a in (total, logw, rem, logv))
-            if np.ndim(T0):
-                T0, k0 = T0.take(keep), k0.take(keep)
         if j == n - 1:  # nothing reads the last stage's position
             reward = table.stage(T0, k0, -logv)
         else:

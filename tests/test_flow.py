@@ -608,11 +608,44 @@ class TestRuinEndConstant:
         sizes = []
         real = type(table)._solve_time
         monkeypatch.setattr(type(table), "_solve_time",
-                            lambda self, yc: sizes.append(yc.size) or real(self, yc))
+                            lambda self, yc, k=None: sizes.append(yc.size) or real(self, yc, k))
         batches = _ruin_end_batches(table, rng)
         for name in ("all at y_start", "all below", "never at", "interleaved"):
             table.time_of(batches[name])
-        assert sizes == [40, 26]  # never at: the whole batch; interleaved: 14 at y_start
+            table.start(batches[name], table.locate(batches[name])[0])
+        # never at: the whole batch; interleaved: 14 at y_start; located or not
+        assert sizes == [40, 40, 26, 26]
+
+
+class TestLocate:
+    """locate finds the grid_y interval k of a state and bounds its master time
+    by t_up = grid_t[k + 1] up to one step e of reward_cut; start reuses k."""
+
+    @pytest.mark.parametrize("which", ["eps=0.01", "eps=0.08", "const"])
+    def test_interval_bound_and_start(self, loan_model, wide_table, const_table, rng, which):
+        table = {"eps=0.01": loan_model.table, "eps=0.08": wide_table,
+                 "const": const_table}[which]
+        y = np.concatenate([_lookup_probe_states(table, rng),
+                            *_ruin_end_batches(table, rng).values()])
+        k, t_up = table.locate(y)
+        want = pdmpval.flow._interval(table.grid_y, np.clip(y, table.y_start, table.y_end))
+        assert np.array_equal(k, want) and _same_bits(t_up, table.grid_t[want + 1])
+        T0, k0 = table.start(y, k)
+        T0_want, k0_want = table.start(y)
+        assert _same_bits(T0, T0_want) and np.array_equal(k0, k0_want)
+
+    @pytest.mark.parametrize("which", ["eps=0.01", "eps=0.08"])
+    def test_time_within_one_step_of_the_bound(self, loan_model, wide_table, which):
+        # states at, just under and just over every knot below the band,
+        # where the bound is tightest: time_of(y) <= t_up + e
+        table = loan_model.table if which == "eps=0.01" else wide_table
+        e = table._cut_step
+        knots = table.grid_y[:table._kz + 1]
+        y = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        k, t_up = table.locate(y)
+        below = t_up + e < table.reward_cut(0)
+        assert below.mean() > 0.95  # all but the knots within e of the band
+        assert np.all(table.time_of(y[below]) <= t_up[below] + e)
 
 
 @pytest.fixture(scope="module")

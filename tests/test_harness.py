@@ -101,6 +101,15 @@ class TestConfig:
         with pytest.raises(InputError, match="method list"):
             config_from_mapping(parse_config_file(cfg_file))
 
+    def test_repeated_methods_rejected(self, tmp_path):
+        # a repeated method would run every estimate twice and write each row twice
+        with pytest.raises(InputError, match=r"methods \['gauss'\] given more than once"):
+            ExperimentConfig(methods=("gauss", "sobol", "gauss"))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("methods = sobol, sobol\n")
+        with pytest.raises(InputError, match="more than once"):
+            config_from_mapping(parse_config_file(cfg_file))
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
@@ -388,6 +397,21 @@ class TestCLI:
                      "--replicates", "2", "--out", str(out_csv)])
         assert code == 2
         assert "method list" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_repeated_methods_exit_code(self, tmp_path, monkeypatch, capsys, command, source):
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("methods = sobol, sobol\n" if source == "config" else "")
+        flags = ["--method", "gauss", "--method", "gauss"] if source == "flags" else []
+        out_csv = tmp_path / "out.csv"
+        code = main([command, "--config", str(cfg_file), *flags, "--points", "64",
+                     "--jumps", "1", "--replicates", "2", "--out", str(out_csv)])
+        assert code == 2
+        assert "more than once" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):

@@ -166,8 +166,14 @@ class TestIteratedIntegrand:
             assert iterated_integrand(IteratedPoint(coords), 0.0, loan_model) >= 0.0
 
     def test_x0_outside_domain_rejected(self, loan_model):
-        with pytest.raises(InputError):
-            iterated_integrand(IteratedPoint(np.array([0.5, 0.5])), B + 1.0, loan_model)
+        # only a start above the barrier is pointed to valuation()
+        point = IteratedPoint(np.array([0.5, 0.5]))
+        with pytest.raises(InputError, match=r"use valuation\(\)"):
+            iterated_integrand(point, B + 1.0, loan_model)
+        for x0 in (RUIN, RUIN - 1.0):  # at or below the ruin level
+            with pytest.raises(InputError, match="outside") as err:
+                iterated_integrand(point, x0, loan_model)
+            assert "valuation" not in str(err.value)
 
 
 class TestTensorGauss:
@@ -379,30 +385,37 @@ class TestEstimateValue:
         assert a.value.hex() == b.value.hex() and a.std_error.hex() == b.std_error.hex()
 
     def test_one_time_solve_and_two_guided_lookups_per_stage(self, loan_model, monkeypatch):
-        calls = {"start": 0, "stage": 0, "position": 0, "find": 0}
-        solved, end_positions = [], []  # time_of solve sizes; stage of each end position
+        calls = {"locate": 0, "start": 0, "stage": 0, "position": 0, "find": 0}
+        located, solved, end_positions = [], [], []  # sizes; stage of each end position
         searched = []
         table_cls = type(loan_model.table)
-        real_start, real_stage = table_cls.start, table_cls.stage
+        real_locate, real_start, real_stage = table_cls.locate, table_cls.start, table_cls.stage
         real_interval = pdmpval.flow._interval
         real_solve, real_position = table_cls._solve_time, table_cls._position
         real_find = pdmpval.flow._Guide.find
         in_solve = []
 
-        def start(self, y):
+        def locate(self, y):
+            calls["locate"] += 1
+            located.append(np.size(y))
+            return real_locate(self, y)
+
+        def start(self, y, k=None):
             calls["start"] += 1
-            return real_start(self, y)
+            # every stage but the first reuses the intervals the pre-test located
+            assert (k is None) == (calls["start"] == 1)
+            return real_start(self, y, k)
 
         def stage(self, T0, k0, t, position=False):
             calls["stage"] += 1
             calls["position"] += position
             return real_stage(self, T0, k0, t, position)
 
-        def solve_time(self, yc):
+        def solve_time(self, yc, k=None):
             solved.append(yc.size)
             in_solve.append(1)
             try:
-                return real_solve(self, yc)
+                return real_solve(self, yc, k)
             finally:
                 in_solve.pop()
 
@@ -422,6 +435,7 @@ class TestEstimateValue:
         def no_spline(*args, **kwargs):
             raise AssertionError("lookup called a scipy spline")
 
+        monkeypatch.setattr(table_cls, "locate", locate)
         monkeypatch.setattr(table_cls, "start", start)
         monkeypatch.setattr(table_cls, "stage", stage)
         monkeypatch.setattr(table_cls, "_solve_time", solve_time)
@@ -434,17 +448,26 @@ class TestEstimateValue:
         n, m = 6, 512
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
         estimate_value(0.0, n, rule, loan_model)
-        # the loop ends once no node can reach the band: a stage that drops
-        # every node solves its times and evaluates nothing more
+        # the loop ends once no node can reach the band: the stage that
+        # drops every node locates them, and solves the times of those the
+        # pre-test leaves, but evaluates nothing more
         ran = calls["stage"]
         assert 2 <= ran <= n
         cut_short = int(ran < n)
-        # the last stage reads only the reward, not its position
-        assert calls == {"start": ran + cut_short, "stage": ran,
-                         "position": min(ran, n - 1), "find": 2 * ran + cut_short}
+        solved_at_cut = calls["start"] - ran
+        assert 0 <= solved_at_cut <= cut_short
+        # the last stage reads only the reward, not its position; each stage
+        # is one guided lookup of the state (the first stage's inside its
+        # time solve, the others' in locate) and one of the end time
+        assert calls == {"locate": ran - 1 + cut_short, "start": ran + solved_at_cut,
+                         "stage": ran, "position": min(ran, n - 1),
+                         "find": 2 * ran + cut_short}
         assert end_positions == list(range(min(ran, n - 1)))
-        # every node starts at x0, so the first stage solves one time
-        assert len(solved) == ran + cut_short and solved[0] == 1
+        # every node starts at x0, so the first stage solves one time; the
+        # later stages solve only the nodes the pre-test leaves
+        assert len(solved) == calls["start"] and solved[0] == 1
+        assert all(s <= size for s, size in zip(solved[1:], located))
+        assert sum(solved[1:]) < sum(located)
         # binary searches only for the residue the guided step leaves
         assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
 
@@ -638,6 +661,27 @@ def _outcome(model, x0, n, rule):
     return est.value.hex(), None if est.std_error is None else est.std_error.hex()
 
 
+def _located_and_started(monkeypatch, table):
+    """Record the node count of every locate call and of every time solve of
+    a node array (the first stage's shared start is a scalar)."""
+    located, started = [], []
+    cls = type(table)
+    real_locate, real_start = cls.locate, cls.start
+
+    def locate(self, y):
+        located.append(np.size(y))
+        return real_locate(self, y)
+
+    def start(self, y, k=None):
+        if np.ndim(y):
+            started.append(np.size(y))
+        return real_start(self, y, k)
+
+    monkeypatch.setattr(cls, "locate", locate)
+    monkeypatch.setattr(cls, "start", start)
+    return located, started
+
+
 def _evaluated_stage_sizes(monkeypatch, table):
     """Record the node count of every evaluated stage (one list per patch)."""
     sizes = []
@@ -658,6 +702,7 @@ class TestDroppedNodes:
         model = drop_models[name]
         p = model.params
         sizes = _evaluated_stage_sizes(monkeypatch, model.table)
+        located, started = _located_and_started(monkeypatch, model.table)
         nodes = 0
         for x0 in (0.0, -99.99, -50.0, 3.0, p.b, float(np.nextafter(p.ruin_level, np.inf))):
             for n in (1, 2, 3, 8, 32, 64):
@@ -668,14 +713,17 @@ class TestDroppedNodes:
                                         replicates=3)
                 got = _outcome(model, x0, n, rule)
                 nodes += n * (rule.M ** (2 * n - 1) if kind == "gauss" else 3 * rule.M)
-                mark = len(sizes)
+                marks = [len(a) for a in (sizes, located, started)]
                 with monkeypatch.context() as patch:
                     patch.setattr(pdmpval.operators, "_integrand_batch", _integrand_batch_oracle)
                     want = _outcome(model, x0, n, rule)
-                del sizes[mark:]  # the oracle's stages
+                for a, mark in zip((sizes, located, started), marks):
+                    del a[mark:]  # the oracle's calls
                 assert got == want, (x0, n)
-        # the rule drops nodes here: fewer node-stages ran than the oracle's
+        # the rule drops nodes here: fewer node-stages ran than the oracle's,
+        # and the pre-test drops some nodes before their time solve
         assert 0 < sum(sizes) < nodes
+        assert 0 < sum(started) < sum(located)
 
     def test_margin_edge_nodes_match_the_oracle(self, loan_model, monkeypatch):
         # nodes whose start time plus remaining time lies within a few steps
@@ -700,6 +748,58 @@ class TestDroppedNodes:
                 assert got.tobytes() == want.tobytes(), (n, x0)
                 assert (got > 0.0).any() and (got == 0.0).any()
                 assert sizes[0] < v.size  # the edge's lower side is dropped at once
+
+    def test_pre_test_margin_nodes_match_the_oracle(self, loan_model, monkeypatch):
+        # stage 0 runs from -50 and jumps into the grid_y interval below knot
+        # i: just under the knot, at its middle or just over the knot below,
+        # so the pre-test of stage 1 bounds the node's time by grid_t[i].  The
+        # remaining time puts that bound within a few steps e of the
+        # pre-test's cut, on both sides, with no later jump: the pre-test
+        # drops one side unsolved, and the exact test still drops some of the
+        # nodes it leaves, whose solved time lies below the knot
+        table = loan_model.table
+        t_cut, e, grid_t, grid_y = table._cut_t, table._cut_step, table.grid_t, table.grid_y
+        x0, t1 = -50.0, 2.0
+        T0 = table.time_of(x0)
+        chi_pre = table.flow_at(x0, t1)
+        i = np.searchsorted(grid_t, T0) + np.arange(4, 60, 8)  # knots below chi_pre
+        assert grid_t[i[-1]] < T0 + t1
+        lo, hi = grid_y[i - 1], grid_y[i]
+        located, started = _located_and_started(monkeypatch, table)
+        sizes = _evaluated_stage_sizes(monkeypatch, table)
+        for n in (2, 3, 8):
+            offsets = e * np.linspace(-3.0, n + 3.0, 8 * n + 49)
+            target = np.concatenate([hi - 1e-9 * (hi - lo), 0.5 * (lo + hi),
+                                     lo + 1e-9 * (hi - lo)])
+            t_up = np.tile(grid_t[i], 3)
+            target, t_up = (np.repeat(a, offsets.size) for a in (target, t_up))
+            rem = t_cut - n * e - t_up + np.tile(offsets, i.size * 3)
+            v = np.exp(-rem / (n - 1))
+            cols = {0: np.full(v.size, math.exp(-t1)),
+                    1: (chi_pre - target) / (chi_pre - RUIN)}
+            col = lambda dim: cols.get(dim, v if dim % 2 == 0 else np.zeros(v.size))
+            for a in (located, started, sizes):
+                a.clear()
+            got = pdmpval.operators._integrand_batch(loan_model, x0, n, col)
+            seen = located[0], started[0], sizes[:2]
+            want = _integrand_batch_oracle(loan_model, x0, n, col)
+            assert got.tobytes() == want.tobytes(), n
+            assert (got > 0.0).any() and (got == 0.0).any()
+            # every node reaches stage 1; the pre-test drops some of them,
+            # and the exact test some of the solved rest
+            assert seen[0] == v.size and 0 < seen[1] < seen[0]
+            assert seen[2] == [v.size, seen[2][1]] and seen[2][1] < seen[1]
+
+    def test_pre_test_spares_most_stage_one_time_solves(self, loan_model, monkeypatch):
+        # at the epsilon study's shape (n = 2) about 88% of the nodes reach
+        # stage 1, most of them jumped toward the ruin end; the exact test
+        # alone would solve all their times to drop 95% of them
+        located, started = _located_and_started(monkeypatch, loan_model.table)
+        m, reps = 2048, 4
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=4, seed=1, replicates=reps)
+        estimate_value(0.0, 2, rule, loan_model)
+        assert len(located) == 1 and located[0] >= 0.8 * m * reps
+        assert 0 < sum(started) <= 0.15 * m * reps
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_corner_node_still_raises(self, loan_model):
