@@ -204,9 +204,15 @@ def halton_permutations(d: int, seed: Optional[int]):
     return perms
 
 
+@lru_cache(maxsize=2048)
+def _halton_base(dim: int) -> int:
+    """The base of Halton coordinate ``dim`` (1-based): the dim-th prime."""
+    return int(first_primes(dim)[-1])
+
+
 def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
     """Coordinate ``dim`` (1-based) of (scrambled) Halton points, indices [start, stop)."""
-    base = int(first_primes(dim)[-1])
+    base = _halton_base(dim)
     perm = None if perms is None else perms[dim - 1]
     idx = np.arange(start, stop, dtype=np.int64)
     rem = idx.copy()

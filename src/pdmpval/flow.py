@@ -58,17 +58,21 @@ frozen stretch by more than 1% of its supremum, and a drift that is not
 finite on the domain.
 
 The time grid is marched one step at a time on Python floats from a bound on
-the trajectory's third derivative, with a step cap.  Most of the barrier tail
-is one run of capped steps: there each capped step predicts the next times by
-adding the cap, as the loop would, and one array pass of the same step rule
-takes the prefix of them that is certainly capped, so the grid is the scalar
-loop's bit for bit at about a quarter of the drift calls.  A batch that
-takes nothing is not retried until a step falls below the cap.  A march
-that hits the solver's time cap ends short of the upper end by ``end_gap``.
+the trajectory's third derivative, with a step cap and fine steps in windows
+around the features, found by bisection over their sorted ends.  Most of the
+barrier tail is one run of capped steps: there each capped step predicts the
+next times by adding the cap, as the loop would, and one array pass of the
+same step rule takes the prefix of them that is certainly capped, so the
+grid is the scalar loop's bit for bit at about a quarter of the drift calls.
+A batch that takes nothing is not retried until a step falls below the cap.
+A march that hits the solver's time cap ends short of the upper end by
+``end_gap``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -573,9 +577,11 @@ def build_flow_table(
     of width ``feature_scale``.  The reward integral is tabulated on the first
     nr knots of that grid, the last being the tail anchor: the first knot at
     or above upper - 1e-6*(upper-lower), or the last knot if none is.
-    ModelError if the drift is not finite or is negative on a 10,000-point
-    sample of the domain, or if the reward rate varies across the frozen
-    tail band (see :func:`_check_frozen_rate`).
+    InputError, before the solve, if ``feature_scale`` is not finite and
+    positive or a ``refine_y`` entry is not finite.  ModelError if the drift
+    is not finite or is negative on a 10,000-point sample of the domain, or
+    if the reward rate varies across the frozen tail band (see
+    :func:`_check_frozen_rate`).
     """
     lower, upper = float(domain[0]), float(domain[1])
     if not upper > lower:
@@ -585,7 +591,15 @@ def build_flow_table(
     if delta <= 0.0:
         raise InputError(f"discount rate must be positive, got {delta}")
     span = upper - lower
-    fs = feature_scale if feature_scale is not None else 1e-3 * span
+    if feature_scale is None:
+        fs = 1e-3 * span
+    else:
+        fs = float(feature_scale)
+        if not (math.isfinite(fs) and fs > 0.0):
+            raise InputError(f"feature scale must be finite and positive, got {feature_scale}")
+    refine = np.asarray(refine_y, dtype=float)
+    if not np.all(np.isfinite(refine)):
+        raise InputError(f"refinement features must be finite, got {refine_y}")
     y_start = lower + _START_OFFSET * span
 
     ys = np.linspace(y_start, upper - _PROXIMITY * span, 10_000)
@@ -604,8 +618,7 @@ def build_flow_table(
                     _RK_TOL, _RK_TOL * span * 1e-2, y_stop)
     t_end = segments[0][-1]
 
-    grid_t = _march_grid(segments, drift, upper, t_end, fs,
-                         np.sort(np.asarray(refine_y, float)), g_max)
+    grid_t = _march_grid(segments, drift, upper, t_end, fs, refine, g_max)
     grid_y = rk45_dense(segments, grid_t)
     grid_y = np.minimum.accumulate(np.minimum(grid_y, upper)[::-1])[::-1]  # clip solver overshoot
     grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
@@ -684,6 +697,15 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     :func:`_float_dense_output` and three scalar drift calls per step for the
     central differences.
 
+    The window and guard terms come from two bisections over the window
+    ends, sorted once per build (:func:`_window_step`), instead of a scan of
+    every window at every step.  The windows share one width, so sorting
+    them by feature sorts both ends.  Then y lies in some window exactly
+    when it lies in the first window whose upper end is not below y; and
+    the guard term, monotone in a window's lower end, can bind only for the
+    lowest window above y.  min is exact, so the step is the scan's bit for
+    bit.
+
     Runs of capped steps (most of the barrier tail) are taken as array steps:
     a step of size _H_CAP from t predicts the next times t + _H_CAP,
     t + 2 _H_CAP, ... by sequential sums (the loop's own roundings), and
@@ -699,7 +721,7 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     y_at = _float_dense_output(segments)
     ys_at = _array_dense_output(segments)
     hy = max(_STENCIL * fs, 1e-9)
-    windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
+    los, his = _feature_windows(refine, fs)
     pieces = []  # finished stretches of the grid, in order
     ts = [0.0]
     count = 1
@@ -712,12 +734,7 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
         gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
         y3 = abs((gpp * g + gp * gp) * g)
         h = (96.0 * _POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0)
-        h = min(h, _H_CAP)
-        for lo, hi in windows:
-            if lo <= y <= hi:
-                h = min(h, fs / (16.0 * max(g, 1e-300)), _H_CAP)
-            elif y < lo and g > 0.0:
-                h = min(h, max((lo - y) / g_max, 1e-7))
+        h = _window_step(min(h, _H_CAP), y, g, los, his, fs, g_max)
         h = max(h, 1e-7, 1e-12 * t_end)
         t = min(t + h, t_end)
         ts.append(t)
@@ -734,7 +751,7 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
             steps[0] = t
             times = np.add.accumulate(steps)  # times[i + 1] = times[i] + _H_CAP, as the loop adds
             live = int(np.searchsorted(times[:size], t_end))  # times the loop would step from
-            taken = _capped_prefix(times[:live], ys_at, drift, upper, hy, fs, windows, g_max)
+            taken = _capped_prefix(times[:live], ys_at, drift, upper, hy, fs, los, his, g_max)
             if not taken:
                 batching = False
                 break
@@ -752,17 +769,47 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     return np.concatenate(pieces + [np.asarray(ts)])
 
 
-def _capped_prefix(times, ys_at, drift, upper, hy, fs, windows, g_max):
+def _feature_windows(refine, fs):
+    """The windows [r - 2 fs, r + 2 fs] around the features r as two ascending
+    lists of ends, ``los`` closed by +inf.
+
+    The windows share one width, and rounding is monotone, so sorting the
+    features sorts both ends.
+    """
+    rs = sorted(float(r) for r in refine)
+    return [r - 2.0 * fs for r in rs] + [math.inf], [r + 2.0 * fs for r in rs]
+
+
+def _window_step(h, y, g, los, his, fs, g_max):
+    """Step h after the window and guard terms of the step rule at state y.
+
+    Equal to scanning every window [lo, hi]: inside, h = min(h, fs / (16 g),
+    _H_CAP); below it (and g > 0), the guard h = min(h, max((lo - y) / g_max,
+    1e-7)).  With both ends ascending, y lies in some window exactly when it
+    lies in the first window not wholly below it, i = bisect_left(his, y),
+    that is when los[i] <= y (the +inf end closes ``los`` when there is
+    none).  The guard is monotone in lo, so of the windows above y only the
+    lowest, los[bisect_right(los, y)], can bind, and min is exact.
+    """
+    if los[bisect_left(his, y)] <= y:
+        h = min(h, fs / (16.0 * max(g, 1e-300)), _H_CAP)
+    if g > 0.0:
+        h = min(h, max((los[bisect_right(los, y, 0, len(his))] - y) / g_max, 1e-7))
+    return h
+
+
+def _capped_prefix(times, ys_at, drift, upper, hy, fs, los, his, g_max):
     """How many leading ``times`` certainly get the step _H_CAP from the step rule.
 
     The rule of :func:`_march_grid` on arrays: one drift call on the three
     stencils of every time, the central differences, the curvature step and
-    the window and guard terms.  A time counts only if every term that can
-    bind clears the cap by the relative margin _BATCH_MARGIN, so the ulp by
-    which numpy's power may differ from Python's cannot change a step; nor
-    can small differences between a drift's array and float paths (the loan
-    drift's two paths agree bit for bit).  The guard term is applied
-    whatever the drift's sign, which can only turn times away.
+    the window and guard terms, looked up as in :func:`_window_step`.  A time
+    counts only if every term that can bind clears the cap by the relative
+    margin _BATCH_MARGIN, so the ulp by which numpy's power may differ from
+    Python's cannot change a step; nor can small differences between a
+    drift's array and float paths (the loan drift's two paths agree bit for
+    bit).  The guard term is applied whatever the drift's sign, which can
+    only turn times away.
     """
     n = len(times)
     y = np.minimum(ys_at(times), upper)
@@ -774,10 +821,10 @@ def _capped_prefix(times, ys_at, drift, upper, hy, fs, windows, g_max):
         gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
         y3 = np.abs((gpp * g + gp * gp) * g)
         ok = (96.0 * _POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0) >= bar
-        for lo, hi in windows:
-            inside = (lo <= y) & (y <= hi)
-            ok &= ~inside | (fs / (16.0 * np.maximum(g, 1e-300)) >= bar)
-            ok &= ~(y < lo) | ((lo - y) / g_max >= bar)
+        lo = np.asarray(los)
+        inside = lo[np.searchsorted(his, y, side="left")] <= y
+        ok &= ~inside | (fs / (16.0 * np.maximum(g, 1e-300)) >= bar)
+        ok &= (lo[np.searchsorted(lo[:-1], y, side="right")] - y) / g_max >= bar
     return n if ok.all() else int(np.argmin(ok))
 
 

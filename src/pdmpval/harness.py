@@ -82,6 +82,13 @@ class ExperimentConfig:
             raise InputError(f"methods {repeated} given more than once; each runs once")
         if not math.isfinite(self.x0):
             raise InputError(f"start value x0 must be finite, got {self.x0}")
+        # the ruin level, where valid rates give one (LoanParams reports bad ones);
+        # x0 above the barrier stays: valuation() prices it as a lump sum
+        if all(math.isfinite(v) and v > 0.0 for v in (self.c, self.rho)):
+            ruin = -self.c / self.rho
+            if not self.x0 > ruin:
+                raise InputError(f"start value x0 = {self.x0} must lie above the ruin "
+                                 f"level -c/rho = {ruin}")
         require_int("jumps", self.jumps, 1)
         require_int("mc_paths", self.mc_paths, 1)
         # the randomized rules need two replicates for an error bar; Gauss runs one

@@ -25,6 +25,7 @@ from pdmpval.cubature import (
     star_discrepancy_bruteforce,
     _direction_integers,
 )
+from pdmpval import cubature
 from pdmpval.errors import InputError
 
 
@@ -163,6 +164,16 @@ class TestHalton:
 
     def test_primes(self):
         assert np.array_equal(first_primes(8), [2, 3, 5, 7, 11, 13, 17, 19])
+
+    def test_base_found_once_per_dimension(self, monkeypatch):
+        calls = []
+        real = cubature.first_primes
+        monkeypatch.setattr(cubature, "first_primes", lambda n: calls.append(n) or real(n))
+        cubature._halton_base.cache_clear()
+        cols = [halton_column(dim, i0, i0 + 50) for i0 in (1, 51, 101) for dim in (1, 2, 53)]
+        assert sorted(calls) == [1, 2, 53]
+        assert [cubature._halton_base(dim) for dim in (1, 2, 53)] == [2, 3, 241]
+        assert np.array_equal(cols[2], halton_scrambled_points(50, 53)[:, 52])
 
 
 class TestMC:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,7 +280,27 @@ _MARCH_BUILDS = {
     # step reaches the cap
     "no-cap": lambda: build_flow_table(lambda y: 1.0 + np.asarray(y, dtype=float) ** 2,
                                        (0.0, 10.0), 0.1, _flat_reward),
+    # windows +-0.02 around features 0.02 and 0.03 apart overlap; the last
+    # one, 0.05 on, leaves a gap where the guard binds again
+    "windows-overlap": lambda: build_flow_table(_slow_drift, (0.0, 10.0), 0.1, _flat_reward,
+                                                refine_y=(5.0, 5.02, 5.05, 5.1)),
+    # features out of order and twice over, the march's argument as given
+    "windows-unsorted": lambda: build_flow_table(
+        lambda y: 0.01 + 1e-3 * np.asarray(y, dtype=float), (0.0, 10.0), 0.1, _flat_reward,
+        refine_y=(7.0, 3.0, 7.0, 5.0, 3.0)),
+    # a window wholly below the domain, and one around a feature above the
+    # upper end that reaches into it
+    "windows-outside": lambda: build_flow_table(_slow_drift, (0.0, 10.0), 0.1, _flat_reward,
+                                                refine_y=(10.01, -0.5)),
+    # the loan drift with no features: curvature steps and the cap alone
+    "no-features": lambda: build_flow_table(
+        lambda y: smoothed_drift_loan(y, C, RHO, B, EPS), (-C / RHO, B), DELTA, _flat_reward,
+        feature_scale=EPS),
 }
+
+
+# march cases with a batch that takes nothing (a capped step in the margin zone)
+_EMPTY_BATCHES = {"window-binds": 1, "windows-unsorted": 1, "no-features": 1}
 
 
 def _capture_march(build):
@@ -325,7 +346,7 @@ class TestBatchedMarch:
             assert np.any((uncapped >= t_a) & (uncapped < t_b))
         # the window-binds run hovers in the margin zone: 5 empty batches in a
         # row when every capped step retried
-        assert len(empty) == (1 if name == "window-binds" else 0)
+        assert len(empty) == _EMPTY_BATCHES.get(name, 0)
 
     def test_loan_build_takes_capped_runs_as_batches(self, monkeypatch):
         calls = []
@@ -350,6 +371,82 @@ class TestBatchedMarch:
             monkeypatch.setattr(pdmpval.flow, "_MAX_NODES", limit)
             with pytest.raises(ModelError, match="did not terminate"):
                 pdmpval.flow._march_grid(*args)
+
+
+def _scan_window_step(h, y, g, windows, fs, g_max):
+    """The window and guard terms of the step rule as a scan of every window,
+    as in :func:`_scalar_march_grid`."""
+    h_cap = pdmpval.flow._H_CAP
+    for lo, hi in windows:
+        if lo <= y <= hi:
+            h = min(h, fs / (16.0 * max(g, 1e-300)), h_cap)
+        elif y < lo and g > 0.0:
+            h = min(h, max((lo - y) / g_max, 1e-7))
+    return h
+
+
+class TestWindowLookup:
+    """The bisection lookup of the window and guard terms against the scan."""
+
+    @pytest.mark.parametrize("refine, fs", [
+        ((-EPS, 0.0, EPS, B - 2.0 * EPS, B - EPS, B), EPS),  # the loan features
+        ((5.0, 5.02, 5.05, 5.1), 0.01),                      # overlapping windows
+        ((7.0, 3.0, 7.0, 5.0, 3.0), 0.01),                   # unsorted, repeated
+        ((1.0, 1.0 + 1e-12, 1.0 + 4e-3), 1e-3),              # nearly equal, touching
+        ((-0.5, 10.01), 0.01),                               # around the domain's ends
+        ((), 0.01),                                          # no features
+    ], ids=["loan", "overlap", "unsorted", "touching", "outside", "none"])
+    def test_equals_the_scan(self, refine, fs):
+        windows = [(float(r) - 2.0 * fs, float(r) + 2.0 * fs) for r in refine]
+        los, his = pdmpval.flow._feature_windows(refine, fs)
+        assert los[:-1] == sorted(lo for lo, _ in windows) and los[-1] == math.inf
+        assert his == sorted(hi for _, hi in windows)
+        edges = [e for w in windows for e in w]
+        rng = np.random.default_rng(11)
+        ys = [*edges, *(math.nextafter(e, -math.inf) for e in edges),
+              *(math.nextafter(e, math.inf) for e in edges),
+              *rng.uniform(-1.0, 11.0, 400), *rng.uniform(-0.1, 0.1, 200), -100.0, 0.0, 20.0]
+        hs = [pdmpval.flow._H_CAP, 0.3, 1e-3, 1e-7]
+        gs = [0.01, 5.0, 1e-310, 0.0, -1e-3]
+        g_max = 5.0
+        for y in ys:
+            y = float(y)
+            for h in hs:
+                for g in gs:
+                    got = pdmpval.flow._window_step(h, y, g, los, his, fs, g_max)
+                    want = _scan_window_step(h, y, g, windows, fs, g_max)
+                    assert got.hex() == want.hex(), (y, h, g)
+        # both terms bind somewhere on the probes
+        steps = {pdmpval.flow._window_step(2.0, float(y), 5.0, los, his, fs, g_max)
+                 for y in ys}
+        inside = fs / (16.0 * 5.0)
+        assert (inside in steps) == bool(refine)
+        assert any(h not in (2.0, inside) for h in steps) == bool(refine)
+
+    @pytest.mark.parametrize("refine", [(5.0, 5.02, 5.05, 5.1), (7.0, 3.0, 7.0, 5.0), ()],
+                             ids=["overlap", "unsorted", "none"])
+    def test_batch_terms_equal_the_scan(self, refine):
+        # a constant drift leaves only the window and guard terms to bind in
+        # the batch's test: fs / (16 g) is below the cap, so a time inside a
+        # window is turned away, and so is one within bar * g_max below one
+        fs, g_max = 0.01, 0.01
+        bar = pdmpval.flow._H_CAP * (1.0 + pdmpval.flow._BATCH_MARGIN)
+        windows = [(r - 2.0 * fs, r + 2.0 * fs) for r in refine]
+        los, his = pdmpval.flow._feature_windows(refine, fs)
+        edges = [e for w in windows for e in w]
+        ys = [*edges, *(math.nextafter(e, -math.inf) for e in edges),
+              *(math.nextafter(e, math.inf) for e in edges),
+              *(lo - bar * g_max for lo, _ in windows),
+              *np.random.default_rng(12).uniform(2.9, 7.1, 300)]
+        taken = []
+        for y in ys:
+            got = pdmpval.flow._capped_prefix(np.array([y]), lambda t: t, _slow_drift, 10.0,
+                                              1e-5, fs, los, his, g_max)
+            want = all((not lo <= y <= hi) and (not y < lo or (lo - y) / g_max >= bar)
+                       for lo, hi in windows)
+            assert got == int(want), y
+            taken.append(got)
+        assert 0 < sum(taken) < len(taken) if refine else all(taken)
 
 
 # the loan drift at six widths and every march table's drift
@@ -870,6 +967,19 @@ class TestBuilderValidation:
     def test_non_finite_drift_rejected(self, drift):
         with pytest.raises(ModelError, match="finite"):
             build_flow_table(drift, (0.0, 1.0), 0.1, _flat_reward)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"feature_scale": math.nan}, {"feature_scale": 0.0}, {"feature_scale": -1.0},
+        {"feature_scale": math.inf}, {"refine_y": (math.nan,)},
+        {"refine_y": (0.5, math.inf)}, {"refine_y": (-math.inf,)},
+    ], ids=["fs-nan", "fs-zero", "fs-negative", "fs-inf", "refine-nan", "refine-inf",
+            "refine-minus-inf"])
+    def test_bad_features_rejected_before_the_solve(self, kwargs, monkeypatch):
+        monkeypatch.setattr(pdmpval.flow, "rk45", lambda *a: pytest.fail("solved"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="feature"):
+                build_flow_table(_slow_drift, (0.0, 1.0), 0.1, _flat_reward, **kwargs)
 
     def test_reward_feature_inside_frozen_band_rejected(self):
         # the path ends 1e-12 of the span below the top, at the tail anchor:

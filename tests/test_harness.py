@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(InputError, match="finite"):
             ExperimentConfig(x0=x0)
 
+    @pytest.mark.parametrize("c, rho, x0", [
+        (5.0, 0.05, -100.0), (5.0, 0.05, -100.5), (5.0, 0.05, -1e300), (1.0, 0.5, -2.0),
+    ], ids=["at-ruin", "below", "far-below", "other-rates"])
+    def test_x0_at_or_below_ruin_level_rejected(self, c, rho, x0):
+        with pytest.raises(InputError, match="ruin level"):
+            ExperimentConfig(c=c, rho=rho, x0=x0)
+
+    def test_x0_just_above_ruin_level_is_accepted(self):
+        x0 = math.nextafter(-100.0, 0.0)
+        assert ExperimentConfig(x0=x0).x0 == x0
+        assert ExperimentConfig(c=1.0, rho=0.5, x0=-1.99).x0 == -1.99
+
     def test_x0_above_barrier_is_accepted(self):
         # the lump-sum convention above the barrier is the valuation's business
         assert ExperimentConfig(x0=10.0).x0 == 10.0
@@ -413,6 +425,19 @@ class TestCLI:
         assert code == 2
         assert "more than once" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    def test_x0_below_ruin_level_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        builds = []
+        real = harness.SmoothedLoanModel.build
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or real(**kw))
+        out_csv = tmp_path / "out.csv"
+        code = main([command, "--x0", "-100", "--method", "sobol", "--points", "64",
+                     "--jumps", "1", "--replicates", "2", "--out", str(out_csv)])
+        assert code == 2
+        assert "ruin level" in capsys.readouterr().err
+        assert builds == [] and not out_csv.exists()
 
     def test_bad_config_value_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
