@@ -19,30 +19,32 @@ build and an estimate load no scipy.  The lookups evaluate the coefficients
 with scipy's interval rule and summation order, so every value is
 bit-identical to calling scipy's splines.
 
-A stage of the integrand is two calls: ``start(y)``, the time solve T0 =
-T(y) with its grid_t interval, and ``stage(T0, k0, t)``, the reward and, on
-every stage but the last (whose position nothing reads), the position
-reached.  ``advance(y, t)`` and ``reward_integral(y, t)`` are the two
-composed.  The split lets the integrand drop, between the halves, the nodes
-that :meth:`FlowTable.reward_cut` shows can no longer reach the reward;
-``locate(y)``, the first lookup of the time solve, bounds T(y) by the end
-of y's interval, so most of them are dropped before ``start``, which then
-reuses the lookup.  A scalar y (the first stage, where every node starts at
-x0) is solved once and broadcast against t.  The calls share interval
-lookups: grid_y = P(grid_t), so the grid_y interval of y is also the grid_t
-interval of the seed and Newton times (a checked neighbour step confirms
-it); the reward grid is a prefix of grid_t, so the reward intervals are
-grid intervals; and one lookup of T(y) + t serves both the position and the
-reward there.  That is two lookups per point instead of seven, and neither
-is a binary search: a guide table per knot array (Chen & Asau 1974; Devroye
-1986, section III.2.4) maps a point to a guessed interval in O(1), and the
-checked neighbour step finishes it.  grid_t is guided on the time itself,
-grid_y on the log-distance above the ruin end, where the drift vanishes
-linearly and the knots are geometric.  The few points the step does not
-settle are searched, so every interval equals the binary search's.
-Positions at y_start, where every path parked at the ruin end and every
-position below it clamp, take time 0 in interval 0 (the first knot of both
-grids), so the chain runs only on the other points.
+Every query but ``pos_at(u)`` runs one chain, ``locate → start → stage``:
+``locate(y)`` finds y's grid_y interval, ``start(y, k)`` solves T0 = T(y)
+and its grid_t interval, and ``stage(T0, k0, t)`` returns the reward and,
+when asked, the position reached.  The other public lookups compose the
+chain: ``time_of(y)`` is ``start(y)[0]``, ``flow_at(y, t)`` the position of
+``stage(*start(y), t)``, ``reward_integral(y, t)`` its reward, and
+``reward_from_master(T0, t)`` the reward of ``stage`` from T0 and its grid_t
+interval.  The integrand drops, between the links, the nodes that
+:meth:`FlowTable.reward_cut` shows can no longer reach the reward:
+``locate`` bounds T(y) by the end of y's interval, so most of them are
+dropped before ``start``, which then reuses the lookup.  A scalar y (the
+first stage, where every node starts at x0) is solved once and broadcast
+against t.  The links share interval lookups: grid_y = P(grid_t), so the
+grid_y interval of y is also the grid_t interval of the seed and Newton
+times (a checked neighbour step confirms it); the reward grid is a prefix
+of grid_t, so the reward intervals are grid intervals; and one lookup of
+T(y) + t serves both the position and the reward there.  That is two
+lookups per point instead of seven, and neither is a binary search: a guide
+table per knot array (Chen & Asau 1974; Devroye 1986, section III.2.4) maps
+a point to a guessed interval in O(1), and the checked neighbour step
+finishes it.  grid_t is guided on the time itself, grid_y on the
+log-distance above the ruin end, where the drift vanishes linearly and the
+knots are geometric.  The few points the step does not settle are searched,
+so every interval equals the binary search's.  A position at y_start, where
+every position below it clamps, takes time +0.0 in interval 0 (the first
+knot of both grids) from the chain itself.
 
 The discounted running-reward integral is tabulated on the first knots of
 the trajectory grid, up to the tail anchor (the first knot in the 1e-6
@@ -111,10 +113,12 @@ class FlowTable:
     tail anchor (t_tail, y_tail), the last of them, where the reward rate is
     frozen at l_tail.
 
-    A stage of the integrand runs in two halves, :meth:`start` (the time
-    solve) and :meth:`stage` (the rest); :meth:`advance`,
-    :meth:`reward_integral` and :meth:`flow_at` compose them.  The table
-    owns the rule for dropping a node that can no longer earn:
+    Every lookup but :meth:`pos_at` runs one chain: :meth:`locate` (the
+    state's grid_y interval), :meth:`start` (the time solve) and
+    :meth:`stage` (the reward and the position reached).  :meth:`time_of`,
+    :meth:`flow_at`, :meth:`reward_integral` and :meth:`reward_from_master`
+    compose :meth:`start` and :meth:`stage`.  The table owns the rule for
+    dropping a node that can no longer earn:
     :meth:`reward_cut` bounds the master times from which the next stages
     collect +0.0, and :meth:`locate` bounds a state's master time from its
     grid_y interval before the time solve, so most drops skip the solve.
@@ -192,7 +196,8 @@ class FlowTable:
     # -- lookups -----------------------------------------------------------
 
     def pos_at(self, u):
-        """Position on the master curve at master time u (clamped, inf ok)."""
+        """Position on the master curve at master time u, clamped to [0, horizon]
+        (NaN reads the table end)."""
         uc, k = self._clamped_time(np.asarray(u, dtype=float))
         out = self._position(uc, k)
         return out if out.ndim else float(out)
@@ -204,15 +209,14 @@ class FlowTable:
         polished by one Newton step on the position interpolant; any point
         whose residual then exceeds 1e-11 * span is solved by bisection.
         Positions below the start clamp to 0, at or above the table end clamp
-        to the horizon.
+        to the horizon.  ``start(y)[0]``.
         """
-        y = np.asarray(y, dtype=float)
-        t, _ = self._time_at(np.clip(y, self.y_start, self.y_end).ravel())
-        return t.reshape(y.shape) if y.ndim else float(t[0])
+        out = self.start(y)[0]
+        return out if np.ndim(out) else float(out)
 
     def flow_at(self, y, t):
         """State reached from y after running the flow for time t >= 0."""
-        out = self.advance(y, t)[1]
+        out = self.stage(*self.start(y), t, position=True)[1]
         return out if out.ndim else float(out)
 
     def reward_integral(self, y, t):
@@ -224,34 +228,17 @@ class FlowTable:
         and in y and bounded by sup(reward)/delta; a feature the grid does
         not resolve is integrated across coarse knots, and the value can then
         dip below zero (a step reward on a four-knot table reads -0.112 where
-        the exact integral is 0).  The reward of :meth:`advance`, bit for
-        bit, without evaluating the position reached.
+        the exact integral is 0).  ``stage(*start(y), t)``.
         """
         out = self.stage(*self.start(y), t)
         return out if out.ndim else float(out)
 
     def reward_from_master(self, T0, t):
-        """Reward integral over [0, t] for a state at master time T0."""
-        T0, t = np.broadcast_arrays(np.asarray(T0, dtype=float), np.asarray(t, dtype=float))
-        if np.any(t < 0.0):
-            raise InputError("flow time must be nonnegative")
-        te = T0 + t
-        find = self._t_guide.find
-        out = self._reward(T0, t, te, find(T0.ravel()).reshape(T0.shape),
-                           find(te.ravel()).reshape(te.shape))
+        """Reward integral over [0, t] for a state at master time T0: ``stage``
+        from T0 and its grid_t interval."""
+        T0 = np.asarray(T0, dtype=float)
+        out = self.stage(T0, self._t_guide.find(T0.ravel()).reshape(T0.shape), t)
         return out if out.ndim else float(out)
-
-    def advance(self, y, t):
-        """Reward collected and state reached running the flow from y for time t >= 0.
-
-        Returns the arrays ``(reward_from_master(T0, t), pos_at(T0 + t))``,
-        ``T0 = time_of(y)``, bit for bit, from two interval lookups per point
-        instead of seven: the grid_y interval of y serves the seed, Newton and
-        residual steps of time_of and the reward at T0, and the grid_t
-        interval of T0 + t serves both the position and the reward there.
-        A scalar y (every path's shared start) is solved once.
-        """
-        return self.stage(*self.start(y), t, position=True)
 
     def locate(self, y):
         """The grid_y interval k of each y (clamped to the table) and a bound on its time.
@@ -276,8 +263,8 @@ class FlowTable:
         y, saves the solve's first lookup; the solve overwrites it.
         """
         y = np.asarray(y, dtype=float)
-        T0, k0 = self._time_at(np.clip(y, self.y_start, self.y_end).ravel(),
-                               None if k is None else np.ravel(k))
+        T0, k0 = self._solve_time(np.clip(y, self.y_start, self.y_end).ravel(),
+                                  None if k is None else np.ravel(k))
         if not y.ndim:
             return T0[0], k0[0]
         return T0.reshape(y.shape), k0.reshape(y.shape)
@@ -286,13 +273,15 @@ class FlowTable:
         """The rest of a stage from the time solve ``(T0, k0) = start(y)``.
 
         The reward of running the flow from y for time t >= 0, and with
-        ``position`` the state reached as well: :meth:`advance` is
-        ``stage(*start(y), t, position=True)`` and :meth:`reward_integral`
-        ``stage(*start(y), t)``.  A scalar T0 (one solve for every path's
-        shared start) computes exp(delta T0), the reward at T0 and the tail's
-        lead term once, and the result takes t's shape.  Every operation is
-        elementwise, so the values are those of T0 broadcast to t's shape,
-        bit for bit.
+        ``position`` the state reached as well, from two interval lookups per
+        point: the grid_y interval of y (in :meth:`start`) and the grid_t
+        interval of T0 + t, which serves both the position and the reward
+        there.  The last stage of the integrand leaves ``position`` off,
+        since nothing reads its end state.  A scalar T0 (one solve for every
+        path's shared start) computes exp(delta T0), the reward at T0 and the
+        tail's lead term once, and the result takes t's shape.  Every
+        operation is elementwise, so the values are those of T0 broadcast to
+        t's shape, bit for bit.
         """
         t = np.asarray(t, dtype=float)
         if np.ndim(T0):
@@ -358,41 +347,22 @@ class FlowTable:
         return _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
 
     def _clamped_time(self, u):
-        """u clamped to [0, horizon] (non-finite to the horizon), and its grid_t interval."""
-        uc = np.where(np.isfinite(u), np.clip(u, 0.0, self.horizon), self.horizon)
+        """u clamped to [0, horizon] (NaN to the horizon), and its grid_t interval."""
+        uc = np.where(np.isnan(u), self.horizon, np.clip(u, 0.0, self.horizon))
         return uc, self._t_guide.find(uc.ravel()).reshape(uc.shape)
 
     def _position(self, uc, k):
         """Position interpolant at clamped master times uc in grid_t intervals k."""
         return _ppoly(self._pos_c, k, uc - self.grid_t[k])
 
-    def _time_at(self, yc, ky=None):
-        """time_of on a flat array of clamped positions, with the grid_t interval of each time.
-
-        Points at y_start (paths parked at the ruin end, and every position
-        clamped up to it) take time +0.0 in interval 0: grid_y[0] = y_start is
-        the position at grid_t[0] = 0, and the chain returns exactly that
-        there.  The chain runs on the other points only.  It is elementwise,
-        so the result is the chain's on the whole array bit for bit.  ``ky``,
-        the grid_y intervals of yc if already found, is passed on.
-        """
-        at = yc == self.y_start
-        if not at.any():
-            return self._solve_time(yc, ky)
-        t = np.zeros(yc.shape)
-        k = np.zeros(yc.shape, dtype=np.intp)
-        rest = np.flatnonzero(~at)
-        if rest.size:
-            t[rest], k[rest] = self._solve_time(yc[rest], None if ky is None else ky[rest])
-        return t, k
-
     def _solve_time(self, yc, k=None):
-        """The time_of chain of :meth:`_time_at` on a flat array of clamped positions.
+        """time_of on a flat array of clamped positions, with the grid_t interval of each time.
 
         grid_y = pos(grid_t), so the grid_y interval k of yc (found here
         unless given, and overwritten) is also the grid_t interval of the
         seed time and of the Newton-polished time, up to a neighbour step
-        near a node.
+        near a node.  At y_start, the position at grid_t[0] = 0, the seed
+        and the Newton step return exactly +0.0 in interval 0.
         """
         if k is None:
             k = self._y_guide.find(yc)
@@ -577,7 +547,8 @@ def build_flow_table(
     of width ``feature_scale``.  The reward integral is tabulated on the first
     nr knots of that grid, the last being the tail anchor: the first knot at
     or above upper - 1e-6*(upper-lower), or the last knot if none is.
-    InputError, before the solve, if ``feature_scale`` is not finite and
+    InputError, before the solve, if an end of the domain or ``delta`` is not
+    finite, ``delta`` is not positive, ``feature_scale`` is not finite and
     positive or a ``refine_y`` entry is not finite.  ModelError if the drift
     is not finite or is negative on a 10,000-point sample of the domain, or
     if the reward rate varies across the frozen tail band (see
@@ -586,10 +557,12 @@ def build_flow_table(
     lower, upper = float(domain[0]), float(domain[1])
     if not upper > lower:
         raise InputError(f"empty domain ({lower}, {upper})")
+    if not np.isfinite(lower):
+        raise InputError("the tabulated domain must have a finite lower end")
     if not np.isfinite(upper):
         raise InputError("the tabulated domain must have a finite upper end")
-    if delta <= 0.0:
-        raise InputError(f"discount rate must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InputError(f"discount rate must be finite and positive, got {delta}")
     span = upper - lower
     if feature_scale is None:
         fs = 1e-3 * span
@@ -619,13 +592,13 @@ def build_flow_table(
     t_end = segments[0][-1]
 
     grid_t = _march_grid(segments, drift, upper, t_end, fs, refine, g_max)
-    grid_y = rk45_dense(segments, grid_t)
-    grid_y = np.minimum.accumulate(np.minimum(grid_y, upper)[::-1])[::-1]  # clip solver overshoot
-    grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
     # shape guard: refine any interval violating the Fritsch-Carlson monotone
     # bound for Hermite data (exact slopes of a monotone trajectory satisfy it
     # once the interval is short enough)
     for _ in range(6):
+        grid_y = rk45_dense(segments, grid_t)
+        grid_y = np.minimum.accumulate(np.minimum(grid_y, upper)[::-1])[::-1]  # clip overshoot
+        grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
         grid_dy = np.maximum(np.asarray(drift(grid_y), dtype=float), 0.0)
         dy = np.diff(grid_y)
         ht = np.diff(grid_t)
@@ -634,8 +607,6 @@ def build_flow_table(
             break
         mids = 0.5 * (grid_t[:-1][bad] + grid_t[1:][bad])
         grid_t = np.sort(np.concatenate([grid_t, mids]))
-        grid_y = np.minimum.accumulate(np.minimum(rk45_dense(segments, grid_t), upper)[::-1])[::-1]
-        grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
     else:
         raise ModelError("could not refine the flow grid to a monotone interpolant")
 

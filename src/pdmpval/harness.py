@@ -83,7 +83,8 @@ class ExperimentConfig:
         if not math.isfinite(self.x0):
             raise InputError(f"start value x0 must be finite, got {self.x0}")
         # the ruin level, where valid rates give one (LoanParams reports bad ones);
-        # x0 above the barrier stays: valuation() prices it as a lump sum
+        # x0 above the barrier stays: value and convergence price it as a lump
+        # sum (valuation()); the epsilon study refuses it
         if all(math.isfinite(v) and v > 0.0 for v in (self.c, self.rho)):
             ruin = -self.c / self.rho
             if not self.x0 > ruin:
@@ -195,8 +196,9 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
 def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel] = None):
     """Estimate the value for every (method, M) of the schedule.
 
-    Writes the CSV at config.out plus one two-column `M std_error` plot-data
-    file per method (same stem, `_<method>.dat` suffix) for log-log plots.
+    Uses the lump-sum convention above the barrier (``valuation``).  Writes
+    the CSV at config.out plus one two-column `M std_error` plot-data file
+    per method (same stem, `_<method>.dat` suffix) for log-log plots.
     Returns (csv_path, rows).
     """
     if model is None:
@@ -208,8 +210,7 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
         for m_nodes in config.m_schedule:
             rule = CubatureSpec(kind=_METHOD_KINDS[method], M=m_nodes, d=d,
                                 seed=config.seed, replicates=config.replicates)
-            est = estimate_value(config.x0, config.jumps, rule, model,
-                                 workers=config.workers)
+            est = valuation(config.x0, config.jumps, rule, model, workers=config.workers)
             rows.append(_estimate_row(method, est, config.seed, config.timings))
             plot_data[method].append((m_nodes, est.std_error))
     csv_path = Path(config.out)
@@ -235,7 +236,9 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
     gaps isolate the smoothing effect.  The Monte Carlo budget is escalated
     (x4, twice) when the combined statistical error exceeds 20% of the
     smallest gap; if control still fails the slope row is flagged
-    noise-dominated.  Returns (csv_path, rows, slope, flag).
+    noise-dominated.  The reference starts at or below the barrier, so a
+    start above it is refused before any build.  Returns (csv_path, rows,
+    slope, flag).
     """
     eps_schedule = list(eps_schedule)
     if not eps_schedule:
@@ -244,6 +247,9 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
         raise InputError("epsilon schedule must be strictly decreasing")
     widths = [config.loan_params(eps=eps) for eps in eps_schedule]  # all checked up front
     require_int("replicates", config.replicates, 2)  # Sobol' error bars, whatever the methods
+    if config.x0 > config.b:
+        raise InputError(f"start value x0 = {config.x0} lies above the barrier b = {config.b}; "
+                         "the epsilon study's Monte Carlo reference starts at or below it")
 
     n = config.jumps
     d = 2 * n

@@ -122,8 +122,11 @@ class ModelSpec:
     terminal_bound: float
 
     def __post_init__(self):
-        if self.discount <= 0.0:
-            raise InputError(f"discount rate must be positive, got {self.discount}")
+        _require_discount(self.discount)
+        for name in ("reward_bound", "terminal_bound"):
+            bound = getattr(self, name)
+            if not (math.isfinite(bound) and bound >= 0.0):
+                raise InputError(f"{name} must be finite and nonnegative, got {bound}")
 
     def component(self, k: int) -> ComponentSpec:
         try:
@@ -266,19 +269,23 @@ def survival(model: ModelSpec, x: State, t: float) -> float:
 
 def value_upper_bound(model: ModelSpec) -> float:
     """C_V = sup|reward|/discount + sup|terminal|, the global value bound."""
-    if model.discount <= 0.0:
-        raise InputError(f"discount rate must be positive, got {model.discount}")
+    _require_discount(model.discount)
     return model.reward_bound / model.discount + model.terminal_bound
 
 
 def bias_bound(n: int, c_lambda: float, delta: float, c_v: float) -> float:
     """Truncation bias of the n-jump partial sum: C_V (C_lambda/(C_lambda+delta))^n."""
-    if n < 0 or int(n) != n:
+    if not (n >= 0 and math.isfinite(n) and int(n) == n):  # NaN fails the first test
         raise InputError(f"jump count must be a nonnegative integer, got {n}")
-    if c_lambda <= 0.0:
-        raise InputError(f"intensity bound must be positive, got {c_lambda}")
-    if delta <= 0.0:
-        raise InputError(f"discount rate must be positive, got {delta}")
-    if c_v < 0.0:
-        raise InputError(f"value bound must be nonnegative, got {c_v}")
+    if not (math.isfinite(c_lambda) and c_lambda > 0.0):
+        raise InputError(f"intensity bound must be finite and positive, got {c_lambda}")
+    _require_discount(delta)
+    if not (math.isfinite(c_v) and c_v >= 0.0):
+        raise InputError(f"value bound must be finite and nonnegative, got {c_v}")
     return c_v * (c_lambda / (c_lambda + delta)) ** int(n)
+
+
+def _require_discount(delta: float) -> None:
+    """InputError unless the discount rate is finite and positive (NaN is not)."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InputError(f"discount rate must be finite and positive, got {delta}")

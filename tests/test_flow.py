@@ -536,6 +536,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _same_bits_or_nan(a, b):
+    """_same_bits, except that any two NaNs match (their sign bits may differ)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return _same_bits(np.where(both_nan, 0.0, a), np.where(both_nan, 0.0, b))
+
+
 def _lookup_probe_states(table, rng):
     """Positions over the whole table: uniform, the near-ruin band, grid nodes
     and their nextafter neighbours, and the ends with points beyond them."""
@@ -549,18 +556,26 @@ def _lookup_probe_states(table, rng):
     ])
 
 
+def _advance(table, y, t):
+    """Reward collected and state reached running the flow from y for time t:
+    one pass of the lookup chain."""
+    return table.stage(*table.start(y), t, position=True)
+
+
 def _chain(table, y, t):
-    """The three public lookups that FlowTable.advance fuses."""
+    """The same from the public lookups: the reward from the master time of y,
+    and the position at that time plus t."""
     t0 = table.time_of(y)
     return table.reward_from_master(t0, t), table.pos_at(t0 + t)
 
 
 class TestAdvance:
-    """advance(y, t) against reward_from_master(time_of(y), t) and pos_at(time_of(y) + t)."""
+    """stage(*start(y), t, position=True) against reward_from_master(time_of(y), t)
+    and pos_at(time_of(y) + t)."""
 
     def _assert_matches_chain(self, table, y, t):
         y, t = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(t, dtype=float))
-        got, want = table.advance(y, t), _chain(table, y, t)
+        got, want = _advance(table, y, t), _chain(table, y, t)
         assert _same_bits(got[0], want[0])
         assert _same_bits(got[1], want[1])
 
@@ -594,7 +609,7 @@ class TestAdvance:
         y = _lookup_probe_states(table, rng)[:2000]
         for t in (0.0, table.horizon, 2.0 * table.horizon, 700.0, np.inf):
             self._assert_matches_chain(table, y, t)
-        reward, moved = table.advance(y, 0.0)
+        reward, moved = _advance(table, y, 0.0)
         assert np.all(reward == 0.0)
         assert _same_bits(moved, table.pos_at(table.time_of(y)))
 
@@ -612,7 +627,7 @@ class TestAdvance:
     def test_shapes_broadcast(self, loan_model):
         table = loan_model.table
         y = np.array([[-10.0, 0.0], [1.0, B]])
-        reward, moved = table.advance(y, 2.0)
+        reward, moved = _advance(table, y, 2.0)
         assert reward.shape == moved.shape == (2, 2)
         self._assert_matches_chain(table, y, 2.0)
         assert isinstance(table.flow_at(1.0, 2.0), float)
@@ -628,21 +643,23 @@ class TestAdvance:
         # pos_at(t_tail - 0.5) starts where the loan reward ramps up
         for y in (0.0, table.y_start, -200.0, table.pos_at(tt - 0.5), table.y_end, table.upper,
                   np.nextafter(0.0, 1.0), np.nan):
-            want = table.advance(np.full(t.shape, y), t)
-            got = table.advance(y, t)
+            want = _advance(table, np.full(t.shape, y), t)
+            got = _advance(table, y, t)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
             assert _same_bits(table.reward_integral(y, t), want[0])
-            got = table.advance(y, t.reshape(2, 4))
+            got = _advance(table, y, t.reshape(2, 4))
             assert _same_bits(got[0], want[0].reshape(2, 4))
             assert _same_bits(got[1], want[1].reshape(2, 4))
             for i, ti in enumerate(t):
-                reward, moved = table.advance(y, ti)
+                reward, moved = _advance(table, y, ti)
                 assert _same_bits(reward, want[0][i]) and _same_bits(moved, want[1][i])
                 assert _same_bits(table.reward_integral(y, ti), want[0][i])
 
     def test_negative_time_rejected(self, loan_model):
         with pytest.raises(InputError):
-            loan_model.table.advance(0.0, -1.0)
+            _advance(loan_model.table, 0.0, -1.0)
+        with pytest.raises(InputError):
+            loan_model.table.flow_at(0.0, -1.0)
         with pytest.raises(InputError):
             loan_model.table.reward_integral(0.0, np.array([1.0, -1.0]))
         with pytest.raises(InputError):
@@ -651,8 +668,73 @@ class TestAdvance:
             loan_model.table.reward_from_master(np.array([0.0, 400.0]), np.array([1.0, -1e-300]))
 
 
+def _edge_states(table):
+    """States at and beyond both ends of the table, the tail anchor and the
+    infinities and NaN."""
+    return np.array([table.y_start, np.nextafter(table.y_start, -np.inf), table.lower - 5.0,
+                     0.5 * (table.y_start + table.y_end), table.y_tail, table.y_end,
+                     table.upper + 1.0, -np.inf, np.inf, np.nan])
+
+
+def _edge_times(table):
+    """Master times and flow times at, around and beyond the tail anchor and
+    the horizon, negative ones, the infinities and NaN."""
+    tt = table.t_tail
+    return np.array([0.0, -0.0, 1e-300, -1e-300, -1.0, 0.5, tt, np.nextafter(tt, -np.inf),
+                     table.horizon, 2.0 * table.horizon, 700.0, np.inf, -np.inf, np.nan])
+
+
+class TestLookupsAreTheChain:
+    """time_of, flow_at, reward_integral and reward_from_master are start and
+    stage composed: the same bits, types and shapes on the edge inputs."""
+
+    @staticmethod
+    def _cases(table):
+        y, t = _edge_states(table), np.abs(_edge_times(table))
+        Y, T = np.meshgrid(y, t)
+        return [(Y, T), (Y.ravel(), T.ravel()), (y[:8].reshape(2, 4), t[:4]),
+                (y[0], t), (y[:4], t[5])]
+
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_state_lookups(self, loan_model, const_table, which):
+        table = loan_model.table if which == "loan" else const_table
+        for y, t in self._cases(table):
+            T0, k0 = table.start(y)
+            assert _same_bits(table.time_of(y), T0)
+            assert _same_bits(table.flow_at(y, t), table.stage(T0, k0, t, position=True)[1])
+            assert _same_bits(table.reward_integral(y, t), table.stage(T0, k0, t))
+        for y in _edge_states(table):
+            T0, k0 = table.start(y)
+            assert isinstance(table.time_of(y), float) and _same_bits(table.time_of(y), T0)
+            for t in np.abs(_edge_times(table)):
+                flow, reward = table.flow_at(y, t), table.reward_integral(y, t)
+                assert isinstance(flow, float) and isinstance(reward, float)
+                assert _same_bits(flow, table.stage(T0, k0, t, position=True)[1])
+                assert _same_bits(reward, table.stage(T0, k0, t))
+
+    @pytest.mark.parametrize("which", ["loan", "const"])
+    def test_reward_from_master(self, loan_model, const_table, which):
+        table = loan_model.table if which == "loan" else const_table
+        _, _, reference = _scipy_lookups(table)
+        T0 = _edge_times(table)
+        t = np.abs(T0)
+        grid_T0, grid_t = np.meshgrid(T0, t)
+        with np.errstate(invalid="ignore"):  # -inf + inf
+            for a, b in ((grid_T0, grid_t), (T0[:12].reshape(3, 4), t[:4]),
+                         (T0[:4], t[:12].reshape(3, 4)), (T0, t[3]), (T0[4], t)):
+                got = table.reward_from_master(a, b)
+                a_full, b_full = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+                assert _same_bits_or_nan(got, reference(a_full, b_full))
+                k0 = pdmpval.flow._interval(table.grid_t, np.ravel(a)).reshape(np.shape(a))
+                assert _same_bits(got, table.stage(np.asarray(a), k0, b))
+            for a, b in zip(grid_T0.ravel(), grid_t.ravel()):
+                got = table.reward_from_master(a, b)
+                assert isinstance(got, float)
+                assert _same_bits_or_nan(got, reference(np.array([a]), np.array([b]))[0])
+
+
 def _ruin_end_batches(table, rng):
-    """Stage-start batches around the ruin end: the compaction's cases."""
+    """Stage-start batches around the ruin end, where positions clamp to y_start."""
     y0 = table.y_start
     never = rng.uniform(y0, table.y_end, 40)
     never[:3] = np.nextafter(y0, np.inf), y0 + 4e-15 * (abs(y0) + 1.0), y0 + 1e-10
@@ -668,7 +750,7 @@ def _ruin_end_batches(table, rng):
 
 class TestRuinEndConstant:
     """Positions at y_start (clamped there or parked at the ruin end) take time
-    +0.0 in interval 0; only the other positions run the time_of chain."""
+    +0.0 in interval 0 from the time_of chain itself."""
 
     @pytest.mark.parametrize("name", sorted(_MARCH_BUILDS))
     def test_chain_puts_y_start_at_time_zero(self, name):
@@ -684,34 +766,12 @@ class TestRuinEndConstant:
         table = loan_model.table if which == "loan" else const_table
         y = _ruin_end_batches(table, rng)[name]
         t = rng.uniform(0.0, 3.0, y.size)
-        reward, moved = table.advance(y, t)
+        reward, moved = _advance(table, y, t)
         times = table.time_of(y)
         for i in range(y.size):
-            r, m = table.advance(y[i], t[i])
+            r, m = _advance(table, y[i], t[i])
             assert _same_bits(reward[i], r) and _same_bits(moved[i], m)
             assert _same_bits(times[i], table.time_of(y[i]))
-
-    @pytest.mark.parametrize("name", ["all at y_start", "all below", "never at",
-                                      "interleaved", "with NaN"])
-    def test_equals_the_chain_on_the_whole_batch(self, loan_model, rng, name):
-        table = loan_model.table
-        yc = np.clip(_ruin_end_batches(table, rng)[name], table.y_start, table.y_end)
-        t, k = table._time_at(yc)
-        t_chain, k_chain = table._solve_time(yc)
-        assert _same_bits(t, t_chain) and np.array_equal(k, k_chain)
-
-    def test_chain_runs_on_the_other_points_only(self, loan_model, rng, monkeypatch):
-        table = loan_model.table
-        sizes = []
-        real = type(table)._solve_time
-        monkeypatch.setattr(type(table), "_solve_time",
-                            lambda self, yc, k=None: sizes.append(yc.size) or real(self, yc, k))
-        batches = _ruin_end_batches(table, rng)
-        for name in ("all at y_start", "all below", "never at", "interleaved"):
-            table.time_of(batches[name])
-            table.start(batches[name], table.locate(batches[name])[0])
-        # never at: the whole batch; interleaved: 14 at y_start; located or not
-        assert sizes == [40, 40, 26, 26]
 
 
 class TestLocate:
@@ -816,7 +876,7 @@ def _scipy_lookups(table):
 
     def pos_at(u):
         u = np.asarray(u, dtype=float)
-        return pos(np.where(np.isfinite(u), np.clip(u, 0.0, h), h))
+        return pos(np.where(np.isnan(u), h, np.clip(u, 0.0, h)))
 
     def time_of(y):
         yc = np.clip(np.asarray(y, dtype=float), table.y_start, table.y_end)
@@ -853,7 +913,8 @@ class TestLookupsMatchScipySplines:
         t = -np.log(rng.uniform(size=y.size))
         t0 = table.time_of(y)
         assert _same_bits(t0, time_of(y))
-        u = np.concatenate([t0 + t, table.grid_t, [-1.0, np.inf, np.nan, 2.0 * table.horizon]])
+        u = np.concatenate([t0 + t, table.grid_t,
+                            [-1.0, np.inf, -np.inf, np.nan, 2.0 * table.horizon]])
         assert _same_bits(table.pos_at(u), pos_at(u))
         assert _same_bits(table.reward_from_master(t0, t), reward_from_master(t0, t))
         tr = np.concatenate([table.reward_t, np.nextafter(table.reward_t, np.inf),
@@ -958,6 +1019,20 @@ class TestBuilderValidation:
         with pytest.raises(InputError):
             build_flow_table(lambda y: 1.0 + 0.0 * np.asarray(y), (0.0, 1.0), 0.0,
                              lambda y: 0.0 * np.asarray(y))
+
+    @pytest.mark.parametrize("domain, delta", [
+        ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf), ((0.0, 1.0), -0.1),
+        ((-math.inf, 1.0), 0.1), ((math.nan, 1.0), 0.1), ((0.0, math.inf), 0.1),
+    ], ids=["delta-nan", "delta-inf", "delta-negative", "lower-minus-inf", "lower-nan",
+            "upper-inf"])
+    def test_bad_discount_or_domain_rejected_before_the_solve(self, domain, delta,
+                                                              monkeypatch):
+        monkeypatch.setattr(pdmpval.flow, "rk45", lambda *a: pytest.fail("solved"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                build_flow_table(lambda y: 1.0 + 0.0 * np.asarray(y), domain, delta,
+                                 _flat_reward)
 
     @pytest.mark.parametrize("drift", [
         lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),  # NaN on part of the domain

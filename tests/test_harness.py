@@ -217,6 +217,25 @@ class TestRunConvergence:
         _, rows = run_convergence(cfg, model=loan_model)
         assert int(rows[1].split(",")[8]) >= 0
 
+    def test_start_above_the_barrier_is_a_lump_sum(self, tmp_path, loan_model):
+        # as in run_value: the excess over b is paid at once, the rest is the
+        # value at b with the same error bar
+        b = loan_model.params.b
+        _, at_b = run_convergence(tiny_config(tmp_path, x0=b), model=loan_model)
+        _, above = run_convergence(tiny_config(tmp_path, x0=b + 0.5), model=loan_model)
+        assert len(above) == len(at_b)
+        for row_b, row in zip(at_b[1:], above[1:]):
+            fields_b, fields = row_b.split(","), row.split(",")
+            assert float(fields[4]) == float(fields_b[4]) + 0.5
+            assert fields[:4] == fields_b[:4] and fields[5:] == fields_b[5:]
+
+    def test_cli_start_above_the_barrier(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        code = main(["convergence", "--x0", "5", "--method", "sobol", "--points", "64",
+                     "--jumps", "1", "--replicates", "2", "--out", str(out)])
+        assert code == 0 and "wrote" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 2
+
 
 class TestRunEpsilonStudy:
     def test_structure(self, tmp_path):
@@ -243,6 +262,22 @@ class TestRunEpsilonStudy:
                             lambda **kw: builds.append(kw["eps"]) or real_build(**kw))
         with pytest.raises(InputError, match="smoothing width"):
             run_epsilon_study(tiny_config(tmp_path), (0.08, 0.0))
+        assert builds == []
+
+    def test_start_above_the_barrier_fails_before_any_build(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the Monte Carlo reference refuses a start above b, so the study does
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
+        code = main(["epsilon-study", "--x0", "5", "--points", "64", "--jumps", "1",
+                     "--replicates", "2", "--out", str(tmp_path / "eps.csv")])
+        assert code == 2
+        assert builds == []
+        assert "barrier" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
+        with pytest.raises(InputError, match="barrier"):
+            run_epsilon_study(tiny_config(tmp_path, x0=harness.LoanParams.b + 1e-9), (0.08, 0.04))
         assert builds == []
 
     @pytest.mark.parametrize("line", ["mc_paths = 0", "jumps = 0"])

@@ -169,6 +169,31 @@ class TestValueUpperBound:
                       terminal=lambda k, y: 0.0, discount=0.0,
                       reward_bound=1.0, terminal_bound=0.0)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                                        (-1.0, 0.0), (0.0, -1.0)],
+                             ids=["reward-nan", "terminal-nan", "reward-inf", "reward-negative",
+                                  "terminal-negative"])
+    def test_bad_declared_bounds_rejected(self, bounds):
+        # a NaN bound would pass every sampled check and make C_V NaN
+        with pytest.raises(InputError, match="bound"):
+            ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+                      terminal=lambda k, y: 0.0, discount=1.0,
+                      reward_bound=bounds[0], terminal_bound=bounds[1])
+
+    @pytest.mark.parametrize("discount", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_discount_rejected(self, discount):
+        with pytest.raises(InputError, match="discount"):
+            ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+                      terminal=lambda k, y: 0.0, discount=discount,
+                      reward_bound=1.0, terminal_bound=0.0)
+        # the bound re-checks a spec whose discount was changed after its check
+        spec = ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+                         terminal=lambda k, y: 0.0, discount=1.0,
+                         reward_bound=1.0, terminal_bound=0.0)
+        spec.discount = discount
+        with pytest.raises(InputError, match="discount"):
+            value_upper_bound(spec)
+
 
 class TestBiasBound:
     def test_zero_jumps_returns_value_bound(self):
@@ -195,6 +220,17 @@ class TestBiasBound:
             bias_bound(1, 4.0, 0.0, 1.0)
         with pytest.raises(InputError):
             bias_bound(1, 4.0, 0.02, -1.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 4.0, 0.02, 1.0), (math.inf, 4.0, 0.02, 1.0), (1.5, 4.0, 0.02, 1.0),
+        (1, math.nan, 0.02, 1.0), (1, math.inf, 0.02, 1.0), (1, -4.0, 0.02, 1.0),
+        (1, 4.0, math.nan, 1.0), (1, 4.0, math.inf, 1.0), (1, 4.0, -0.02, 1.0),
+        (1, 4.0, 0.02, math.nan), (1, 4.0, 0.02, math.inf),
+    ], ids=["n-nan", "n-inf", "n-fraction", "lambda-nan", "lambda-inf", "lambda-negative",
+            "delta-nan", "delta-inf", "delta-negative", "cv-nan", "cv-inf"])
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(InputError):
+            bias_bound(*args)
 
 
 class TestModelValidation:

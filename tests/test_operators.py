@@ -443,7 +443,7 @@ class TestEstimateValue:
         monkeypatch.setattr(pdmpval.flow._Guide, "find", find)
         monkeypatch.setattr(pdmpval.flow, "_interval", interval)
         monkeypatch.setattr(PPoly, "__call__", no_spline)
-        for name in ("time_of", "pos_at", "reward_from_master", "advance", "reward_integral"):
+        for name in ("time_of", "pos_at", "reward_from_master", "flow_at", "reward_integral"):
             monkeypatch.setattr(table_cls, name, no_spline)
         n, m = 6, 512
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
@@ -619,7 +619,7 @@ def _integrand_batch_oracle(model, x0, n, cols):
         if j == n - 1:  # nothing reads the last stage's position
             reward = table.reward_integral(chi, -logv)
         else:
-            reward, chi_pre = table.advance(chi, -logv)
+            reward, chi_pre = table.stage(*table.start(chi), -logv, position=True)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
         if j < n - 1:
             span = chi_pre - ruin
