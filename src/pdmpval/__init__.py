@@ -40,7 +40,6 @@ from .operators import (
     IteratedPoint,
     estimate_value,
     iterated_integrand,
-    valuation,
 )
 from .smoothing import (
     JumpKernelSpec,

@@ -130,8 +130,9 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     dense_output=True, events=hit)`` for a scalar state, where ``hit`` is the
     terminal event ``y - y_stop`` crossed upward, and its dense output.
 
-    ``fun(t, y)`` takes y of shape (1,); rtol must be at least 100 eps,
-    where scipy would raise it.  Returns the segment table
+    ``fun(t, y)`` takes y of shape (1,); the solve runs forward, so t_bound
+    must be positive, and rtol must be at least 100 eps, where scipy would
+    raise it.  Returns the segment table
     ``(ts, segs)``: the solution's segment bounds (the last one the time the
     event stopped the solve, or t_bound) and, per segment, the floats
     ``(t_old, h, y_old, q1, q2, q3, q4)`` of scipy's ``RkDenseOutput``,
@@ -144,18 +145,17 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     if not np.isfinite(y).all():
         raise ModelError("flow integration failed: the initial state must be finite")
     call = lambda t, yy: np.asarray(fun(t, yy), dtype=float)
-    direction = np.sign(tf - t0) if tf != t0 else 1
     atol = np.asarray(atol)
     f = call(t0, y)
-    h_abs = _initial_step(call, t0, y, tf, f, direction, rtol, atol)
+    h_abs = _initial_step(call, t0, y, tf, f, rtol, atol)
     K = np.empty((7, 1))
     t = t0
     g = y[0] - y_stop
     ts, segs = [t0], []
     while True:
         t_old, y_old = t, y
-        t, y, f, h_abs = _step(call, t, y, f, h_abs, direction, tf, rtol, atol, K)
-        finished = direction * (t - tf) >= 0
+        t, y, f, h_abs = _step(call, t, y, f, h_abs, tf, rtol, atol, K)
+        finished = t - tf >= 0
         Q = K.T.dot(_P)
         seg = (float(t_old), float(t - t_old), float(y_old[0]), *map(float, Q[0]))
         end = t
@@ -172,11 +172,9 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
             return ts, segs
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """scipy's ``select_initial_step`` for RK45 (error estimator order 4, no max step)."""
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = _norm(y0 / scale)
     d1 = _norm(f0 / scale)
@@ -185,8 +183,8 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -195,22 +193,21 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
+def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
     """One accepted step of scipy's ``RungeKutta._step_impl``; fills the stages K.
 
     Returns (t_new, y_new, f_new, next h_abs).  ModelError on scipy's
     failure, a step below ten times the spacing of floats at t.
     """
-    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
     while True:
         if h_abs < min_step:
             raise ModelError(f"flow integration failed: {_TOO_SMALL_STEP}")
-        h = h_abs * direction
-        t_new = t + h
-        if direction * (t_new - t_bound) > 0:
+        t_new = t + h_abs
+        if t_new - t_bound > 0:
             t_new = t_bound
         h = t_new - t
         h_abs = np.abs(h)

@@ -2,8 +2,9 @@
 
 Subcommands: value (single estimate), convergence (node-count study),
 epsilon-study (smoothing refinement against the Monte Carlo reference) and
-validate (cross-module invariant suite).  Flags override config-file keys;
-the PDMPVAL_SEED environment variable overrides every seed source.
+validate (cross-module invariant suite, which takes no flags).  Flags
+override config-file keys; the PDMPVAL_SEED environment variable overrides
+every seed source.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _add_common(sub):
     sub.add_argument("--replicates", type=int, metavar="R", help="randomised replicates")
     sub.add_argument("--seed", type=int, metavar="S", help="base seed")
     sub.add_argument("--epsilon", action="append", type=float, metavar="E",
-                     help="smoothing width (repeat to give an epsilon-study schedule)")
+                     help="smoothing width; value and convergence use the last one given, "
+                          "epsilon-study runs all of them (at least two) as its schedule")
     sub.add_argument("--x0", type=float, help="start value of the surplus")
     sub.add_argument("--out", metavar="PATH", help="output CSV path")
     sub.add_argument("--workers", type=int, help="parallel evaluation workers")
@@ -97,8 +99,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_epsilon_study(args) -> int:
     cfg = _build_config(args)
-    schedule = tuple(args.epsilon) if args.epsilon and len(args.epsilon) > 1 \
-        else _DEFAULT_EPS_SCHEDULE
+    schedule = tuple(args.epsilon) if args.epsilon else _DEFAULT_EPS_SCHEDULE
     csv_path, _, slope, flag = run_epsilon_study(cfg, schedule)
     print(f"wrote {csv_path} (log-log slope {slope:.3f}, {flag})")
     return 0
@@ -119,11 +120,11 @@ def main(argv=None) -> int:
         ("value", _cmd_value),
         ("convergence", _cmd_convergence),
         ("epsilon-study", _cmd_epsilon_study),
-        ("validate", _cmd_validate),
     ):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(handler=handler)
+    sub.add_parser("validate").set_defaults(handler=_cmd_validate)  # reads no flags
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -284,20 +284,14 @@ def cp_shift_vector(d: int, seed: int, replicate: int = 0) -> np.ndarray:
     return keyed_stream(_CP_TAG, seed, replicate).random(d)
 
 
-def cranley_patterson_shift(points: np.ndarray, seed: Optional[int] = None,
-                            replicate: int = 0, shift: Optional[np.ndarray] = None) -> np.ndarray:
-    """Coordinatewise modulo-1 translation of a point set.
+def cranley_patterson_shift(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Coordinatewise modulo-1 translation of a point set by ``shift``
+    (one replicate's vector is ``cp_shift_vector``).
 
-    Pass an explicit ``shift`` vector, or a ``seed`` (plus replicate index)
-    from which the vector is drawn.  The fractional part u - floor(u) is
-    exact, so it equals ``np.mod(u, 1.0)`` bit for bit at a tenth of the cost.
+    The fractional part u - floor(u) is exact, so it equals
+    ``np.mod(u, 1.0)`` bit for bit at a tenth of the cost.
     """
-    points = np.asarray(points, dtype=float)
-    if shift is None:
-        if seed is None:
-            raise InputError("either a shift vector or a seed is required")
-        shift = cp_shift_vector(points.shape[-1], seed, replicate)
-    u = points + np.asarray(shift, dtype=float)
+    u = np.asarray(points, dtype=float) + np.asarray(shift, dtype=float)
     u -= np.floor(u)
     return u
 

@@ -401,8 +401,6 @@ class FlowTable:
         the full batch's bit for bit.
         """
         live = np.flatnonzero(ke >= self._kz)
-        if live.size == ke.size:
-            return self._reward_full(T0, t, te, k0, ke)
         out = np.zeros(te.shape)
         if live.size:
             pick = lambda a: a.take(live) if np.ndim(a) else a

@@ -23,7 +23,7 @@ from .errors import InputError, require_int
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import mc_reference
 from .model import bias_bound, value_upper_bound
-from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand, valuation
+from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand
 
 __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_file",
            "run_value", "run_convergence", "run_epsilon_study", "run_validate"]
@@ -31,12 +31,7 @@ __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_fil
 CSV_HEADER = "method,M,d,replicates,mean,std_error,bias_bound,seed,wall_ms"
 EPS_CSV_HEADER = "kind,epsilon,mean,std_error,mc_mean,mc_std_error,abs_diff,flag"
 
-_METHOD_KINDS = {
-    "mc": RuleKind.MC,
-    "sobol": RuleKind.SOBOL,
-    "halton": RuleKind.SCRAMBLED_HALTON,
-    "gauss": RuleKind.GAUSS_PRODUCT,
-}
+_METHODS = sorted(k.value for k in RuleKind)  # a RuleKind's value is its method name
 
 _DESK_SCHEDULE = tuple(50 * 2 ** j for j in range(1, 11))
 
@@ -72,11 +67,10 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
             raise InputError("the node-count schedule must be strictly increasing")
         if not self.methods:
-            raise InputError("the method list must be nonempty; "
-                             f"choose from {sorted(_METHOD_KINDS)}")
-        unknown = [m for m in self.methods if m not in _METHOD_KINDS]
+            raise InputError(f"the method list must be nonempty; choose from {_METHODS}")
+        unknown = [m for m in self.methods if m not in _METHODS]
         if unknown:
-            raise InputError(f"unknown methods {unknown}; choose from {sorted(_METHOD_KINDS)}")
+            raise InputError(f"unknown methods {unknown}; choose from {_METHODS}")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise InputError(f"methods {repeated} given more than once; each runs once")
@@ -84,16 +78,17 @@ class ExperimentConfig:
             raise InputError(f"start value x0 must be finite, got {self.x0}")
         # the ruin level, where valid rates give one (LoanParams reports bad ones);
         # x0 above the barrier stays: value and convergence price it as a lump
-        # sum (valuation()); the epsilon study refuses it
+        # sum (estimate_value); the epsilon study refuses it
         if all(math.isfinite(v) and v > 0.0 for v in (self.c, self.rho)):
             ruin = -self.c / self.rho
             if not self.x0 > ruin:
                 raise InputError(f"start value x0 = {self.x0} must lie above the ruin "
                                  f"level -c/rho = {ruin}")
         require_int("jumps", self.jumps, 1)
-        require_int("mc_paths", self.mc_paths, 1)
+        # the Monte Carlo reference needs two paths for an error bar
+        require_int("mc_paths", self.mc_paths, 2)
         # the randomized rules need two replicates for an error bar; Gauss runs one
-        randomized = any(_METHOD_KINDS[m] is not RuleKind.GAUSS_PRODUCT for m in self.methods)
+        randomized = any(RuleKind(m) is not RuleKind.GAUSS_PRODUCT for m in self.methods)
         require_int("replicates", self.replicates, 2 if randomized else 1)
         require_int("seed", self.seed, 0)
         require_int("workers", self.workers, 1)
@@ -181,13 +176,13 @@ def _write_lines(path, lines) -> None:
 def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     """One valuation of ``method`` at the schedule's largest node count.
 
-    Uses the lump-sum convention above the barrier (``valuation``).  Writes
-    the one-row CSV to ``out`` when given.
+    ``estimate_value`` prices a start above the barrier as a lump sum.
+    Writes the one-row CSV to ``out`` when given.
     """
     model = SmoothedLoanModel.build(**asdict(config.loan_params()))
-    rule = CubatureSpec(kind=_METHOD_KINDS[method], M=config.m_schedule[-1],
+    rule = CubatureSpec(kind=RuleKind(method), M=config.m_schedule[-1],
                         d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
-    est = valuation(config.x0, config.jumps, rule, model, workers=config.workers)
+    est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
     if out:
         _write_lines(out, [CSV_HEADER, _estimate_row(method, est, config.seed, config.timings)])
     return est
@@ -196,8 +191,8 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
 def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel] = None):
     """Estimate the value for every (method, M) of the schedule.
 
-    Uses the lump-sum convention above the barrier (``valuation``).  Writes
-    the CSV at config.out plus one two-column `M std_error` plot-data file
+    ``estimate_value`` prices a start above the barrier as a lump sum.
+    Writes the CSV at config.out plus one two-column `M std_error` plot-data file
     per method (same stem, `_<method>.dat` suffix) for log-log plots.
     Returns (csv_path, rows).
     """
@@ -208,9 +203,9 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
     plot_data = {m: [] for m in config.methods}
     for method in config.methods:
         for m_nodes in config.m_schedule:
-            rule = CubatureSpec(kind=_METHOD_KINDS[method], M=m_nodes, d=d,
+            rule = CubatureSpec(kind=RuleKind(method), M=m_nodes, d=d,
                                 seed=config.seed, replicates=config.replicates)
-            est = valuation(config.x0, config.jumps, rule, model, workers=config.workers)
+            est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
             rows.append(_estimate_row(method, est, config.seed, config.timings))
             plot_data[method].append((m_nodes, est.std_error))
     csv_path = Path(config.out)
@@ -228,21 +223,21 @@ def _fit_loglog_slope(xs, ys) -> float:
     return float(slope)
 
 
-def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
-                      escalate: bool = True):
+def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
     """Smoothing-width refinement against the unsmoothed Monte Carlo reference.
 
     Both sides are truncated at the same jump count (config.jumps), so the
     gaps isolate the smoothing effect.  The Monte Carlo budget is escalated
     (x4, twice) when the combined statistical error exceeds 20% of the
     smallest gap; if control still fails the slope row is flagged
-    noise-dominated.  The reference starts at or below the barrier, so a
-    start above it is refused before any build.  Returns (csv_path, rows,
-    slope, flag).
+    noise-dominated.  The slope needs at least two widths, and the
+    reference starts at or below the barrier, so a shorter schedule and a
+    start above the barrier are refused before any build.  Returns
+    (csv_path, rows, slope, flag).
     """
     eps_schedule = list(eps_schedule)
-    if not eps_schedule:
-        raise InputError("epsilon schedule must be nonempty")
+    if len(eps_schedule) < 2:
+        raise InputError(f"epsilon schedule must hold at least two widths, got {eps_schedule}")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
     widths = [config.loan_params(eps=eps) for eps in eps_schedule]  # all checked up front
@@ -263,18 +258,14 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float],
 
     params = widths[-1]  # the unsmoothed reference ignores eps
     mc_paths = config.mc_paths
-    ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n)
-    for _ in range(2 if escalate else 0):
-        gaps = [abs(e.value - ref.value) for e in estimates]
-        noise = max(e.std_error + ref.std_error for e in estimates)
-        if noise < 0.2 * min(gaps):
-            break
-        mc_paths *= 4
+    for attempt in range(3):
+        if attempt:
+            mc_paths *= 4
         ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n)
-
-    gaps = [abs(e.value - ref.value) for e in estimates]
-    noise = max(e.std_error + ref.std_error for e in estimates)
-    noisy = noise >= 0.2 * min(gaps)
+        gaps = [abs(e.value - ref.value) for e in estimates]
+        noisy = max(e.std_error + ref.std_error for e in estimates) >= 0.2 * min(gaps)
+        if not noisy:
+            break
     slope = _fit_loglog_slope(eps_schedule, gaps)
     flag = "noise-dominated" if noisy else "ok"
 

@@ -80,7 +80,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,7 +101,7 @@ from .errors import InputError, ModelError, require_int
 from .loan import SmoothedLoanModel
 from .model import bias_bound, value_upper_bound
 
-__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value", "valuation"]
+__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value"]
 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
@@ -145,9 +145,7 @@ class IteratedPoint:
 def _check_x0(model: SmoothedLoanModel, x0: float) -> None:
     p = model.params
     if not p.ruin_level < x0 <= p.b:
-        hint = ("; use valuation() for the lump-sum convention above the barrier"
-                if x0 > p.b else "")
-        raise InputError(f"start value {x0} outside ({p.ruin_level}, {p.b}]{hint}")
+        raise InputError(f"start value {x0} outside ({p.ruin_level}, {p.b}]")
 
 
 def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable) -> np.ndarray:
@@ -350,11 +348,19 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     of replicate means over sqrt(R).  The Gauss product rule is deterministic:
     it runs one replicate over the 2n-1 live dimensions (z_n is never read)
     within a budget of 1e7 nodes and carries no error bar.
+
+    A start above the barrier b follows the barrier strategy: the excess
+    x0 - b is paid out at once as a lump sum, so the value is the estimate
+    at b plus (x0 - b).
     """
     require_int("jump count n", n, 1)
     if rule.d != 2 * n:
         raise InputError(f"rule dimension {rule.d} does not match 2n = {2 * n}")
-    _check_x0(model, x0)
+    if not math.isfinite(x0):
+        raise InputError(f"start value must be finite, got {x0}")
+    b = model.params.b
+    start_x = min(x0, b)
+    _check_x0(model, start_x)
     start = time.perf_counter()
     if rule.kind is RuleKind.GAUSS_PRODUCT:
         if rule.M ** (2 * n - 1) > 10 ** 7:
@@ -363,23 +369,13 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
         reps = 1
     else:
         reps = rule.replicates
-    means = _replicate_means(model, x0, n, rule, reps, workers)
+    means = _replicate_means(model, start_x, n, rule, reps, workers)
     value = float(np.mean(means))
+    if x0 > b:
+        value += x0 - b
     std_error = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps >= 2 else None
     wall_ms = (time.perf_counter() - start) * 1e3
     spec = model.spec
     bias = bias_bound(n, spec.intensity_bound, spec.discount, value_upper_bound(spec))
     return Estimate(value=value, std_error=std_error, bias_bound=bias,
                     M=rule.M, d=rule.d, replicates=reps, wall_ms=wall_ms)
-
-
-def valuation(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanModel,
-              workers: int = 1) -> Estimate:
-    """Valuation with the lump-sum convention: above the barrier the excess is
-    paid out immediately and the remainder is the value at the barrier."""
-    if not math.isfinite(x0):
-        raise InputError(f"start value must be finite, got {x0}")
-    if x0 > model.params.b:
-        base = estimate_value(model.params.b, n, rule, model, workers=workers)
-        return replace(base, value=base.value + (x0 - model.params.b))
-    return estimate_value(x0, n, rule, model, workers=workers)

@@ -9,6 +9,10 @@ modules, then uninstalled, and every original object must be back.
 import importlib.util
 from pathlib import Path
 
+from pdmpval import harness
+from pdmpval.harness import ExperimentConfig
+from pdmpval.loan import LoanParams
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -36,3 +40,43 @@ def test_every_boundary_is_wrapped_and_restored(loan_model):
         tracing.uninstall(saved)
     for owner, attr, raw in originals:
         assert vars(owner)[attr] is raw, f"{attr} was not restored"
+
+
+def _traced(call):
+    """Run ``call`` with the tracer installed; returns its spans."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        call()
+    finally:
+        tracing.uninstall(saved)
+    return tracer.spans
+
+
+def test_value_above_the_barrier_records_one_estimate_span(tmp_path):
+    # the lump sum above b is priced inside the one estimate_value call: a
+    # nested call would record two spans and double the traced node stages
+    cfg = ExperimentConfig(x0=LoanParams.b + 0.5, methods=("sobol",), m_schedule=(64,),
+                           jumps=1, replicates=2, out=str(tmp_path / "value.csv"))
+    spans = _traced(lambda: harness.run_value(cfg, "sobol"))
+    est = [s for s in spans if s[0] == "operators.estimate_value"]
+    assert len(est) == 1
+    assert est[0][3] == -1  # no enclosing estimate span
+    assert est[0][5] == 64 * 2 * 1  # node stages, read from the positional (x0, n, rule)
+
+
+def test_epsilon_study_call_contract(tmp_path):
+    # the benchmark's eps-refine shims replace harness.estimate_value and
+    # harness.mc_reference and read the path count as args[2]
+    cfg = ExperimentConfig(methods=("sobol",), m_schedule=(64,), jumps=1, replicates=2,
+                           mc_paths=200, out=str(tmp_path / "eps.csv"))
+    spans = _traced(lambda: harness.run_epsilon_study(cfg, (0.08, 0.04)))
+    study = [i for i, s in enumerate(spans) if s[0] == "harness.run_epsilon_study"]
+    assert len(study) == 1
+    est = [s for s in spans if s[0] == "operators.estimate_value"]
+    assert len(est) == 2 and all(s[3] == study[0] for s in est)
+    refs = [s for s in spans if s[0] == "mc.mc_reference"]
+    assert 1 <= len(refs) <= 3 and all(s[3] == study[0] for s in refs)
+    # path_jumps reads n_paths = args[2]: 200 paths, then x4 per escalation, 1 jump
+    assert [s[5] for s in refs] == [200 * 4 ** k for k in range(len(refs))]

@@ -215,7 +215,7 @@ class TestCranleyPatterson:
 
     def test_stays_in_unit_cube_and_preserves_differences(self, rng):
         pts = sobol_points(1000, 4)
-        shifted = cranley_patterson_shift(pts, seed=11, replicate=2)
+        shifted = cranley_patterson_shift(pts, shift=cp_shift_vector(4, 11, 2))
         assert np.all(shifted >= 0.0) and np.all(shifted < 1.0)
         i = rng.integers(0, 1000, 1000)
         j = rng.integers(0, 1000, 1000)
@@ -236,10 +236,6 @@ class TestCranleyPatterson:
     def test_seeded_shift_reproducible(self):
         assert np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 1))
         assert not np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 2))
-
-    def test_requires_shift_or_seed(self):
-        with pytest.raises(InputError):
-            cranley_patterson_shift(np.zeros((2, 2)))
 
 
 class TestGaussLegendre:

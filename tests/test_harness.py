@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmpval import harness
+from pdmpval import cli, harness
 from pdmpval.cli import main
 from pdmpval.errors import InputError
 from pdmpval.harness import (
@@ -96,7 +96,7 @@ class TestConfig:
         with pytest.raises(InputError, match="jumps"):
             ExperimentConfig(jumps=jumps)
 
-    @pytest.mark.parametrize("mc_paths", [0, -5, 1000.0, False, "100"])
+    @pytest.mark.parametrize("mc_paths", [0, 1, -5, 1000.0, False, "100"])
     def test_mc_paths_validated(self, mc_paths):
         with pytest.raises(InputError, match="mc_paths"):
             ExperimentConfig(mc_paths=mc_paths)
@@ -241,7 +241,7 @@ class TestRunEpsilonStudy:
     def test_structure(self, tmp_path):
         cfg = tiny_config(tmp_path, m_schedule=(2048,), replicates=4,
                           out=str(tmp_path / "eps.csv"), mc_paths=20_000)
-        csv_path, rows, slope, flag = run_epsilon_study(cfg, (0.08, 0.04), escalate=False)
+        csv_path, rows, slope, flag = run_epsilon_study(cfg, (0.08, 0.04))
         assert rows[0] == EPS_CSV_HEADER
         assert len(rows) == 1 + 2 + 1
         assert rows[-1].startswith("slope,")
@@ -254,6 +254,13 @@ class TestRunEpsilonStudy:
             run_epsilon_study(cfg, (0.01, 0.02))
         with pytest.raises(InputError):
             run_epsilon_study(cfg, ())
+
+    def test_single_width_refused_before_any_build(self, tmp_path, monkeypatch):
+        # a log-log slope needs at least two widths
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        with pytest.raises(InputError, match="at least two widths"):
+            run_epsilon_study(tiny_config(tmp_path), [0.02])
 
     def test_widths_checked_before_any_build(self, tmp_path, monkeypatch):
         builds = []
@@ -280,7 +287,7 @@ class TestRunEpsilonStudy:
             run_epsilon_study(tiny_config(tmp_path, x0=harness.LoanParams.b + 1e-9), (0.08, 0.04))
         assert builds == []
 
-    @pytest.mark.parametrize("line", ["mc_paths = 0", "jumps = 0"])
+    @pytest.mark.parametrize("line", ["mc_paths = 0", "mc_paths = 1", "jumps = 0"])
     def test_bad_config_fails_before_any_build(self, tmp_path, monkeypatch, capsys, line):
         builds = []
         monkeypatch.setattr(harness.SmoothedLoanModel, "build",
@@ -298,7 +305,7 @@ class TestRunEpsilonStudy:
         # minuscule budgets cannot resolve the eps=0.02 gap
         cfg = tiny_config(tmp_path, m_schedule=(64,), replicates=2,
                           out=str(tmp_path / "eps.csv"), mc_paths=200)
-        _, rows, slope, flag = run_epsilon_study(cfg, (0.04, 0.02), escalate=False)
+        _, rows, slope, flag = run_epsilon_study(cfg, (0.04, 0.02))
         assert flag == "noise-dominated"
         assert rows[-1].endswith("noise-dominated")
 
@@ -492,6 +499,25 @@ class TestCLI:
                      "--points", "4", "--jumps", "1", *flags])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_epsilon_study_single_width_exit_code(self, tmp_path, monkeypatch, capsys):
+        # one --epsilon is the whole schedule, not a cue for the default one
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        code = main(["epsilon-study", "--epsilon", "0.02", "--points", "64", "--jumps", "1",
+                     "--replicates", "2", "--out", str(tmp_path / "eps.csv")])
+        assert code == 2
+        assert "at least two widths" in capsys.readouterr().err
+        assert not (tmp_path / "eps.csv").exists()
+
+    def test_validate_takes_no_flags(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_validate", lambda: calls.append(1) or 0)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--points", "0", "--method", "bogus"])
+        assert exc.value.code == 2 and calls == []
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["validate"]) == 0 and calls == [1]
 
     def test_epsilon_study_subcommand(self, tmp_path, capsys):
         out_csv = tmp_path / "eps.csv"

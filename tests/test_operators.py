@@ -28,7 +28,6 @@ from pdmpval.operators import (
     IteratedPoint,
     estimate_value,
     iterated_integrand,
-    valuation,
 )
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
@@ -166,14 +165,12 @@ class TestIteratedIntegrand:
             assert iterated_integrand(IteratedPoint(coords), 0.0, loan_model) >= 0.0
 
     def test_x0_outside_domain_rejected(self, loan_model):
-        # only a start above the barrier is pointed to valuation()
+        # the integrand is defined on (ruin, b]; estimate_value alone prices a
+        # start above the barrier
         point = IteratedPoint(np.array([0.5, 0.5]))
-        with pytest.raises(InputError, match=r"use valuation\(\)"):
-            iterated_integrand(point, B + 1.0, loan_model)
-        for x0 in (RUIN, RUIN - 1.0):  # at or below the ruin level
-            with pytest.raises(InputError, match="outside") as err:
+        for x0 in (B + 1.0, RUIN, RUIN - 1.0):
+            with pytest.raises(InputError, match="outside"):
                 iterated_integrand(point, x0, loan_model)
-            assert "valuation" not in str(err.value)
 
 
 class TestTensorGauss:
@@ -313,25 +310,23 @@ class TestEstimateValue:
         assert est.bias_bound == pytest.approx(expect, rel=1e-14)
 
     def test_x0_above_barrier_needs_wrapper(self, loan_model):
+        # the lump-sum convention: the excess over b is paid out at once
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=8, d=2)
-        with pytest.raises(InputError):
-            estimate_value(B + 0.5, 1, rule, loan_model)
         est_b = estimate_value(B, 1, rule, loan_model)
-        est = valuation(B + 0.5, 1, rule, loan_model)
-        assert est.value == pytest.approx(est_b.value + 0.5, abs=1e-14)
+        est = estimate_value(B + 0.5, 1, rule, loan_model)
+        assert est.value == est_b.value + 0.5
 
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
     def test_non_finite_start_rejected(self, loan_model, x0):
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=8, d=2)
         with pytest.raises(InputError, match="finite"):
-            valuation(x0, 1, rule, loan_model)
+            estimate_value(x0, 1, rule, loan_model)
 
     @pytest.mark.parametrize("n", [2.0, True, 0, -1])
     def test_jump_count_must_be_a_positive_integer(self, loan_model, n):
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=64, d=2 if n is True else 4, replicates=2)
-        for entry in (estimate_value, valuation):
-            with pytest.raises(InputError, match="jump count n"):
-                entry(0.0, n, rule, loan_model)
+        with pytest.raises(InputError, match="jump count n"):
+            estimate_value(0.0, n, rule, loan_model)
 
     # value and std_error at the deep-qmc shape over two chunks, recorded with
     # the replicate-by-replicate estimator loop that regenerated every column
