@@ -3,9 +3,12 @@
 Twins of the five scipy routines the build used: ``solve_ivp``'s RK45 with
 dense output and one terminal event, the ``brentq`` that solves the event,
 ``cumulative_simpson``, and the coefficients of ``CubicHermiteSpline`` and
-``PchipInterpolator``.  Each makes scipy's numpy calls on arrays of the
-same shapes in the same order (scipy 1.17), so every table is the one the
-scipy routines built, bit for bit, and building one loads no scipy.  Only
+``PchipInterpolator``.  Each computes what scipy computes in the same
+order (scipy 1.17): the array routines make scipy's numpy calls on arrays
+of the same shapes, and RK45 steps its scalar state on Python floats but
+keeps scipy's numpy dot products, which BLAS may evaluate with fused
+multiply-adds.  So every table is the one the scipy routines built, bit
+for bit, and building one loads no scipy.  Only
 the parts the build uses are kept: a scalar state, a forward solve from
 t = 0, one terminal upward crossing, 1-D data.  The tests compare each
 routine with scipy's.
@@ -120,9 +123,14 @@ _ERROR_EXPONENT = -1 / 5
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
+# each stage's row of the tableau and node, as scipy's loop slices them
+_STAGES = [(a[:s], float(c)) for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1)]
+
+
 def _norm(x):
-    """RMS norm (scipy's ``common.norm``)."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """scipy's RMS ``common.norm`` of one element: ``np.linalg.norm`` is the
+    square root of ``x.dot(x)``, so it under- and overflows as x * x does."""
+    return math.sqrt(x * x)
 
 
 def rk45(fun, t_bound, y0, rtol, atol, y_stop):
@@ -130,9 +138,16 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     dense_output=True, events=hit)`` for a scalar state, where ``hit`` is the
     terminal event ``y - y_stop`` crossed upward, and its dense output.
 
-    ``fun(t, y)`` takes y of shape (1,); the solve runs forward, so t_bound
-    must be positive, and rtol must be at least 100 eps, where scipy would
-    raise it.  Returns the segment table
+    ``fun(t, y)`` takes and returns floats (scipy's ``fun`` is
+    ``lambda t, y: [fun(t, y[0])]``).  The state steps on Python floats, which
+    round each elementwise operation as numpy does on shape-(1,) arrays; the
+    stages stay a (7, 1) array, and their weighted sums stay numpy ``dot``
+    calls on scipy's shapes, because BLAS may fuse their multiply-adds and
+    plain floats cannot.  The solve runs forward, so t_bound must be
+    positive; atol must be positive, since a zero error scale is a
+    ZeroDivisionError on floats; and rtol must be at least 100 eps, where
+    scipy would raise it.
+    Returns the segment table
     ``(ts, segs)``: the solution's segment bounds (the last one the time the
     event stopped the solve, or t_bound) and, per segment, the floats
     ``(t_old, h, y_old, q1, q2, q3, q4)`` of scipy's ``RkDenseOutput``,
@@ -141,32 +156,33 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     of floats (scipy's failure status).
     """
     t0, tf = 0.0, float(t_bound)
-    y = np.asarray([y0], dtype=float)
-    if not np.isfinite(y).all():
+    y = float(y0)
+    if not math.isfinite(y):
         raise ModelError("flow integration failed: the initial state must be finite")
-    call = lambda t, yy: np.asarray(fun(t, yy), dtype=float)
-    atol = np.asarray(atol)
-    f = call(t0, y)
-    h_abs = _initial_step(call, t0, y, tf, f, rtol, atol)
+    atol = float(atol)
+    f = fun(t0, y)
+    h_abs = _initial_step(fun, t0, y, tf, f, rtol, atol)
     K = np.empty((7, 1))
+    k = K[:, 0]  # K's column, for the stage stores
+    KT = [K[:s].T for s in range(8)]  # K[:s].T, the left operand of scipy's dot products
     t = t0
-    g = y[0] - y_stop
+    g = y - y_stop
     ts, segs = [t0], []
     while True:
         t_old, y_old = t, y
-        t, y, f, h_abs = _step(call, t, y, f, h_abs, tf, rtol, atol, K)
+        t, y, f, h_abs = _step(fun, t, y, f, h_abs, tf, rtol, atol, k, KT)
         finished = t - tf >= 0
-        Q = K.T.dot(_P)
-        seg = (float(t_old), float(t - t_old), float(y_old[0]), *map(float, Q[0]))
+        Q = KT[7].dot(_P)
+        seg = (t_old, t - t_old, y_old, *Q[0].tolist())
         end = t
-        g_new = y[0] - y_stop
+        g_new = y - y_stop
         if g <= 0 and g_new >= 0:  # the terminal event
             end = _event_time(t_old, t, y_old, Q, y_stop)
             finished = True
         g = g_new
         # like scipy, drop a segment whose end repeats the last bound
         if len(ts) == 1 or ts[-1] != end:
-            ts.append(float(end))
+            ts.append(end)
             segs.append(seg)
         if finished:
             return ts, segs
@@ -175,7 +191,7 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """scipy's ``select_initial_step`` for RK45 (error estimator order 4, no max step)."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = atol + abs(y0) * rtol
     d0 = _norm(y0 / scale)
     d1 = _norm(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -193,13 +209,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
-    """One accepted step of scipy's ``RungeKutta._step_impl``; fills the stages K.
+def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, k, KT):
+    """One accepted step of scipy's ``RungeKutta._step_impl``; fills the stages
+    through k, the column of K, and takes their sums as ``KT[s] = K[:s].T``.
 
     Returns (t_new, y_new, f_new, next h_abs).  ModelError on scipy's
     failure, a step below ten times the spacing of floats at t.
     """
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
@@ -210,17 +227,18 @@ def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
         if t_new - t_bound > 0:
             t_new = t_bound
         h = t_new - t
-        h_abs = np.abs(h)
+        h_abs = abs(h)
         # rk_step
-        K[0] = f
-        for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, _B)
+        k[0] = f
+        for s, (a, c) in enumerate(_STAGES, start=1):
+            dy = KT[s].dot(a).item() * h
+            k[s] = fun(t + c * h, y + dy)
+        y_new = y + h * KT[6].dot(_B).item()
         f_new = fun(t + h, y_new)
-        K[-1] = f_new
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _norm(np.dot(K.T, _E) * h / scale)
+        k[6] = f_new
+        # np.maximum's order: a NaN y_new (y is always finite) reaches the scale
+        scale = atol + max(abs(y_new), abs(y)) * rtol
+        error_norm = _norm(KT[7].dot(_E).item() * h / scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = _MAX_FACTOR

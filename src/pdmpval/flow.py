@@ -585,7 +585,7 @@ def build_flow_table(
     cap = 1e3 * span / g_max
     y_stop = upper - _PROXIMITY * span
 
-    segments = rk45(lambda t, y: [drift(min(y[0], upper))], cap, y_start,
+    segments = rk45(lambda t, y: float(drift(min(y, upper))), cap, y_start,
                     _RK_TOL, _RK_TOL * span * 1e-2, y_stop)
     t_end = segments[0][-1]
 

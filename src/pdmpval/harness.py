@@ -21,7 +21,7 @@ from . import cubature, smoothing
 from .cubature import CubatureSpec, RuleKind
 from .errors import InputError, require_int
 from .loan import LoanParams, SmoothedLoanModel
-from .mc import mc_reference
+from .mc import MCResume, mc_reference
 from .model import bias_bound, value_upper_bound
 from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand
 
@@ -177,8 +177,11 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     """One valuation of ``method`` at the schedule's largest node count.
 
     ``estimate_value`` prices a start above the barrier as a lump sum.
-    Writes the one-row CSV to ``out`` when given.
+    Writes the one-row CSV to ``out`` when given.  An unknown ``method`` is
+    an InputError, raised before the build.
     """
+    if method not in _METHODS:
+        raise InputError(f"unknown method '{method}'; choose from {_METHODS}")
     model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     rule = CubatureSpec(kind=RuleKind(method), M=config.m_schedule[-1],
                         d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
@@ -229,11 +232,12 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
     Both sides are truncated at the same jump count (config.jumps), so the
     gaps isolate the smoothing effect.  The Monte Carlo budget is escalated
     (x4, twice) when the combined statistical error exceeds 20% of the
-    smallest gap; if control still fails the slope row is flagged
-    noise-dominated.  The slope needs at least two widths, and the
-    reference starts at or below the barrier, so a shorter schedule and a
-    start above the barrier are refused before any build.  Returns
-    (csv_path, rows, slope, flag).
+    smallest gap; each escalation resumes from the full path chunks already
+    simulated (:class:`MCResume`), so it draws only the new paths.  If
+    control still fails the slope row is flagged noise-dominated.  The slope
+    needs at least two widths, and the reference starts at or below the
+    barrier, so a shorter schedule and a start above the barrier are refused
+    before any build.  Returns (csv_path, rows, slope, flag).
     """
     eps_schedule = list(eps_schedule)
     if len(eps_schedule) < 2:
@@ -258,10 +262,12 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
 
     params = widths[-1]  # the unsmoothed reference ignores eps
     mc_paths = config.mc_paths
+    resume = MCResume(params, config.x0, seed=config.seed, max_jumps=n)
     for attempt in range(3):
         if attempt:
             mc_paths *= 4
-        ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n)
+        ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n,
+                           resume=resume)
         gaps = [abs(e.value - ref.value) for e in estimates]
         noisy = max(e.std_error + ref.std_error for e in estimates) >= 0.2 * min(gaps)
         if not noisy:

@@ -14,12 +14,19 @@ from the working arrays.  Every step still draws full-width (inter-jump
 time, claim size) arrays for the whole chunk, as one standard-exponential
 fill of a reused buffer, and takes the live entries once a path is ruined,
 so the draw a path sees never depends on which other paths are ruined.
+
+A full chunk's draws depend only on (seed, chunk index), so an escalating
+caller can hand each call a :class:`MCResume`: the in-order sums of the
+full chunks already simulated for the same inputs are reused, not drawn
+again, and the estimate keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .loan import LoanParams
 from .model import bias_bound
 from .operators import Estimate
 
-__all__ = ["mc_reference", "ruin_probability"]
+__all__ = ["MCResume", "mc_reference", "ruin_probability"]
 
 _PATH_CHUNK = 8192
 _MC_PATH_TAG = 0x70617468
@@ -135,12 +142,32 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
     return pv_out, jumps, alive
 
 
+@dataclass
+class MCResume:
+    """The finished full chunks of :func:`mc_reference` calls on one
+    (params, x0, seed, max_jumps): per chunk, in chunk order, the sums
+    (sum pv, sum pv^2) of its paths' discounted dividends."""
+
+    params: LoanParams
+    x0: float
+    seed: int
+    max_jumps: int
+    sums: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+
 def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
-                 max_jumps: int = 512) -> Estimate:
+                 max_jumps: int = 512, *, resume: Optional[MCResume] = None) -> Estimate:
     """Sample mean and standard error of the discounted dividends.
 
     Deterministic for a fixed seed and independent of any parallel chunking
-    (chunked, ordered reduction over fixed-size path blocks).
+    (chunked, ordered reduction over fixed-size path blocks).  With
+    ``resume``, made for the same (params, x0, seed, max_jumps), the full
+    chunks it holds are not simulated again and the ones this call
+    finishes are added to it; the estimate is a fresh call's, bit for bit,
+    but its ``wall_ms`` covers only the chunks this call simulated.  A
+    partial last chunk is always simulated: every step draws for each of
+    its rows, so its draws depend on its row count.  InputError for a
+    resume made for other inputs.
     """
     require_int("n_paths", n_paths, 1)
     require_int("max_jumps", max_jumps, 1)
@@ -149,14 +176,25 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
         raise InputError(f"start value must be finite, got {x0}")
     if x0 > params.b:
         raise InputError(f"start value {x0} above the barrier {params.b}")
+    if resume is None:
+        resume = MCResume(params, x0, seed, max_jumps)  # this call's own
+    elif resume != MCResume(params, x0, seed, max_jumps):
+        raise InputError(f"the resume object was made for other inputs: {resume}")
+    sums = resume.sums
     start = time.perf_counter()
     total = 0.0
     total_sq = 0.0
     for chunk, c0 in enumerate(range(0, n_paths, _PATH_CHUNK)):
         rows = min(_PATH_CHUNK, n_paths - c0)
-        pv, _, _ = _simulate_chunk(params, x0, rows, seed, chunk, max_jumps)
-        total += float(np.add.reduce(pv))
-        total_sq += float(np.add.reduce(pv * pv))
+        if rows == _PATH_CHUNK and chunk < len(sums):
+            chunk_sum, chunk_sq = sums[chunk]
+        else:
+            pv, _, _ = _simulate_chunk(params, x0, rows, seed, chunk, max_jumps)
+            chunk_sum, chunk_sq = float(np.add.reduce(pv)), float(np.add.reduce(pv * pv))
+            if rows == _PATH_CHUNK:
+                sums.append((chunk_sum, chunk_sq))
+        total += chunk_sum
+        total_sq += chunk_sq
     mean = total / n_paths
     if n_paths >= 2:
         var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)

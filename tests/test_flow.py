@@ -175,12 +175,13 @@ def _march_grid_oracle(sol, drift, upper, t_end, fs, refine, g_max):
 
 
 def _scipy_solve(fun, t_bound, y0, rtol, atol, y_stop):
-    """scipy's ``solve_ivp`` on the arguments of a ``flow.rk45`` call."""
+    """scipy's ``solve_ivp`` on the arguments of a ``flow.rk45`` call, whose
+    ``fun`` maps floats to a float."""
     hit = lambda t, y: y[0] - y_stop
     hit.terminal = True
     hit.direction = 1.0
-    return solve_ivp(fun, (0.0, t_bound), [y0], method="RK45", rtol=rtol, atol=atol,
-                     dense_output=True, events=hit)
+    return solve_ivp(lambda t, y: [fun(t, y[0])], (0.0, t_bound), [y0], method="RK45",
+                     rtol=rtol, atol=atol, dense_output=True, events=hit)
 
 
 def _capture(build, *names):

@@ -168,6 +168,15 @@ class TestRunValue:
         rows = out_csv.read_text().splitlines()
         assert rows == [CSV_HEADER, f"gauss,4,4,1,{est.value:.17g},,{est.bias_bound:.17g},7,0"]
 
+    def test_unknown_method_fails_before_the_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
+        cfg = ExperimentConfig(methods=("sobol",), m_schedule=(16,), jumps=1, replicates=2)
+        with pytest.raises(InputError, match=r"'bogus'.*choose from \['gauss', 'halton'"):
+            run_value(cfg, "bogus")
+        assert builds == []
+
 
 class TestRunConvergence:
     def test_structure_and_determinism(self, tmp_path, loan_model):
@@ -308,6 +317,29 @@ class TestRunEpsilonStudy:
         _, rows, slope, flag = run_epsilon_study(cfg, (0.04, 0.02))
         assert flag == "noise-dominated"
         assert rows[-1].endswith("noise-dominated")
+
+    def test_escalations_resume_one_reference(self, tmp_path, monkeypatch):
+        # a 64-node study cannot resolve the gaps, so the reference escalates
+        # twice; 8,192 paths fill whole chunks, which the escalations reuse
+        calls = []
+        real = harness.mc_reference
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "mc_reference", spy)
+        cfg = tiny_config(tmp_path, m_schedule=(64,), replicates=2,
+                          out=str(tmp_path / "eps.csv"), mc_paths=8192)
+        _, rows, _, flag = run_epsilon_study(cfg, (0.04, 0.02))
+        assert flag == "noise-dominated"
+        assert [args[2] for args, _ in calls] == [8192, 32_768, 131_072]
+        resume = calls[0][1]["resume"]
+        assert all(kwargs["resume"] is resume for _, kwargs in calls)
+        assert len(resume.sums) == 16
+        fresh = real(cfg.loan_params(0.02), cfg.x0, 131_072, seed=cfg.seed, max_jumps=cfg.jumps)
+        for row in rows[1:-1]:
+            assert row.split(",")[4:6] == [f"{fresh.value:.17g}", f"{fresh.std_error:.17g}"]
 
 
 class TestRunValidate:

@@ -8,7 +8,7 @@ from pdmpval import mc
 from pdmpval.cubature import keyed_stream
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams
-from pdmpval.mc import mc_reference, ruin_probability
+from pdmpval.mc import MCResume, mc_reference, ruin_probability
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
 
@@ -180,6 +180,63 @@ class TestSimulateChunk:
         assert [a[2:] for a in calls] == [(8192, 7, 0, 64), (8192, 7, 1, 64)]
         assert got.value.hex() == want.value.hex()
         assert got.std_error.hex() == want.std_error.hex()
+
+
+def _counted_chunks(monkeypatch):
+    """The (rows, seed, chunk, max_jumps) of every ``mc._simulate_chunk`` call
+    made from now on, through the module attribute."""
+    calls = []
+    real = mc._simulate_chunk
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(mc, "_simulate_chunk", counted)
+    return calls
+
+
+class TestMCResume:
+    def test_escalation_reuses_full_chunks_bit_identical(self, loan_params, monkeypatch):
+        sizes = (16_384, 65_536, 262_144)
+        fresh = [mc_reference(loan_params, 0.0, n, seed=7, max_jumps=2) for n in sizes]
+        calls = _counted_chunks(monkeypatch)
+        resume = MCResume(loan_params, 0.0, seed=7, max_jumps=2)
+        counts = []
+        for n, want in zip(sizes, fresh):
+            got = mc_reference(loan_params, 0.0, n, seed=7, max_jumps=2, resume=resume)
+            assert got.value.hex() == want.value.hex()
+            assert got.std_error.hex() == want.std_error.hex()
+            assert (got.M, got.d, got.bias_bound) == (want.M, want.d, want.bias_bound)
+            counts.append(len(calls))
+        assert counts == [2, 2 + 6, 2 + 6 + 24]
+        assert [c[2] for c in calls] == [*range(32)]  # each chunk simulated once
+        assert len(resume.sums) == 32
+
+    def test_partial_chunk_simulated_again(self, loan_params, monkeypatch):
+        fresh = [mc_reference(loan_params, 0.0, n, seed=3, max_jumps=2) for n in (12_288, 49_152)]
+        calls = _counted_chunks(monkeypatch)
+        resume = MCResume(loan_params, 0.0, seed=3, max_jumps=2)
+        for n, want in zip((12_288, 49_152), fresh):
+            got = mc_reference(loan_params, 0.0, n, seed=3, max_jumps=2, resume=resume)
+            assert got.value.hex() == want.value.hex()
+            assert got.std_error.hex() == want.std_error.hex()
+        # the 4,096-row chunk 1 draws other numbers than the full one
+        assert calls == [(8192, 3, 0, 2), (4096, 3, 1, 2),
+                         *[(8192, 3, chunk, 2) for chunk in range(1, 6)]]
+
+    @pytest.mark.parametrize("other", [dict(seed=8), dict(x0=-1.0), dict(max_jumps=3),
+                                       dict(params=LoanParams(lam=3.0))],
+                             ids=["seed", "x0", "max_jumps", "params"])
+    def test_other_inputs_rejected(self, loan_params, monkeypatch, other):
+        resume = MCResume(loan_params, 0.0, seed=7, max_jumps=2)
+        mc_reference(loan_params, 0.0, 8192, seed=7, max_jumps=2, resume=resume)
+        calls = _counted_chunks(monkeypatch)
+        args = {**dict(params=loan_params, x0=0.0, seed=7, max_jumps=2), **other}
+        with pytest.raises(InputError, match="resume"):
+            mc_reference(args["params"], args["x0"], 16_384, seed=args["seed"],
+                         max_jumps=args["max_jumps"], resume=resume)
+        assert calls == [] and len(resume.sums) == 1
 
 
 class TestSimulatePath:

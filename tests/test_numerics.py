@@ -134,10 +134,12 @@ class TestSplineCoefficients:
 
 
 def _scipy_rk45(fun, t_bound, y0, rtol, atol, y_stop):
+    """scipy's solve of the problem ``_numerics.rk45`` gets: ``fun`` maps
+    floats to a float, scipy's takes and returns shape-(1,) states."""
     hit = lambda t, y: y[0] - y_stop
     hit.terminal, hit.direction = True, 1.0
-    return solve_ivp(fun, (0.0, t_bound), [y0], method="RK45", rtol=rtol, atol=atol,
-                     dense_output=True, events=hit)
+    return solve_ivp(lambda t, y: [fun(t, y[0])], (0.0, t_bound), [y0], method="RK45",
+                     rtol=rtol, atol=atol, dense_output=True, events=hit)
 
 
 class TestRk45Event:
@@ -147,7 +149,7 @@ class TestRk45Event:
         rng = np.random.default_rng(21)
         for _ in range(40):
             a, b, c = rng.uniform(0.6, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.3)
-            fun = lambda t, y, a=a, b=b, c=c: [a + b * math.sin(y[0]) + c * y[0] ** 2]
+            fun = lambda t, y, a=a, b=b, c=c: a + b * math.sin(y) + c * y ** 2
             y_stop, rtol = rng.uniform(0.5, 5.0), float(rng.choice([1e-10, 1e-6, 1e-3]))
             sol = _scipy_rk45(fun, 100.0, 0.0, rtol, rtol * 1e-2, y_stop)
             ts, segs = _numerics.rk45(fun, 100.0, 0.0, rtol, rtol * 1e-2, y_stop)
@@ -161,7 +163,7 @@ class TestRk45Failures:
     def test_too_small_step_is_a_model_error(self):
         # a drift that turns NaN at y = 0.5: every step past it is rejected
         # until the step is below the spacing of floats
-        fun = lambda t, y: [1.0 if y[0] <= 0.5 else math.nan]
+        fun = lambda t, y: 1.0 if y <= 0.5 else math.nan
         sol = _scipy_rk45(fun, 10.0, 0.0, 1e-10, 1e-12, 2.0)
         assert sol.status == -1
         with pytest.raises(ModelError, match="flow integration failed") as err:
@@ -170,10 +172,10 @@ class TestRk45Failures:
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ModelError, match="finite"):
-            _numerics.rk45(lambda t, y: [1.0], 10.0, math.nan, 1e-10, 1e-12, 2.0)
+            _numerics.rk45(lambda t, y: 1.0, 10.0, math.nan, 1e-10, 1e-12, 2.0)
 
     def test_stops_at_the_bound_without_the_event(self):
-        fun = lambda t, y: [1.0 + 0.1 * y[0]]
+        fun = lambda t, y: 1.0 + 0.1 * y
         sol = _scipy_rk45(fun, 3.0, 0.5, 1e-10, 1e-12, 100.0)
         ts, segs = _numerics.rk45(fun, 3.0, 0.5, 1e-10, 1e-12, 100.0)
         assert sol.status == 0 and ts[-1] == 3.0
