@@ -23,18 +23,9 @@ from .harness import (
     run_validate,
     run_value,
 )
-from .loan import LoanParams, SmoothedLoanModel, unsmoothed_loan_model
-from .mc import mc_reference, ruin_probability
-from .model import (
-    ComponentSpec,
-    Interval,
-    ModelSpec,
-    State,
-    bias_bound,
-    survival,
-    t_star,
-    value_upper_bound,
-)
+from .loan import LoanParams, SmoothedLoanModel
+from .mc import mc_reference
+from .model import ComponentSpec, Interval, ModelSpec, bias_bound, value_upper_bound
 from .operators import (
     Estimate,
     IteratedPoint,

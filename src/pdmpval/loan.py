@@ -25,10 +25,9 @@ from .smoothing import (
     _check_loan_eps,
     smoothed_drift_loan,
     smoothed_reward_loan,
-    unsmoothed_drift_loan,
 )
 
-__all__ = ["LoanParams", "SmoothedLoanModel", "unsmoothed_loan_model"]
+__all__ = ["LoanParams", "SmoothedLoanModel"]
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,9 @@ class SmoothedLoanModel:
     spec: ModelSpec = field(init=False)
 
     def __post_init__(self):
-        # The spec's callables hold the parameters and the table, not the
-        # model: a model that is dropped is freed at once, with its table,
-        # instead of at the next cyclic garbage collection.
+        # The spec's callables hold the parameters, not the model: a model
+        # that is dropped is freed at once, with its table, instead of at the
+        # next cyclic garbage collection.
         p = self.params
         reward = partial(_reward, p)
         live = ComponentSpec(
@@ -84,7 +83,6 @@ class SmoothedLoanModel:
             drift=partial(_drift, p),
             intensity=p.lam,
             intensity_bound=p.lam,
-            flow=self.table.flow_at,
         )
         below = ComponentSpec(domain=Interval(-math.inf, p.ruin_level), is_cemetery=True)
         edge = ComponentSpec(
@@ -136,9 +134,6 @@ class SmoothedLoanModel:
 
     # -- local characteristics ------------------------------------------------
 
-    def drift(self, y):
-        return _drift(self.params, y)
-
     def reward(self, y):
         return _reward(self.params, y)
 
@@ -175,35 +170,3 @@ def _zeros(y):
     The shape lets ``ModelSpec.validate`` check a whole sample grid in one call.
     """
     return np.zeros(np.shape(y)) if np.ndim(y) else 0.0
-
-
-def unsmoothed_loan_model(**params) -> ModelSpec:
-    """Five-component description of the original (unsmoothed) loan model of
-    ``LoanParams(**params)``, which checks the rates (the width eps is unused).
-
-    Used for boundary-hitting demonstrations; the crude Monte Carlo reference
-    simulates this model with piecewise closed-form flows instead.
-    """
-    p = LoanParams(**params)
-    c, rho, b, lam, ruin = p.c, p.rho, p.b, p.lam, p.ruin_level
-    drift1 = lambda y: unsmoothed_drift_loan(y, c, rho, b)
-    comps = {
-        1: ComponentSpec(domain=Interval(0.0, b, closed_lower=True), drift=drift1,
-                         intensity=lam, intensity_bound=lam),
-        2: ComponentSpec(domain=Interval(ruin, 0.0), drift=drift1,
-                         intensity=lam, intensity_bound=lam),
-        3: ComponentSpec(domain=Interval(b, b, closed_lower=True, closed_upper=True),
-                         intensity=lam, intensity_bound=lam),
-        4: ComponentSpec(domain=Interval(-math.inf, ruin), is_cemetery=True),
-        5: ComponentSpec(domain=Interval(ruin, ruin, closed_lower=True, closed_upper=True),
-                         is_cemetery=True),
-    }
-    return ModelSpec(
-        components=comps,
-        jump_kernel=None,
-        reward=lambda k, y: c if k == 3 else 0.0,
-        terminal=lambda k, y: 0.0,
-        discount=p.delta,
-        reward_bound=c,
-        terminal_bound=0.0,
-    )

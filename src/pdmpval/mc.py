@@ -36,11 +36,10 @@ from .loan import LoanParams
 from .model import bias_bound
 from .operators import Estimate
 
-__all__ = ["MCResume", "mc_reference", "ruin_probability"]
+__all__ = ["MCResume", "mc_reference"]
 
 _PATH_CHUNK = 8192
 _MC_PATH_TAG = 0x70617468
-_RUIN_TAG = 0x7275696E
 
 
 def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
@@ -205,43 +204,3 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     bias = bias_bound(max_jumps, params.lam, params.delta, params.c / params.delta)
     return Estimate(value=mean, std_error=std_error, bias_bound=bias,
                     M=n_paths, d=2 * max_jumps, replicates=1, wall_ms=wall_ms)
-
-
-def ruin_probability(c: float, lam: float, alpha: float, x0: float, horizon: float,
-                     n_paths: int, seed: int = 0) -> tuple:
-    """Finite-horizon ruin probability of the classical surplus process.
-
-    Smoke-test estimator: X_t = x0 + c t - compound Poisson, ruin when X < 0
-    before the horizon.  Returns (estimate, standard error).
-    """
-    require_int("n_paths", n_paths, 1)
-    require_int("seed", seed, 0)
-    if not 0.0 < horizon < math.inf:
-        raise InputError(f"horizon must be positive and finite, got {horizon}")
-    if not (math.isfinite(x0) and math.isfinite(c)):
-        raise InputError(f"start value and premium rate must be finite, got x0={x0}, c={c}")
-    if not (0.0 < lam < math.inf and 0.0 < alpha < math.inf):
-        raise InputError(f"claim rate and size parameter must be positive and finite, "
-                         f"got lam={lam}, alpha={alpha}")
-    ruined_total = 0
-    for chunk, c0 in enumerate(range(0, n_paths, _PATH_CHUNK)):
-        rows = min(_PATH_CHUNK, n_paths - c0)
-        rng = keyed_stream(_RUIN_TAG, seed, chunk)
-        t = np.zeros(rows)
-        x = np.full(rows, float(x0))
-        alive = np.ones(rows, dtype=bool)  # not yet ruined, horizon not passed
-        ruined = np.zeros(rows, dtype=bool)
-        while alive.any():
-            dt = rng.exponential(1.0 / lam, size=rows)
-            sizes = rng.exponential(1.0 / alpha, size=rows)
-            t_new = t + dt
-            in_time = alive & (t_new <= horizon)
-            x = np.where(in_time, x + c * dt - sizes, x)
-            t = np.where(alive, t_new, t)
-            newly = in_time & (x < 0.0)
-            ruined |= newly
-            alive = in_time & ~newly
-        ruined_total += int(ruined.sum())
-    p_hat = ruined_total / n_paths
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_paths)
-    return p_hat, se

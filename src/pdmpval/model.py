@@ -1,5 +1,5 @@
-"""PDMP state spaces, local characteristics, cost-functional data and the
-analytic bounds that frame every valuation."""
+"""PDMP component domains, local characteristics, cost-functional data and
+the analytic bounds that frame every valuation."""
 
 from __future__ import annotations
 
@@ -12,16 +12,7 @@ import numpy as np
 from .errors import InputError, ModelError
 from .smoothing import JumpKernelSpec
 
-__all__ = [
-    "Interval",
-    "State",
-    "ComponentSpec",
-    "ModelSpec",
-    "t_star",
-    "survival",
-    "value_upper_bound",
-    "bias_bound",
-]
+__all__ = ["Interval", "ComponentSpec", "ModelSpec", "value_upper_bound", "bias_bound"]
 
 
 @dataclass(frozen=True)
@@ -33,48 +24,15 @@ class Interval:
     closed_lower: bool = False
     closed_upper: bool = False
 
-    def contains(self, y: float) -> bool:
-        lo_ok = y >= self.lower if self.closed_lower else y > self.lower
-        hi_ok = y <= self.upper if self.closed_upper else y < self.upper
-        return bool(lo_ok and hi_ok)
-
-    @property
-    def span(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class State:
-    """A PDMP state (k, y): component index plus position vector.
-
-    Positions are stored as 1-d arrays; every shipped model is scalar
-    (d(k) = 1) and ``scalar`` gives the position as a float.
-    """
-
-    k: int
-    y: np.ndarray
-
-    def __init__(self, k: int, y):
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(y, dtype=float)))
-
-    @property
-    def scalar(self) -> float:
-        if self.y.size != 1:
-            raise InputError(f"state position has dimension {self.y.size}, expected 1")
-        return float(self.y[0])
-
 
 @dataclass
 class ComponentSpec:
     """Local characteristics of one component: domain, drift, intensity.
 
-    ``intensity`` may be a constant (the common case, enabling closed-form
-    survival) or a callable of the position.  ``intensity_bound`` is the
-    declared C_lambda >= sup lambda_k.  ``flow`` is the (y, t) -> y
-    evaluator wired in by model builders that tabulate the ODE flow; a
-    component without one has the identity flow if its drift is None and no
-    flow otherwise.
+    ``intensity`` may be a constant (the common case) or a callable of the
+    position.  ``intensity_bound`` is the declared C_lambda >= sup lambda_k,
+    finite and nonnegative.  A cemetery component has zero intensity and a
+    frozen flow (drift None).
     """
 
     domain: Interval
@@ -82,7 +40,6 @@ class ComponentSpec:
     intensity: Union[float, Callable] = 0.0
     intensity_bound: float = 0.0
     is_cemetery: bool = False
-    flow: Optional[Callable] = None
 
     def __post_init__(self):
         if self.is_cemetery:
@@ -90,18 +47,12 @@ class ComponentSpec:
                 raise ModelError("cemetery components must have zero intensity")
             if self.drift is not None:
                 raise ModelError("cemetery components must have frozen flow (drift None)")
-        if self.intensity_bound < 0.0:
-            raise ModelError("intensity bound must be nonnegative")
+        bound = self.intensity_bound
+        if not (math.isfinite(bound) and bound >= 0.0):  # NaN fails both tests
+            raise ModelError(f"intensity bound must be finite and nonnegative, got {bound}")
 
     def intensity_at(self, y):
         return self.intensity(y) if callable(self.intensity) else self.intensity
-
-    def flow_at(self, y: float, t) -> float:
-        if self.flow is not None:
-            return self.flow(y, t)
-        if self.drift is None:
-            return y
-        raise ModelError("component has a drift but no flow evaluator")
 
 
 @dataclass
@@ -127,21 +78,6 @@ class ModelSpec:
             bound = getattr(self, name)
             if not (math.isfinite(bound) and bound >= 0.0):
                 raise InputError(f"{name} must be finite and nonnegative, got {bound}")
-
-    def component(self, k: int) -> ComponentSpec:
-        try:
-            return self.components[k]
-        except KeyError:
-            raise InputError(f"unknown component index {k}") from None
-
-    def require_state(self, x: State) -> ComponentSpec:
-        comp = self.component(x.k)
-        if not comp.domain.contains(x.scalar):
-            raise InputError(
-                f"position {x.scalar} outside component {x.k} domain "
-                f"({comp.domain.lower}, {comp.domain.upper})"
-            )
-        return comp
 
     @property
     def intensity_bound(self) -> float:
@@ -191,80 +127,6 @@ def _domain_grid(domain: Interval, n: int) -> np.ndarray:
     pad = 1e-9 * (hi - lo)
     return np.linspace(lo + (0.0 if domain.closed_lower else pad),
                        hi - (0.0 if domain.closed_upper else pad), n)
-
-
-# --- operations ---------------------------------------------------------------
-
-
-def t_star(model: ModelSpec, x: State) -> float:
-    """First time the flow from x reaches the active boundary, or +inf.
-
-    For scalar components the flow is monotone along the drift sign, so the
-    hitting time of the approached endpoint is the integral of 1/|drift|
-    toward it.  An equilibrium (drift zero) at or before the endpoint makes
-    the boundary unreachable; a drift bounded away from zero at the endpoint
-    gives a finite proper integral.
-    """
-    comp = model.require_state(x)
-    y = x.scalar
-    if comp.is_cemetery or comp.drift is None:
-        return math.inf
-    g0 = float(comp.drift(y))
-    if g0 == 0.0:
-        return math.inf
-    target = comp.domain.upper if g0 > 0.0 else comp.domain.lower
-    if not math.isfinite(target):
-        return math.inf
-    sign = 1.0 if g0 > 0.0 else -1.0
-    # sample strictly inside the component: the boundary point itself may
-    # already carry the next component's dynamics
-    zs = np.linspace(y, target, 1002)[:-1]
-    gz = np.asarray([float(comp.drift(z)) for z in zs])
-    scale = float(np.max(np.abs(gz)))
-    if np.any(sign * gz <= 0.0) or abs(gz[-1]) < 1e-9 * max(scale, 1.0):
-        return math.inf  # equilibrium blocks the way or the approach is asymptotic
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda z: 1.0 / abs(float(comp.drift(z))), min(y, target), max(y, target),
-                  limit=200)
-    return float(val)
-
-
-def survival(model: ModelSpec, x: State, t: float) -> float:
-    """P(no jump in [0, t] | start at x): exp of minus the integrated intensity.
-
-    Constant intensity gives the closed form exp(-lambda t); state-dependent
-    intensity is integrated along the flow by composite Simpson with panel
-    doubling to relative tolerance 1e-8.
-    """
-    if t < 0.0:
-        raise InputError(f"time must be nonnegative, got {t}")
-    comp = model.require_state(x)
-    if t == 0.0:
-        return 1.0
-    if not callable(comp.intensity):
-        lam = float(comp.intensity)
-        if lam == 0.0:
-            return 1.0
-        return math.exp(-lam * t) if math.isfinite(t) else 0.0
-    if not math.isfinite(t):
-        raise InputError("infinite horizon needs a constant intensity")
-    y = x.scalar
-
-    def total(n: int) -> float:
-        s = np.linspace(0.0, t, n + 1)
-        lam = np.asarray([comp.intensity_at(comp.flow_at(y, si)) for si in s])
-        h = t / n
-        return h / 3.0 * (lam[0] + lam[-1] + 4.0 * lam[1:-1:2].sum() + 2.0 * lam[2:-1:2].sum())
-
-    prev = total(16)
-    for n in (32, 64, 128, 256, 512, 1024):
-        cur = total(n)
-        if abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-30):
-            prev = cur
-            break
-        prev = cur
-    return math.exp(-prev)
 
 
 def value_upper_bound(model: ModelSpec) -> float:

@@ -354,6 +354,7 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     at b plus (x0 - b).
     """
     require_int("jump count n", n, 1)
+    require_int("workers", workers, 1)
     if rule.d != 2 * n:
         raise InputError(f"rule dimension {rule.d} does not match 2n = {2 * n}")
     if not math.isfinite(x0):

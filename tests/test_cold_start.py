@@ -1,10 +1,12 @@
 """Importing the package, the crude Monte Carlo reference, a flow-table
 build, an estimate, a CLI valuation, CLI parsing and config errors load no
-scipy; the adaptive quadratures (``t_star`` here) still do.
+scipy; the adaptive quadratures (``smoothed_kernel_integrate`` here) still
+do, and only the functions named in ``SCIPY_IMPORTERS`` import it.
 
 Each check runs in a fresh interpreter, since this one has scipy loaded.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -33,8 +35,8 @@ seen["build"] = scipy_modules()
 rule = pdmpval.CubatureSpec(kind=pdmpval.RuleKind.SOBOL, M=64, d=4, seed=1, replicates=2)
 pdmpval.estimate_value(0.0, 2, rule, model)
 seen["estimate_value"] = scipy_modules()
-pdmpval.t_star(pdmpval.unsmoothed_loan_model(), pdmpval.State(1, 2.0))
-seen["t_star"] = scipy_modules()
+pdmpval.smoothed_kernel_integrate(lambda z: 1.0, 0.0, model.spec.jump_kernel)
+seen["smoothed_kernel_integrate"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -64,7 +66,7 @@ def test_package_build_and_estimate_load_no_scipy():
     assert seen["mc_reference"] == []
     assert seen["build"] == []
     assert seen["estimate_value"] == []
-    assert "scipy.integrate" in seen["t_star"]  # the probe can see a scipy import
+    assert "scipy.integrate" in seen["smoothed_kernel_integrate"]  # the probe can see one
 
 
 def test_cli_valuation_loads_no_scipy(tmp_path):
@@ -93,3 +95,37 @@ def test_cli_exits_without_scipy(argv, code):
         assert done.stdout.startswith("usage: pdmpval")
     else:
         assert "error:" in done.stderr
+
+
+# the only functions of the package that may import scipy: the adaptive
+# quadratures of the kernel smoothing and the validation battery
+SCIPY_IMPORTERS = {
+    ("smoothing.py", "_weight_mass"),
+    ("smoothing.py", "_branch_integral"),
+    ("harness.py", "run_validate"),
+}
+
+
+def _scipy_imports(tree):
+    """(enclosing top-level function or None, line) of each scipy import in a module."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                yield owner, node.lineno
+
+
+def test_scipy_is_imported_only_by_the_adaptive_quadratures():
+    package = Path(pdmpval.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        for owner, line in _scipy_imports(ast.parse(path.read_text(), filename=str(path))):
+            assert (path.name, owner) in SCIPY_IMPORTERS, f"scipy imported at {path.name}:{line}"
+            found.add((path.name, owner))
+    assert found == SCIPY_IMPORTERS  # each allowed importer still imports it

@@ -8,9 +8,9 @@ from pdmpval import mc
 from pdmpval.cubature import keyed_stream
 from pdmpval.errors import InputError
 from pdmpval.loan import LoanParams
-from pdmpval.mc import MCResume, mc_reference, ruin_probability
+from pdmpval.mc import MCResume, mc_reference
 
-C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
+C, RHO, B, LAM, DELTA = 5.0, 0.05, 3.24289, 4.0, 0.02
 
 
 @dataclass(frozen=True)
@@ -376,36 +376,3 @@ class TestMCReference:
     def test_goldens(self, loan_params, x0, n_paths, max_jumps):
         est = mc_reference(loan_params, x0, n_paths, seed=0, max_jumps=max_jumps)
         assert (est.value.hex(), est.std_error.hex()) == self._GOLDENS[x0, n_paths, max_jumps]
-
-
-class TestRuinProbability:
-    def test_classical_closed_form(self):
-        # exponential claims: psi(x) = (lam/(c alpha)) exp(-(alpha - lam/c) x)
-        p_hat, se = ruin_probability(C, LAM, ALPHA, 0.0, horizon=200.0,
-                                     n_paths=20_000, seed=4)
-        assert p_hat == pytest.approx(0.8, abs=max(0.02, 4 * se))
-
-    def test_decays_in_initial_capital(self):
-        p2, se2 = ruin_probability(C, LAM, ALPHA, 2.0, horizon=200.0,
-                                   n_paths=20_000, seed=4)
-        expect = 0.8 * math.exp(-0.2 * 2.0)
-        assert p2 == pytest.approx(expect, abs=max(0.02, 4 * se2))
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            ruin_probability(C, LAM, ALPHA, 0.0, horizon=0.0, n_paths=10)
-        with pytest.raises(InputError):
-            ruin_probability(C, LAM, ALPHA, 0.0, horizon=1.0, n_paths=0)
-
-    @pytest.mark.parametrize("field,value", [
-        ("seed", -1), ("seed", 2.5), ("seed", False), ("n_paths", 10.0),
-        ("horizon", math.inf), ("horizon", math.nan), ("x0", math.nan), ("x0", math.inf),
-        ("c", math.nan),
-        ("lam", 0.0), ("lam", -1.0), ("lam", math.inf),
-        ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan),
-    ])
-    def test_bad_input_rejected(self, field, value):
-        args = dict(c=C, lam=LAM, alpha=ALPHA, x0=0.0, horizon=10.0, n_paths=100)
-        args[field] = value
-        with pytest.raises(InputError):
-            ruin_probability(**args)

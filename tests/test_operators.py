@@ -328,6 +328,14 @@ class TestEstimateValue:
         with pytest.raises(InputError, match="jump count n"):
             estimate_value(0.0, n, rule, loan_model)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_worker_count_must_be_a_positive_integer(self, loan_model, monkeypatch, workers):
+        # checked before any column is drawn, as ExperimentConfig checks it
+        monkeypatch.setattr(pdmpval.operators, "_replicate_means", None)
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=64, d=4, replicates=2)
+        with pytest.raises(InputError, match="workers"):
+            estimate_value(0.0, 2, rule, loan_model, workers=workers)
+
     # value and std_error at the deep-qmc shape over two chunks, recorded with
     # the replicate-by-replicate estimator loop that regenerated every column
     _DEEP_GOLDENS = {
