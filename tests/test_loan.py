@@ -34,12 +34,6 @@ class TestLoanParams:
         with pytest.raises(InputError, match=name):
             LoanParams(**{name: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    @pytest.mark.parametrize("name", ["c", "rho", "b", "lam", "alpha", "delta"])
-    def test_nonpositive_rejected(self, name, value):
-        with pytest.raises(InputError, match=name):
-            LoanParams(**{name: value})
-
     @pytest.mark.parametrize("eps", [0.0, math.nan, B / 4.0, 1.0, 1e-16, 1e-40, 1e-60, 5e-324])
     def test_smoothing_width_checked(self, eps):
         with pytest.raises(InputError, match="smoothing width"):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pdmpval.errors import InputError, ModelError
+from pdmpval.loan import LoanParams
 from pdmpval.model import ComponentSpec, Interval, ModelSpec, bias_bound, value_upper_bound
 
 # frozen oracle: (4/4.02)^512 evaluated directly, cross-checked via exp(512 ln(4/4.02))
@@ -93,6 +94,17 @@ class TestBiasBound:
     def test_non_finite_inputs_rejected(self, args):
         with pytest.raises(InputError):
             bias_bound(*args)
+
+
+class TestTStar:
+    """The unsmoothed loan model, the one the Monte Carlo reference simulates,
+    takes its rates from ``LoanParams``, which rejects a bad one by name."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["c", "rho", "b", "lam", "alpha", "delta"])
+    def test_unsmoothed_model_rejects_bad_rates(self, name, value):
+        with pytest.raises(InputError, match=name):
+            LoanParams(**{name: value})
 
 
 class TestModelValidation:
