@@ -3,19 +3,20 @@
 Between jumps the surplus follows the piecewise closed-form flow (exponential
 ascent on the loan band, linear above zero, pinned at the barrier where
 dividends accrue), so the only error sources are sampling noise and the
-jump-count truncation -- there is no discretisation bias.  Per-path random
-streams are keyed by (seed, path chunk), and partial sums combine in chunk
-order, so results are bit-identical for any worker count.
+jump-count truncation -- there is no discretisation bias.  A chunk's draws
+depend only on its row count and the (seed, chunk index) key of its random
+stream, and the chunk sums combine in chunk order.
 
-Each jump is one fused pass over the live paths of a chunk: the ascent time
-to zero is computed once and feeds both the barrier time and the post-flow
-position, and a ruined path is written to the chunk's outputs and dropped
-from the working arrays.  Every step still draws full-width (inter-jump
-time, claim size) arrays for the whole chunk, as one standard-exponential
-fill of a reused buffer, and takes the live entries once a path is ruined,
-so the draw a path sees never depends on which other paths are ruined.
+Each jump is one fused pass over every path of a chunk: the ascent time to
+zero is computed once and feeds both the barrier time and the post-flow
+position.  A ruined path stays in place with its position set to NaN, which
+fails every later dividend, loan-band and ruin test, so its discounted
+dividends keep their value at ruin.  Every step draws an (inter-jump time,
+claim size) pair for every path, ruined or not, as one standard-exponential
+fill of a reused buffer, so the draw a path sees never depends on which
+other paths are ruined.
 
-A full chunk's draws depend only on (seed, chunk index), so an escalating
+A full chunk's draws are thus the same in every call, so an escalating
 caller can hand each call a :class:`MCResume`: the in-order sums of the
 full chunks already simulated for the same inputs are reused, not drawn
 again, and the estimate keeps its bits.
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .cubature import keyed_stream
-from .errors import InputError, require_int
+from .errors import InputError, ModelError, require_int
 from .loan import LoanParams
 from .model import bias_bound
 from .operators import Estimate
@@ -50,33 +51,28 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
     (the ruining one included) and ``alive`` whether it survived them all.
     """
     p = params
-    pv_out = np.zeros(n_paths)
+    pv = np.zeros(n_paths)
     jumps = np.zeros(n_paths, dtype=np.int64)
     alive = np.full(n_paths, x0 > p.ruin_level)
     if not x0 > p.ruin_level:
-        return pv_out, jumps, alive  # ruined from the start: nothing to draw for
+        return pv, jumps, alive  # ruined from the start: nothing to draw for
     rng = keyed_stream(_MC_PATH_TAG, seed, chunk)
     c_rho = p.c / p.rho
     c_delta = p.c / p.delta
-    live = np.arange(n_paths)  # chunk index of each working entry
-    y = np.full(n_paths, float(x0))
+    y = np.full(n_paths, float(x0))  # NaN once the path is ruined
     t = np.zeros(n_paths)
-    pv = np.zeros(n_paths)
-    buffers = [np.empty(n_paths) for _ in range(3)]
+    t_zero, y_up, t_hit = (np.empty(n_paths) for _ in range(3))
     draw = np.empty((2, n_paths))
+    dt, sizes = draw  # row views: (inter-jump time, claim size) per path
+    scale = np.array([[1.0 / p.lam], [1.0 / p.alpha]])
     with np.errstate(divide="ignore", over="ignore"):
         for step in range(max_jumps):
             # fixed draw layout: an (inter-jump time, claim) pair for every
-            # path of the chunk on every step; the live paths take theirs.
-            # numpy's exponential(s) is s * standard_exponential(), so one
-            # fill scaled in place draws the same bits as two exponential()s
+            # path of the chunk on every step, ruined or not.  numpy's
+            # exponential(s) is s * standard_exponential(), so one fill
+            # scaled in place draws the same bits as two exponential()s
             rng.standard_exponential(out=draw)
-            draw[0] *= 1.0 / p.lam
-            draw[1] *= 1.0 / p.alpha
-            dt, sizes = draw
-            if live.size < n_paths:
-                dt, sizes = dt.take(live), sizes.take(live)
-            t_zero, y_up, t_hit = (buf[:y.size] for buf in buffers)
+            draw *= scale
             # ascent time from y < 0 to 0 (a signed zero for y >= 0, which
             # every use below treats like +0.0); the clamp keeps it inf, not
             # NaN, should rounding put rho*y/c below -1 next to the ruin level
@@ -91,8 +87,10 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
             np.subtract(p.b, y_up, out=t_hit)
             t_hit /= p.c
             t_hit += t_zero
-            # dividends at rate c from the barrier time to the jump
-            pay = np.flatnonzero(dt > t_hit)
+            # dividends at rate c from the barrier time to the jump; a ruined
+            # path's NaN fails this test and every later one, so its pv and
+            # y stay as they were at ruin
+            pay = (dt > t_hit).nonzero()[0]
             if pay.size:
                 t_pay = t.take(pay)
                 gain = t_hit.take(pay)
@@ -108,7 +106,7 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
             t += dt
             # post-flow position: linear past zero, exponential while the
             # jump comes before zero is reached, capped at the barrier
-            below = np.flatnonzero(dt < t_zero)
+            below = (dt < t_zero).nonzero()[0]
             y_below = y.take(below)
             np.subtract(dt, t_zero, out=y)
             np.maximum(y, 0.0, out=y)
@@ -124,21 +122,15 @@ def _simulate_chunk(params: LoanParams, x0: float, n_paths: int, seed: int,
                 y[below] = y_below
             np.minimum(y, p.b, out=y)
             y -= sizes
-            ok = y > p.ruin_level
-            if ok.all():
-                continue
-            gone = ~ok
-            ruined = live[gone]
-            pv_out[ruined] = pv[gone]
-            jumps[ruined] = step + 1
-            alive[ruined] = False
-            live = live[ok]
-            if not live.size:
-                return pv_out, jumps, alive  # nothing left to draw for
-            y, t, pv = y[ok], t[ok], pv[ok]
-    jumps[live] = max_jumps
-    pv_out[live] = pv
-    return pv_out, jumps, alive
+            gone = (y <= p.ruin_level).nonzero()[0]
+            if gone.size:
+                jumps[gone] = step + 1
+                alive[gone] = False
+                y[gone] = np.nan
+                if not alive.any():
+                    return pv, jumps, alive  # nothing left to draw for
+    jumps[alive] = max_jumps
+    return pv, jumps, alive
 
 
 @dataclass
@@ -158,15 +150,16 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
                  max_jumps: int = 512, *, resume: Optional[MCResume] = None) -> Estimate:
     """Sample mean and standard error of the discounted dividends.
 
-    Deterministic for a fixed seed and independent of any parallel chunking
-    (chunked, ordered reduction over fixed-size path blocks).  With
+    Deterministic for a fixed seed (an ordered reduction over fixed-size
+    path chunks, each drawn from its own keyed stream).  With
     ``resume``, made for the same (params, x0, seed, max_jumps), the full
     chunks it holds are not simulated again and the ones this call
     finishes are added to it; the estimate is a fresh call's, bit for bit,
     but its ``wall_ms`` covers only the chunks this call simulated.  A
     partial last chunk is always simulated: every step draws for each of
     its rows, so its draws depend on its row count.  InputError for a
-    resume made for other inputs.
+    resume made for other inputs; ModelError when the mean or the standard
+    error overflows.
     """
     require_int("n_paths", n_paths, 1)
     require_int("max_jumps", max_jumps, 1)
@@ -189,7 +182,8 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
             chunk_sum, chunk_sq = sums[chunk]
         else:
             pv, _, _ = _simulate_chunk(params, x0, rows, seed, chunk, max_jumps)
-            chunk_sum, chunk_sq = float(np.add.reduce(pv)), float(np.add.reduce(pv * pv))
+            with np.errstate(over="ignore"):  # an overflow fails the check below
+                chunk_sum, chunk_sq = float(np.add.reduce(pv)), float(np.add.reduce(pv * pv))
             if rows == _PATH_CHUNK:
                 sums.append((chunk_sum, chunk_sq))
         total += chunk_sum
@@ -200,6 +194,8 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
         std_error = math.sqrt(var / n_paths)
     else:
         std_error = None
+    if not (math.isfinite(mean) and (std_error is None or math.isfinite(std_error))):
+        raise ModelError(f"Monte Carlo sums overflow: mean {mean}, standard error {std_error}")
     wall_ms = (time.perf_counter() - start) * 1e3
     bias = bias_bound(max_jumps, params.lam, params.delta, params.c / params.delta)
     return Estimate(value=mean, std_error=std_error, bias_bound=bias,

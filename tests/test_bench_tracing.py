@@ -9,9 +9,12 @@ modules, then uninstalled, and every original object must be back.
 import importlib.util
 from pathlib import Path
 
-from pdmpval import harness
+import pytest
+
+from pdmpval import harness, mc
 from pdmpval.harness import ExperimentConfig
 from pdmpval.loan import LoanParams
+from test_mc import _simulate_chunk_oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -43,7 +46,7 @@ def test_every_boundary_is_wrapped_and_restored(loan_model):
 
 
 def _traced(call):
-    """Run ``call`` with the tracer installed; returns its spans."""
+    """Run ``call`` with the tracer installed; returns the tracer."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer)
@@ -51,7 +54,7 @@ def _traced(call):
         call()
     finally:
         tracing.uninstall(saved)
-    return tracer.spans
+    return tracer
 
 
 def test_value_above_the_barrier_records_one_estimate_span(tmp_path):
@@ -59,7 +62,7 @@ def test_value_above_the_barrier_records_one_estimate_span(tmp_path):
     # nested call would record two spans and double the traced node stages
     cfg = ExperimentConfig(x0=LoanParams.b + 0.5, methods=("sobol",), m_schedule=(64,),
                            jumps=1, replicates=2, out=str(tmp_path / "value.csv"))
-    spans = _traced(lambda: harness.run_value(cfg, "sobol"))
+    spans = _traced(lambda: harness.run_value(cfg, "sobol")).spans
     est = [s for s in spans if s[0] == "operators.estimate_value"]
     assert len(est) == 1
     assert est[0][3] == -1  # no enclosing estimate span
@@ -71,7 +74,7 @@ def test_epsilon_study_call_contract(tmp_path):
     # harness.mc_reference and read the path count as args[2]
     cfg = ExperimentConfig(methods=("sobol",), m_schedule=(64,), jumps=1, replicates=2,
                            mc_paths=200, out=str(tmp_path / "eps.csv"))
-    spans = _traced(lambda: harness.run_epsilon_study(cfg, (0.08, 0.04)))
+    spans = _traced(lambda: harness.run_epsilon_study(cfg, (0.08, 0.04))).spans
     study = [i for i, s in enumerate(spans) if s[0] == "harness.run_epsilon_study"]
     assert len(study) == 1
     est = [s for s in spans if s[0] == "operators.estimate_value"]
@@ -80,3 +83,18 @@ def test_epsilon_study_call_contract(tmp_path):
     assert 1 <= len(refs) <= 3 and all(s[3] == study[0] for s in refs)
     # path_jumps reads n_paths = args[2]: 200 paths, then x4 per escalation, 1 jump
     assert [s[5] for s in refs] == [200 * 4 ** k for k in range(len(refs))]
+
+
+@pytest.mark.parametrize("x0", [0.0, -90.0])
+def test_monte_carlo_chunk_contract(x0):
+    # chunk_jumps reads rows = args[2] and max_jumps = args[5] of the
+    # positional chunk call, and each path's jumps from out[1]; from -90
+    # paths are ruined, so fewer jumps are live than attempted
+    tracer = _traced(lambda: mc.mc_reference(LoanParams(), x0, 16_384, seed=7, max_jumps=64))
+    ref = [i for i, s in enumerate(tracer.spans) if s[0] == "mc.mc_reference"]
+    chunks = [s for s in tracer.spans if s[0] == "mc.simulate_chunk"]
+    assert len(ref) == 1 and len(chunks) == 2 and all(s[3] == ref[0] for s in chunks)
+    assert tracer.counts["mc.attempted_jumps"] == 2 * 8192 * 64
+    live = sum(int(_simulate_chunk_oracle(LoanParams(), x0, 8192, 7, chunk, 64)[1].sum())
+               for chunk in (0, 1))
+    assert tracer.counts["mc.live_jumps"] == live

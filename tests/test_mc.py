@@ -6,7 +6,7 @@ import pytest
 
 from pdmpval import mc
 from pdmpval.cubature import keyed_stream
-from pdmpval.errors import InputError
+from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams
 from pdmpval.mc import MCResume, mc_reference
 
@@ -166,6 +166,23 @@ class TestSimulateChunk:
         assert ruined.any() and alive.any()
         assert (jumps[alive] == 512).all() and jumps[ruined].min() < 512
         assert (pv[ruined] > 0.0).any()
+
+    @pytest.mark.parametrize("x0, max_jumps", [(-99.9, 2), (-90.0, 16)])
+    def test_ruin_on_the_last_jump(self, loan_params, x0, max_jumps):
+        # a path ruined by jump max_jumps took as many jumps as a survivor:
+        # only alive tells them apart, so it cannot be read off jumps
+        pv, jumps, alive = assert_same_chunk(loan_params, x0, 1000, 1, 0, max_jumps)
+        last = jumps == max_jumps
+        assert (last & ~alive).any() and (last & alive).any()
+        assert (jumps[alive] == max_jumps).all()
+
+    @pytest.mark.parametrize("x0", [0.0, -99.9])
+    def test_ruined_paths_leave_no_nan(self, loan_params, x0):
+        pv, jumps, alive = mc._simulate_chunk(loan_params, x0, 8192, 4, 0, 512)
+        assert (~alive).any()
+        assert np.isfinite(pv).all() and (pv >= 0.0).all()
+        est = mc_reference(loan_params, x0, 16_384, seed=4, max_jumps=512)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
     def test_mc_reference_bits_and_module_attribute(self, loan_params, monkeypatch):
         want = mc_reference(loan_params, 0.0, 16_384, seed=7, max_jumps=64)
@@ -350,6 +367,14 @@ class TestMCReference:
     def test_non_finite_start_rejected(self, loan_params, x0):
         with pytest.raises(InputError, match="finite"):
             mc_reference(loan_params, x0, 100, seed=1, max_jumps=8)
+
+    @pytest.mark.parametrize("params", [LoanParams(c=1e160), LoanParams(c=1e200),
+                                        LoanParams(lam=1e-300, delta=1e-300)],
+                             ids=["c=1e160", "c=1e200", "lam=delta=1e-300"])
+    def test_overflowing_sums_rejected(self, params):
+        # finite dividends whose squares overflow: no NaN error bar, no warning
+        with pytest.raises(ModelError, match="overflow"):
+            mc_reference(params, 0.0, 100, seed=1, max_jumps=2)
 
     # value and std_error at seed 0, recorded when each step drew its
     # inter-jump times and claim sizes by two exponential() calls
