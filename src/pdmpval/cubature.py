@@ -48,6 +48,7 @@ __all__ = [
 _NBITS = 32
 _SCALE = float(2.0 ** -_NBITS)
 MC_CHUNK_NODES = 8192
+_MC_TILE_ROWS = 256  # rows of the Philox stream drawn and transposed at a time
 
 _MC_TAG = 0x6D63706E  # stream-domain separators: the first integer of a keyed_stream key
 _CP_TAG = 0x63707368
@@ -211,21 +212,50 @@ def _halton_base(dim: int) -> int:
 
 
 def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
-    """Coordinate ``dim`` (1-based) of (scrambled) Halton points, indices [start, stop)."""
+    """Coordinate ``dim`` (1-based) of (scrambled) Halton points, indices [start, stop).
+
+    Index i maps to the left-to-right sum, lowest digit first, of the terms
+    pi(a_j) * s_j over its base-b digits a_j, where s_0 = 1/b and
+    s_{j+1} = s_j / b.  A table over the k lowest digit positions, with
+    b^k <= stop - start, holds the sums of the low digits; the higher digits
+    are constant over each block of b^k indices and are added blockwise in
+    position order.  The sums are therefore those of a digit-by-digit loop
+    bit for bit: a position beyond an index's top digit adds +0.0 to a sum
+    >= +0.0, which changes nothing.
+    """
+    if dim < 1:
+        raise InputError(f"Halton dimension must be >= 1, got {dim}")
+    if start < 0:
+        raise InputError(f"Halton index range must start at >= 0, got {start}")
     base = _halton_base(dim)
-    perm = None if perms is None else perms[dim - 1]
-    idx = np.arange(start, stop, dtype=np.int64)
-    rem = idx.copy()
-    out = np.zeros(idx.shape, dtype=float)
-    scale = 1.0 / base
-    while np.any(rem > 0):
-        digit = rem % base
-        if perm is not None:
-            digit = perm[digit]
-        out += digit * scale
+    perm = np.arange(base) if perms is None else perms[dim - 1]
+    digits = np.asarray(perm, dtype=float)  # pi(a) for every digit a
+    n = max(stop - start, 0)
+    if n == 0:
+        return np.empty(0)
+    scales = []  # s_j for every digit position of the largest index
+    scale, rem = 1.0 / base, stop - 1
+    while rem > 0:
+        scales.append(scale)
         scale /= base
         rem //= base
-    return out
+    k, width = 0, 1
+    while k < len(scales) and width * base <= n:
+        k, width = k + 1, width * base
+    low = np.zeros(1)
+    for terms in np.multiply.outer(scales[:k], digits):  # terms[a] = pi(a) * s_j
+        low = np.add.outer(terms, low).ravel()
+    # one row per block of `width` indices that the range meets: with
+    # width <= n, the table and the grid hold at most 3n values for any start
+    first = start // width
+    blocks = np.arange(first, (stop - 1) // width + 1)
+    grid = np.empty((blocks.size, width))
+    grid[...] = low
+    for scale in scales[k:]:
+        grid += (digits[blocks % base] * scale)[:, None]
+        blocks //= base
+    lo = start - first * width
+    return grid.ravel()[lo:lo + n].copy()
 
 
 def halton_scrambled_points(M: int, d: int, seed: Optional[int] = None) -> np.ndarray:
@@ -261,11 +291,20 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0)
     Chunk ``chunk_index`` covers node indices [chunk*8192, ...) and has its
     own stream, filled row by row, so its first rows are a prefix of that
     stream: every node's coordinates depend only on (seed, replicate, node
-    index), never on how many nodes the caller uses.
+    index), never on how many nodes the caller uses.  The stream is drawn in
+    tiles of rows and each tile is stored transposed, so the (rows, d) result
+    is a view of a (d, rows) array and each of its columns is contiguous.
     """
     if rows < 1 or rows > MC_CHUNK_NODES:
         raise InputError(f"rows must be in 1..{MC_CHUNK_NODES}")
-    return keyed_stream(_MC_TAG, seed, replicate, chunk_index).random((rows, d))
+    stream = keyed_stream(_MC_TAG, seed, replicate, chunk_index)
+    out = np.empty((d, rows))
+    tile = np.empty((min(_MC_TILE_ROWS, rows), d))
+    for r0 in range(0, rows, _MC_TILE_ROWS):
+        part = tile[:min(_MC_TILE_ROWS, rows - r0)]
+        stream.random(out=part)
+        out[:, r0:r0 + part.shape[0]] = part.T
+    return out.T
 
 
 def mc_points(M: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:

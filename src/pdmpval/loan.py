@@ -35,8 +35,9 @@ class LoanParams:
     """Parameter block of the numerical experiment; the defaults are the
     published parameter set, which every other default reads from here.
 
-    Rates and levels must be finite and positive, and the smoothing width
-    must fit the bands (see ``smoothing._check_loan_eps``).
+    Rates and levels must be finite and positive, the ruin level -c/rho and
+    the value bound c/delta must be finite, and the smoothing width must fit
+    the bands (see ``smoothing._check_loan_eps``).
     """
 
     c: float = 5.0
@@ -52,6 +53,11 @@ class LoanParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
+        for name, value in (("ruin level -c/rho", self.ruin_level),
+                            ("value bound c/delta", self.c / self.delta)):
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value} for c={self.c}, "
+                                 f"rho={self.rho}, delta={self.delta}")
         _check_loan_eps(self.c, self.rho, self.b, self.eps)
 
     @property

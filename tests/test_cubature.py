@@ -39,6 +39,23 @@ def _sobol_column_by_bits(dim, start, stop):
     return acc.astype(np.float64) * 2.0 ** -32
 
 
+def _halton_column_by_digits(dim, start, stop, perms=None):
+    """Oracle: each index's digits one position at a time, lowest first."""
+    base = cubature._halton_base(dim)
+    perm = None if perms is None else perms[dim - 1]
+    rem = np.arange(start, stop, dtype=np.int64)
+    out = np.zeros(rem.shape, dtype=float)
+    scale = 1.0 / base
+    while np.any(rem > 0):
+        digit = rem % base
+        if perm is not None:
+            digit = perm[digit]
+        out += digit * scale
+        scale /= base
+        rem //= base
+    return out
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -162,6 +179,25 @@ class TestHalton:
                 scr = star_discrepancy_bruteforce(halton_column(2, 1, m + 1, perms))
                 assert scr == pytest.approx(plain, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [None, 3, 41])
+    def test_column_matches_digit_loop(self, seed):
+        # ranges in one block of the low table, across block and digit-count
+        # boundaries, far from the origin, of one node and empty
+        perms = halton_permutations(64, seed)
+        ranges = [(0, 1), (1, 2), (1, 4097), (8193, 16385), (45057, 51201),
+                  (2 ** 20 + 17, 2 ** 20 + 8209), (7, 7)]
+        for dim in range(1, 65):
+            for start, stop in ranges:
+                got = halton_column(dim, start, stop, perms)
+                assert got.tobytes() == _halton_column_by_digits(dim, start, stop, perms).tobytes()
+                assert got.shape == (stop - start,)
+
+    def test_column_refuses_bad_arguments(self):
+        with pytest.raises(InputError, match="dimension"):
+            halton_column(0, 1, 4)
+        with pytest.raises(InputError, match="start"):
+            halton_column(3, -5, 3)
+
     def test_primes(self):
         assert np.array_equal(first_primes(8), [2, 3, 5, 7, 11, 13, 17, 19])
 
@@ -189,6 +225,19 @@ class TestMC:
         assert np.array_equal(full[: MC_CHUNK_NODES + 500], short)
         block = mc_chunk(1, 500, 2, seed=7)
         assert np.array_equal(full[MC_CHUNK_NODES: MC_CHUNK_NODES + 500], block)
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_chunk_is_the_row_major_stream(self, d):
+        tile = cubature._MC_TILE_ROWS
+        for rows in (1, tile - 1, tile, tile + 1, 4096, MC_CHUNK_NODES):
+            block = mc_chunk(2, rows, d, seed=9, replicate=1)
+            want = cubature.keyed_stream(cubature._MC_TAG, 9, 1, 2).random((rows, d))
+            assert block.shape == (rows, d) and block.tobytes() == want.tobytes()
+            assert all(block[:, dim].flags.c_contiguous for dim in range(d))
+        full = mc_points(MC_CHUNK_NODES + 300, d, seed=9, replicate=1)
+        want = [cubature.keyed_stream(cubature._MC_TAG, 9, 1, ci).random((rows, d))
+                for ci, rows in ((0, MC_CHUNK_NODES), (1, 300))]
+        assert full.tobytes() == np.concatenate(want).tobytes()
 
     def test_replicates_differ(self):
         a = mc_points(128, 3, seed=0, replicate=0)

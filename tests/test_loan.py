@@ -34,6 +34,12 @@ class TestLoanParams:
         with pytest.raises(InputError, match=name):
             LoanParams(**{name: value})
 
+    @pytest.mark.parametrize("params", [dict(c=1e307), dict(rho=1e-310), dict(delta=1e-310)],
+                             ids=["c=1e307", "rho=1e-310", "delta=1e-310"])
+    def test_infinite_ruin_level_or_value_bound_rejected(self, params):
+        with pytest.raises(InputError, match="must be finite"):
+            LoanParams(**params)
+
     @pytest.mark.parametrize("eps", [0.0, math.nan, B / 4.0, 1.0, 1e-16, 1e-40, 1e-60, 5e-324])
     def test_smoothing_width_checked(self, eps):
         with pytest.raises(InputError, match="smoothing width"):
