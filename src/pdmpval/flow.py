@@ -26,16 +26,16 @@ when asked, the position reached.  The other public lookups compose the
 chain: ``time_of(y)`` is ``start(y)[0]``, ``flow_at(y, t)`` the position of
 ``stage(*start(y), t)``, ``reward_integral(y, t)`` its reward, and
 ``reward_from_master(T0, t)`` the reward of ``stage`` from T0 and its grid_t
-interval.  The integrand drops, between the links, the nodes that
-:meth:`FlowTable.reward_cut` shows can no longer reach the reward:
-``locate`` bounds T(y) by the end of y's interval, so most of them are
-dropped before ``start``, which then reuses the lookup.  A scalar y (the
-first stage, where every node starts at x0) is solved once and broadcast
-against t.  The links share interval lookups: grid_y = P(grid_t), so the
-grid_y interval of y is also the grid_t interval of the seed and Newton
-times (a checked neighbour step confirms it); the reward grid is a prefix
-of grid_t, so the reward intervals are grid intervals; and one lookup of
-T(y) + t serves both the position and the reward there.  That is two
+interval.  The integrand drops, between ``locate`` and ``start``, the nodes
+that can no longer reach the reward: ``locate`` bounds T(y) by the end of
+y's interval, :meth:`FlowTable.reward_cut` turns that bound into one test,
+and ``start`` reuses the lookup on the nodes that are left.  A scalar y
+(the first stage, where every node starts at x0) is solved once and
+broadcast against t.  The links share interval lookups: grid_y =
+P(grid_t), so the grid_y interval of y is also the grid_t interval of the
+seed and Newton times (a checked neighbour step confirms it); the reward
+grid is a prefix of grid_t, so the reward intervals are grid intervals;
+and one lookup of T(y) + t serves both the position and the reward there.  That is two
 lookups per point instead of seven, and neither is a binary search: a guide
 table per knot array (Chen & Asau 1974; Devroye 1986, section III.2.4) maps
 a point to a guessed interval in O(1), and the checked neighbour step
@@ -118,10 +118,10 @@ class FlowTable:
     :meth:`stage` (the reward and the position reached).  :meth:`time_of`,
     :meth:`flow_at`, :meth:`reward_integral` and :meth:`reward_from_master`
     compose :meth:`start` and :meth:`stage`.  The table owns the rule for
-    dropping a node that can no longer earn:
-    :meth:`reward_cut` bounds the master times from which the next stages
-    collect +0.0, and :meth:`locate` bounds a state's master time from its
-    grid_y interval before the time solve, so most drops skip the solve.
+    dropping a node that can no longer earn, one test before the time
+    solve: :meth:`locate` bounds a state's master time from its grid_y
+    interval, and :meth:`reward_cut` bounds the master times from which the
+    next stages collect +0.0.
     """
 
     grid_t: np.ndarray
@@ -248,8 +248,8 @@ class FlowTable:
         grid_y[k + 1] = P(t_up), and the time solve overshoots by at most the
         step e of :meth:`reward_cut` while t_up + e lies below grid_t[_kz]:
         time_of(y) <= t_up + e.  So t_up + r < reward_cut(stages + 1) implies
-        time_of(y) + r < reward_cut(stages), and a node can be dropped before
-        its time is solved.  :meth:`start` takes k and skips its own lookup.
+        time_of(y) + r < reward_cut(stages): the integrand's drop test, made
+        before the time solve.  :meth:`start` takes k and skips its own lookup.
         """
         y = np.asarray(y, dtype=float)
         k = self._y_guide.find(np.clip(y, self.y_start, self.y_end).ravel()).reshape(y.shape)
@@ -311,14 +311,15 @@ class FlowTable:
         it accepts (the tolerance plus two positions' rounding) is less than
         P rises over e at the smallest slope of the position interpolant on
         [0, grid_t[_kz]], and the interpolant is monotone (the build's shape
-        guard).  e also covers a time sum's rounding.  The operators module
-        docstring chains this over the stages.  Before the solve,
-        :meth:`locate` gives t_up with T0 <= t_up + e, so t_up + r <
-        reward_cut(stages + 1) = reward_cut(stages) - e implies the test on
-        T0.  The cut is -inf when that slope is not positive or the stretch
-        is empty.  It holds only for a stage that reads nothing but the
-        reward of a flow ending below the band: a start function of the end
-        state, or a reward of the state itself, is nonzero there.
+        guard).  e also covers a time sum's rounding.  The integrand never
+        tests T0 itself: before the solve, :meth:`locate` gives t_up with
+        T0 <= t_up + e, so it drops a node when t_up + r <
+        reward_cut(stages + 1) = reward_cut(stages) - e, and the operators
+        module docstring chains this over the stages.  The cut is -inf when
+        that slope is not positive or the stretch is empty.  It holds only
+        for a stage that reads nothing but the reward of a flow ending below
+        the band: a start function of the end state, or a reward of the
+        state itself, is nonzero there.
         """
         return self._cut_t - stages * self._cut_step
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import InputError, require_int
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import MCResume, mc_reference
 from .model import bias_bound, value_upper_bound
-from .operators import Estimate, IteratedPoint, estimate_value, iterated_integrand
+from .operators import (Estimate, IteratedPoint, check_gauss_budget, estimate_value,
+                        iterated_integrand)
 
 __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_file",
            "run_value", "run_convergence", "run_epsilon_study", "run_validate"]
@@ -165,9 +166,9 @@ def _estimate_row(method: str, est: Estimate, seed: int, timings: bool) -> str:
 
 def _write_lines(path, lines) -> None:
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
     try:
+        if path.parent != Path(""):
+            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
@@ -177,14 +178,16 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     """One valuation of ``method`` at the schedule's largest node count.
 
     ``estimate_value`` prices a start above the barrier as a lump sum.
-    Writes the one-row CSV to ``out`` when given.  An unknown ``method`` is
-    an InputError, raised before the build.
+    Writes the one-row CSV to ``out`` when given.  An unknown ``method``
+    and a rule that cannot be formed or exceeds the Gauss budget are
+    InputErrors, raised before the build.
     """
     if method not in _METHODS:
         raise InputError(f"unknown method '{method}'; choose from {_METHODS}")
-    model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     rule = CubatureSpec(kind=RuleKind(method), M=config.m_schedule[-1],
                         d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
+    check_gauss_budget(rule)
+    model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
     if out:
         _write_lines(out, [CSV_HEADER, _estimate_row(method, est, config.seed, config.timings)])
@@ -197,20 +200,22 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
     ``estimate_value`` prices a start above the barrier as a lump sum.
     Writes the CSV at config.out plus one two-column `M std_error` plot-data file
     per method (same stem, `_<method>.dat` suffix) for log-log plots.
-    Returns (csv_path, rows).
+    Every rule is formed, and checked against the Gauss budget, before the
+    build and the first estimate.  Returns (csv_path, rows).
     """
+    rules = [(method, CubatureSpec(kind=RuleKind(method), M=m_nodes, d=2 * config.jumps,
+                                   seed=config.seed, replicates=config.replicates))
+             for method in config.methods for m_nodes in config.m_schedule]
+    for _, rule in rules:
+        check_gauss_budget(rule)
     if model is None:
         model = SmoothedLoanModel.build(**asdict(config.loan_params()))
-    d = 2 * config.jumps
     rows = [CSV_HEADER]
     plot_data = {m: [] for m in config.methods}
-    for method in config.methods:
-        for m_nodes in config.m_schedule:
-            rule = CubatureSpec(kind=RuleKind(method), M=m_nodes, d=d,
-                                seed=config.seed, replicates=config.replicates)
-            est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
-            rows.append(_estimate_row(method, est, config.seed, config.timings))
-            plot_data[method].append((m_nodes, est.std_error))
+    for method, rule in rules:
+        est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
+        rows.append(_estimate_row(method, est, config.seed, config.timings))
+        plot_data[method].append((rule.M, est.std_error))
     csv_path = Path(config.out)
     _write_lines(csv_path, rows)
     for method, pairs in plot_data.items():
@@ -237,7 +242,8 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
     control still fails the slope row is flagged noise-dominated.  The slope
     needs at least two widths, and the reference starts at or below the
     barrier, so a shorter schedule and a start above the barrier are refused
-    before any build.  Returns (csv_path, rows, slope, flag).
+    before any build, as is a Sobol' rule that cannot be formed.  Returns
+    (csv_path, rows, slope, flag).
     """
     eps_schedule = list(eps_schedule)
     if len(eps_schedule) < 2:
@@ -251,13 +257,11 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
                          "the epsilon study's Monte Carlo reference starts at or below it")
 
     n = config.jumps
-    d = 2 * n
-    m_nodes = config.m_schedule[-1]
+    rule = CubatureSpec(kind=RuleKind.SOBOL, M=config.m_schedule[-1], d=2 * n,
+                        seed=config.seed, replicates=config.replicates)
     estimates = []
     for params in widths:
         model = SmoothedLoanModel.build(**asdict(params))
-        rule = CubatureSpec(kind=RuleKind.SOBOL, M=m_nodes, d=d,
-                            seed=config.seed, replicates=config.replicates)
         estimates.append(estimate_value(config.x0, n, rule, model, workers=config.workers))
 
     params = widths[-1]  # the unsmoothed reference ignores eps
@@ -323,8 +327,7 @@ class CheckResult:
         return self.measured <= self.tolerance
 
 
-def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
-                 emit: Callable[[str], None] = print) -> int:
+def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None) -> int:
     """Execute the cross-module invariant suite and print one line per check.
 
     Each check reduces to a nonnegative defect compared against a tolerance
@@ -405,7 +408,7 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
     check("branch weights partition of unity", float(np.max(np.abs(wsum - 1.0))), 1e-12)
 
     # flow table against the linear-drift closed form and the semigroup law
-    model = _validate_model()
+    model = SmoothedLoanModel.build()
     table = model.table
     rng = np.random.default_rng(20260810)
     y_lin = rng.uniform(-c / rho * 0.9, -1.0, 60)
@@ -495,19 +498,9 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None,
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        emit(f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  tol={r.tolerance:.3e}")
-    emit(f"{len(results) - len(failures)}/{len(results)} checks passed")
+        print(f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  tol={r.tolerance:.3e}")
+    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return 1 if failures else 0
-
-
-_VALIDATE_MODEL = None
-
-
-def _validate_model() -> SmoothedLoanModel:
-    global _VALIDATE_MODEL
-    if _VALIDATE_MODEL is None:
-        _VALIDATE_MODEL = SmoothedLoanModel.build()
-    return _VALIDATE_MODEL
 
 
 def _one_sided_derivative(f, x, h, order, side):

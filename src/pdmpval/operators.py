@@ -19,45 +19,37 @@ is detected rather than silently wrapped.  Jumps below the ruin level carry
 zero mass by construction (the substitution samples sizes on
 (0, chi + c/rho)), so the integrand never leaves the live component.
 
-Each stage is two flow-table calls: ``start``, the time solve T0 = T(chi)
-on the master clock, and ``stage``, the reward and the position reached.
-Every node starts at x0, so the first stage passes it as a scalar and its
-master time is solved once; the last stage reads only the reward L, since
-chi_n is never used.  Every later stage first calls ``locate``, the grid_y
-interval of chi that the time solve starts from, for the drop pre-test
-below, and ``start`` reuses it.
+Each stage is three flow-table calls: ``locate``, the grid_y interval of
+chi, for the drop test below; ``start``, the time solve T0 = T(chi) on the
+master clock, which reuses that interval; and ``stage``, the reward and the
+position reached.  Every node starts at x0, so the first stage passes it as
+a scalar and its master time is solved once; the last stage reads only the
+reward L, since chi_n is never used.
 
 Nodes that can no longer earn are dropped.  The reward rate is zero below
 the dividend band, so a flow that ends before grid_t[_kz], the start of the
 table's zero-reward stretch, adds exactly +0.0.  Before the stage loop one
 pass over the v columns sums each node's n inter-jump times into its
 remaining time r (each stage then subtracts its own).  At stage j, with s =
-n - j stages left, a node whose T0 + r < ``table.reward_cut(s)`` = grid_t[_kz]
-- s e (less the rounding of r) is written to the output with its total and
-compacted out of the working arrays, and its columns are no longer read;
-the loop ends when no node is left, so the z columns nobody reads are never
-generated.  The rule is exact, by this chain over the stages k >= j:
+n - j stages left, ``table.locate`` gives chi's grid_y interval k and t_up =
+grid_t[k+1], and a node whose t_up + r < ``table.reward_cut(s + 1)`` =
+grid_t[_kz] - (s + 1) e (less the rounding of r) is written to the output
+with its total and compacted out of the working arrays before its time is
+solved, and its columns are no longer read; the loop ends when no node is
+left, so the z columns nobody reads are never generated.  The test is
+exact, by this chain over the stages k >= j:
 
+    T0_j = T(chi_j) <= t_up + e                (chi_j <= grid_y[k+1] = P(t_up),
+                                               and a time solve overshoots by <= e)
     te_k = T0_k + t_k                          (the end time of stage k)
     T0_{k+1} = T(chi_{k+1}) <= T(chi_k-) + e   (jumps only lower chi, and a
                                                time solve overshoots by <= e)
              <= te_k + e                       (chi_k- = P(te_k))
     so te_k <= T0_j + (t_j + ... + t_k) + (k - j) e
-            <= T0_j + r + (s - 1) e < grid_t[_kz] - e,
+            <= t_up + r + s e < grid_t[_kz] - e,
 
 so every stage from j on ends in the zero stretch, each adds W * 0.0 = +0.0,
-and the dropped total is the every-stage loop's bit for bit.  At j >= 1 most
-nodes that are dropped are dropped before their time solve, by a pre-test
-on chi's grid_y interval k (``table.locate``): with t_up = grid_t[k+1],
-
-    T0_j = T(chi_j) <= t_up + e                (chi_j <= grid_y[k+1] = P(t_up),
-                                               and a time solve overshoots by <= e)
-    so t_up + r < reward_cut(s + 1) = reward_cut(s) - e
-    implies T0_j + r < reward_cut(s),
-
-and a node that passes it (and the weight guard) is dropped as above, its
-stage v column never read; the exact test on T0 then runs on the rest,
-whose intervals the time solve reuses.  Here e bounds
+and the dropped total is the every-stage loop's bit for bit.  Here e bounds
 one time solve's overshoot below the band: the residual tolerance of
 time_of (plus a position's rounding) over the smallest slope of the
 position interpolant on [0, grid_t[_kz]] (0.02 time units on the loan
@@ -101,7 +93,8 @@ from .errors import InputError, ModelError, require_int
 from .loan import SmoothedLoanModel
 from .model import bias_bound, value_upper_bound
 
-__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "estimate_value"]
+__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "check_gauss_budget",
+           "estimate_value"]
 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
@@ -187,7 +180,8 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     def drop(gone, *arrays):
         """Write the gone nodes' totals (arrays[0]) to out; each array's other nodes.
 
-        Scalars (the first stage's shared start) pass through.
+        Scalars (the first stage's shared start and its interval) and None
+        pass through.
         """
         nonlocal live
         idx = np.arange(m) if live is None else live
@@ -202,24 +196,16 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     for j in range(n):
         left = n - j
         safe = logw + per_time * rem < _LOG_SAFE - log_lam - (left - 1) * grow
-        if j:
-            # pre-test before the time solve: T0 <= t_up + e (FlowTable.locate),
-            # so a node that passes it passes the test on T0 below
-            k, t_up = table.locate(chi)
-            gone = (t_up + rem < table.reward_cut(left + 1) - slack) & safe
-            if gone.any():
-                total, logw, rem, chi, k, safe = drop(gone, total, logw, rem, chi, k, safe)
-                if not live.size:
-                    break
-            logv = log_v(2 * j)
-            T0, k0 = table.start(chi, k)
-        else:
-            T0, k0 = table.start(chi)
-        gone = (T0 + rem < table.reward_cut(left) - slack) & safe
+        # the drop test, before the time solve: T0 <= t_up + e (FlowTable.locate)
+        k, t_up = table.locate(chi)
+        gone = (t_up + rem < table.reward_cut(left + 1) - slack) & safe
         if gone.any():
-            total, logw, rem, logv, T0, k0 = drop(gone, total, logw, rem, logv, T0, k0)
+            total, logw, rem, chi, k, logv = drop(gone, total, logw, rem, chi, k, logv)
             if not live.size:
                 break
+        if j:
+            logv = log_v(2 * j)
+        T0, k0 = table.start(chi, k)
         if j == n - 1:  # nothing reads the last stage's position
             reward = table.stage(T0, k0, -logv)
         else:
@@ -234,7 +220,8 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
             rem += logv
             # free this stage's arrays before the next stage's lookups, the
             # point where a stacked batch holds the most temporaries
-            del reward, chi_pre, logv, span, jump, T0, k0
+            del reward, chi_pre, span, jump, T0, k0
+            logv = None  # the next stage reads its v column after its drop
     else:
         out[slice(None) if live is None else live] = total
     if not np.all(np.isfinite(out)):
@@ -338,6 +325,13 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
 # --- public estimators --------------------------------------------------------
 
 
+def check_gauss_budget(rule: CubatureSpec) -> None:
+    """Refuse a Gauss product rule of more than 1e7 nodes on its d - 1 live
+    dimensions (z_n is never read); every other rule passes."""
+    if rule.kind is RuleKind.GAUSS_PRODUCT and rule.M ** (rule.d - 1) > 10 ** 7:
+        raise InputError(f"Gauss product budget exceeded: {rule.M}^{rule.d - 1} > 1e7 nodes")
+
+
 def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanModel,
                    workers: int = 1) -> Estimate:
     """Average the n-jump truncated-sum integrand over the rule's node set.
@@ -362,14 +356,9 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     b = model.params.b
     start_x = min(x0, b)
     _check_x0(model, start_x)
+    check_gauss_budget(rule)
     start = time.perf_counter()
-    if rule.kind is RuleKind.GAUSS_PRODUCT:
-        if rule.M ** (2 * n - 1) > 10 ** 7:
-            raise InputError(
-                f"Gauss product budget exceeded: {rule.M}^{2 * n - 1} > 1e7 nodes")
-        reps = 1
-    else:
-        reps = rule.replicates
+    reps = 1 if rule.kind is RuleKind.GAUSS_PRODUCT else rule.replicates
     means = _replicate_means(model, start_x, n, rule, reps, workers)
     value = float(np.mean(means))
     if x0 > b:

@@ -560,3 +560,38 @@ class TestCLI:
         assert code == 0
         rows = out_csv.read_text().strip().splitlines()
         assert rows[0] == EPS_CSV_HEADER and rows[-1].startswith("slope,")
+
+    @pytest.mark.parametrize("command", ["value", "convergence"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
+        # a regular file where the output's directory should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main([command, "--points", "16", "--jumps", "1", "--replicates", "2",
+                     "--out", str(blocker / "x.csv")])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["value", "--method", "gauss", "--points", "100"], "Gauss rule size"),
+        (["value", "--method", "gauss", "--points", "64", "--jumps", "4"],
+         "Gauss product budget exceeded: 64^7"),
+        (["value", "--method", "sobol", "--jumps", "600"], "Sobol dimension 1200"),
+        (["epsilon-study", "--jumps", "600"], "Sobol dimension 1200"),
+        (["convergence", "--method", "sobol", "--method", "gauss", "--points", "100"],
+         "Gauss rule size"),
+        (["convergence", "--method", "sobol", "--method", "gauss", "--points", "64",
+          "--jumps", "4"], "Gauss product budget exceeded: 64^7"),
+    ], ids=["value-gauss-size", "value-gauss-budget", "value-sobol-dim", "epsilon-sobol-dim",
+            "convergence-gauss-size", "convergence-gauss-budget"])
+    def test_bad_rule_fails_before_any_build(self, tmp_path, monkeypatch, capsys, argv,
+                                             message):
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
+        out_csv = tmp_path / "x.csv"
+        code = main([*argv, "--replicates", "2", "--out", str(out_csv)])
+        assert code == 2
+        assert builds == []
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()

@@ -405,8 +405,8 @@ class TestEstimateValue:
 
         def start(self, y, k=None):
             calls["start"] += 1
-            # every stage but the first reuses the intervals the pre-test located
-            assert (k is None) == (calls["start"] == 1)
+            # every stage, the first included, reuses the intervals its drop test located
+            assert k is not None
             return real_start(self, y, k)
 
         def stage(self, T0, k0, t, position=False):
@@ -452,25 +452,22 @@ class TestEstimateValue:
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
         estimate_value(0.0, n, rule, loan_model)
         # the loop ends once no node can reach the band: the stage that
-        # drops every node locates them, and solves the times of those the
-        # pre-test leaves, but evaluates nothing more
+        # drops every node locates them, but solves and evaluates nothing
         ran = calls["stage"]
         assert 2 <= ran <= n
         cut_short = int(ran < n)
-        solved_at_cut = calls["start"] - ran
-        assert 0 <= solved_at_cut <= cut_short
         # the last stage reads only the reward, not its position; each stage
-        # is one guided lookup of the state (the first stage's inside its
-        # time solve, the others' in locate) and one of the end time
-        assert calls == {"locate": ran - 1 + cut_short, "start": ran + solved_at_cut,
+        # is one guided lookup of the state (in locate, whose intervals the
+        # time solve reuses) and one of the end time
+        assert calls == {"locate": ran + cut_short, "start": ran,
                          "stage": ran, "position": min(ran, n - 1),
                          "find": 2 * ran + cut_short}
         assert end_positions == list(range(min(ran, n - 1)))
-        # every node starts at x0, so the first stage solves one time; the
-        # later stages solve only the nodes the pre-test leaves
-        assert len(solved) == calls["start"] and solved[0] == 1
-        assert all(s <= size for s, size in zip(solved[1:], located))
-        assert sum(solved[1:]) < sum(located)
+        # every node starts at x0, so the first stage locates and solves one
+        # time; every stage solves only the nodes its drop test leaves
+        assert len(solved) == ran and located[0] == solved[0] == 1
+        assert all(s <= size for s, size in zip(solved, located))
+        assert sum(solved) < sum(located)
         # binary searches only for the residue the guided step leaves
         assert len(searched) <= 4 * n and sum(searched) <= 0.02 * 2 * n * m
 
@@ -666,7 +663,8 @@ def _outcome(model, x0, n, rule):
 
 def _located_and_started(monkeypatch, table):
     """Record the node count of every locate call and of every time solve of
-    a node array (the first stage's shared start is a scalar)."""
+    a node array (the first stage's shared start is a scalar, which locate
+    records as 1 and start not at all)."""
     located, started = [], []
     cls = type(table)
     real_locate, real_start = cls.locate, cls.start
@@ -755,11 +753,10 @@ class TestDroppedNodes:
     def test_pre_test_margin_nodes_match_the_oracle(self, loan_model, monkeypatch):
         # stage 0 runs from -50 and jumps into the grid_y interval below knot
         # i: just under the knot, at its middle or just over the knot below,
-        # so the pre-test of stage 1 bounds the node's time by grid_t[i].  The
-        # remaining time puts that bound within a few steps e of the
-        # pre-test's cut, on both sides, with no later jump: the pre-test
-        # drops one side unsolved, and the exact test still drops some of the
-        # nodes it leaves, whose solved time lies below the knot
+        # so the drop test of stage 1 bounds the node's time by grid_t[i].
+        # The remaining time puts that bound within a few steps e of the
+        # test's cut, on both sides, with no later jump: the test drops one
+        # side unsolved, and solves and evaluates every node it leaves
         table = loan_model.table
         t_cut, e, grid_t, grid_y = table._cut_t, table._cut_step, table.grid_t, table.grid_y
         x0, t1 = -50.0, 2.0
@@ -784,24 +781,24 @@ class TestDroppedNodes:
             for a in (located, started, sizes):
                 a.clear()
             got = pdmpval.operators._integrand_batch(loan_model, x0, n, col)
-            seen = located[0], started[0], sizes[:2]
+            seen = located[1], started[0], sizes[:2]
             want = _integrand_batch_oracle(loan_model, x0, n, col)
             assert got.tobytes() == want.tobytes(), n
             assert (got > 0.0).any() and (got == 0.0).any()
-            # every node reaches stage 1; the pre-test drops some of them,
-            # and the exact test some of the solved rest
+            # every node reaches stage 1; the drop test drops some of them,
+            # and every node it leaves is solved and evaluated
             assert seen[0] == v.size and 0 < seen[1] < seen[0]
-            assert seen[2] == [v.size, seen[2][1]] and seen[2][1] < seen[1]
+            assert seen[2] == [v.size, seen[1]]
 
     def test_pre_test_spares_most_stage_one_time_solves(self, loan_model, monkeypatch):
         # at the epsilon study's shape (n = 2) about 88% of the nodes reach
-        # stage 1, most of them jumped toward the ruin end; the exact test
-        # alone would solve all their times to drop 95% of them
+        # stage 1, most of them jumped toward the ruin end; a test on the
+        # solved time would solve all their times to drop 95% of them
         located, started = _located_and_started(monkeypatch, loan_model.table)
         m, reps = 2048, 4
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=4, seed=1, replicates=reps)
         estimate_value(0.0, 2, rule, loan_model)
-        assert len(located) == 1 and located[0] >= 0.8 * m * reps
+        assert len(located) == 2 and located[1] >= 0.8 * m * reps
         assert 0 < sum(started) <= 0.15 * m * reps
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
