@@ -38,11 +38,12 @@ grid is a prefix of grid_t, so the reward intervals are grid intervals;
 and one lookup of T(y) + t serves both the position and the reward there.  That is two
 lookups per point instead of seven, and neither is a binary search: a guide
 table per knot array (Chen & Asau 1974; Devroye 1986, section III.2.4) maps
-a point to a guessed interval in O(1), and the checked neighbour step
-finishes it.  grid_t is guided on the time itself, grid_y on the
-log-distance above the ruin end, where the drift vanishes linearly and the
-knots are geometric.  The few points the step does not settle are searched,
-so every interval equals the binary search's.  A position at y_start, where
+a point to a slot that holds at most one knot nearly everywhere, so the
+slot's interval plus that knot is the point's interval, and the checked
+neighbour step confirms it.  grid_t is guided on the time itself, grid_y
+on the log-distance above the ruin end, where the drift vanishes linearly
+and the knots are geometric.  The few points the step does not settle are
+searched, so every interval equals the binary search's.  A position at y_start, where
 every position below it clamps, takes time +0.0 in interval 0 (the first
 knot of both grids) from the chain itself.
 
@@ -98,7 +99,7 @@ _BATCH_MARGIN = 1e-3     # grid march: relative margin by which a batched step c
 _MAX_NODES = 2_000_000   # grid march: most grid nodes before the build gives up
 _STENCIL = 1e-3          # grid march: drift difference step, as a fraction of the feature scale
 _RESID_TOL = 1e-11       # time_of: largest position residual, as a fraction of the span
-_GUIDE_SPLIT = 64        # guide table: most sub-buckets per bucket
+_GUIDE_SLOTS = 3         # guide table: most slots per knot
 _RK_TOL = 1e-10          # RK45 relative tolerance of the master-trajectory solve
 _EPS = float(np.finfo(float).eps)
 
@@ -348,8 +349,8 @@ class FlowTable:
         return _RESID_TOL * max(1.0, abs(self.y_end - self.y_start))
 
     def _clamped_time(self, u):
-        """u clamped to [0, horizon] (NaN to the horizon), and its grid_t interval."""
-        uc = np.where(np.isnan(u), self.horizon, np.clip(u, 0.0, self.horizon))
+        """u clamped to [0, horizon] (NaN to the horizon, by fmin), and its grid_t interval."""
+        uc = np.maximum(np.fmin(u, self.horizon), 0.0)
         return uc, self._t_guide.find(uc.ravel()).reshape(uc.shape)
 
     def _position(self, uc, k):
@@ -436,17 +437,44 @@ def _interval(knots, x):
     return np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
 
 
+def _guide_split(coords, budget):
+    """Sub-buckets per bucket of a guide, from its knots' sorted bucket coordinates.
+
+    Each bucket gets enough sub-buckets to make them narrower than the
+    smallest gap between two of its knots, up to one cap: the largest, by
+    halving from ``budget``, at which the splits sum to at most ``budget``
+    and bucket * split fits in int32.
+    """
+    n = coords.size
+    bucket = coords.astype(np.intp)
+    leaves = bucket[1:] != bucket[:-1]  # the gap after a knot leaves its bucket
+    gaps = np.diff(coords, append=np.inf)
+    gaps[:-1][leaves] = np.inf
+    starts = np.flatnonzero(np.concatenate(([True], leaves)))
+    need = np.ones(n)
+    with np.errstate(divide="ignore"):  # knots that share a key
+        need[bucket[starts]] = np.floor(1.0 / np.minimum.reduceat(gaps, starts)) + 1.0
+    cap = min(budget, (2 ** 31 - 1) // n)
+    while np.minimum(need, cap).sum() > budget:
+        cap //= 2
+    return np.minimum(need, cap).astype(np.int32)
+
+
 class _Guide:
     """O(1) interval lookup on one increasing knot array: a guide table.
 
     A monotone key spreads the knots out; uniform buckets, one per knot,
-    cover the key range, and bucket b is split again into
-    min(64, 2 * count_b) uniform sub-buckets, count_b being the knots in it.
-    Each sub-bucket (a slot) stores the interval that starts at the last
-    knot of the earlier slots, so a point's slot guesses its interval, short
-    by the knots that share its slot: at most one where the knots are no
-    denser than the sub-buckets.
-    :meth:`settle` checks the guess exactly and a binary search takes the
+    cover the key range, and each bucket is split again into uniform
+    sub-buckets (slots) narrower than the smallest gap between two of its
+    knots, so that a slot holds at most one knot.  Each slot stores the
+    interval that starts at the last knot of the earlier slots, and
+    :meth:`find` adds the one knot its slot may hold.  One cap bounds every
+    bucket's split, the largest that keeps the table within
+    ``_GUIDE_SLOTS`` slots per knot (and its offsets within int32); a
+    bucket whose knots crowd closer than that (on the loan tables, the
+    feature windows and the barrier tail) shares slots among them, and a
+    guess there falls short by the knots that share its slot.
+    :meth:`settle` checks every guess exactly and a binary search takes the
     rest, so :meth:`find` equals :func:`_interval` for every point.  Tables
     are int32, to keep the guide small.
     """
@@ -456,19 +484,26 @@ class _Guide:
         self.key = key
         n = len(knots)
         self.last = n - 2
+        # the knot that ends each interval, and NaN for the last: no point
+        # passes it, so the last interval keeps every point above its start
+        self.ends = np.append(knots[1:-1], np.nan)
         keys = knots if key is None else key(knots)
         self.lo = float(keys[0])
         self.scale = n / (float(keys[-1]) - self.lo)
         self.top = float(np.nextafter(n, 0.0))  # largest bucket coordinate
-        counts = np.bincount(self._coord(keys).astype(np.intp), minlength=n)
-        self.split = np.minimum(2 * counts, _GUIDE_SPLIT).clip(1).astype(np.int32)
-        first = np.cumsum(self.split) - self.split
+        self.split = _guide_split(self._coord(keys), _GUIDE_SLOTS * n - 1)
+        first = np.cumsum(self.split, dtype=np.int32)
+        first -= self.split
         # slot = floor(coord * split[b] + base[b]) = first[b] + the sub-bucket
-        self.base = (first - np.arange(n, dtype=np.int32) * self.split).astype(np.int32)
+        self.base = first - np.arange(n, dtype=np.int32) * self.split
         # one slot of slack at the top takes a rounded-up last coordinate
         per_slot = np.bincount(self._slot(keys), minlength=int(first[-1] + self.split[-1]) + 1)
         # guess: the interval of the last knot in an earlier slot
-        self.table = np.clip(np.cumsum(per_slot) - per_slot - 1, 0, self.last).astype(np.int32)
+        np.cumsum(per_slot, out=per_slot)
+        per_slot -= 1
+        self.table = np.empty(per_slot.size, dtype=np.int32)
+        self.table[0] = 0
+        np.clip(per_slot[:-1], 0, self.last, out=self.table[1:])
 
     def _coord(self, keys):
         """Bucket coordinate in [0, n) of each key; -inf and NaN go to 0, +inf to the top."""
@@ -485,24 +520,27 @@ class _Guide:
     def find(self, x):
         """``_interval(knots, x)`` for a flat float array x."""
         keys = x if self.key is None else self.key(x)
-        return self.settle(self.table[self._slot(keys)].astype(np.intp), x)
+        k = self.table[self._slot(keys)].astype(np.intp)
+        k += x >= self.ends[k]  # the one knot the slot may hold
+        return self.settle(k, x)
 
     def settle(self, k, x):
         """``_interval(knots, x)`` for a flat array x from a guess k that is right
         or one interval off for nearly every point.
 
-        Points outside their guessed interval move one interval toward x; a
-        point that the move does not settle is searched, and so is a NaN, a
-        point below the first knot or at or above the last (the search clamps
-        those to the end intervals).
+        The last interval takes every point at or above its first knot, as
+        :func:`_interval` does.  Points outside their guessed interval move
+        one interval toward x; a point that the move does not settle is
+        searched, and so is a NaN or a point below the first knot (the search
+        clamps it to interval 0).
         """
-        knots, upper = self.knots, self.knots[1:]
-        off = np.flatnonzero(~((x >= knots[k]) & (x < upper[k])))
+        knots, ends = self.knots, self.ends
+        off = np.flatnonzero((x >= ends[k]) | ~(x >= knots[k]))
         if off.size:
             ko, xo = k[off], x[off]
-            ko = np.clip(ko + (xo >= upper[ko]) - (xo < knots[ko]), 0, self.last)
+            ko = np.maximum(ko + (xo >= ends[ko]) - (xo < knots[ko]), 0)
             k[off] = ko
-            still = ~((xo >= knots[ko]) & (xo < upper[ko]))
+            still = (xo >= ends[ko]) | ~(xo >= knots[ko])
             if still.any():
                 k[off[still]] = _interval(knots, xo[still])
         return k

@@ -11,6 +11,7 @@ is inherently irreproducible and would break the byte-identity contract).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -164,11 +165,23 @@ def _estimate_row(method: str, est: Estimate, seed: int, timings: bool) -> str:
     ])
 
 
+def _check_out(path) -> None:
+    """Make the directory of the output ``path`` and check that the file can
+    be written there, so that a bad ``--out`` fails before any build."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not os.access(path.parent, os.W_OK):
+        raise InputError(f"cannot write {path}: its directory is not writable")
+
+
 def _write_lines(path, lines) -> None:
     path = Path(path)
     try:
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
@@ -178,15 +191,17 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     """One valuation of ``method`` at the schedule's largest node count.
 
     ``estimate_value`` prices a start above the barrier as a lump sum.
-    Writes the one-row CSV to ``out`` when given.  An unknown ``method``
-    and a rule that cannot be formed or exceeds the Gauss budget are
-    InputErrors, raised before the build.
+    Writes the one-row CSV to ``out`` when given.  An unknown ``method``,
+    a rule that cannot be formed or exceeds the Gauss budget and an ``out``
+    that cannot be written are InputErrors, raised before the build.
     """
     if method not in _METHODS:
         raise InputError(f"unknown method '{method}'; choose from {_METHODS}")
     rule = CubatureSpec(kind=RuleKind(method), M=config.m_schedule[-1],
                         d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
     check_gauss_budget(rule)
+    if out:
+        _check_out(out)
     model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
     if out:
@@ -200,14 +215,17 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
     ``estimate_value`` prices a start above the barrier as a lump sum.
     Writes the CSV at config.out plus one two-column `M std_error` plot-data file
     per method (same stem, `_<method>.dat` suffix) for log-log plots.
-    Every rule is formed, and checked against the Gauss budget, before the
-    build and the first estimate.  Returns (csv_path, rows).
+    Every rule is formed, and checked against the Gauss budget, and the
+    CSV's directory made and checked writable, before the build and the
+    first estimate.  Returns (csv_path, rows).
     """
     rules = [(method, CubatureSpec(kind=RuleKind(method), M=m_nodes, d=2 * config.jumps,
                                    seed=config.seed, replicates=config.replicates))
              for method in config.methods for m_nodes in config.m_schedule]
     for _, rule in rules:
         check_gauss_budget(rule)
+    csv_path = Path(config.out)
+    _check_out(csv_path)
     if model is None:
         model = SmoothedLoanModel.build(**asdict(config.loan_params()))
     rows = [CSV_HEADER]
@@ -216,7 +234,6 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
         est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
         rows.append(_estimate_row(method, est, config.seed, config.timings))
         plot_data[method].append((rule.M, est.std_error))
-    csv_path = Path(config.out)
     _write_lines(csv_path, rows)
     for method, pairs in plot_data.items():
         dat = [f"{m} {_fmt(se)}" for m, se in pairs]
@@ -242,7 +259,8 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
     control still fails the slope row is flagged noise-dominated.  The slope
     needs at least two widths, and the reference starts at or below the
     barrier, so a shorter schedule and a start above the barrier are refused
-    before any build, as is a Sobol' rule that cannot be formed.  Returns
+    before any build, as are a Sobol' rule that cannot be formed and a CSV
+    path that cannot be written.  Returns
     (csv_path, rows, slope, flag).
     """
     eps_schedule = list(eps_schedule)
@@ -259,6 +277,8 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
     n = config.jumps
     rule = CubatureSpec(kind=RuleKind.SOBOL, M=config.m_schedule[-1], d=2 * n,
                         seed=config.seed, replicates=config.replicates)
+    csv_path = Path(config.out)
+    _check_out(csv_path)
     estimates = []
     for params in widths:
         model = SmoothedLoanModel.build(**asdict(params))
@@ -286,7 +306,6 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
             _fmt(ref.value), _fmt(ref.std_error), _fmt(abs(est.value - ref.value)), "",
         ]))
     rows.append(",".join(["slope", "", _fmt(slope), "", "", "", "", flag]))
-    csv_path = Path(config.out)
     _write_lines(csv_path, rows)
     return csv_path, rows, slope, flag
 

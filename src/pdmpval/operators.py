@@ -29,12 +29,18 @@ reward L, since chi_n is never used.
 Nodes that can no longer earn are dropped.  The reward rate is zero below
 the dividend band, so a flow that ends before grid_t[_kz], the start of the
 table's zero-reward stretch, adds exactly +0.0.  Before the stage loop one
-pass over the v columns sums each node's n inter-jump times into its
-remaining time r (each stage then subtracts its own).  At stage j, with s =
-n - j stages left, ``table.locate`` gives chi's grid_y interval k and t_up =
+pass over the v columns multiplies each node's v coordinates, and one log
+gives its remaining time r = -ln(v_1 v_2 ... v_n), the sum of its n
+inter-jump times (each stage then subtracts its own).  A product of 0 or
+below the smallest normal gives r = +inf, and such a node is never
+dropped; a finite r is at most -ln(tiny) = 708.4, so the product's n - 1
+roundings, a few ulp from each log and the n - 1 subtractions leave it
+within 16 n eps (1 + 708.4), about 8e-11 at n = 32, of the sum of the stage
+times the loop uses: far below the cut step e.  At stage j, with s = n - j
+stages left, ``table.locate`` gives chi's grid_y interval k and t_up =
 grid_t[k+1], and a node whose t_up + r < ``table.reward_cut(s + 1)`` =
-grid_t[_kz] - (s + 1) e (less the rounding of r) is written to the output
-with its total and compacted out of the working arrays before its time is
+grid_t[_kz] - (s + 1) e (less that slack) is written to the output with
+its total and compacted out of the working arrays before its time is
 solved, and its columns are no longer read; the loop ends when no node is
 left, so the z columns nobody reads are never generated.  The test is
 exact, by this chain over the stages k >= j:
@@ -99,6 +105,7 @@ __all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "check_gauss_budge
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
 _LOG_TINY = 1e-300
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _LOG_SAFE = 700.0  # a weight exponent below this cannot overflow exp()
 _EPS = float(np.finfo(float).eps)
 
@@ -165,29 +172,35 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
         c = cols(dim)
         return c if live is None else c.take(live)
 
-    def log_v(dim: int) -> np.ndarray:
-        return np.log(np.clip(column(dim), _LOG_TINY, 1.0))
+    def log_v(v: np.ndarray) -> np.ndarray:
+        return np.log(np.maximum(v, _LOG_TINY))  # v <= 1
 
-    logv = log_v(0)
-    rem = -logv  # each node's remaining time: the sum of its inter-jump times
+    # each node's remaining time: minus the log of its v product, +inf for a
+    # product below the smallest normal (see the module docstring)
+    rem = column(0).copy()  # a column may be a view of the caller's points
+    logv = log_v(rem)
     for j in range(1, n):
-        rem -= log_v(2 * j)
+        rem *= column(2 * j)
+    rem[rem < _TINY] = 0.0
+    with np.errstate(divide="ignore"):
+        np.log(rem, out=rem)
+    np.negative(rem, out=rem)
     m = rem.size
     out = np.empty(m)
-    # rem's rounding: a sum of n times, then up to n subtractions
-    slack = 2.0 * n * _EPS * float(np.max(rem, initial=0.0))
+    slack = 16.0 * n * _EPS * (1.0 - math.log(_TINY))  # rem's rounding
 
     def drop(gone, *arrays):
         """Write the gone nodes' totals (arrays[0]) to out; each array's other nodes.
 
-        Scalars (the first stage's shared start and its interval) and None
-        pass through.
+        ``gone`` indexes the working arrays.  Scalars (the first stage's
+        shared start and its interval) and None pass through.
         """
         nonlocal live
-        idx = np.arange(m) if live is None else live
-        out[idx[gone]] = arrays[0][gone]
-        keep = np.flatnonzero(~gone)
-        live = idx.take(keep)
+        out[gone if live is None else live.take(gone)] = arrays[0].take(gone)
+        stay = np.ones(arrays[0].size, dtype=bool)
+        stay[gone] = False
+        keep = np.flatnonzero(stay)
+        live = keep if live is None else live.take(keep)
         return [a.take(keep) if np.ndim(a) else a for a in arrays]
 
     chi = float(x0)  # every node starts here: the first stage solves its time once
@@ -195,16 +208,18 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     total = np.zeros(m)
     for j in range(n):
         left = n - j
-        safe = logw + per_time * rem < _LOG_SAFE - log_lam - (left - 1) * grow
         # the drop test, before the time solve: T0 <= t_up + e (FlowTable.locate)
         k, t_up = table.locate(chi)
-        gone = (t_up + rem < table.reward_cut(left + 1) - slack) & safe
-        if gone.any():
+        gone = np.flatnonzero(t_up + rem < table.reward_cut(left + 1) - slack)
+        # the weight guard, on the nodes the test passes (their rem is finite)
+        gone = gone[logw.take(gone) + per_time * rem.take(gone)
+                    < _LOG_SAFE - log_lam - (left - 1) * grow]
+        if gone.size:
             total, logw, rem, chi, k, logv = drop(gone, total, logw, rem, chi, k, logv)
             if not live.size:
                 break
         if j:
-            logv = log_v(2 * j)
+            logv = log_v(column(2 * j))
         T0, k0 = table.start(chi, k)
         if j == n - 1:  # nothing reads the last stage's position
             reward = table.stage(T0, k0, -logv)

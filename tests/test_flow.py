@@ -11,9 +11,11 @@ from scipy.optimize import brentq
 import pdmpval._numerics
 import pdmpval.flow
 import pdmpval.loan
+from pdmpval.cubature import CubatureSpec, RuleKind
 from pdmpval.errors import InputError, ModelError
 from pdmpval.flow import build_flow_table
 from pdmpval.loan import SmoothedLoanModel
+from pdmpval.operators import estimate_value
 from pdmpval.smoothing import smoothed_drift_loan
 
 C, RHO, B, EPS, DELTA = 5.0, 0.05, 3.24289, 0.01, 0.02
@@ -863,6 +865,55 @@ class TestGuidedLookup:
         for guide in (loan_model.table._t_guide, loan_model.table._y_guide):
             assert guide.table.dtype == guide.split.dtype == guide.base.dtype == np.int32
             assert guide.table.size <= 3 * guide.knots.size
+
+    def test_large_table_offsets_fit_int32(self):
+        # 60,000 knots, two of them 1e-12 apart near the top: uncapped, their
+        # bucket would take 1e8 slots, and bucket * split overflows int32
+        # from a split of 35,792 up
+        knots = np.linspace(0.0, 1.0, 60_000)
+        knots[-5] = knots[-6] + 1e-12
+        guide = pdmpval.flow._Guide(knots)
+        assert guide.table.size <= 3 * knots.size
+        assert guide.split.max() * (knots.size - 1) < 2 ** 31
+        x = _guide_probes(knots, 0.0)
+        assert np.array_equal(guide.find(x.copy()), pdmpval.flow._interval(knots, x))
+
+    @pytest.mark.parametrize("which", ["eps=0.01", "eps=0.08"])
+    def test_first_stage_end_times(self, loan_model, wide_table, monkeypatch, rng, which):
+        # the integrand's first grid_t lookups, T(x0) - ln v clamped as
+        # FlowTable.stage clamps them, from below, inside and at the barrier
+        table = {"eps=0.01": loan_model.table, "eps=0.08": wide_table}[which]
+        real = pdmpval.flow._interval
+        searched = _searched(monkeypatch)
+        v = np.concatenate([rng.uniform(size=20_000), [1.0, 0.5, 1e-300]])
+        for x0 in (0.0, B, -50.0):
+            te = table.time_of(x0) - np.log(v)
+            searched.clear()
+            uc, k = table._clamped_time(te)
+            assert sum(searched) <= 0.005 * te.size
+            assert np.array_equal(k, real(table.grid_t, uc))
+
+    def test_deep_estimate_rarely_searches(self, loan_model, monkeypatch):
+        # one Sobol' estimate at the benchmark's deep-qmc shape: the points
+        # either guide sends to the binary search, against the grid_t lookups
+        t_guide, real_find = loan_model.table._t_guide, pdmpval.flow._Guide.find
+        looked_up = []
+        monkeypatch.setattr(pdmpval.flow._Guide, "find", lambda self, x: (
+            self is t_guide and looked_up.append(x.size)) or real_find(self, x))
+        searched = _searched(monkeypatch)
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=4096, d=64, seed=777, replicates=4)
+        estimate_value(0.0, 32, rule, loan_model)
+        assert sum(looked_up) > 4 * 4096
+        assert sum(searched) < 0.005 * sum(looked_up)
+
+
+def _searched(monkeypatch):
+    """Record the point count of every binary search the guides fall back to."""
+    sizes = []
+    real = pdmpval.flow._interval
+    monkeypatch.setattr(pdmpval.flow, "_interval",
+                        lambda knots, x: sizes.append(np.size(x)) or real(knots, x))
+    return sizes
 
 
 def _scipy_lookups(table):

@@ -561,16 +561,25 @@ class TestCLI:
         rows = out_csv.read_text().strip().splitlines()
         assert rows[0] == EPS_CSV_HEADER and rows[-1].startswith("slope,")
 
-    @pytest.mark.parametrize("command", ["value", "convergence"])
-    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
-        # a regular file where the output's directory should be
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    def test_unwritable_out_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # a regular file where the output's directory should be, and a
+        # directory where the output should be: both found before any build
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        code = main([command, "--points", "16", "--jumps", "1", "--replicates", "2",
-                     "--out", str(blocker / "x.csv")])
-        assert code == 2
-        assert "cannot write" in capsys.readouterr().err
-        assert blocker.read_text() == ""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for out in (blocker / "x.csv", folder):
+            code = main([command, "--points", "16", "--jumps", "1", "--replicates", "2",
+                         "--out", str(out)])
+            assert code == 2
+            assert "cannot write" in capsys.readouterr().err
+        assert builds == []
+        assert blocker.read_text() == "" and not any(folder.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "folder"]
 
     @pytest.mark.parametrize("argv, message", [
         (["value", "--method", "gauss", "--points", "100"], "Gauss rule size"),

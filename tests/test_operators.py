@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
 import pdmpval.flow
+import pdmpval.harness
 import pdmpval.operators
 from pdmpval.cubature import (
     MC_CHUNK_NODES,
@@ -815,3 +816,56 @@ class TestDroppedNodes:
             _integrand_batch_oracle(loan_model, x0, n, lambda dim: coords[dim:dim + 1])
         with pytest.raises(ModelError, match="overflowed"):
             iterated_integrand(IteratedPoint(coords), x0, loan_model)
+
+
+class TestRemainingTime:
+    """A node's remaining time is minus the log of its v product; a product
+    of 0 or below the smallest normal gives +inf, and such a node is never
+    dropped."""
+
+    # (v_1, z_1, ...) at n = 3 from x0 = 0: a v coordinate of exactly 0.0,
+    # first and later, and v products of 2^-1051 and 2^-1061 (below the
+    # smallest normal, 2^-1022) and 2^-1101 (which underflows to 0)
+    NODES = {
+        "zero-v-first": [0.0, 0.5, 0.5, 0.5, 0.5, 0.5],
+        "zero-v-later": [0.5, 0.5, 0.0, 0.5, 0.25, 0.5],
+        "subnormal-product": [2.0 ** -550, 0.5, 2.0 ** -501, 0.5, 1.0, 0.5],
+        "subnormal-product-later": [0.5, 0.5, 2.0 ** -1000, 0.5, 2.0 ** -60, 0.5],
+        "underflowing-product": [2.0 ** -600, 0.5, 2.0 ** -501, 0.5, 1.0, 0.5],
+    }
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_edge_node_matches_the_oracles(self, loan_model, name):
+        coords = np.array(self.NODES[name])
+        n = coords.size // 2
+        assert np.prod(coords[0::2]) < np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
+            naive = pdmpval.harness._naive_truncated_integrand(coords, 0.0, loan_model, n)
+        want = _integrand_batch_oracle(loan_model, 0.0, n, lambda dim: coords[dim:dim + 1])
+        assert got.hex() == want[0].hex()
+        # the per-term oracle multiplies its weights where the integrand adds
+        # their logs, so a nonzero total may differ in its last bits; a node
+        # whose v = 0 or whose weights underflow adds exactly 0.0 in both
+        if name in ("zero-v-first", "subnormal-product", "underflowing-product"):
+            assert got.hex() == naive.hex() == "0x0.0p+0"
+        else:
+            assert got > 0.0 and got == pytest.approx(naive, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["published", "lam+delta<1"])
+    def test_batch_with_edge_nodes_matches_the_oracle(self, loan_model, drop_models, rng,
+                                                      monkeypatch, name):
+        # the edge nodes among ordinary ones, most of which the drop test
+        # removes; lam + delta < 1 makes the weight guard read the remaining time
+        model = loan_model if name == "published" else drop_models[name]
+        n = 3
+        block = np.vstack([rng.uniform(size=(512, 2 * n)), list(self.NODES.values())])
+        cols = lambda dim: block[:, dim]
+        sizes = _evaluated_stage_sizes(monkeypatch, model.table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pdmpval.operators._integrand_batch(model, 0.0, n, cols)
+        assert sizes[-1] < block.shape[0]  # the drop test removed nodes
+        want = _integrand_batch_oracle(model, 0.0, n, cols)
+        assert got.tobytes() == want.tobytes()
