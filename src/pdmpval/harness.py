@@ -102,8 +102,11 @@ class ExperimentConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` file; '#' starts a comment, lists are comma separated."""
-    out = {}
+    """Flat `key = value` file; '#' starts a comment, lists are comma separated.
+
+    A key may be set once: a repeated key is an InputError naming both lines.
+    """
+    out, first_line = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -115,7 +118,10 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = value
+        if key in first_line:
+            raise InputError(f"{path}:{lineno}: config key '{key}' is already set "
+                             f"on line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 
@@ -346,25 +352,17 @@ class CheckResult:
         return self.measured <= self.tolerance
 
 
-def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None) -> int:
+def run_validate() -> int:
     """Execute the cross-module invariant suite and print one line per check.
 
-    Each check reduces to a nonnegative defect compared against a tolerance
-    (scaled by ``tol_scale``); nonzero exit when any check fails.  The
-    ``overrides`` hook substitutes individual primitives, which lets the test
-    suite verify that broken implementations are actually caught.
+    Each check reduces to a nonnegative defect compared against a tolerance;
+    nonzero exit when any check fails.
     """
-    funcs = {
-        "heaviside": smoothing.heaviside,
-        "smoothed_drift_loan": smoothing.smoothed_drift_loan,
-    }
-    if overrides:
-        funcs.update(overrides)
-    h = funcs["heaviside"]
+    h = smoothing.heaviside
     results = []
 
     def check(name: str, measured: float, tolerance: float) -> None:
-        results.append(CheckResult(name, float(measured), float(tolerance) * tol_scale))
+        results.append(CheckResult(name, float(measured), float(tolerance)))
 
     # Heaviside identities
     grid = np.linspace(-2.0, 2.0, 1001)
@@ -393,7 +391,7 @@ def run_validate(tol_scale: float = 1.0, overrides: Optional[dict] = None) -> in
     # loan drift: band equality and knot smoothness
     published = LoanParams()
     c, rho, b, eps = published.c, published.rho, published.b, published.eps
-    g = lambda y: funcs["smoothed_drift_loan"](y, c, rho, b, eps)
+    g = lambda y: smoothing.smoothed_drift_loan(y, c, rho, b, eps)
     ys = np.concatenate([np.linspace(-c / rho + 1e-6, -eps - 1e-9, 300),
                          np.linspace(eps + 1e-9, b - eps, 300)])
     check("smoothed drift equals unsmoothed outside bands",

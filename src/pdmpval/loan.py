@@ -1,5 +1,5 @@
 """The smoothed Cramer-Lundberg-with-loan model: parameters, tabulated flow,
-reward integral and the PDMP description used by the valuation operators.
+reward integral and the PDMP spec the valuation operators check and bound.
 
 Surplus grows at premium rate c, borrows at rate rho below zero, is ruined
 below -c/rho, and pays dividends at rate c near the barrier b.  Drift and
@@ -19,13 +19,7 @@ import numpy as np
 from .errors import InputError
 from .flow import FlowTable, build_flow_table
 from .model import ComponentSpec, Interval, ModelSpec
-from .smoothing import (
-    JumpKernelSpec,
-    KernelBranch,
-    _check_loan_eps,
-    smoothed_drift_loan,
-    smoothed_reward_loan,
-)
+from .smoothing import _check_loan_eps, smoothed_drift_loan, smoothed_reward_loan
 
 __all__ = ["LoanParams", "SmoothedLoanModel"]
 
@@ -84,24 +78,11 @@ class SmoothedLoanModel:
         # next cyclic garbage collection.
         p = self.params
         reward = partial(_reward, p)
-        live = ComponentSpec(
-            domain=Interval(p.ruin_level, math.inf),
-            drift=partial(_drift, p),
-            intensity=p.lam,
-            intensity_bound=p.lam,
-        )
+        live = ComponentSpec(domain=Interval(p.ruin_level, math.inf), intensity=p.lam)
         below = ComponentSpec(domain=Interval(-math.inf, p.ruin_level), is_cemetery=True)
-        edge = ComponentSpec(
-            domain=Interval(p.ruin_level, p.ruin_level, closed_lower=True, closed_upper=True),
-            is_cemetery=True,
-        )
-        kernel = JumpKernelSpec(
-            branches=(KernelBranch(prob=partial(_stay_prob, p), transform=partial(_jump_to, p)),),
-            eps=p.eps,
-        )
+        edge = ComponentSpec(domain=Interval(p.ruin_level, p.ruin_level), is_cemetery=True)
         self.spec = ModelSpec(
             components={1: live, 2: below, 3: edge},
-            jump_kernel=kernel,
             reward=lambda k, y: reward(y) if k == 1 else _zeros(y),
             terminal=lambda k, y: _zeros(y),
             discount=p.delta,
@@ -151,23 +132,8 @@ class SmoothedLoanModel:
         return out if out.ndim else float(out)
 
 
-def _drift(p: LoanParams, y):
-    return smoothed_drift_loan(y, p.c, p.rho, p.b, p.eps)
-
-
 def _reward(p: LoanParams, y):
     return smoothed_reward_loan(y, p.c, p.b, p.eps)
-
-
-def _stay_prob(p: LoanParams, y):
-    # mass of claims that do not ruin from position y
-    return 1.0 - math.exp(-p.alpha * (y - p.ruin_level))
-
-
-def _jump_to(p: LoanParams, u, y):
-    # inverse transform of the claim size conditioned on surviving
-    size = -math.log1p(-u * _stay_prob(p, y)) / p.alpha
-    return y - size
 
 
 def _zeros(y):

@@ -1,71 +1,67 @@
-"""PDMP component domains, local characteristics, cost-functional data and
-the analytic bounds that frame every valuation."""
+"""What the valuation reads of a PDMP: component domains, constant jump
+intensities, cemetery flags and cost-functional data, sample-checked against
+their declared bounds, and the analytic bounds that frame every valuation.
+
+The flow and the jump law are not described here: the engine reads the flow
+from the model's flow table and samples the claim law exactly in the
+integrand.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, ModelError
-from .smoothing import JumpKernelSpec
 
 __all__ = ["Interval", "ComponentSpec", "ModelSpec", "value_upper_bound", "bias_bound"]
+
+# points of each component's domain at which ``ModelSpec.validate`` samples
+_VALIDATE_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Domain interval of one component, with endpoint-openness flags."""
+    """Domain interval of one component; sampled inside its open ends."""
 
     lower: float
     upper: float
-    closed_lower: bool = False
-    closed_upper: bool = False
 
 
 @dataclass
 class ComponentSpec:
-    """Local characteristics of one component: domain, drift, intensity.
+    """One component: its domain and its constant jump intensity.
 
-    ``intensity`` may be a constant (the common case) or a callable of the
-    position.  ``intensity_bound`` is the declared C_lambda >= sup lambda_k,
-    finite and nonnegative.  A cemetery component has zero intensity and a
-    frozen flow (drift None).
+    The intensity must be finite and nonnegative; a cemetery component has
+    zero intensity.
     """
 
     domain: Interval
-    drift: Optional[Callable] = None
-    intensity: Union[float, Callable] = 0.0
-    intensity_bound: float = 0.0
+    intensity: float = 0.0
     is_cemetery: bool = False
 
     def __post_init__(self):
-        if self.is_cemetery:
-            if callable(self.intensity) or self.intensity != 0.0:
-                raise ModelError("cemetery components must have zero intensity")
-            if self.drift is not None:
-                raise ModelError("cemetery components must have frozen flow (drift None)")
-        bound = self.intensity_bound
-        if not (math.isfinite(bound) and bound >= 0.0):  # NaN fails both tests
-            raise ModelError(f"intensity bound must be finite and nonnegative, got {bound}")
-
-    def intensity_at(self, y):
-        return self.intensity(y) if callable(self.intensity) else self.intensity
+        lam = self.intensity
+        if not (math.isfinite(lam) and lam >= 0.0):  # NaN fails both tests
+            raise ModelError(f"intensity must be finite and nonnegative, got {lam}")
+        if self.is_cemetery and lam != 0.0:
+            raise ModelError("cemetery components must have zero intensity")
 
 
 @dataclass
 class ModelSpec:
-    """A PDMP plus cost-functional data.
+    """A PDMP's components plus cost-functional data.
 
     ``reward`` and ``terminal`` take (k, y); the declared sup-norm bounds are
     validated by sampling (the boundedness the theory assumes is not
-    otherwise checkable).
+    otherwise checkable).  ``intensity_bound`` is the C_lambda of the bias
+    bound: the largest component intensity.
     """
 
     components: dict
-    jump_kernel: Optional[JumpKernelSpec]
     reward: Callable
     terminal: Callable
     discount: float
@@ -81,18 +77,12 @@ class ModelSpec:
 
     @property
     def intensity_bound(self) -> float:
-        return max(c.intensity_bound for c in self.components.values())
+        return max((c.intensity for c in self.components.values()), default=0.0)
 
-    def validate(self, samples: int = 10_000) -> None:
+    def validate(self) -> None:
         """Sample-check the declared bounds and the cemetery support rules."""
         for k, comp in self.components.items():
-            ys = _domain_grid(comp.domain, samples)
-            lam = _eval_sampled(comp.intensity_at, ys) if callable(comp.intensity) \
-                else np.full(ys.shape, comp.intensity)
-            if np.any(lam < 0.0):
-                raise ModelError(f"component {k}: negative intensity")
-            if np.any(lam > comp.intensity_bound + 1e-12):
-                raise ModelError(f"component {k}: intensity exceeds declared bound")
+            ys = _domain_grid(comp.domain, _VALIDATE_SAMPLES)
             rew = _eval_sampled(lambda y: self.reward(k, y), ys)
             ter = _eval_sampled(lambda y: self.terminal(k, y), ys)
             if np.any(np.abs(rew) > self.reward_bound + 1e-12):
@@ -125,8 +115,7 @@ def _domain_grid(domain: Interval, n: int) -> np.ndarray:
     if hi == lo:
         return np.array([lo])
     pad = 1e-9 * (hi - lo)
-    return np.linspace(lo + (0.0 if domain.closed_lower else pad),
-                       hi - (0.0 if domain.closed_upper else pad), n)
+    return np.linspace(lo + pad, hi - pad, n)
 
 
 def value_upper_bound(model: ModelSpec) -> float:

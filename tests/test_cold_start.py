@@ -20,7 +20,7 @@ import pdmpval
 SRC = str(Path(pdmpval.__file__).resolve().parents[1])
 
 PROBE = """
-import json, sys
+import json, math, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -35,7 +35,9 @@ seen["build"] = scipy_modules()
 rule = pdmpval.CubatureSpec(kind=pdmpval.RuleKind.SOBOL, M=64, d=4, seed=1, replicates=2)
 pdmpval.estimate_value(0.0, 2, rule, model)
 seen["estimate_value"] = scipy_modules()
-pdmpval.smoothed_kernel_integrate(lambda z: 1.0, 0.0, model.spec.jump_kernel)
+kernel = pdmpval.JumpKernelSpec(branches=(pdmpval.KernelBranch(
+    prob=1.0, transform=lambda u, y: -math.log1p(-u)),), eps=0.01)
+pdmpval.smoothed_kernel_integrate(lambda z: 1.0, 0.0, kernel)
 seen["smoothed_kernel_integrate"] = scipy_modules()
 print(json.dumps(seen))
 """

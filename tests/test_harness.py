@@ -2,10 +2,9 @@ import math
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from pdmpval import cli, harness
+from pdmpval import cli, harness, smoothing
 from pdmpval.cli import main
 from pdmpval.errors import InputError
 from pdmpval.harness import (
@@ -349,13 +348,12 @@ class TestRunValidate:
         assert "FAIL" not in out
         assert "checks passed" in out
 
-    def test_broken_heaviside_caught(self, capsys):
-        broken = lambda y: np.clip((np.asarray(y, dtype=float) + 1.0) / 2.0, 0.0, 1.0) ** 2
-        assert run_validate(overrides={"heaviside": broken}) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_tightened_tolerances_report_values(self, capsys):
-        assert run_validate(tol_scale=1e-12) == 1
+    def test_broken_heaviside_caught(self, monkeypatch, capsys):
+        # squaring keeps the step flat at both ends, so the model still
+        # builds, but breaks its half value and its symmetry
+        real = smoothing.heaviside
+        monkeypatch.setattr(smoothing, "heaviside", lambda y: real(y) ** 2)
+        assert run_validate() == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "measured=" in out
 
@@ -498,6 +496,21 @@ class TestCLI:
                      "--jumps", "1", "--replicates", "2", "--out", str(out_csv)])
         assert code == 2
         assert "more than once" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    def test_repeated_config_key_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # the last value used to win without a word: n = 1 here, exit 0
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        cfg_file = tmp_path / "exp.cfg"
+        out_csv = tmp_path / "out.csv"
+        cfg_file.write_text(f"jumps = 4\nmethods = sobol\n# n\njumps = 1\nout = {out_csv}\n")
+        code = main([command, "--config", str(cfg_file), "--points", "64",
+                     "--replicates", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_file}:4: config key 'jumps' is already set on line 1" in err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])

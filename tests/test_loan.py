@@ -10,7 +10,6 @@ import pytest
 from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams, SmoothedLoanModel
 from pdmpval.model import value_upper_bound
-from pdmpval.smoothing import smoothed_kernel_integrate
 
 C, RHO, B, LAM, ALPHA, DELTA, EPS = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02, 0.01
 
@@ -51,7 +50,7 @@ class TestSmoothedLoanModel:
         assert value_upper_bound(loan_model.spec) == 250.0
 
     def test_spec_validates(self, loan_model):
-        loan_model.spec.validate(samples=2000)
+        loan_model.spec.validate()
         assert loan_model.spec.intensity_bound == LAM
 
     def test_jump_density(self, loan_model):
@@ -59,23 +58,6 @@ class TestSmoothedLoanModel:
         assert loan_model.jump_density(-1.0) == 0.0
         ys = np.linspace(0.0, 10.0, 64)
         assert np.allclose(loan_model.jump_density(ys), ALPHA * np.exp(-ALPHA * ys))
-
-    def test_kernel_mass_equals_stay_probability(self, loan_model):
-        # integrating 1 against the one-branch kernel returns the non-ruin
-        # mass (deficit = jumps straight to the cemetery)
-        for y in (0.0, 2.0, B):
-            got = smoothed_kernel_integrate(lambda z: 1.0, y, loan_model.spec.jump_kernel)
-            expect = 1.0 - math.exp(-ALPHA * (y + C / RHO))
-            # the mollifier moves O(eps) mass at the domain ends of u0
-            assert got == pytest.approx(expect, abs=5.0 / 8.0 * EPS)
-
-    def test_kernel_transform_lands_in_live_component(self, loan_model, rng):
-        branch = loan_model.spec.jump_kernel.branches[0]
-        for _ in range(200):
-            y = float(rng.uniform(-90.0, B))
-            u = float(rng.uniform(0.0, 1.0 - 1e-12))
-            landed = branch.transform(u, y)
-            assert -C / RHO < landed <= y + 1e-12
 
     def test_validate_evaluates_whole_sample_grids(self, loan_model):
         spec = loan_model.spec

@@ -15,20 +15,20 @@ class TestValueUpperBound:
         assert value_upper_bound(loan_model.spec) == pytest.approx(250.0, abs=1e-12)
 
     def test_terminal_only(self):
-        spec = ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
                          terminal=lambda k, y: 0.0, discount=1.0,
                          reward_bound=0.0, terminal_bound=1.0)
         assert value_upper_bound(spec) == 1.0
 
     def test_mixed(self):
-        spec = ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
                          terminal=lambda k, y: 0.0, discount=1.0,
                          reward_bound=1.0, terminal_bound=1.0)
         assert value_upper_bound(spec) == 2.0
 
     def test_nonpositive_discount_rejected(self):
         with pytest.raises(InputError):
-            ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+            ModelSpec(components={}, reward=lambda k, y: 0.0,
                       terminal=lambda k, y: 0.0, discount=0.0,
                       reward_bound=1.0, terminal_bound=0.0)
 
@@ -39,18 +39,18 @@ class TestValueUpperBound:
     def test_bad_declared_bounds_rejected(self, bounds):
         # a NaN bound would pass every sampled check and make C_V NaN
         with pytest.raises(InputError, match="bound"):
-            ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+            ModelSpec(components={}, reward=lambda k, y: 0.0,
                       terminal=lambda k, y: 0.0, discount=1.0,
                       reward_bound=bounds[0], terminal_bound=bounds[1])
 
     @pytest.mark.parametrize("discount", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_discount_rejected(self, discount):
         with pytest.raises(InputError, match="discount"):
-            ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+            ModelSpec(components={}, reward=lambda k, y: 0.0,
                       terminal=lambda k, y: 0.0, discount=discount,
                       reward_bound=1.0, terminal_bound=0.0)
         # the bound re-checks a spec whose discount was changed after its check
-        spec = ModelSpec(components={}, jump_kernel=None, reward=lambda k, y: 0.0,
+        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
                          terminal=lambda k, y: 0.0, discount=1.0,
                          reward_bound=1.0, terminal_bound=0.0)
         spec.discount = discount
@@ -109,64 +109,58 @@ class TestTStar:
 
 class TestModelValidation:
     def test_shipped_specs_validate(self, loan_model):
-        loan_model.spec.validate(samples=2000)
+        loan_model.spec.validate()
 
     def test_cemetery_with_intensity_rejected(self):
         with pytest.raises(ModelError):
-            ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0,
-                          intensity_bound=1.0, is_cemetery=True)
+            ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0, is_cemetery=True)
 
-    def test_cemetery_with_drift_rejected(self):
-        with pytest.raises(ModelError):
-            ComponentSpec(domain=Interval(0.0, 1.0), drift=lambda y: 1.0,
-                          is_cemetery=True)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0],
+                             ids=["nan", "inf", "-inf", "negative"])
+    def test_bad_intensity_bound_rejected(self, lam):
+        # refused when the component is built, not first by the bias bound
+        with pytest.raises(ModelError, match="intensity must be finite and nonnegative"):
+            ComponentSpec(domain=Interval(0.0, 10.0), intensity=lam)
 
-    def test_intensity_bound_enforced_by_sampling(self):
-        comp = ComponentSpec(domain=Interval(0.0, 10.0, closed_lower=True),
-                             intensity=lambda y: y, intensity_bound=5.0)
-        spec = ModelSpec(components={1: comp}, jump_kernel=None,
-                         reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
+    def test_intensity_bound_is_largest_intensity(self):
+        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=2.0),
+                 2: ComponentSpec(domain=Interval(1.0, 2.0), intensity=3.0),
+                 3: ComponentSpec(domain=Interval(-1.0, 0.0), is_cemetery=True)}
+        spec = ModelSpec(components=comps, reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
                          discount=1.0, reward_bound=0.0, terminal_bound=0.0)
-        with pytest.raises(ModelError):
-            spec.validate(samples=500)
+        assert spec.intensity_bound == 3.0
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
-    def test_bad_intensity_bound_rejected(self, bound):
-        # a NaN or infinite bound would pass every sampled intensity check
-        with pytest.raises(ModelError, match="intensity bound"):
-            ComponentSpec(domain=Interval(0.0, 10.0, closed_lower=True),
-                          intensity=lambda y: y, intensity_bound=bound)
+    def test_no_components_has_zero_intensity_bound(self):
+        # zero, not a bare ValueError from max(): the bias bound refuses it by name
+        spec = ModelSpec(components={}, reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
+                         discount=1.0, reward_bound=1.0, terminal_bound=0.0)
+        assert spec.intensity_bound == 0.0
+        with pytest.raises(InputError, match="intensity bound"):
+            bias_bound(1, spec.intensity_bound, spec.discount, value_upper_bound(spec))
 
     def test_reward_on_cemetery_rejected(self):
         comps = {
-            1: ComponentSpec(domain=Interval(0.0, 1.0, closed_lower=True),
-                             intensity=1.0, intensity_bound=1.0),
+            1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0),
             2: ComponentSpec(domain=Interval(-1.0, 0.0), is_cemetery=True),
         }
-        spec = ModelSpec(components=comps, jump_kernel=None,
+        spec = ModelSpec(components=comps,
                          reward=lambda k, y: 1.0, terminal=lambda k, y: 0.0,
                          discount=1.0, reward_bound=1.0, terminal_bound=0.0)
         with pytest.raises(ModelError):
-            spec.validate(samples=500)
+            spec.validate()
 
     def test_terminal_off_cemetery_rejected(self):
-        comps = {
-            1: ComponentSpec(domain=Interval(0.0, 1.0, closed_lower=True),
-                             intensity=1.0, intensity_bound=1.0),
-        }
-        spec = ModelSpec(components=comps, jump_kernel=None,
+        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0)}
+        spec = ModelSpec(components=comps,
                          reward=lambda k, y: 0.0, terminal=lambda k, y: 1.0,
                          discount=1.0, reward_bound=0.0, terminal_bound=1.0)
         with pytest.raises(ModelError):
-            spec.validate(samples=500)
+            spec.validate()
 
     def test_reward_bound_enforced(self):
-        comps = {
-            1: ComponentSpec(domain=Interval(0.0, 1.0, closed_lower=True),
-                             intensity=1.0, intensity_bound=1.0),
-        }
-        spec = ModelSpec(components=comps, jump_kernel=None,
+        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0)}
+        spec = ModelSpec(components=comps,
                          reward=lambda k, y: 2.0, terminal=lambda k, y: 0.0,
                          discount=1.0, reward_bound=1.0, terminal_bound=0.0)
         with pytest.raises(ModelError):
-            spec.validate(samples=500)
+            spec.validate()
