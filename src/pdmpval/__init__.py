@@ -8,9 +8,6 @@ from .cubature import (
     RuleKind,
     cranley_patterson_shift,
     gauss_legendre,
-    halton_scrambled_points,
-    mc_points,
-    sobol_points,
     star_discrepancy_1d,
     star_discrepancy_bruteforce,
 )
@@ -26,18 +23,11 @@ from .harness import (
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import mc_reference
 from .model import ComponentSpec, Interval, ModelSpec, bias_bound, value_upper_bound
-from .operators import (
-    Estimate,
-    IteratedPoint,
-    estimate_value,
-    iterated_integrand,
-)
+from .operators import Estimate, estimate_value
 from .smoothing import (
     JumpKernelSpec,
     KernelBranch,
-    SmoothJoinSide,
     heaviside,
-    smooth_join,
     smoothed_branch_weight,
     smoothed_drift_loan,
     smoothed_kernel_integrate,

@@ -82,8 +82,8 @@ def _build_config(args, cfg: ExperimentConfig = ExperimentConfig()) -> Experimen
 
 
 def _cmd_value(args) -> int:
-    cfg = _build_config(args, ExperimentConfig(methods=("sobol",)))
-    est = run_value(cfg, cfg.methods[0], out=args.out)
+    cfg = _build_config(args, ExperimentConfig(methods=("sobol",), out=""))
+    est = run_value(cfg, cfg.methods[0], out=cfg.out or None)
     se = "n/a" if est.std_error is None else f"{est.std_error:.6g}"
     print(f"value={est.value:.10g} std_error={se} bias_bound={est.bias_bound:.6g} "
           f"M={est.M} d={est.d} replicates={est.replicates}")

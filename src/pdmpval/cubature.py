@@ -6,7 +6,10 @@ base-2 sequence) starting at index 1, so the origin never appears.  Halton
 points use the first d prime bases with optional seeded digit permutations
 fixing 0.  Pseudorandom nodes come from counter-based Philox streams keyed by
 (seed, replicate, fixed-size chunk), which makes parallel generation
-order-independent by construction.  Exact star-discrepancy routines for
+order-independent by construction.  Each generator makes what the estimator
+reads, and nothing else builds a point set: ``sobol_column`` and
+``halton_column`` one coordinate over an index range, ``mc_chunk`` one
+chunk of the pseudorandom stream.  Exact star-discrepancy routines for
 d <= 2 serve as test oracles only.
 """
 
@@ -26,13 +29,10 @@ from .errors import InputError, require_int
 __all__ = [
     "RuleKind",
     "CubatureSpec",
-    "sobol_points",
     "sobol_column",
     "sobol_max_dim",
-    "halton_scrambled_points",
     "halton_column",
     "halton_permutations",
-    "mc_points",
     "mc_chunk",
     "keyed_stream",
     "MC_CHUNK_NODES",
@@ -161,18 +161,6 @@ def sobol_column(dim: int, start: int, stop: int) -> np.ndarray:
     return acc.astype(np.float64) * _SCALE
 
 
-def sobol_points(M: int, d: int) -> np.ndarray:
-    """First M Sobol' points (indices 1..M, origin skipped) in dimension d."""
-    if d < 1 or d > sobol_max_dim():
-        raise InputError(f"Sobol dimension {d} outside 1..{sobol_max_dim()}")
-    if M < 1:
-        raise InputError(f"node count must be >= 1, got {M}")
-    out = np.empty((M, d), dtype=float)
-    for j in range(d):
-        out[:, j] = sobol_column(j + 1, 1, M + 1)
-    return out
-
-
 # --- Halton -----------------------------------------------------------------
 
 
@@ -194,7 +182,11 @@ def first_primes(n: int) -> np.ndarray:
 
 
 def halton_permutations(d: int, seed: Optional[int]):
-    """Per-base digit permutations pi_b fixing 0; None seed means identity."""
+    """Per-base digit permutations pi_b fixing 0; None seed means identity.
+
+    Fixing the digit 0 keeps the points off the origin corner and leaves
+    each coordinate's equidistribution unchanged.
+    """
     if seed is None:
         return None
     perms = []
@@ -258,22 +250,6 @@ def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
     return grid.ravel()[lo:lo + n].copy()
 
 
-def halton_scrambled_points(M: int, d: int, seed: Optional[int] = None) -> np.ndarray:
-    """First M Halton points (indices 1..M) with seeded digit scrambling.
-
-    ``seed=None`` is the identity sentinel and yields the plain Halton
-    sequence.  Permutations fix the digit 0, which keeps the points off the
-    origin corner and leaves each coordinate's equidistribution unchanged.
-    """
-    if M < 1 or d < 1:
-        raise InputError(f"need M >= 1 and d >= 1, got M={M}, d={d}")
-    perms = halton_permutations(d, seed)
-    out = np.empty((M, d), dtype=float)
-    for j in range(d):
-        out[:, j] = halton_column(j + 1, 1, M + 1, perms)
-    return out
-
-
 # --- pseudorandom -------------------------------------------------------------
 
 
@@ -305,17 +281,6 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0)
         stream.random(out=part)
         out[:, r0:r0 + part.shape[0]] = part.T
     return out.T
-
-
-def mc_points(M: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """M x d i.i.d. uniforms, bit-identical for fixed (seed, replicate)."""
-    if M < 1 or d < 1:
-        raise InputError(f"need M >= 1 and d >= 1, got M={M}, d={d}")
-    out = np.empty((M, d), dtype=float)
-    for c0 in range(0, M, MC_CHUNK_NODES):
-        rows = min(MC_CHUNK_NODES, M - c0)
-        out[c0: c0 + rows] = mc_chunk(c0 // MC_CHUNK_NODES, rows, d, seed, replicate)
-    return out
 
 
 def cp_shift_vector(d: int, seed: int, replicate: int = 0) -> np.ndarray:

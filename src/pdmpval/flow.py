@@ -22,30 +22,31 @@ bit-identical to calling scipy's splines.
 Every query but ``pos_at(u)`` runs one chain, ``locate → start → stage``:
 ``locate(y)`` finds y's grid_y interval, ``start(y, k)`` solves T0 = T(y)
 and its grid_t interval, and ``stage(T0, k0, t)`` returns the reward and,
-when asked, the position reached.  The other public lookups compose the
-chain: ``time_of(y)`` is ``start(y)[0]``, ``flow_at(y, t)`` the position of
-``stage(*start(y), t)``, ``reward_integral(y, t)`` its reward, and
-``reward_from_master(T0, t)`` the reward of ``stage`` from T0 and its grid_t
-interval.  The integrand drops, between ``locate`` and ``start``, the nodes
-that can no longer reach the reward: ``locate`` bounds T(y) by the end of
-y's interval, :meth:`FlowTable.reward_cut` turns that bound into one test,
-and ``start`` reuses the lookup on the nodes that are left.  A scalar y
-(the first stage, where every node starts at x0) is solved once and
-broadcast against t.  The links share interval lookups: grid_y =
-P(grid_t), so the grid_y interval of y is also the grid_t interval of the
-seed and Newton times (a checked neighbour step confirms it); the reward
-grid is a prefix of grid_t, so the reward intervals are grid intervals;
-and one lookup of T(y) + t serves both the position and the reward there.  That is two
+when asked, the position reached: the state reached from y after time t is
+``stage(*start(y), t, position=True)[1]`` and the discounted reward
+collected on the way ``stage(*start(y), t)``.  Two wrappers remain, kept
+because the benchmark's tracer times them: ``time_of(y)`` is ``start(y)[0]``
+and ``reward_from_master(T0, t)`` the reward of ``stage`` from T0 and its
+grid_t interval.  The integrand drops, between ``locate`` and ``start``, the
+nodes that can no longer reach the reward: ``locate`` bounds T(y) by the end
+of y's interval, :meth:`FlowTable.reward_cut` turns that bound into one
+test, and ``start`` reuses the lookup on the nodes that are left.  A scalar
+y (the first stage, where every node starts at x0) is solved once and
+broadcast against t.  The links share interval lookups: grid_y = P(grid_t),
+so the grid_y interval of y is also the grid_t interval of the seed and
+Newton times (a checked neighbour step confirms it); the reward grid is a
+prefix of grid_t, so the reward intervals are grid intervals; and one lookup
+of T(y) + t serves both the position and the reward there.  That is two
 lookups per point instead of seven, and neither is a binary search: a guide
 table per knot array (Chen & Asau 1974; Devroye 1986, section III.2.4) maps
 a point to a slot that holds at most one knot nearly everywhere, so the
 slot's interval plus that knot is the point's interval, and the checked
-neighbour step confirms it.  grid_t is guided on the time itself, grid_y
-on the log-distance above the ruin end, where the drift vanishes linearly
-and the knots are geometric.  The few points the step does not settle are
-searched, so every interval equals the binary search's.  A position at y_start, where
-every position below it clamps, takes time +0.0 in interval 0 (the first
-knot of both grids) from the chain itself.
+neighbour step confirms it.  grid_t is guided on the time itself, grid_y on
+the log-distance above the ruin end, where the drift vanishes linearly and
+the knots are geometric.  The few points the step does not settle are
+searched, so every interval equals the binary search's.  A position at
+y_start, where every position below it clamps, takes time +0.0 in interval 0
+(the first knot of both grids) from the chain itself.
 
 The discounted running-reward integral is tabulated on the first knots of
 the trajectory grid, up to the tail anchor (the first knot in the 1e-6
@@ -116,13 +117,13 @@ class FlowTable:
 
     Every lookup but :meth:`pos_at` runs one chain: :meth:`locate` (the
     state's grid_y interval), :meth:`start` (the time solve) and
-    :meth:`stage` (the reward and the position reached).  :meth:`time_of`,
-    :meth:`flow_at`, :meth:`reward_integral` and :meth:`reward_from_master`
-    compose :meth:`start` and :meth:`stage`.  The table owns the rule for
-    dropping a node that can no longer earn, one test before the time
-    solve: :meth:`locate` bounds a state's master time from its grid_y
-    interval, and :meth:`reward_cut` bounds the master times from which the
-    next stages collect +0.0.
+    :meth:`stage` (the reward and the position reached).  :meth:`time_of`
+    and :meth:`reward_from_master` compose :meth:`start` and :meth:`stage`;
+    they stay because the benchmark's tracer times them.  The table owns
+    the rule for dropping a node that can no longer earn, one test before
+    the time solve: :meth:`locate` bounds a state's master time from its
+    grid_y interval, and :meth:`reward_cut` bounds the master times from
+    which the next stages collect +0.0.
     """
 
     grid_t: np.ndarray
@@ -215,25 +216,6 @@ class FlowTable:
         out = self.start(y)[0]
         return out if np.ndim(out) else float(out)
 
-    def flow_at(self, y, t):
-        """State reached from y after running the flow for time t >= 0."""
-        out = self.stage(*self.start(y), t, position=True)[1]
-        return out if out.ndim else float(out)
-
-    def reward_integral(self, y, t):
-        """Discounted running reward collected along the flow from y over [0, t].
-
-        Table lookup up to the tail anchor plus the frozen-rate closed form
-        beyond it; t may be +inf.  For a nonnegative reward whose features
-        the build's ``refine_y`` names (the loan tables), nondecreasing in t
-        and in y and bounded by sup(reward)/delta; a feature the grid does
-        not resolve is integrated across coarse knots, and the value can then
-        dip below zero (a step reward on a four-knot table reads -0.112 where
-        the exact integral is 0).  ``stage(*start(y), t)``.
-        """
-        out = self.stage(*self.start(y), t)
-        return out if out.ndim else float(out)
-
     def reward_from_master(self, T0, t):
         """Reward integral over [0, t] for a state at master time T0: ``stage``
         from T0 and its grid_t interval."""
@@ -283,6 +265,15 @@ class FlowTable:
         tail's lead term once, and the result takes t's shape.  Every
         operation is elementwise, so the values are those of T0 broadcast to
         t's shape, bit for bit.
+
+        The reward is the table lookup up to the tail anchor plus the
+        frozen-rate closed form beyond it; t may be +inf.  For a nonnegative
+        reward whose features the build's ``refine_y`` names (the loan
+        tables), it is nondecreasing in t and in y and bounded by
+        sup(reward)/delta.  A feature the grid does not resolve is integrated
+        across coarse knots, and the value can then dip below zero (a step
+        reward on a four-knot table reads -0.112 where the exact integral
+        is 0).
         """
         t = np.asarray(t, dtype=float)
         if np.ndim(T0):

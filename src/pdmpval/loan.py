@@ -124,13 +124,6 @@ class SmoothedLoanModel:
     def reward(self, y):
         return _reward(self.params, y)
 
-    def jump_density(self, y):
-        """Claim-size density f_Y(y) = alpha exp(-alpha y) on y >= 0."""
-        a = self.params.alpha
-        y = np.asarray(y, dtype=float)
-        out = np.where(y >= 0.0, a * np.exp(-a * np.minimum(y, 700.0 / a)), 0.0)
-        return out if out.ndim else float(out)
-
 
 def _reward(p: LoanParams, y):
     return smoothed_reward_loan(y, p.c, p.b, p.eps)

@@ -99,8 +99,7 @@ from .errors import InputError, ModelError, require_int
 from .loan import SmoothedLoanModel
 from .model import bias_bound, value_upper_bound
 
-__all__ = ["Estimate", "IteratedPoint", "iterated_integrand", "check_gauss_budget",
-           "estimate_value"]
+__all__ = ["Estimate", "check_gauss_budget", "estimate_value"]
 
 _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism contract)
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
@@ -123,25 +122,6 @@ class Estimate:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class IteratedPoint:
-    """One point of the 2n-dimensional substituted integration domain."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size == 0 or c.size % 2:
-            raise InputError("coordinates must form a nonempty even-length vector")
-        if not np.all((c >= 0.0) & (c <= 1.0)):  # NaN fails both comparisons
-            raise InputError("coordinates must be finite and lie in [0, 1]")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size // 2
-
-
 def _check_x0(model: SmoothedLoanModel, x0: float) -> None:
     p = model.params
     if not p.ruin_level < x0 <= p.b:
@@ -154,7 +134,9 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     ``cols(dim)`` returns the batch's coordinate array for dimension ``dim``
     in the (v_1, z_1, ...) layout; dimension 2n-1 (z_n) is never requested,
     and no z column once every node is dropped.  Each v column is requested
-    twice: once for the remaining times, once for its stage.
+    twice: once for the remaining times, once for its stage.  One point
+    is a batch of one:
+    ``_integrand_batch(model, x0, n, lambda d: coords[d:d + 1])[0]``.
     """
     p = model.params
     table = model.table
@@ -242,17 +224,6 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     if not np.all(np.isfinite(out)):
         raise ModelError("iterated integrand overflowed at a corner node")
     return out
-
-
-def iterated_integrand(point: IteratedPoint, x0: float, model: SmoothedLoanModel) -> float:
-    """The accumulated integrand at a single point (sum of all n term integrands)."""
-    _check_x0(model, x0)
-    coords = point.coords
-
-    def cols(dim: int) -> np.ndarray:
-        return coords[dim: dim + 1]
-
-    return float(_integrand_batch(model, x0, point.n, cols)[0])
 
 
 # --- node streams -----------------------------------------------------------

@@ -1,15 +1,14 @@
-"""C2 smoothing primitives: quintic Heaviside, smooth joins of piecewise
-functions, the smoothed loan-model drift/reward, and mollified mixture jump
-kernels.
+"""C2 smoothing primitives: quintic Heaviside, the smoothed loan-model
+drift/reward, and mollified mixture jump kernels.
 
-Everything here is pure and vectorised over numpy arrays; closures returned
-by :func:`smooth_join` capture immutable data only.
+Everything here is pure and vectorised over numpy arrays.  The loan drift is
+a closed form of five pieces, not a blend of branches, so no generic smooth
+join of piecewise functions is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
@@ -18,8 +17,6 @@ from .errors import InputError, ModelError
 
 __all__ = [
     "heaviside",
-    "SmoothJoinSide",
-    "smooth_join",
     "unsmoothed_drift_loan",
     "smoothed_drift_loan",
     "smoothed_reward_loan",
@@ -40,38 +37,6 @@ def heaviside(y):
     t = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
     out = 0.5 + t * (15.0 / 16.0 + t * t * (-5.0 / 8.0 + t * t * (3.0 / 16.0)))
     return out if out.ndim else float(out)
-
-
-class SmoothJoinSide(Enum):
-    """Where the 2*eps blend window sits relative to the junction point."""
-
-    LEFT = "left"      # window (xi - 2 eps, xi)
-    CENTER = "center"  # window (xi - eps, xi + eps)
-    RIGHT = "right"    # window (xi, xi + 2 eps)
-
-
-_JOIN_SHIFT = {SmoothJoinSide.LEFT: 1.0, SmoothJoinSide.CENTER: 0.0, SmoothJoinSide.RIGHT: -1.0}
-
-
-def smooth_join(f1, f2, xi, eps, side=SmoothJoinSide.CENTER):
-    """Blend two C2 branches of a piecewise function across the junction xi.
-
-    ``f1`` is the branch active above xi, ``f2`` the branch active below.
-    Outside the blend window the result equals the original branch exactly
-    (the step factors are exactly 0/1 there).  The result is C2 whenever
-    both branches are.
-    """
-    if eps <= 0.0:
-        raise InputError(f"blend width must be positive, got eps={eps}")
-    side = SmoothJoinSide(side)
-    shift = _JOIN_SHIFT[side]
-
-    def joined(y):
-        y = np.asarray(y, dtype=float)
-        w = (y - xi) / eps + shift
-        return f1(y) * heaviside(w) + f2(y) * heaviside(-w)
-
-    return joined
 
 
 def unsmoothed_drift_loan(y, c, rho, b):

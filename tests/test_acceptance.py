@@ -181,12 +181,14 @@ def test_criterion_04_flow_oracle(loan_model):
     t = rng.uniform(0.0, 5.0, 200)
     closed = (y + C / RHO) * np.exp(RHO * t) - C / RHO
     mask = closed < -EPS - 1e-3
-    lin_err = float(np.max(np.abs(table.flow_at(y, t)[mask] - closed[mask])))
+    moved = table.stage(*table.start(y), t, position=True)[1]
+    lin_err = float(np.max(np.abs(moved[mask] - closed[mask])))
     ys = rng.uniform(-80.0, B - 0.05, 100)
     s = rng.uniform(0.0, 40.0, 100)
     tt = rng.uniform(0.0, 40.0, 100)
-    semi = float(np.max(np.abs(table.flow_at(table.flow_at(ys, s), tt)
-                               - table.flow_at(ys, s + tt))))
+    mid = table.stage(*table.start(ys), s, position=True)[1]
+    semi = float(np.max(np.abs(table.stage(*table.start(mid), tt, position=True)[1]
+                               - table.stage(*table.start(ys), s + tt, position=True)[1])))
     ok = lin_err <= 1e-8 and semi <= 1e-9
     report(4, ok, f"linear-drift closed form err {lin_err:.2e} <= 1e-8, "
                   f"semigroup defect {semi:.2e} <= 1e-9", started)
@@ -201,15 +203,17 @@ def test_criterion_05_operator_oracle(loan_model):
     # integrand is smooth; from x0=0 the reward-onset kink caps the 32-point
     # Gauss truncation error near 1e-3 for any implementation (measured and
     # printed below), so the criterion's x0 is taken at the barrier
+    table = loan_model.table
+    at_b, at_x0 = table.start(B), table.start(X0)
     expected, _ = quad(
-        lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(B, -math.log(v)),
+        lambda v: LAM * v ** (LAM - 1.0) * float(table.stage(*at_b, -math.log(v))),
         0.0, 1.0, limit=300, epsabs=1e-12, epsrel=1e-12)
     got = estimate_value(B, 1, CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2),
                          loan_model).value
     n1_err = abs(got - expected)
 
     kink_expected, _ = quad(
-        lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(X0, -math.log(v)),
+        lambda v: LAM * v ** (LAM - 1.0) * float(table.stage(*at_x0, -math.log(v))),
         0.0, 1.0, limit=400, points=[0.5249], epsabs=1e-13, epsrel=1e-13)
     kink_got = estimate_value(X0, 1, CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2),
                               loan_model).value

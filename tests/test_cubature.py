@@ -15,12 +15,9 @@ from pdmpval.cubature import (
     gauss_legendre,
     halton_column,
     halton_permutations,
-    halton_scrambled_points,
     mc_chunk,
-    mc_points,
     sobol_column,
     sobol_max_dim,
-    sobol_points,
     star_discrepancy_1d,
     star_discrepancy_bruteforce,
     _direction_integers,
@@ -56,28 +53,47 @@ def _halton_column_by_digits(dim, start, stop, perms=None):
     return out
 
 
+def _sobol_matrix(m, d):
+    """The first m Sobol' points (indices 1..m) in dimension d."""
+    return np.stack([sobol_column(j + 1, 1, m + 1) for j in range(d)], axis=1)
+
+
+def _halton_matrix(m, d, seed=None):
+    """The first m (scrambled) Halton points (indices 1..m) in dimension d."""
+    perms = halton_permutations(d, seed)
+    return np.stack([halton_column(j + 1, 1, m + 1, perms) for j in range(d)], axis=1)
+
+
+def _mc_matrix(m, d, seed, replicate=0):
+    """The first m nodes of the (seed, replicate) stream: its chunks, in order."""
+    return np.concatenate([mc_chunk(c0 // MC_CHUNK_NODES, min(MC_CHUNK_NODES, m - c0), d,
+                                    seed, replicate)
+                           for c0 in range(0, m, MC_CHUNK_NODES)])
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSobol:
     def test_first_point_is_half_everywhere(self):
-        assert np.all(sobol_points(1, 64) == 0.5)
+        assert np.all(_sobol_matrix(1, 64) == 0.5)
 
     def test_van_der_corput_prefix(self):
-        assert np.array_equal(sobol_points(4, 1)[:, 0], [0.5, 0.25, 0.75, 0.125])
+        assert np.array_equal(sobol_column(1, 1, 5), [0.5, 0.25, 0.75, 0.125])
 
     def test_column_consistent_with_matrix(self):
-        pts = sobol_points(100, 7)
+        pts = _sobol_matrix(100, 7)
         for j in range(7):
-            assert np.array_equal(pts[:, j], sobol_column(j + 1, 1, 101))
+            pieces = [sobol_column(j + 1, 1, 40), sobol_column(j + 1, 40, 101)]
+            assert np.array_equal(pts[:, j], np.concatenate(pieces))
 
     @pytest.mark.parametrize("d", [2, 3, 17, 64])
     def test_block_sets_match_scipy(self, d):
         # same points as the reference implementation, modulo ordering and the
         # skipped origin, on full dyadic blocks
         k = 9
-        mine = np.sort(sobol_points(2 ** k - 1, d), axis=0)
+        mine = np.sort(_sobol_matrix(2 ** k - 1, d), axis=0)
         ref = np.sort(qmc.Sobol(d=d, scramble=False).random(2 ** k)[1:], axis=0)
         assert np.allclose(mine, ref, atol=1e-12)
 
@@ -114,10 +130,10 @@ class TestSobol:
     def test_dimension_limit(self):
         assert sobol_max_dim() >= 1024
         with pytest.raises(InputError):
-            sobol_points(4, sobol_max_dim() + 1)
+            sobol_column(sobol_max_dim() + 1, 1, 5)
 
     def test_coordinates_in_unit_interval(self):
-        pts = sobol_points(1000, 1024)
+        pts = _sobol_matrix(1000, 1024)
         assert np.all(pts > 0.0) and np.all(pts < 1.0)
 
     def test_direction_file_format(self):
@@ -134,23 +150,23 @@ class TestSobol:
 
 class TestHalton:
     def test_plain_prefixes(self):
-        pts = halton_scrambled_points(4, 2)
+        pts = _halton_matrix(4, 2)
         assert np.array_equal(pts[:, 0], [0.5, 0.25, 0.75, 0.125])
         assert pts[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_scipy_plain(self):
-        mine = halton_scrambled_points(32, 5)
+        mine = _halton_matrix(32, 5)
         ref = qmc.Halton(d=5, scramble=False).random(33)[1:]
         assert np.allclose(mine, ref, atol=1e-12)
 
     def test_scramble_fixes_zero_off_corner(self):
-        pts = halton_scrambled_points(200, 6, seed=123)
+        pts = _halton_matrix(200, 6, seed=123)
         assert np.all(pts > 0.0) and np.all(pts < 1.0)
 
     def test_scramble_deterministic_and_differs_from_plain(self):
-        a = halton_scrambled_points(64, 4, seed=9)
-        b = halton_scrambled_points(64, 4, seed=9)
-        c = halton_scrambled_points(64, 4)
+        a = _halton_matrix(64, 4, seed=9)
+        b = _halton_matrix(64, 4, seed=9)
+        c = _halton_matrix(64, 4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -209,19 +225,19 @@ class TestHalton:
         cols = [halton_column(dim, i0, i0 + 50) for i0 in (1, 51, 101) for dim in (1, 2, 53)]
         assert sorted(calls) == [1, 2, 53]
         assert [cubature._halton_base(dim) for dim in (1, 2, 53)] == [2, 3, 241]
-        assert np.array_equal(cols[2], halton_scrambled_points(50, 53)[:, 52])
+        assert np.array_equal(cols[2], _halton_column_by_digits(53, 1, 51))
 
 
 class TestMC:
     def test_bit_identical_for_fixed_seed(self):
-        a = mc_points(1000, 5, seed=42)
-        b = mc_points(1000, 5, seed=42)
+        a = _mc_matrix(1000, 5, seed=42)
+        b = _mc_matrix(1000, 5, seed=42)
         assert np.array_equal(a, b)
 
     def test_chunked_prefix_stability(self):
         # values at node i depend only on (seed, replicate, i)
-        full = mc_points(3 * MC_CHUNK_NODES, 2, seed=7)
-        short = mc_points(MC_CHUNK_NODES + 500, 2, seed=7)
+        full = _mc_matrix(3 * MC_CHUNK_NODES, 2, seed=7)
+        short = _mc_matrix(MC_CHUNK_NODES + 500, 2, seed=7)
         assert np.array_equal(full[: MC_CHUNK_NODES + 500], short)
         block = mc_chunk(1, 500, 2, seed=7)
         assert np.array_equal(full[MC_CHUNK_NODES: MC_CHUNK_NODES + 500], block)
@@ -234,28 +250,28 @@ class TestMC:
             want = cubature.keyed_stream(cubature._MC_TAG, 9, 1, 2).random((rows, d))
             assert block.shape == (rows, d) and block.tobytes() == want.tobytes()
             assert all(block[:, dim].flags.c_contiguous for dim in range(d))
-        full = mc_points(MC_CHUNK_NODES + 300, d, seed=9, replicate=1)
+        full = _mc_matrix(MC_CHUNK_NODES + 300, d, seed=9, replicate=1)
         want = [cubature.keyed_stream(cubature._MC_TAG, 9, 1, ci).random((rows, d))
                 for ci, rows in ((0, MC_CHUNK_NODES), (1, 300))]
         assert full.tobytes() == np.concatenate(want).tobytes()
 
     def test_replicates_differ(self):
-        a = mc_points(128, 3, seed=0, replicate=0)
-        b = mc_points(128, 3, seed=0, replicate=1)
+        a = _mc_matrix(128, 3, seed=0, replicate=0)
+        b = _mc_matrix(128, 3, seed=0, replicate=1)
         assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
-        x = mc_points(1_000_000, 1, seed=1)
+        x = _mc_matrix(1_000_000, 1, seed=1)
         assert abs(float(x.mean()) - 0.5) < 0.002
 
     def test_range(self):
-        x = mc_points(10_000, 4, seed=3)
+        x = _mc_matrix(10_000, 4, seed=3)
         assert np.all(x >= 0.0) and np.all(x < 1.0)
 
 
 class TestCranleyPatterson:
     def test_zero_shift_is_identity(self):
-        pts = sobol_points(64, 3)
+        pts = _sobol_matrix(64, 3)
         assert np.array_equal(cranley_patterson_shift(pts, shift=np.zeros(3)), pts)
 
     def test_wraparound(self):
@@ -263,7 +279,7 @@ class TestCranleyPatterson:
         assert out[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_stays_in_unit_cube_and_preserves_differences(self, rng):
-        pts = sobol_points(1000, 4)
+        pts = _sobol_matrix(1000, 4)
         shifted = cranley_patterson_shift(pts, shift=cp_shift_vector(4, 11, 2))
         assert np.all(shifted >= 0.0) and np.all(shifted < 1.0)
         i = rng.integers(0, 1000, 1000)
@@ -354,7 +370,7 @@ class TestStarDiscrepancy:
 
     def test_2d_halton_beats_random(self, rng):
         m = 256
-        qmc_pts = halton_scrambled_points(m, 2)
+        qmc_pts = _halton_matrix(m, 2)
         rnd = rng.uniform(size=(m, 2))
         assert star_discrepancy_bruteforce(qmc_pts) < star_discrepancy_bruteforce(rnd)
 

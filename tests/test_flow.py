@@ -40,15 +40,15 @@ class TestConstantDrift:
 
     def test_identity_at_zero(self, const_table):
         ys = np.linspace(0.5, 9.0, 20)
-        assert np.max(np.abs(const_table.flow_at(ys, 0.0) - ys)) < 1e-11
+        assert np.max(np.abs(_advance(const_table, ys, 0.0)[1] - ys)) < 1e-11
 
     def test_reaches_top_and_converges(self, const_table):
         assert const_table.end_gap <= 1e-12 * (const_table.upper - const_table.lower)
-        assert const_table.flow_at(1.0, 100.0) == pytest.approx(10.0, abs=1e-6)
+        assert _advance(const_table, 1.0, 100.0)[1] == pytest.approx(10.0, abs=1e-6)
 
     def test_reward_tail_frozen_at_rate_one(self, const_table):
         # from the top, reward rate 1 forever: integral 1/delta
-        assert const_table.reward_integral(10.0, np.inf) == pytest.approx(10.0, rel=1e-3)
+        assert const_table.stage(*const_table.start(10.0), np.inf) == pytest.approx(10.0, rel=1e-3)
 
 
 class TestLoanFlow:
@@ -58,7 +58,7 @@ class TestLoanFlow:
         t = rng.uniform(0.0, 5.0, 300)
         closed = (y + C / RHO) * np.exp(RHO * t) - C / RHO
         mask = closed < -EPS - 1e-3  # stay inside the c + rho*y branch
-        moved = table.flow_at(y, t)
+        moved = _advance(table, y, t)[1]
         assert np.max(np.abs(moved[mask] - closed[mask])) < 1e-8
 
     def test_constant_drift_region(self, loan_model, rng):
@@ -67,22 +67,22 @@ class TestLoanFlow:
         t = rng.uniform(0.0, 0.2, 300)
         closed = y + C * t
         mask = closed < B - EPS - 1e-3
-        assert np.max(np.abs(table.flow_at(y, t)[mask] - closed[mask])) < 1e-9
+        assert np.max(np.abs(_advance(table, y, t)[1][mask] - closed[mask])) < 1e-9
 
     def test_semigroup(self, loan_model, rng):
         table = loan_model.table
         y = rng.uniform(-80.0, B - 0.05, 100)
         s = rng.uniform(0.0, 40.0, 100)
         t = rng.uniform(0.0, 40.0, 100)
-        lhs = table.flow_at(table.flow_at(y, s), t)
-        rhs = table.flow_at(y, s + t)
+        lhs = _advance(table, _advance(table, y, s)[1], t)[1]
+        rhs = _advance(table, y, s + t)[1]
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_monotone_in_both_arguments(self, loan_model, rng):
         table = loan_model.table
         ys = np.sort(rng.uniform(-99.0, B, 100))
         ts = np.sort(rng.uniform(0.0, 200.0, 100))
-        grid = np.stack([np.asarray(table.flow_at(np.full(100, y), ts)) for y in ys])
+        grid = np.stack([_advance(table, np.full(100, y), ts)[1] for y in ys])
         assert np.all(np.diff(grid, axis=0) >= -1e-12)
         assert np.all(np.diff(grid, axis=1) >= -1e-12)
         assert np.max(grid) <= B
@@ -99,7 +99,7 @@ class TestLoanFlow:
         assert float(f"{wide_table.end_gap:.2e}") == 1.59e-5
 
     def test_long_run_approaches_barrier(self, loan_model):
-        assert abs(loan_model.table.flow_at(0.0, 1e3) - B) < 1e-3
+        assert abs(_advance(loan_model.table, 0.0, 1e3)[1] - B) < 1e-3
 
     def test_band_crossing_time_bracket_and_quadrature_oracle(self, loan_model):
         table = loan_model.table
@@ -488,23 +488,25 @@ class TestSolverMatchesScipy:
 
 class TestRewardIntegral:
     def test_zero_horizon(self, loan_model):
-        assert loan_model.table.reward_integral(0.0, 0.0) == 0.0
+        table = loan_model.table
+        assert table.stage(*table.start(0.0), 0.0) == 0.0
 
     def test_zero_before_reward_band(self, loan_model):
         # from 0 the band starts only after ~0.64 time units
-        assert loan_model.table.reward_integral(0.0, 0.3) == 0.0
-        assert loan_model.table.reward_integral(-50.0, 10.0) == 0.0
+        table = loan_model.table
+        assert table.stage(*table.start(0.0), 0.3) == 0.0
+        assert table.stage(*table.start(-50.0), 10.0) == 0.0
 
     def test_perpetuity_from_barrier(self, loan_model):
-        val = loan_model.table.reward_integral(B, np.inf)
+        table = loan_model.table
+        val = table.stage(*table.start(B), np.inf)
         assert 0.999 * C / DELTA <= val <= C / DELTA
 
     def test_bounded_and_monotone(self, loan_model, rng):
         table = loan_model.table
         ys = np.sort(rng.uniform(-30.0, B, 40))
         ts = np.sort(np.concatenate([rng.uniform(0.0, 100.0, 39), [np.inf]]))
-        vals = np.stack([np.asarray(table.reward_integral(np.full(ts.shape, y), ts))
-                         for y in ys])
+        vals = np.stack([table.stage(*table.start(np.full(ts.shape, y)), ts) for y in ys])
         assert np.max(vals) <= C / DELTA + 1e-9
         assert np.min(vals) >= 0.0
         assert np.all(np.diff(vals, axis=0) >= -1e-10)  # in y
@@ -517,21 +519,23 @@ class TestRewardIntegral:
         table = loan_model.table
         for y0, t1 in ((0.0, 2.0), (3.0, 1.5), (B - 0.5, 4.0), (-2.0, 3.0)):
             direct, _ = quad(
-                lambda s: math.exp(-DELTA * s) * float(loan_model.reward(table.flow_at(y0, s))),
+                lambda s: math.exp(-DELTA * s)
+                * float(loan_model.reward(_advance(table, y0, s)[1])),
                 0.0, t1, limit=300)
-            assert table.reward_integral(y0, t1) == pytest.approx(direct, abs=2.5e-4)
+            assert table.stage(*table.start(y0), t1) == pytest.approx(direct, abs=2.5e-4)
 
     def test_reward_from_master_agrees(self, loan_model, rng):
         table = loan_model.table
         y = rng.uniform(-5.0, B, 50)
         t = rng.uniform(0.0, 20.0, 50)
         t0 = table.time_of(y)
-        assert np.allclose(table.reward_from_master(t0, t), table.reward_integral(y, t),
+        assert np.allclose(table.reward_from_master(t0, t), table.stage(*table.start(y), t),
                            atol=1e-12)
 
     def test_negative_horizon_rejected(self, loan_model):
+        table = loan_model.table
         with pytest.raises(InputError):
-            loan_model.table.reward_integral(0.0, -1.0)
+            table.stage(*table.start(0.0), -1.0)
 
 
 def _same_bits(a, b):
@@ -633,8 +637,6 @@ class TestAdvance:
         reward, moved = _advance(table, y, 2.0)
         assert reward.shape == moved.shape == (2, 2)
         self._assert_matches_chain(table, y, 2.0)
-        assert isinstance(table.flow_at(1.0, 2.0), float)
-        assert isinstance(table.reward_integral(1.0, 2.0), float)
 
     @pytest.mark.parametrize("which", ["loan", "const"])
     def test_scalar_start_equals_the_full_batch(self, loan_model, const_table, which):
@@ -649,22 +651,20 @@ class TestAdvance:
             want = _advance(table, np.full(t.shape, y), t)
             got = _advance(table, y, t)
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-            assert _same_bits(table.reward_integral(y, t), want[0])
+            assert _same_bits(table.stage(*table.start(y), t), want[0])
             got = _advance(table, y, t.reshape(2, 4))
             assert _same_bits(got[0], want[0].reshape(2, 4))
             assert _same_bits(got[1], want[1].reshape(2, 4))
             for i, ti in enumerate(t):
                 reward, moved = _advance(table, y, ti)
                 assert _same_bits(reward, want[0][i]) and _same_bits(moved, want[1][i])
-                assert _same_bits(table.reward_integral(y, ti), want[0][i])
+                assert _same_bits(table.stage(*table.start(y), ti), want[0][i])
 
     def test_negative_time_rejected(self, loan_model):
         with pytest.raises(InputError):
             _advance(loan_model.table, 0.0, -1.0)
         with pytest.raises(InputError):
-            loan_model.table.flow_at(0.0, -1.0)
-        with pytest.raises(InputError):
-            loan_model.table.reward_integral(0.0, np.array([1.0, -1.0]))
+            loan_model.table.stage(*loan_model.table.start(0.0), np.array([1.0, -1.0]))
         with pytest.raises(InputError):
             loan_model.table.reward_from_master(0.0, -1.0)
         with pytest.raises(InputError):
@@ -688,32 +688,23 @@ def _edge_times(table):
 
 
 class TestLookupsAreTheChain:
-    """time_of, flow_at, reward_integral and reward_from_master are start and
-    stage composed: the same bits, types and shapes on the edge inputs."""
+    """time_of and reward_from_master are start and stage composed: the same
+    bits, types and shapes on the edge inputs."""
 
     @staticmethod
     def _cases(table):
-        y, t = _edge_states(table), np.abs(_edge_times(table))
-        Y, T = np.meshgrid(y, t)
-        return [(Y, T), (Y.ravel(), T.ravel()), (y[:8].reshape(2, 4), t[:4]),
-                (y[0], t), (y[:4], t[5])]
+        y = _edge_states(table)
+        Y = np.meshgrid(y, _edge_times(table))[0]
+        return [Y, Y.ravel(), y[:8].reshape(2, 4), y[0], y[:4]]
 
     @pytest.mark.parametrize("which", ["loan", "const"])
     def test_state_lookups(self, loan_model, const_table, which):
         table = loan_model.table if which == "loan" else const_table
-        for y, t in self._cases(table):
-            T0, k0 = table.start(y)
-            assert _same_bits(table.time_of(y), T0)
-            assert _same_bits(table.flow_at(y, t), table.stage(T0, k0, t, position=True)[1])
-            assert _same_bits(table.reward_integral(y, t), table.stage(T0, k0, t))
+        for y in self._cases(table):
+            assert _same_bits(table.time_of(y), table.start(y)[0])
         for y in _edge_states(table):
-            T0, k0 = table.start(y)
+            T0 = table.start(y)[0]
             assert isinstance(table.time_of(y), float) and _same_bits(table.time_of(y), T0)
-            for t in np.abs(_edge_times(table)):
-                flow, reward = table.flow_at(y, t), table.reward_integral(y, t)
-                assert isinstance(flow, float) and isinstance(reward, float)
-                assert _same_bits(flow, table.stage(T0, k0, t, position=True)[1])
-                assert _same_bits(reward, table.stage(T0, k0, t))
 
     @pytest.mark.parametrize("which", ["loan", "const"])
     def test_reward_from_master(self, loan_model, const_table, which):
@@ -1002,13 +993,13 @@ class TestLookupsMatchScipySplines:
         assert _same_bits(got, reward_from_master(t0, t))
         assert (got == 0.0).any() and (got > 0.0).any()
         # a scalar T0: broadcast by reward_from_master, and kept scalar by
-        # reward_integral, whose start time is solved once
+        # stage after start(y), whose start time is solved once
         for start in (table.reward_t[kz - 3], 0.5 * (table.reward_t[kz - 3] + ends.min()),
                       ends.min()):
             assert _same_bits(table.reward_from_master(float(start), ends - start),
                               reward_from_master(np.full(ends.shape, start), ends - start))
             y = table.pos_at(start)
-            assert _same_bits(table.reward_integral(y, ends - start),
+            assert _same_bits(table.stage(*table.start(y), ends - start),
                               reward_from_master(time_of(np.full(ends.shape, y)), ends - start))
 
     @pytest.mark.parametrize("which", ["loan", "const"])

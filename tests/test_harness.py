@@ -2,6 +2,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmpval import cli, harness, smoothing
@@ -357,6 +358,26 @@ class TestRunValidate:
         out = capsys.readouterr().out
         assert "FAIL" in out and "measured=" in out
 
+    def test_failed_build_reported_with_the_other_checks(self, monkeypatch, capsys):
+        # the clipped-ramp square breaks the step and also stops the model
+        # build (ModelError, frozen tail band): the checks that need no model
+        # still print, the build is one FAIL line with its error, and the
+        # checks that read the model are skipped
+        monkeypatch.setattr(smoothing, "heaviside", lambda y: np.clip((y + 1) / 2, 0, 1) ** 2)
+        assert run_validate() == 1
+        lines = capsys.readouterr().out.splitlines()
+        status = {line.split("  ")[1]: line for line in lines if line[:4] in ("PASS", "FAIL")}
+        for name in ("heaviside endpoint/half values", "heaviside symmetry"):
+            assert status[name].startswith("FAIL") and "measured=" in status[name]
+        assert status["sobol initial segment"].startswith("PASS")
+        for name in ("smoothed drift nonnegative", "kernel smoothing bound (ratio to 5/8*eps*n)",
+                     "bias bound decreasing", "empty rule rejected"):
+            assert name in status
+        assert status["model build"].startswith("FAIL")
+        assert "error: the reward rate varies" in status["model build"]
+        assert "flow semigroup" not in status and "estimate within [0, C_V]" not in status
+        assert any(line.startswith("skipped") for line in lines)
+
 
 class TestCLI:
     def test_value_subcommand(self, tmp_path, capsys):
@@ -368,6 +389,23 @@ class TestCLI:
         assert "value=" in printed
         rows = out_csv.read_text().strip().splitlines()
         assert rows[0] == CSV_HEADER and rows[1].startswith("gauss,8,2,1,")
+
+    def test_value_writes_the_config_out(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        out_csv = tmp_path / "v.csv"
+        cfg_file.write_text(f"methods = gauss\nm_schedule = 8\njumps = 1\nout = {out_csv}\n")
+        assert main(["value", "--config", str(cfg_file)]) == 0
+        assert "value=" in capsys.readouterr().out
+        rows = out_csv.read_text().strip().splitlines()
+        assert rows[0] == CSV_HEADER and rows[1].startswith("gauss,8,2,1,")
+
+    def test_value_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("methods = gauss\nm_schedule = 8\njumps = 1\n")
+        assert main(["value", "--config", str(cfg_file)]) == 0
+        assert "value=" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_convergence_subcommand_with_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -4,7 +4,6 @@ import math
 import warnings
 import weakref
 
-import numpy as np
 import pytest
 
 from pdmpval.errors import InputError, ModelError
@@ -52,12 +51,6 @@ class TestSmoothedLoanModel:
     def test_spec_validates(self, loan_model):
         loan_model.spec.validate()
         assert loan_model.spec.intensity_bound == LAM
-
-    def test_jump_density(self, loan_model):
-        assert loan_model.jump_density(0.0) == ALPHA
-        assert loan_model.jump_density(-1.0) == 0.0
-        ys = np.linspace(0.0, 10.0, 64)
-        assert np.allclose(loan_model.jump_density(ys), ALPHA * np.exp(-ALPHA * ys))
 
     def test_validate_evaluates_whole_sample_grids(self, loan_model):
         spec = loan_model.spec

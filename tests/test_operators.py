@@ -23,13 +23,10 @@ from pdmpval.cubature import (
     sobol_column,
 )
 from pdmpval.errors import InputError, ModelError
+from pdmpval.harness import _naive_truncated_integrand
 from pdmpval.loan import SmoothedLoanModel
 from pdmpval.model import value_upper_bound
-from pdmpval.operators import (
-    IteratedPoint,
-    estimate_value,
-    iterated_integrand,
-)
+from pdmpval.operators import _check_x0, _integrand_batch, estimate_value
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
 RUIN = -C / RHO
@@ -41,33 +38,9 @@ def gauss_value(x0, n, m, model):
     return estimate_value(x0, n, rule, model).value
 
 
-def naive_truncated_sum(coords, x0, model, n):
-    """Independent per-term evaluation of the truncated sum.
-
-    Recomputes every term of the iterated-integral sum from scratch with its
-    own state recursion (no shared accumulation), following the substituted
-    integrand literally: term i carries lam^i, the inter-jump factors
-    v_j^(lam+delta-1) f_Y(y_j) (chi_j- + c/rho) for j < i, and the final
-    factor v_i^(lam-1) L(-ln v_i, chi_{i-1}).
-    """
-    total = 0.0
-    for i in range(1, n + 1):
-        chi = float(x0)
-        factors = 1.0
-        for j in range(1, i):
-            v_j = float(coords[2 * (j - 1)])
-            z_j = float(coords[2 * (j - 1) + 1])
-            t_j = -math.log(v_j)
-            chi_pre = float(model.table.flow_at(chi, t_j))
-            span = chi_pre + C / RHO
-            y_j = z_j * span
-            density = ALPHA * math.exp(-ALPHA * y_j)
-            factors *= LAM * v_j ** (LAM + DELTA - 1.0) * density * span
-            chi = chi_pre - y_j
-        v_i = float(coords[2 * (i - 1)])
-        total += factors * LAM * v_i ** (LAM - 1.0) * float(
-            model.table.reward_integral(chi, -math.log(v_i)))
-    return total
+def point_integrand(model, x0, coords):
+    """The integrand at one point of [0, 1]^(2n): a batch of one."""
+    return _integrand_batch(model, x0, len(coords) // 2, lambda d: coords[d:d + 1])[0]
 
 
 class TestHInner:
@@ -75,35 +48,26 @@ class TestHInner:
     the flow table in the v = exp(-t) variable (v = 0 is the infinite horizon)."""
 
     def test_zero_at_v_one(self, loan_model):
-        assert loan_model.table.reward_integral(0.0, -math.log(1.0)) == 0.0
+        table = loan_model.table
+        assert table.stage(*table.start(0.0), -math.log(1.0)) == 0.0
 
     def test_perpetuity_limit_at_barrier(self, loan_model):
-        val = loan_model.table.reward_integral(B, math.inf)
+        table = loan_model.table
+        val = table.stage(*table.start(B), math.inf)
         assert 0.999 * C / DELTA <= val <= C / DELTA
 
     def test_zero_when_band_unreached(self, loan_model):
-        assert loan_model.table.reward_integral(-50.0, -math.log(0.9)) == 0.0
+        table = loan_model.table
+        assert table.stage(*table.start(-50.0), -math.log(0.9)) == 0.0
 
     def test_expected_h_matches_quadrature(self, loan_model):
         # integral of lam v^(lam-1) h dv equals the n=1 truncated sum
         table = loan_model.table
-        expected, _ = quad(lambda v: LAM * v ** (LAM - 1.0) * table.reward_integral(0.0, -math.log(v)),
-                           0.0, 1.0, limit=300)
+        start = table.start(0.0)
+        expected, _ = quad(
+            lambda v: LAM * v ** (LAM - 1.0) * float(table.stage(*start, -math.log(v))),
+            0.0, 1.0, limit=300)
         assert gauss_value(0.0, 1, 64, loan_model) == pytest.approx(expected, abs=2e-4)
-
-
-class TestIteratedPoint:
-    def test_validation(self):
-        with pytest.raises(InputError):
-            IteratedPoint(np.array([0.1, 0.2, 0.3]))  # odd length
-        with pytest.raises(InputError):
-            IteratedPoint(np.array([0.1, 1.2]))  # outside [0, 1]
-        assert IteratedPoint(np.array([0.2, 0.4, 0.6, 0.8])).n == 2
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_coordinate_rejected(self, bad):
-        with pytest.raises(InputError, match="finite"):
-            IteratedPoint(np.array([0.5, 0.5, bad, 0.5]))
 
 
 class TestIteratedIntegrand:
@@ -111,20 +75,21 @@ class TestIteratedIntegrand:
         for _ in range(100):
             n = int(rng.integers(1, 5))
             coords = rng.uniform(0.02, 0.98, size=2 * n)
-            single = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
-            naive = naive_truncated_sum(coords, 0.0, loan_model, n)
+            single = point_integrand(loan_model, 0.0, coords)
+            naive = _naive_truncated_integrand(coords, 0.0, loan_model, n)
             assert single == pytest.approx(naive, rel=1e-12, abs=1e-300)
 
     def test_fixed_point_against_naive(self, loan_model):
         coords = np.array([0.5, 0.5, 0.5, 0.5])
-        single = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
-        naive = naive_truncated_sum(coords, 0.0, loan_model, 2)
+        single = point_integrand(loan_model, 0.0, coords)
+        naive = _naive_truncated_integrand(coords, 0.0, loan_model, 2)
         assert single == pytest.approx(naive, abs=1e-10)
 
     def test_substitution_jacobian_against_ty_space(self, loan_model, rng):
         # third derivation route: evaluate the UNSUBSTITUTED integrand in
         # (t, y) space and multiply by the lower-triangular Jacobian
         # determinant prod(1/v_j) * prod(chi_j- + c/rho)
+        table = loan_model.table
         for _ in range(40):
             n = int(rng.integers(1, 5))
             coords = rng.uniform(0.05, 0.95, size=2 * n)
@@ -136,7 +101,7 @@ class TestIteratedIntegrand:
                 for j in range(1, i):
                     v_j = float(coords[2 * (j - 1)])
                     t_j = -math.log(v_j)
-                    chi_pre = float(loan_model.table.flow_at(chi, t_j))
+                    chi_pre = float(table.stage(*table.start(chi), t_j, position=True)[1])
                     span = chi_pre + C / RHO
                     y_j = float(coords[2 * (j - 1) + 1]) * span
                     # (t, y)-space factors: lam e^{-(lam+delta) t_j} f_Y(y_j)
@@ -145,33 +110,32 @@ class TestIteratedIntegrand:
                     chi = chi_pre - y_j
                 v_i = float(coords[2 * (i - 1)])
                 t_i = -math.log(v_i)
-                weight *= LAM * math.exp(-LAM * t_i) * float(loan_model.table.reward_integral(chi, t_i))
+                weight *= LAM * math.exp(-LAM * t_i) * float(table.stage(*table.start(chi), t_i))
                 jac *= 1.0 / v_i
                 total += weight * jac
-            single = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
+            single = point_integrand(loan_model, 0.0, coords)
             assert single == pytest.approx(total, rel=1e-11, abs=1e-300)
 
     def test_first_term_ignores_jump_coordinate(self, loan_model):
-        base = iterated_integrand(IteratedPoint(np.array([0.3, 0.1])), 0.0, loan_model)
+        base = point_integrand(loan_model, 0.0, np.array([0.3, 0.1]))
         for z in (0.0, 0.5, 0.99):
-            assert iterated_integrand(IteratedPoint(np.array([0.3, z])), 0.0, loan_model) == base
+            assert point_integrand(loan_model, 0.0, np.array([0.3, z])) == base
 
     def test_zero_when_nothing_reachable(self, loan_model):
-        val = iterated_integrand(IteratedPoint(np.array([0.9, 0.5])), RUIN + 0.5, loan_model)
+        val = point_integrand(loan_model, RUIN + 0.5, np.array([0.9, 0.5]))
         assert val == 0.0
 
     def test_nonnegative(self, loan_model, rng):
         for _ in range(50):
             coords = rng.uniform(0.0, 1.0, size=8)
-            assert iterated_integrand(IteratedPoint(coords), 0.0, loan_model) >= 0.0
+            assert point_integrand(loan_model, 0.0, coords) >= 0.0
 
     def test_x0_outside_domain_rejected(self, loan_model):
         # the integrand is defined on (ruin, b]; estimate_value alone prices a
         # start above the barrier
-        point = IteratedPoint(np.array([0.5, 0.5]))
         for x0 in (B + 1.0, RUIN, RUIN - 1.0):
             with pytest.raises(InputError, match="outside"):
-                iterated_integrand(point, x0, loan_model)
+                _check_x0(loan_model, x0)
 
 
 class TestTensorGauss:
@@ -251,8 +215,10 @@ class TestEstimateValue:
     def test_gauss_vs_adaptive_quadrature_smooth_start(self, loan_model):
         # from the barrier the substituted integrand is smooth: 32-point Gauss
         # agrees with adaptive quadrature to 1e-6
+        table = loan_model.table
+        start = table.start(B)
         expected, _ = quad(
-            lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(B, -math.log(v)),
+            lambda v: LAM * v ** (LAM - 1.0) * float(table.stage(*start, -math.log(v))),
             0.0, 1.0, limit=300, epsabs=1e-12, epsrel=1e-12)
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2)
         est = estimate_value(B, 1, rule, loan_model)
@@ -263,8 +229,10 @@ class TestEstimateValue:
     def test_gauss_at_zero_start_limited_by_ramp_kink(self, loan_model):
         # from x0=0 the reward onset leaves only a C^3 integrand; the 32-point
         # Gauss truncation error is ~1e-3 and cannot reach 1e-6
+        table = loan_model.table
+        start = table.start(0.0)
         expected, _ = quad(
-            lambda v: LAM * v ** (LAM - 1.0) * loan_model.table.reward_integral(0.0, -math.log(v)),
+            lambda v: LAM * v ** (LAM - 1.0) * float(table.stage(*start, -math.log(v))),
             0.0, 1.0, limit=400, points=[0.52488], epsabs=1e-13, epsrel=1e-13)
         rule = CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=32, d=2)
         est = estimate_value(0.0, 1, rule, loan_model)
@@ -447,7 +415,7 @@ class TestEstimateValue:
         monkeypatch.setattr(pdmpval.flow._Guide, "find", find)
         monkeypatch.setattr(pdmpval.flow, "_interval", interval)
         monkeypatch.setattr(PPoly, "__call__", no_spline)
-        for name in ("time_of", "pos_at", "reward_from_master", "flow_at", "reward_integral"):
+        for name in ("time_of", "pos_at", "reward_from_master"):
             monkeypatch.setattr(table_cls, name, no_spline)
         n, m = 6, 512
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=m, d=2 * n, seed=1, replicates=1)
@@ -618,7 +586,7 @@ def _integrand_batch_oracle(model, x0, n, cols):
             logv = np.clip(cols(2 * j), pdmpval.operators._LOG_TINY, 1.0)
         np.log(logv, out=logv)
         if j == n - 1:  # nothing reads the last stage's position
-            reward = table.reward_integral(chi, -logv)
+            reward = table.stage(*table.start(chi), -logv)
         else:
             reward, chi_pre = table.stage(*table.start(chi), -logv, position=True)
         total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
@@ -762,7 +730,7 @@ class TestDroppedNodes:
         t_cut, e, grid_t, grid_y = table._cut_t, table._cut_step, table.grid_t, table.grid_y
         x0, t1 = -50.0, 2.0
         T0 = table.time_of(x0)
-        chi_pre = table.flow_at(x0, t1)
+        chi_pre = table.stage(*table.start(x0), t1, position=True)[1]
         i = np.searchsorted(grid_t, T0) + np.arange(4, 60, 8)  # knots below chi_pre
         assert grid_t[i[-1]] < T0 + t1
         lo, hi = grid_y[i - 1], grid_y[i]
@@ -815,7 +783,7 @@ class TestDroppedNodes:
         with pytest.raises(ModelError, match="overflowed"):
             _integrand_batch_oracle(loan_model, x0, n, lambda dim: coords[dim:dim + 1])
         with pytest.raises(ModelError, match="overflowed"):
-            iterated_integrand(IteratedPoint(coords), x0, loan_model)
+            point_integrand(loan_model, x0, coords)
 
 
 class TestRemainingTime:
@@ -841,8 +809,8 @@ class TestRemainingTime:
         assert np.prod(coords[0::2]) < np.finfo(float).tiny
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = iterated_integrand(IteratedPoint(coords), 0.0, loan_model)
-            naive = pdmpval.harness._naive_truncated_integrand(coords, 0.0, loan_model, n)
+            got = point_integrand(loan_model, 0.0, coords)
+            naive = _naive_truncated_integrand(coords, 0.0, loan_model, n)
         want = _integrand_batch_oracle(loan_model, 0.0, n, lambda dim: coords[dim:dim + 1])
         assert got.hex() == want[0].hex()
         # the per-term oracle multiplies its weights where the integrand adds

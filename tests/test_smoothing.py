@@ -8,9 +8,7 @@ from pdmpval.errors import InputError, ModelError
 from pdmpval.smoothing import (
     JumpKernelSpec,
     KernelBranch,
-    SmoothJoinSide,
     heaviside,
-    smooth_join,
     smoothed_branch_weight,
     smoothed_drift_loan,
     smoothed_kernel_integrate,
@@ -64,45 +62,6 @@ class TestHeaviside:
     def test_vectorised_matches_scalar(self):
         ys = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
         assert np.array_equal(heaviside(ys), np.array([heaviside(float(y)) for y in ys]))
-
-
-class TestSmoothJoin:
-    def test_zero_functions(self):
-        f = smooth_join(lambda y: 0.0 * y, lambda y: 0.0 * y, 0.0, 1.0)
-        ys = np.linspace(-3, 3, 101)
-        assert np.all(f(ys) == 0.0)
-
-    def test_center_value_at_junction(self):
-        f = smooth_join(lambda y: np.ones_like(y), lambda y: np.zeros_like(y), 0.0, 1.0)
-        assert f(0.0) == 0.5
-
-    def test_outside_window_equals_branch(self):
-        # f1 = y above, f2 = -y below; y=0.6 lies outside the width-0.5 window
-        f = smooth_join(lambda y: y, lambda y: -y, 0.0, 0.5)
-        assert f(0.6) == 0.6
-        assert f(-0.6) == 0.6
-
-    @pytest.mark.parametrize("side,window", [
-        (SmoothJoinSide.CENTER, (-0.2, 0.2)),
-        (SmoothJoinSide.LEFT, (-0.4, 0.0)),
-        (SmoothJoinSide.RIGHT, (0.0, 0.4)),
-    ])
-    def test_window_placement(self, side, window):
-        f1 = lambda y: np.sin(y) + 2.0
-        f2 = lambda y: np.cos(y) - 3.0
-        joined = smooth_join(f1, f2, 0.0, 0.2, side)
-        lo, hi = window
-        ys_below = np.linspace(-2.0, lo - 1e-12, 57)
-        ys_above = np.linspace(hi + 1e-12, 2.0, 57)
-        assert np.array_equal(joined(ys_below), f2(ys_below))
-        assert np.array_equal(joined(ys_above), f1(ys_above))
-        inside = np.linspace(lo + 1e-3, hi - 1e-3, 23)
-        blended = joined(inside)
-        assert np.any(blended != f1(inside)) and np.any(blended != f2(inside))
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(InputError):
-            smooth_join(lambda y: y, lambda y: y, 0.0, 0.0)
 
 
 class TestSmoothedDrift:
