@@ -22,7 +22,7 @@ from .harness import (
 )
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import mc_reference
-from .model import ComponentSpec, Interval, ModelSpec, bias_bound, value_upper_bound
+from .model import Interval, ModelSpec, bias_bound
 from .operators import Estimate, estimate_value
 from .smoothing import (
     JumpKernelSpec,

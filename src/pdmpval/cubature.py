@@ -74,7 +74,11 @@ class CubatureSpec:
     replicates: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", RuleKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", RuleKind(self.kind))
+        except ValueError:
+            raise InputError(f"unknown rule kind {self.kind!r}; choose from "
+                             f"{sorted(k.value for k in RuleKind)}") from None
         require_int("dimension d", self.d, 1)
         require_int("node count M", self.M, 1)
         require_int("seed", self.seed, 0)

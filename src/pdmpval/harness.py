@@ -23,7 +23,6 @@ from .cubature import CubatureSpec, RuleKind
 from .errors import InputError, ModelError, require_int
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import MCResume, mc_reference
-from .model import bias_bound, value_upper_bound
 from .operators import Estimate, _integrand_batch, check_gauss_budget, estimate_value
 
 __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_file",
@@ -108,7 +107,7 @@ def parse_config_file(path) -> dict:
     out, first_line = {}, {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -456,7 +455,7 @@ def run_validate() -> int:
 
     # bounds and input checks
     check("bias bound decreasing",
-          float(max(0.0, np.max(np.diff([bias_bound(k, 4.0, 0.02, 250.0) for k in range(0, 40)])))),
+          float(max(0.0, np.max(np.diff([published.bias_bound(k) for k in range(0, 40)])))),
           0.0)
     try:
         CubatureSpec(kind=RuleKind.SOBOL, M=0, d=4)
@@ -493,7 +492,7 @@ def run_validate() -> int:
     check("reward integral monotone in horizon",
           float(max(0.0, -np.min(np.diff(lvals, axis=1)))), 1e-12)
     check("reward integral bounded by c/delta",
-          float(max(0.0, np.max(lvals) - c / published.delta)), 1e-9)
+          float(max(0.0, np.max(lvals) - published.value_bound)), 1e-9)
 
     # operators: single pass vs naive terms, Gauss vs adaptive quadrature
     rng = np.random.default_rng(7)
@@ -521,8 +520,8 @@ def run_validate() -> int:
     # the estimate within its value bound
     est = estimate_value(0.0, 2, CubatureSpec(kind=RuleKind.SOBOL, M=512, d=4, seed=1,
                                               replicates=4), model)
-    cv = value_upper_bound(model.spec)
-    check("estimate within [0, C_V]", float(max(0.0, -est.value, est.value - cv)), 0.0)
+    check("estimate within [0, C_V]",
+          float(max(0.0, -est.value, est.value - published.value_bound)), 0.0)
     return _report(results)
 
 

@@ -1,5 +1,6 @@
 """The smoothed Cramer-Lundberg-with-loan model: parameters, tabulated flow,
-reward integral and the PDMP spec the valuation operators check and bound.
+the reward spec ``build`` checks, and the stage law the valuation
+integrand reads.
 
 Surplus grows at premium rate c, borrows at rate rho below zero, is ruined
 below -c/rho, and pays dividends at rate c near the barrier b.  Drift and
@@ -18,10 +19,12 @@ import numpy as np
 
 from .errors import InputError
 from .flow import FlowTable, build_flow_table
-from .model import ComponentSpec, Interval, ModelSpec
+from .model import Interval, ModelSpec, bias_bound
 from .smoothing import _check_loan_eps, smoothed_drift_loan, smoothed_reward_loan
 
 __all__ = ["LoanParams", "SmoothedLoanModel"]
+
+_LOG_SAFE = 700.0  # a weight exponent below this cannot overflow exp()
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class LoanParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be finite and positive, got {value}")
         for name, value in (("ruin level -c/rho", self.ruin_level),
-                            ("value bound c/delta", self.c / self.delta)):
+                            ("value bound c/delta", self.value_bound)):
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value} for c={self.c}, "
                                  f"rho={self.rho}, delta={self.delta}")
@@ -58,14 +61,28 @@ class LoanParams:
     def ruin_level(self) -> float:
         return -self.c / self.rho
 
+    @property
+    def value_bound(self) -> float:
+        """C_V = c/delta: the largest dividend rate over the discount rate,
+        a bound on the value of the smoothed and the unsmoothed model."""
+        return self.c / self.delta
+
+    def bias_bound(self, n: int) -> float:
+        """Truncation bias of the n-jump partial sum, C_V (lam/(lam+delta))^n:
+        the intensity is the constant lam."""
+        return bias_bound(n, self.lam, self.delta, self.value_bound)
+
 
 @dataclass
 class SmoothedLoanModel:
-    """Built model: parameters plus the master flow table and PDMP spec.
+    """Built model: parameters, the master flow table, the reward spec that
+    ``build`` sample-checks, and the paper-form stage law.
 
-    Component indices follow the three-component description of the smoothed
-    model: 1 is the live interval (-c/rho, inf), 2 the ruin half-line below
-    -c/rho, 3 the absorbing point at -c/rho (2 and 3 form the cemetery).
+    The law is what ``operators`` reads of the model besides its table: the
+    start rule (``start``), the weight of a stage's reward term
+    (``term_weight``), the claim jump with its weight step (``claim_jump``),
+    the weight guard of the drop rule (``weight_bounded``) and the
+    truncation bias (``bias_bound``).  The weight W is carried as its log.
     """
 
     params: LoanParams
@@ -73,22 +90,20 @@ class SmoothedLoanModel:
     spec: ModelSpec = field(init=False)
 
     def __post_init__(self):
-        # The spec's callables hold the parameters, not the model: a model
-        # that is dropped is freed at once, with its table, instead of at the
-        # next cyclic garbage collection.
+        # The spec's reward holds the parameters, not the model: a model that
+        # is dropped is freed at once, with its table, instead of at the next
+        # cyclic garbage collection.
         p = self.params
-        reward = partial(_reward, p)
-        live = ComponentSpec(domain=Interval(p.ruin_level, math.inf), intensity=p.lam)
-        below = ComponentSpec(domain=Interval(-math.inf, p.ruin_level), is_cemetery=True)
-        edge = ComponentSpec(domain=Interval(p.ruin_level, p.ruin_level), is_cemetery=True)
-        self.spec = ModelSpec(
-            components={1: live, 2: below, 3: edge},
-            reward=lambda k, y: reward(y) if k == 1 else _zeros(y),
-            terminal=lambda k, y: _zeros(y),
-            discount=p.delta,
-            reward_bound=p.c,
-            terminal_bound=0.0,
-        )
+        self.spec = ModelSpec(domain=Interval(p.ruin_level, math.inf),
+                              reward=partial(_reward, p), reward_bound=p.c)
+        self._log_lam = math.log(p.lam)
+        self._log_alpha = math.log(p.alpha)
+        # the weight guard's bounds: a stage raises logw by at most `_grow`
+        # plus `_per_time` times its time, and a term's exponent exceeds logw
+        # by at most log lam plus `_per_time` times its time
+        self._grow = max(0.0, self._log_lam + self._log_alpha
+                         + math.log(self.table.y_end - p.ruin_level))
+        self._per_time = max(0.0, 1.0 - p.lam - p.delta) + max(0.0, 1.0 - p.lam)
 
     # -- construction --------------------------------------------------------
 
@@ -116,7 +131,7 @@ class SmoothedLoanModel:
             refine_y=(-eps, 0.0, eps, b - 2.0 * eps, b - eps, b),
         )
         model = cls(params=p, table=table)
-        model.spec.validate()  # sample-check declared bounds and support rules
+        model.spec.validate()  # sample-check the reward against its bound
         return model
 
     # -- local characteristics ------------------------------------------------
@@ -124,14 +139,52 @@ class SmoothedLoanModel:
     def reward(self, y):
         return _reward(self.params, y)
 
+    # -- the paper-form stage law ---------------------------------------------
+
+    def start(self, x0: float) -> tuple:
+        """The barrier strategy's start: ``(position, lump sum)``.
+
+        The integrand runs on (ruin, b].  A start above b pays the excess
+        x0 - b at once and continues from b; any other start pays 0.0.
+        InputError for a start that is not finite or not above the ruin level.
+        """
+        if not math.isfinite(x0):
+            raise InputError(f"start value must be finite, got {x0}")
+        p = self.params
+        if not x0 > p.ruin_level:
+            raise InputError(f"start value {x0} is not above the ruin level {p.ruin_level}")
+        return (p.b, x0 - p.b) if x0 > p.b else (x0, 0.0)
+
+    def term_weight(self, logw, logv):
+        """Weight of a stage's reward term, W lam v^(lam-1), from log W and log v."""
+        return np.exp(logw + self._log_lam + (self.params.lam - 1.0) * logv)
+
+    def claim_jump(self, chi_pre, z, logv):
+        """A stage's claim: ``(chi, log-weight step)`` from the pre-jump
+        position, the claim coordinate z and the stage's log v.
+
+        The claim y = z (chi_pre + c/rho) is uniform on the live span, so
+        chi = chi_pre - y stays above ruin, and W gains
+        lam v^(lam+delta-1) f_Y(y) (chi_pre + c/rho), f_Y(y) = alpha e^(-alpha y).
+        """
+        p = self.params
+        span = chi_pre - p.ruin_level
+        jump = z * span
+        step = (self._log_lam + (p.lam + p.delta - 1.0) * logv
+                + self._log_alpha - p.alpha * jump + np.log(span))
+        return chi_pre - jump, step
+
+    def weight_bounded(self, logw, rem, left: int):
+        """Where no weight exponent of the ``left`` stages to come can
+        overflow exp(), for nodes of log-weight ``logw`` and remaining time
+        ``rem``: there W * 0.0 is 0.0, not NaN, so a dropped node's total
+        hides no overflow."""
+        return logw + self._per_time * rem < _LOG_SAFE - self._log_lam - (left - 1) * self._grow
+
+    def bias_bound(self, n: int) -> float:
+        """Truncation bias of the n-jump partial sum (``LoanParams.bias_bound``)."""
+        return self.params.bias_bound(n)
+
 
 def _reward(p: LoanParams, y):
     return smoothed_reward_loan(y, p.c, p.b, p.eps)
-
-
-def _zeros(y):
-    """Zero at every position of y: an array of y's shape, or 0.0 for a scalar.
-
-    The shape lets ``ModelSpec.validate`` check a whole sample grid in one call.
-    """
-    return np.zeros(np.shape(y)) if np.ndim(y) else 0.0

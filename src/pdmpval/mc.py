@@ -34,7 +34,6 @@ import numpy as np
 from .cubature import keyed_stream
 from .errors import InputError, ModelError, require_int
 from .loan import LoanParams
-from .model import bias_bound
 from .operators import Estimate
 
 __all__ = ["MCResume", "mc_reference"]
@@ -197,6 +196,5 @@ def mc_reference(params: LoanParams, x0: float, n_paths: int, seed: int = 0,
     if not (math.isfinite(mean) and (std_error is None or math.isfinite(std_error))):
         raise ModelError(f"Monte Carlo sums overflow: mean {mean}, standard error {std_error}")
     wall_ms = (time.perf_counter() - start) * 1e3
-    bias = bias_bound(max_jumps, params.lam, params.delta, params.c / params.delta)
-    return Estimate(value=mean, std_error=std_error, bias_bound=bias,
+    return Estimate(value=mean, std_error=std_error, bias_bound=params.bias_bound(max_jumps),
                     M=n_paths, d=2 * max_jumps, replicates=1, wall_ms=wall_ms)

@@ -13,11 +13,16 @@ read.  At stage j the pass
     scales W *= lam * v_j^(lam+delta-1) * f_Y(y_j) * (chi_j- + c/rho),
     jumps  chi_j = chi_j- - y_j.
 
+The model owns this law: ``SmoothedLoanModel.term_weight`` is the term's
+weight, ``claim_jump`` the draw, the scaling and the jump, ``start`` the
+start rule and ``bias_bound`` the truncation bound.  The pass reads nothing
+else of the model but its flow table.
+
 W is kept in log space: it underflows harmlessly for deep stages and any
 overflow (possible only on an astronomically unlikely corner of the cube)
 is detected rather than silently wrapped.  Jumps below the ruin level carry
 zero mass by construction (the substitution samples sizes on
-(0, chi + c/rho)), so the integrand never leaves the live component.
+(0, chi + c/rho)), so the integrand never reaches the ruin level.
 
 Each stage is three flow-table calls: ``locate``, the grid_y interval of
 chi, for the drop test below; ``start``, the time solve T0 = T(chi) on the
@@ -61,10 +66,11 @@ time_of (plus a position's rounding) over the smallest slope of the
 position interpolant on [0, grid_t[_kz]] (0.02 time units on the loan
 table, whose slope at the ruin end is about 5e-8), plus a time sum's
 rounding.  The cut is -inf when that slope is 0, and then nothing is
-dropped.  A weight guard keeps the overflow report: W * 0.0 is NaN once W
-overflows exp(), so a node is dropped only if a bound on its later weight
-exponents (each stage adds at most log(lam alpha (y_end + c/rho)) plus, for
-lam + delta < 1 or lam < 1, a multiple of its time) stays below 700.
+dropped.  A weight guard (``SmoothedLoanModel.weight_bounded``) keeps the
+overflow report: W * 0.0 is NaN once W overflows exp(), so a node is dropped
+only if a bound on its later weight exponents (each stage adds at most
+log(lam alpha (y_end + c/rho)) plus, for lam + delta < 1 or lam < 1, a
+multiple of its time) stays below 700.
 
 The rule rests on the reward being zero below the band and on nothing else
 being read from a stage's end state.  A start function V0 added at the last
@@ -97,7 +103,6 @@ from .cubature import (
 )
 from .errors import InputError, ModelError, require_int
 from .loan import SmoothedLoanModel
-from .model import bias_bound, value_upper_bound
 
 __all__ = ["Estimate", "check_gauss_budget", "estimate_value"]
 
@@ -105,7 +110,6 @@ _CHUNK = MC_CHUNK_NODES  # nodes per accumulation chunk (fixed: determinism cont
 _STACK = 4 * _CHUNK  # most nodes per integrand batch of stacked replicates
 _LOG_TINY = 1e-300
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
-_LOG_SAFE = 700.0  # a weight exponent below this cannot overflow exp()
 _EPS = float(np.finfo(float).eps)
 
 
@@ -122,12 +126,6 @@ class Estimate:
     wall_ms: float
 
 
-def _check_x0(model: SmoothedLoanModel, x0: float) -> None:
-    p = model.params
-    if not p.ruin_level < x0 <= p.b:
-        raise InputError(f"start value {x0} outside ({p.ruin_level}, {p.b}]")
-
-
 def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable) -> np.ndarray:
     """Evaluate the n-term accumulated integrand at a batch of points.
 
@@ -138,16 +136,7 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
     is a batch of one:
     ``_integrand_batch(model, x0, n, lambda d: coords[d:d + 1])[0]``.
     """
-    p = model.params
     table = model.table
-    lam, delta, alpha, ruin = p.lam, p.delta, p.alpha, p.ruin_level
-    log_lam = math.log(lam)
-    log_alpha = math.log(alpha)
-    # the weight guard's bounds: a stage raises logw by at most `grow` plus
-    # `per_time` times its time, and a term's exponent exceeds logw by at
-    # most log_lam plus `per_time` times its time
-    grow = max(0.0, log_lam + log_alpha + math.log(table.y_end - ruin))
-    per_time = max(0.0, 1.0 - lam - delta) + max(0.0, 1.0 - lam)
     live = None  # indices of the nodes still evaluated; None while that is all of them
 
     def column(dim: int) -> np.ndarray:
@@ -194,8 +183,7 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
         k, t_up = table.locate(chi)
         gone = np.flatnonzero(t_up + rem < table.reward_cut(left + 1) - slack)
         # the weight guard, on the nodes the test passes (their rem is finite)
-        gone = gone[logw.take(gone) + per_time * rem.take(gone)
-                    < _LOG_SAFE - log_lam - (left - 1) * grow]
+        gone = gone[model.weight_bounded(logw.take(gone), rem.take(gone), left)]
         if gone.size:
             total, logw, rem, chi, k, logv = drop(gone, total, logw, rem, chi, k, logv)
             if not live.size:
@@ -207,17 +195,14 @@ def _integrand_batch(model: SmoothedLoanModel, x0: float, n: int, cols: Callable
             reward = table.stage(T0, k0, -logv)
         else:
             reward, chi_pre = table.stage(T0, k0, -logv, position=True)
-        total += np.exp(logw + log_lam + (lam - 1.0) * logv) * reward
+        total += model.term_weight(logw, logv) * reward
         if j < n - 1:
-            span = chi_pre - ruin
-            jump = column(2 * j + 1) * span
-            logw += (log_lam + (lam + delta - 1.0) * logv
-                     + log_alpha - alpha * jump + np.log(span))
-            chi = chi_pre - jump
+            chi, step = model.claim_jump(chi_pre, column(2 * j + 1), logv)
+            logw += step
             rem += logv
             # free this stage's arrays before the next stage's lookups, the
             # point where a stacked batch holds the most temporaries
-            del reward, chi_pre, span, jump, T0, k0
+            del reward, chi_pre, step, T0, k0
             logv = None  # the next stage reads its v column after its drop
     else:
         out[slice(None) if live is None else live] = total
@@ -329,29 +314,22 @@ def estimate_value(x0: float, n: int, rule: CubatureSpec, model: SmoothedLoanMod
     it runs one replicate over the 2n-1 live dimensions (z_n is never read)
     within a budget of 1e7 nodes and carries no error bar.
 
-    A start above the barrier b follows the barrier strategy: the excess
-    x0 - b is paid out at once as a lump sum, so the value is the estimate
-    at b plus (x0 - b).
+    The model's start rule (``SmoothedLoanModel.start``) follows the
+    barrier strategy: the excess x0 - b of a start above the barrier b is
+    paid out at once as a lump sum, so the value is the estimate at b plus
+    (x0 - b).
     """
     require_int("jump count n", n, 1)
     require_int("workers", workers, 1)
     if rule.d != 2 * n:
         raise InputError(f"rule dimension {rule.d} does not match 2n = {2 * n}")
-    if not math.isfinite(x0):
-        raise InputError(f"start value must be finite, got {x0}")
-    b = model.params.b
-    start_x = min(x0, b)
-    _check_x0(model, start_x)
+    start_x, lump = model.start(x0)
     check_gauss_budget(rule)
     start = time.perf_counter()
     reps = 1 if rule.kind is RuleKind.GAUSS_PRODUCT else rule.replicates
     means = _replicate_means(model, start_x, n, rule, reps, workers)
-    value = float(np.mean(means))
-    if x0 > b:
-        value += x0 - b
+    value = float(np.mean(means)) + lump
     std_error = float(np.std(means, ddof=1) / math.sqrt(reps)) if reps >= 2 else None
     wall_ms = (time.perf_counter() - start) * 1e3
-    spec = model.spec
-    bias = bias_bound(n, spec.intensity_bound, spec.discount, value_upper_bound(spec))
-    return Estimate(value=value, std_error=std_error, bias_bound=bias,
+    return Estimate(value=value, std_error=std_error, bias_bound=model.bias_bound(n),
                     M=rule.M, d=rule.d, replicates=reps, wall_ms=wall_ms)

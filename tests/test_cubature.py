@@ -386,6 +386,10 @@ class TestCubatureSpec:
         spec = CubatureSpec(kind="sobol", M=128, d=64, seed=1, replicates=5)
         assert spec.kind is RuleKind.SOBOL
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(InputError, match=r"unknown rule kind 'foo'.*gauss.*halton.*mc.*sobol"):
+            CubatureSpec(kind="foo", M=4, d=2)
+
     def test_rejects_empty_rule(self):
         with pytest.raises(InputError):
             CubatureSpec(kind=RuleKind.MC, M=0, d=2)

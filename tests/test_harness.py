@@ -552,6 +552,16 @@ class TestCLI:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
+    def test_undecodable_config_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_bytes(b"jumps = 1\n\xff\n")
+        assert main([command, "--config", str(cfg_file)]) == 2
+        assert f"cannot read config {cfg_file}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["value", "convergence", "epsilon-study"])
     def test_x0_below_ruin_level_exit_code(self, tmp_path, monkeypatch, capsys, command):
         builds = []
         real = harness.SmoothedLoanModel.build

@@ -8,7 +8,6 @@ import pytest
 
 from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams, SmoothedLoanModel
-from pdmpval.model import value_upper_bound
 
 C, RHO, B, LAM, ALPHA, DELTA, EPS = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02, 0.01
 
@@ -46,23 +45,18 @@ class TestLoanParams:
 
 class TestSmoothedLoanModel:
     def test_value_bound(self, loan_model):
-        assert value_upper_bound(loan_model.spec) == 250.0
+        assert loan_model.params.value_bound == 250.0
 
     def test_spec_validates(self, loan_model):
         loan_model.spec.validate()
-        assert loan_model.spec.intensity_bound == LAM
+        assert loan_model.spec.domain.lower == loan_model.params.ruin_level
 
     def test_validate_evaluates_whole_sample_grids(self, loan_model):
         spec = loan_model.spec
         calls = []
-        counted = dataclasses.replace(
-            spec,
-            reward=lambda k, y: calls.append(k) or spec.reward(k, y),
-            terminal=lambda k, y: calls.append(k) or spec.terminal(k, y),
-        )
+        counted = dataclasses.replace(spec, reward=lambda y: calls.append(y) or spec.reward(y))
         counted.validate()
-        assert len(calls) == 2 * len(spec.components)  # no per-sample fallback
-        assert spec.reward(2, 1.0) == spec.terminal(1, 1.0) == 0.0
+        assert len(calls) == 1  # no per-sample fallback
 
     def test_dropped_model_is_freed_without_a_collection(self):
         # the spec's callables must not refer back to the model: a study that
@@ -76,6 +70,15 @@ class TestSmoothedLoanModel:
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+    def test_start_rule(self, loan_model):
+        # the integrand runs on (ruin, b]: the ruin level is refused, b is a
+        # start of its own, and a start above b moves to b and pays the excess
+        with pytest.raises(InputError, match="ruin level"):
+            loan_model.start(-C / RHO)
+        assert loan_model.start(-C / RHO + 1e-9) == (-C / RHO + 1e-9, 0.0)
+        assert loan_model.start(B) == (B, 0.0)
+        assert loan_model.start(B + 1.5) == (B, (B + 1.5) - B)
 
     @pytest.mark.parametrize("eps", [2e-4, 1e-4, 1e-12])
     def test_width_below_tail_band_rejected(self, eps):

@@ -4,58 +4,35 @@ import pytest
 
 from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams
-from pdmpval.model import ComponentSpec, Interval, ModelSpec, bias_bound, value_upper_bound
+from pdmpval.model import Interval, ModelSpec, bias_bound
 
 # frozen oracle: (4/4.02)^512 evaluated directly, cross-checked via exp(512 ln(4/4.02))
 BIAS_512 = 0.077799423826681
 
 
 class TestValueUpperBound:
-    def test_published_parameters(self, loan_model):
-        assert value_upper_bound(loan_model.spec) == pytest.approx(250.0, abs=1e-12)
+    def test_published_parameters(self, loan_params):
+        assert loan_params.value_bound == pytest.approx(250.0, abs=1e-12)
 
-    def test_terminal_only(self):
-        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
-                         terminal=lambda k, y: 0.0, discount=1.0,
-                         reward_bound=0.0, terminal_bound=1.0)
-        assert value_upper_bound(spec) == 1.0
-
-    def test_mixed(self):
-        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
-                         terminal=lambda k, y: 0.0, discount=1.0,
-                         reward_bound=1.0, terminal_bound=1.0)
-        assert value_upper_bound(spec) == 2.0
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0],
+                             ids=["reward-nan", "reward-inf", "reward-negative"])
+    def test_bad_declared_bounds_rejected(self, bound):
+        # a NaN bound would pass every sampled check
+        with pytest.raises(InputError, match="bound"):
+            ModelSpec(domain=Interval(0.0, 1.0), reward=lambda y: 0.0, reward_bound=bound)
 
     def test_nonpositive_discount_rejected(self):
+        # the value bound c/delta reads the discount rate of the parameters
         with pytest.raises(InputError):
-            ModelSpec(components={}, reward=lambda k, y: 0.0,
-                      terminal=lambda k, y: 0.0, discount=0.0,
-                      reward_bound=1.0, terminal_bound=0.0)
-
-    @pytest.mark.parametrize("bounds", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
-                                        (-1.0, 0.0), (0.0, -1.0)],
-                             ids=["reward-nan", "terminal-nan", "reward-inf", "reward-negative",
-                                  "terminal-negative"])
-    def test_bad_declared_bounds_rejected(self, bounds):
-        # a NaN bound would pass every sampled check and make C_V NaN
-        with pytest.raises(InputError, match="bound"):
-            ModelSpec(components={}, reward=lambda k, y: 0.0,
-                      terminal=lambda k, y: 0.0, discount=1.0,
-                      reward_bound=bounds[0], terminal_bound=bounds[1])
+            LoanParams(delta=0.0)
 
     @pytest.mark.parametrize("discount", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_discount_rejected(self, discount):
+        with pytest.raises(InputError, match="delta"):
+            LoanParams(delta=discount)
+        # the bias bound re-checks the discount rate it is given
         with pytest.raises(InputError, match="discount"):
-            ModelSpec(components={}, reward=lambda k, y: 0.0,
-                      terminal=lambda k, y: 0.0, discount=discount,
-                      reward_bound=1.0, terminal_bound=0.0)
-        # the bound re-checks a spec whose discount was changed after its check
-        spec = ModelSpec(components={}, reward=lambda k, y: 0.0,
-                         terminal=lambda k, y: 0.0, discount=1.0,
-                         reward_bound=1.0, terminal_bound=0.0)
-        spec.discount = discount
-        with pytest.raises(InputError, match="discount"):
-            value_upper_bound(spec)
+            bias_bound(1, 4.0, discount, 250.0)
 
 
 class TestBiasBound:
@@ -111,56 +88,15 @@ class TestModelValidation:
     def test_shipped_specs_validate(self, loan_model):
         loan_model.spec.validate()
 
-    def test_cemetery_with_intensity_rejected(self):
-        with pytest.raises(ModelError):
-            ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0, is_cemetery=True)
-
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0],
                              ids=["nan", "inf", "-inf", "negative"])
     def test_bad_intensity_bound_rejected(self, lam):
-        # refused when the component is built, not first by the bias bound
-        with pytest.raises(ModelError, match="intensity must be finite and nonnegative"):
-            ComponentSpec(domain=Interval(0.0, 10.0), intensity=lam)
-
-    def test_intensity_bound_is_largest_intensity(self):
-        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=2.0),
-                 2: ComponentSpec(domain=Interval(1.0, 2.0), intensity=3.0),
-                 3: ComponentSpec(domain=Interval(-1.0, 0.0), is_cemetery=True)}
-        spec = ModelSpec(components=comps, reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
-                         discount=1.0, reward_bound=0.0, terminal_bound=0.0)
-        assert spec.intensity_bound == 3.0
-
-    def test_no_components_has_zero_intensity_bound(self):
-        # zero, not a bare ValueError from max(): the bias bound refuses it by name
-        spec = ModelSpec(components={}, reward=lambda k, y: 0.0, terminal=lambda k, y: 0.0,
-                         discount=1.0, reward_bound=1.0, terminal_bound=0.0)
-        assert spec.intensity_bound == 0.0
-        with pytest.raises(InputError, match="intensity bound"):
-            bias_bound(1, spec.intensity_bound, spec.discount, value_upper_bound(spec))
-
-    def test_reward_on_cemetery_rejected(self):
-        comps = {
-            1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0),
-            2: ComponentSpec(domain=Interval(-1.0, 0.0), is_cemetery=True),
-        }
-        spec = ModelSpec(components=comps,
-                         reward=lambda k, y: 1.0, terminal=lambda k, y: 0.0,
-                         discount=1.0, reward_bound=1.0, terminal_bound=0.0)
-        with pytest.raises(ModelError):
-            spec.validate()
-
-    def test_terminal_off_cemetery_rejected(self):
-        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0)}
-        spec = ModelSpec(components=comps,
-                         reward=lambda k, y: 0.0, terminal=lambda k, y: 1.0,
-                         discount=1.0, reward_bound=0.0, terminal_bound=1.0)
-        with pytest.raises(ModelError):
-            spec.validate()
+        # the intensity lam is the bias bound's C_lambda: refused when the
+        # parameters are made, not first by the bias bound
+        with pytest.raises(InputError, match="lam must be finite and positive"):
+            LoanParams(lam=lam)
 
     def test_reward_bound_enforced(self):
-        comps = {1: ComponentSpec(domain=Interval(0.0, 1.0), intensity=1.0)}
-        spec = ModelSpec(components=comps,
-                         reward=lambda k, y: 2.0, terminal=lambda k, y: 0.0,
-                         discount=1.0, reward_bound=1.0, terminal_bound=0.0)
+        spec = ModelSpec(domain=Interval(0.0, 1.0), reward=lambda y: 2.0, reward_bound=1.0)
         with pytest.raises(ModelError):
             spec.validate()

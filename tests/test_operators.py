@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -25,8 +26,8 @@ from pdmpval.cubature import (
 from pdmpval.errors import InputError, ModelError
 from pdmpval.harness import _naive_truncated_integrand
 from pdmpval.loan import SmoothedLoanModel
-from pdmpval.model import value_upper_bound
-from pdmpval.operators import _check_x0, _integrand_batch, estimate_value
+from pdmpval.mc import mc_reference
+from pdmpval.operators import _integrand_batch, estimate_value
 
 C, RHO, B, LAM, ALPHA, DELTA = 5.0, 0.05, 3.24289, 4.0, 1.0, 0.02
 RUIN = -C / RHO
@@ -131,11 +132,12 @@ class TestIteratedIntegrand:
             assert point_integrand(loan_model, 0.0, coords) >= 0.0
 
     def test_x0_outside_domain_rejected(self, loan_model):
-        # the integrand is defined on (ruin, b]; estimate_value alone prices a
-        # start above the barrier
-        for x0 in (B + 1.0, RUIN, RUIN - 1.0):
-            with pytest.raises(InputError, match="outside"):
-                _check_x0(loan_model, x0)
+        # the integrand is defined on (ruin, b]; the start rule moves a start
+        # above the barrier to b and refuses one at or below the ruin level
+        for x0 in (RUIN, RUIN - 1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="start value"):
+                loan_model.start(x0)
+        assert loan_model.start(B + 1.0)[0] == B
 
 
 class TestTensorGauss:
@@ -200,7 +202,7 @@ class TestGaussValidate:
     def test_budget_counts_live_nodes_only(self, loan_model):
         # 57^3 = 185,193 live nodes; z_n is never read, so 57^4 > 1e7 is no bar
         value = gauss_value(0.0, 2, 57, loan_model)
-        assert 0.0 < value <= value_upper_bound(loan_model.spec)
+        assert 0.0 < value <= loan_model.params.value_bound
 
     def test_worker_count_does_not_change_bits(self, loan_model):
         # 57^3 live nodes fill 23 chunks, summed in order for any worker count
@@ -250,7 +252,7 @@ class TestEstimateValue:
     def test_value_within_bounds(self, loan_model):
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=4096, d=4, seed=5, replicates=4)
         est = estimate_value(0.0, 2, rule, loan_model)
-        c_v = value_upper_bound(loan_model.spec)
+        c_v = loan_model.params.value_bound
         assert 0.0 <= est.value <= c_v
         assert abs(est.value) <= c_v + est.bias_bound
 
@@ -284,6 +286,28 @@ class TestEstimateValue:
         est_b = estimate_value(B, 1, rule, loan_model)
         est = estimate_value(B + 0.5, 1, rule, loan_model)
         assert est.value == est_b.value + 0.5
+
+    def test_bias_bound_is_the_mc_reference_bound(self, loan_model):
+        # one spelling of C_V (lam/(lam+delta))^n serves both estimators
+        for n in (1, 2, 32):
+            rule = CubatureSpec(kind=RuleKind.SOBOL, M=64, d=2 * n, replicates=2)
+            est = estimate_value(0.0, n, rule, loan_model)
+            ref = mc_reference(loan_model.params, 0.0, 64, max_jumps=n)
+            assert est.bias_bound.hex() == ref.bias_bound.hex()
+
+    @pytest.mark.parametrize("kind, n, m", [("sobol", 3, 1024), ("gauss", 2, 8)])
+    def test_model_read_only_through_the_table_and_the_law(self, loan_model, kind, n, m):
+        # a stand-in with no params and no spec: reading either raises
+        # AttributeError, so the estimate must come from the table and the law
+        law = ("table", "start", "term_weight", "claim_jump", "weight_bounded", "bias_bound")
+        stand_in = types.SimpleNamespace(**{name: getattr(loan_model, name) for name in law})
+        rule = CubatureSpec(kind=RuleKind(kind), M=m, d=2 * n, seed=3,
+                            replicates=2 if kind == "sobol" else 1)
+        for x0 in (0.0, B, B + 1.0):
+            want = estimate_value(x0, n, rule, loan_model)
+            got = estimate_value(x0, n, rule, stand_in)
+            assert (got.value.hex(), got.std_error, got.bias_bound.hex()) == \
+                (want.value.hex(), want.std_error, want.bias_bound.hex())
 
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
     def test_non_finite_start_rejected(self, loan_model, x0):
