@@ -19,34 +19,9 @@ build and an estimate load no scipy.  The lookups evaluate the coefficients
 with scipy's interval rule and summation order, so every value is
 bit-identical to calling scipy's splines.
 
-Every query but ``pos_at(u)`` runs one chain, ``locate → start → stage``:
-``locate(y)`` finds y's grid_y interval, ``start(y, k)`` solves T0 = T(y)
-and its grid_t interval, and ``stage(T0, k0, t)`` returns the reward and,
-when asked, the position reached: the state reached from y after time t is
-``stage(*start(y), t, position=True)[1]`` and the discounted reward
-collected on the way ``stage(*start(y), t)``.  Two wrappers remain, kept
-because the benchmark's tracer times them: ``time_of(y)`` is ``start(y)[0]``
-and ``reward_from_master(T0, t)`` the reward of ``stage`` from T0 and its
-grid_t interval.  The integrand drops, between ``locate`` and ``start``, the
-nodes that can no longer reach the reward: ``locate`` bounds T(y) by the end
-of y's interval, :meth:`FlowTable.reward_cut` turns that bound into one
-test, and ``start`` reuses the lookup on the nodes that are left.  A scalar
-y (the first stage, where every node starts at x0) is solved once and
-broadcast against t.  The links share interval lookups: grid_y = P(grid_t),
-so the grid_y interval of y is also the grid_t interval of the seed and
-Newton times (a checked neighbour step confirms it); the reward grid is a
-prefix of grid_t, so the reward intervals are grid intervals; and one lookup
-of T(y) + t serves both the position and the reward there.  That is two
-lookups per point instead of seven, and neither is a binary search: a guide
-table per knot array (Chen & Asau 1974; Devroye 1986, section III.2.4) maps
-a point to a slot that holds at most one knot nearly everywhere, so the
-slot's interval plus that knot is the point's interval, and the checked
-neighbour step confirms it.  grid_t is guided on the time itself, grid_y on
-the log-distance above the ruin end, where the drift vanishes linearly and
-the knots are geometric.  The few points the step does not settle are
-searched, so every interval equals the binary search's.  A position at
-y_start, where every position below it clamps, takes time +0.0 in interval 0
-(the first knot of both grids) from the chain itself.
+Every query but ``pos_at(u)`` runs the lookup chain of :class:`FlowTable`,
+whose interval lookups are guide tables (:class:`_Guide`), not binary
+searches.
 
 The discounted running-reward integral is tabulated on the first knots of
 the trajectory grid, up to the tail anchor (the first knot in the 1e-6
@@ -70,7 +45,8 @@ same step rule takes the prefix of them that is certainly capped, so the
 grid is the scalar loop's bit for bit at about a quarter of the drift calls.
 A batch that takes nothing is not retried until a step falls below the cap.
 A march that hits the solver's time cap ends short of the upper end by
-``end_gap``.
+``end_gap``, and so does a path that stalls below float resolution: the
+grid ends at its first stalled node.
 """
 
 from __future__ import annotations
@@ -174,6 +150,8 @@ class FlowTable:
         self._cut_t, self._cut_step = self._zero_reach()
         lower, y0 = self.lower, self.y_start
         self._t_guide = _Guide(self.grid_t)
+        # grid_y is guided on the log-distance above the ruin end, where the
+        # drift vanishes linearly and the knots are geometric
         self._y_guide = _Guide(self.grid_y, lambda y: np.log(np.maximum(y, y0) - lower))
 
     # -- basic geometry ----------------------------------------------------
@@ -327,7 +305,7 @@ class FlowTable:
             vertex = np.where((c0 > 0.0) & (s > 0.0) & (s < h), c2 - c1 * c1 / (3.0 * c0), np.inf)
         right = (3.0 * c0 * h + 2.0 * c1) * h + c2
         slope = float(np.min(np.minimum(np.minimum(c2, right), vertex), initial=np.inf))
-        if kz == 0 or not 0.0 < slope < np.inf:
+        if not 0.0 < slope < np.inf:  # also kz == 0: no piece, slope +inf
             return -np.inf, 0.0
         t_cut = float(self.grid_t[kz])
         y_round = 16.0 * _EPS * max(abs(self.y_start), abs(self.y_end))
@@ -452,7 +430,8 @@ def _guide_split(coords, budget):
 
 
 class _Guide:
-    """O(1) interval lookup on one increasing knot array: a guide table.
+    """O(1) interval lookup on one increasing knot array: a guide table
+    (Chen & Asau 1974; Devroye 1986, section III.2.4).
 
     A monotone key spreads the knots out; uniform buckets, one per knot,
     cover the key range, and each bucket is split again into uniform
@@ -878,7 +857,12 @@ def _array_dense_output(segments):
 
 
 def _strictly_increasing(ts, ys, span):
-    """Drop grid nodes where the trajectory stalls below float resolution."""
-    keep = np.concatenate([[True], np.diff(ys) > 1e-15 * span])
-    return ts[keep], ys[keep]
+    """The grid up to its first node after which the trajectory stalls below
+    float resolution.
+
+    Dropping every stalled node instead would let the shape guard insert
+    midpoints between the nodes left, which stall again, until it gives up.
+    """
+    end = int(np.argmin(np.append(np.diff(ys) > 1e-15 * span, False))) + 1
+    return ts[:end], ys[:end]
 

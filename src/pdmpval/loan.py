@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import InputError
 from .flow import FlowTable, build_flow_table
-from .model import Interval, ModelSpec, bias_bound
+from .model import ModelSpec, bias_bound
 from .smoothing import _check_loan_eps, smoothed_drift_loan, smoothed_reward_loan
 
 __all__ = ["LoanParams", "SmoothedLoanModel"]
@@ -76,7 +76,7 @@ class LoanParams:
 @dataclass
 class SmoothedLoanModel:
     """Built model: parameters, the master flow table, the reward spec that
-    ``build`` sample-checks, and the paper-form stage law.
+    ``build`` checks on the table's states, and the paper-form stage law.
 
     The law is what ``operators`` reads of the model besides its table: the
     start rule (``start``), the weight of a stage's reward term
@@ -87,15 +87,10 @@ class SmoothedLoanModel:
 
     params: LoanParams
     table: FlowTable
-    spec: ModelSpec = field(init=False)
+    spec: ModelSpec
 
     def __post_init__(self):
-        # The spec's reward holds the parameters, not the model: a model that
-        # is dropped is freed at once, with its table, instead of at the next
-        # cyclic garbage collection.
         p = self.params
-        self.spec = ModelSpec(domain=Interval(p.ruin_level, math.inf),
-                              reward=partial(_reward, p), reward_bound=p.c)
         self._log_lam = math.log(p.lam)
         self._log_alpha = math.log(p.alpha)
         # the weight guard's bounds: a stage raises logw by at most `_grow`
@@ -121,7 +116,10 @@ class SmoothedLoanModel:
                 stacklevel=2,
             )
         drift = lambda y: smoothed_drift_loan(y, c, rho, b, eps)
-        reward = lambda y: smoothed_reward_loan(y, c, b, eps)
+        # one binding of the reward for the table and the spec; it holds the
+        # parameters, not the model, so a dropped model is freed at once with
+        # its table instead of at the next cyclic garbage collection
+        reward = partial(smoothed_reward_loan, c=c, b=b, eps=eps)
         table = build_flow_table(
             drift,
             (p.ruin_level, b),
@@ -130,14 +128,10 @@ class SmoothedLoanModel:
             feature_scale=eps,
             refine_y=(-eps, 0.0, eps, b - 2.0 * eps, b - eps, b),
         )
-        model = cls(params=p, table=table)
-        model.spec.validate()  # sample-check the reward against its bound
+        model = cls(params=p, table=table,
+                    spec=ModelSpec(points=table.grid_y, reward=reward, reward_bound=c))
+        model.spec.validate()  # check the reward against its bound on the table's states
         return model
-
-    # -- local characteristics ------------------------------------------------
-
-    def reward(self, y):
-        return _reward(self.params, y)
 
     # -- the paper-form stage law ---------------------------------------------
 
@@ -184,7 +178,3 @@ class SmoothedLoanModel:
     def bias_bound(self, n: int) -> float:
         """Truncation bias of the n-jump partial sum (``LoanParams.bias_bound``)."""
         return self.params.bias_bound(n)
-
-
-def _reward(p: LoanParams, y):
-    return smoothed_reward_loan(y, p.c, p.b, p.eps)

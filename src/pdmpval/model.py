@@ -1,6 +1,6 @@
-"""What the valuation checks of a PDMP: its live domain and its running
-reward, sample-checked against the reward's declared bound, and the
-truncation bound that frames every valuation.
+"""What the valuation checks of a PDMP: its running reward, checked
+against the reward's declared bound on the states the valuation visits, and
+the truncation bound that frames every valuation.
 
 The flow, the jump law and the value bound are not described here: the
 engine reads the flow from the model's flow table, and the stage law and
@@ -17,29 +17,20 @@ import numpy as np
 
 from .errors import InputError, ModelError
 
-__all__ = ["Interval", "ModelSpec", "bias_bound"]
-
-# points of the domain at which ``ModelSpec.validate`` samples the reward
-_VALIDATE_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Domain interval; sampled inside its open ends."""
-
-    lower: float
-    upper: float
+__all__ = ["ModelSpec", "bias_bound"]
 
 
 @dataclass
 class ModelSpec:
-    """A PDMP's live domain and its running reward ``reward(y)``.
+    """A PDMP's running reward ``reward(y)`` and the states ``points`` it is checked on.
 
-    The declared sup-norm bound of the reward is validated by sampling (the
-    boundedness the theory assumes is not otherwise checkable).
+    The declared sup-norm bound of the reward is checked at the points (the
+    boundedness the theory assumes is not otherwise checkable).  The loan
+    model passes its flow table's grid_y, the states at which the table
+    reads the reward, which resolve the dividend ramp.
     """
 
-    domain: Interval
+    points: np.ndarray
     reward: Callable
     reward_bound: float
 
@@ -49,31 +40,10 @@ class ModelSpec:
             raise InputError(f"reward_bound must be finite and nonnegative, got {bound}")
 
     def validate(self) -> None:
-        """Sample-check the reward against its declared bound."""
-        ys = _domain_grid(self.domain, _VALIDATE_SAMPLES)
-        if np.any(np.abs(_eval_sampled(self.reward, ys)) > self.reward_bound + 1e-12):
+        """Check the reward against its declared bound at every point, in one
+        vectorised call; a constant reward broadcasts, and NaN fails."""
+        if not np.all(np.abs(self.reward(self.points)) <= self.reward_bound + 1e-12):
             raise ModelError("reward exceeds declared bound")
-
-
-def _eval_sampled(func, ys: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vectorised callable on a sample grid."""
-    try:
-        out = np.asarray(func(ys), dtype=float)
-        if out.shape == ys.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(func(y)) for y in ys])
-
-
-def _domain_grid(domain: Interval, n: int) -> np.ndarray:
-    lo, hi = domain.lower, domain.upper
-    if not math.isfinite(lo):
-        lo = hi - 1e3 if math.isfinite(hi) else -1e3
-    if not math.isfinite(hi):
-        hi = lo + 1e3
-    pad = 1e-9 * (hi - lo)
-    return np.linspace(lo + pad, hi - pad, n)
 
 
 def bias_bound(n: int, c_lambda: float, delta: float, c_v: float) -> float:

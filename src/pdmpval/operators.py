@@ -5,24 +5,14 @@ over [0,1]^(2n) of a single integrand that accumulates all n terms of the
 iterated-integral sum in one forward pass.  Coordinates are laid out
 (v_1, z_1, ..., v_n, z_n): v_j = exp(-t_j) carries inter-jump time j (and the
 final reward horizon of term j), z_j the relative jump size; z_n is never
-read.  At stage j the pass
-
-    adds   W * lam * v_j^(lam-1) * L(-ln v_j, chi_{j-1}),
-    moves  chi_j- = flow(chi_{j-1}, -ln v_j),
-    draws  y_j = z_j * (chi_j- + c/rho),
-    scales W *= lam * v_j^(lam+delta-1) * f_Y(y_j) * (chi_j- + c/rho),
-    jumps  chi_j = chi_j- - y_j.
-
-The model owns this law: ``SmoothedLoanModel.term_weight`` is the term's
-weight, ``claim_jump`` the draw, the scaling and the jump, ``start`` the
-start rule and ``bias_bound`` the truncation bound.  The pass reads nothing
-else of the model but its flow table.
-
-W is kept in log space: it underflows harmlessly for deep stages and any
-overflow (possible only on an astronomically unlikely corner of the cube)
-is detected rather than silently wrapped.  Jumps below the ruin level carry
-zero mass by construction (the substitution samples sizes on
-(0, chi + c/rho)), so the integrand never reaches the ruin level.
+read.  Stage j adds the reward L(-ln v_j, chi_{j-1}) of the flow from
+chi_{j-1} over time -ln v_j, weighted by ``SmoothedLoanModel.term_weight``,
+and then takes the claim of ``claim_jump`` from where the flow ended.  The
+model states that law, its start rule and its truncation bound; the pass
+reads nothing else of the model but its flow table.  The weight W is kept in
+log space: it underflows harmlessly for deep stages and any overflow
+(possible only on an astronomically unlikely corner of the cube) is
+detected rather than silently wrapped.
 
 Each stage is three flow-table calls: ``locate``, the grid_y interval of
 chi, for the drop test below; ``start``, the time solve T0 = T(chi) on the
@@ -65,12 +55,13 @@ one time solve's overshoot below the band: the residual tolerance of
 time_of (plus a position's rounding) over the smallest slope of the
 position interpolant on [0, grid_t[_kz]] (0.02 time units on the loan
 table, whose slope at the ruin end is about 5e-8), plus a time sum's
-rounding.  The cut is -inf when that slope is 0, and then nothing is
-dropped.  A weight guard (``SmoothedLoanModel.weight_bounded``) keeps the
-overflow report: W * 0.0 is NaN once W overflows exp(), so a node is dropped
-only if a bound on its later weight exponents (each stage adds at most
-log(lam alpha (y_end + c/rho)) plus, for lam + delta < 1 or lam < 1, a
-multiple of its time) stays below 700.
+rounding.  The cut is -inf when that slope is 0 or the reward has no
+zero stretch, and then nothing is dropped.  A weight guard
+(``SmoothedLoanModel.weight_bounded``) keeps the overflow report: W * 0.0
+is NaN once W overflows exp(), so a node is dropped only if a bound on
+its later weight exponents (each stage adds at most log(lam alpha (y_end +
+c/rho)) plus, for lam + delta < 1 or lam < 1, a multiple of its time) stays
+below 700.
 
 The rule rests on the reward being zero below the band and on nothing else
 being read from a stage's end state.  A start function V0 added at the last

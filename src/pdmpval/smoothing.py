@@ -9,7 +9,7 @@ join of piecewise functions is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -133,26 +133,24 @@ def _check_loan_eps(c, rho, b, eps):
 
 # --- mixture jump kernels -------------------------------------------------
 
-ProbLike = Union[float, Callable[[float], float]]
-
-
 @dataclass(frozen=True)
 class KernelBranch:
     """One branch of a mixture jump kernel.
 
-    ``prob`` is the branch mass p_j(x) (constant or a function of the source
-    position); ``transform`` maps (u, x) with u in [0,1] to the landing
-    position via inverse-transform sampling.
+    ``prob`` is the branch mass p_j, a number in [0, 1] (checked, up to a
+    1e-12 rounding that is clipped, when the branch is made); ``transform``
+    maps (u, x) with u in [0,1] to the landing position via inverse-transform
+    sampling.
     """
 
-    prob: ProbLike
+    prob: float
     transform: Callable
 
-    def prob_at(self, y: float) -> float:
-        p = self.prob(y) if callable(self.prob) else float(self.prob)
-        if p < -1e-12 or p > 1.0 + 1e-12:
-            raise ModelError(f"branch probability {p} outside [0, 1] at y={y}")
-        return min(max(p, 0.0), 1.0)
+    def __post_init__(self):
+        p = float(self.prob)
+        if not -1e-12 <= p <= 1.0 + 1e-12:
+            raise ModelError(f"branch probability {p} outside [0, 1]")
+        object.__setattr__(self, "prob", min(max(p, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -171,12 +169,11 @@ class JumpKernelSpec:
             raise InputError(f"smoothing width must be >= 0, got {self.eps}")
         object.__setattr__(self, "branches", tuple(self.branches))
 
-    def cumulative(self, y: float) -> np.ndarray:
-        """Cut points (0, q_1, ..., q_n) of the branch masses at source y."""
-        probs = [br.prob_at(y) for br in self.branches]
-        q = np.concatenate([[0.0], np.cumsum(probs)])
+    def cumulative(self) -> np.ndarray:
+        """Cut points (0, q_1, ..., q_n) of the branch masses."""
+        q = np.concatenate([[0.0], np.cumsum([br.prob for br in self.branches])])
         if q[-1] > 1.0 + 1e-9:
-            raise ModelError(f"branch masses sum to {q[-1]} > 1 at y={y}")
+            raise ModelError(f"branch masses sum to {q[-1]} > 1")
         return np.minimum(q, 1.0)
 
 
@@ -216,35 +213,29 @@ def _weight_mass(a: float, b: float, eps: float) -> float:
     return val
 
 
-def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec, inner=None):
+def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec):
     """Integrate f against the mollified kernel from source position y.
 
     The mollified weight does not depend on the inner coordinate and the
     branch integrand does not depend on u0, so the double integral factors
-    into (weight mass) x (branch integral).  The weight masses are computed
-    by adaptive quadrature with the ramp breakpoints supplied; the branch
-    integrals use ``inner`` -- a (nodes, weights) rule on [0,1] -- or
-    adaptive quadrature when ``inner`` is None.
+    into (weight mass) x (branch integral).  Both are computed by adaptive
+    quadrature, the weight masses with the ramp breakpoints supplied.
 
     As eps -> 0 the result converges to the unsmoothed integral with error
     at most (5/8) * eps * n * sup|f| for n branches.
     """
-    q = spec.cumulative(y)
+    q = spec.cumulative()
     total = 0.0
     for j, br in enumerate(spec.branches, start=1):
         mass = _weight_mass(q[j - 1], q[j], spec.eps)
         if mass == 0.0:
             continue
-        total += mass * _branch_integral(f, y, br, inner)
+        total += mass * _branch_integral(f, y, br)
     return total
 
 
-def _branch_integral(f, y, br: KernelBranch, inner):
-    if inner is None:
-        from scipy.integrate import quad
+def _branch_integral(f, y, br: KernelBranch):
+    from scipy.integrate import quad
 
-        val, _ = quad(lambda u: f(br.transform(u, y)), 0.0, 1.0, limit=200, epsrel=1e-11)
-        return val
-    nodes, weights = inner
-    vals = np.array([f(br.transform(u, y)) for u in np.asarray(nodes, dtype=float)])
-    return float(np.dot(np.asarray(weights, dtype=float), vals))
+    val, _ = quad(lambda u: f(br.transform(u, y)), 0.0, 1.0, limit=200, epsrel=1e-11)
+    return val

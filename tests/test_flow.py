@@ -51,6 +51,34 @@ class TestConstantDrift:
         assert const_table.stage(*const_table.start(10.0), np.inf) == pytest.approx(10.0, rel=1e-3)
 
 
+class TestDriftVanishingAtTheTop:
+    """g(y) = 1 - y/10 on (0, 10): the path approaches the top exponentially
+    and stalls below float resolution short of it.  The grid ends at its
+    first stalled node, so the shape guard does not refine the stall again
+    and again until it gives up."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_flow_table(lambda y: 1.0 - np.asarray(y, dtype=float) / 10.0,
+                                (0.0, 10.0), 0.1, _flat_reward)
+
+    def test_builds_up_to_a_small_end_gap(self, table):
+        assert np.all(np.diff(table.grid_y) > 0.0)
+        assert 0.0 < table.end_gap < 1e-7
+
+    def test_follows_the_exact_flow(self, table):
+        u = np.linspace(0.0, 300.0, 3001)
+        exact = 10.0 - (10.0 - table.y_start) * np.exp(-u / 10.0)
+        assert np.max(np.abs(table.pos_at(u) - exact)) <= table.end_gap + 1e-12
+
+    def test_semigroup(self, table, rng):
+        y = rng.uniform(0.5, 9.9, 200)
+        s, t = rng.uniform(0.0, 20.0, (2, 200))
+        once = _advance(table, y, s + t)[1]
+        twice = _advance(table, _advance(table, y, s)[1], t)[1]
+        assert np.max(np.abs(once - twice)) < 1e-13
+
+
 class TestLoanFlow:
     def test_linear_drift_closed_form(self, loan_model, rng):
         table = loan_model.table
@@ -520,7 +548,7 @@ class TestRewardIntegral:
         for y0, t1 in ((0.0, 2.0), (3.0, 1.5), (B - 0.5, 4.0), (-2.0, 3.0)):
             direct, _ = quad(
                 lambda s: math.exp(-DELTA * s)
-                * float(loan_model.reward(_advance(table, y0, s)[1])),
+                * float(loan_model.spec.reward(_advance(table, y0, s)[1])),
                 0.0, t1, limit=300)
             assert table.stage(*table.start(y0), t1) == pytest.approx(direct, abs=2.5e-4)
 

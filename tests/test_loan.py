@@ -49,7 +49,7 @@ class TestSmoothedLoanModel:
 
     def test_spec_validates(self, loan_model):
         loan_model.spec.validate()
-        assert loan_model.spec.domain.lower == loan_model.params.ruin_level
+        assert loan_model.spec.points is loan_model.table.grid_y
 
     def test_validate_evaluates_whole_sample_grids(self, loan_model):
         spec = loan_model.spec

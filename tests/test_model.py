@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from pdmpval.errors import InputError, ModelError
 from pdmpval.loan import LoanParams
-from pdmpval.model import Interval, ModelSpec, bias_bound
+from pdmpval.model import ModelSpec, bias_bound
 
 # frozen oracle: (4/4.02)^512 evaluated directly, cross-checked via exp(512 ln(4/4.02))
 BIAS_512 = 0.077799423826681
@@ -19,7 +20,7 @@ class TestValueUpperBound:
     def test_bad_declared_bounds_rejected(self, bound):
         # a NaN bound would pass every sampled check
         with pytest.raises(InputError, match="bound"):
-            ModelSpec(domain=Interval(0.0, 1.0), reward=lambda y: 0.0, reward_bound=bound)
+            ModelSpec(points=np.linspace(0.0, 1.0, 5), reward=lambda y: 0.0, reward_bound=bound)
 
     def test_nonpositive_discount_rejected(self):
         # the value bound c/delta reads the discount rate of the parameters
@@ -97,6 +98,20 @@ class TestModelValidation:
             LoanParams(lam=lam)
 
     def test_reward_bound_enforced(self):
-        spec = ModelSpec(domain=Interval(0.0, 1.0), reward=lambda y: 2.0, reward_bound=1.0)
+        # a constant reward broadcasts against the points
+        spec = ModelSpec(points=np.linspace(0.0, 1.0, 5), reward=lambda y: 2.0, reward_bound=1.0)
         with pytest.raises(ModelError):
             spec.validate()
+
+    @pytest.mark.parametrize("excess", [1e-6, math.nan], ids=["above-c", "nan"])
+    def test_reward_checked_on_the_dividend_ramp(self, loan_model, excess):
+        # a reward that leaves [0, c] only on the ramp [b - 2 eps, b): the
+        # table's states sample the ramp densely, so the check sees it
+        p = loan_model.params
+        ramp = lambda y: (y >= p.b - 2.0 * p.eps) & (y < p.b)
+        points = loan_model.table.grid_y
+        assert np.count_nonzero(ramp(points)) > 1000
+        reward = lambda y: np.where(ramp(y), p.c + excess, loan_model.spec.reward(y))
+        ModelSpec(points=points, reward=loan_model.spec.reward, reward_bound=p.c).validate()
+        with pytest.raises(ModelError, match="exceeds"):
+            ModelSpec(points=points, reward=reward, reward_bound=p.c).validate()

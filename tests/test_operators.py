@@ -794,6 +794,27 @@ class TestDroppedNodes:
         assert len(located) == 2 and located[1] >= 0.8 * m * reps
         assert 0 < sum(started) <= 0.15 * m * reps
 
+    def test_reward_from_the_start_drops_nothing(self, monkeypatch, rng):
+        # a reward positive from y_start leaves no zero stretch: the cut is
+        # -inf, and every node is solved and evaluated at every stage
+        table = pdmpval.flow.build_flow_table(
+            lambda y: 2.0 + 0.0 * np.asarray(y, dtype=float), (0.0, 10.0), 0.1,
+            lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float))
+        assert [table.reward_cut(s) for s in (0, 1, 33)] == [-math.inf] * 3
+        stand_in = types.SimpleNamespace(
+            table=table,
+            term_weight=lambda logw, logv: np.exp(logw),
+            claim_jump=lambda chi_pre, z, logv: (chi_pre * z, np.zeros(z.size)),
+            weight_bounded=lambda logw, rem, left: np.ones(logw.size, dtype=bool))
+        located, started = _located_and_started(monkeypatch, table)
+        sizes = _evaluated_stage_sizes(monkeypatch, table)
+        m, n = 256, 4
+        block = rng.uniform(size=(m, 2 * n))
+        out = pdmpval.operators._integrand_batch(stand_in, 1.0, n, lambda dim: block[:, dim])
+        # the first stage solves the shared start once, as a scalar
+        assert started == [m] * (n - 1) and sizes == [m] * n
+        assert np.all(out > 0.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_corner_node_still_raises(self, loan_model):
         # 128 stages without a jump from -20 end far below the band, so the

@@ -201,8 +201,7 @@ class TestBranchWeights:
 
 
 def _mixture_spec(eps):
-    # two exponential branches with rates 1 and 1/2: inner integrands are
-    # polynomials in u, so any sensible inner rule is exact
+    # two exponential branches with rates 1 and 1/2
     return JumpKernelSpec(
         branches=(
             KernelBranch(prob=0.6, transform=lambda u, y: -math.log1p(-u) / 1.0),
@@ -248,14 +247,6 @@ class TestKernelIntegrate:
         val = smoothed_kernel_integrate(lambda y: math.exp(-y), 0.0, _mixture_spec(0.0))
         assert val == pytest.approx(MIXTURE_EXACT, abs=1e-10)
 
-    def test_gauss_inner_rule(self):
-        from pdmpval.cubature import gauss_legendre
-        spec = _mixture_spec(0.01)
-        val = smoothed_kernel_integrate(lambda y: math.exp(-y), 0.0, spec,
-                                        inner=gauss_legendre(12))
-        # inner integrands are degree <= 2 polynomials: rule exact
-        assert abs(val - MIXTURE_EXACT) <= 5.0 / 8.0 * 0.01 * 2 * 1.0
-
     def test_probability_overflow_rejected(self):
         spec = JumpKernelSpec(
             branches=(
@@ -267,10 +258,19 @@ class TestKernelIntegrate:
         with pytest.raises(ModelError):
             smoothed_kernel_integrate(lambda y: 1.0, 0.0, spec)
 
+    @pytest.mark.parametrize("prob", [1.0 + 1e-9, -1e-9, math.nan])
+    def test_branch_mass_checked_when_made(self, prob):
+        with pytest.raises(ModelError, match="branch probability"):
+            KernelBranch(prob=prob, transform=lambda u, y: u)
+
+    def test_branch_mass_rounding_clipped(self):
+        assert KernelBranch(prob=1.0 + 1e-13, transform=lambda u, y: u).prob == 1.0
+        assert KernelBranch(prob=-1e-13, transform=lambda u, y: u).prob == 0.0
+
     def test_deficit_mass_allowed(self):
         # branch masses summing below 1: the deficit is cemetery mass
         spec = JumpKernelSpec(
-            branches=(KernelBranch(prob=lambda y: 0.5, transform=lambda u, y: u),),
+            branches=(KernelBranch(prob=0.5, transform=lambda u, y: u),),
             eps=0.0,
         )
         assert smoothed_kernel_integrate(lambda y: 1.0, 0.0, spec) == pytest.approx(0.5, abs=1e-12)
