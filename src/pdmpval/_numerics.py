@@ -1,17 +1,23 @@
 """The numerical routines of the flow-table build, on numpy alone.
 
-Twins of the five scipy routines the build used: ``solve_ivp``'s RK45 with
-dense output and one terminal event, the ``brentq`` that solves the event,
-``cumulative_simpson``, and the coefficients of ``CubicHermiteSpline`` and
-``PchipInterpolator``.  Each computes what scipy computes in the same
-order (scipy 1.17): the array routines make scipy's numpy calls on arrays
-of the same shapes, and RK45 steps its scalar state on Python floats but
-keeps scipy's numpy dot products, which BLAS may evaluate with fused
-multiply-adds.  So every table is the one the scipy routines built, bit
-for bit, and building one loads no scipy.  Only
-the parts the build uses are kept: a scalar state, a forward solve from
-t = 0, one terminal upward crossing, 1-D data.  The tests compare each
-routine with scipy's.
+Twins of the scipy routines the build used: ``solve_ivp``'s RK45 with
+dense output and one terminal event, ``cumulative_simpson``, and the
+coefficients of ``CubicHermiteSpline`` and ``PchipInterpolator``.  Each
+computes what scipy computes in the same order (scipy 1.17): the array
+routines make scipy's numpy calls on arrays of the same shapes, and RK45
+steps its scalar state on Python floats but keeps scipy's numpy dot
+products, which BLAS may evaluate with fused multiply-adds.  So the RK45
+segments and the spline and quadrature arrays are scipy's bit for bit, and
+building a table loads no scipy.  Only the parts the build uses are kept: a
+scalar state, a forward solve from t = 0, one terminal upward crossing, 1-D
+data.  The tests compare each routine with scipy's.
+
+Two routines are the package's own.  The solve's dense output is one
+formula, :func:`_dense`, evaluated on Python floats by
+:func:`float_dense_output` and on arrays by :func:`array_dense_output`, bit
+for bit alike; the event reads it too.  And :func:`first_root` is the one root
+finder: the first float at which a nondecreasing function reaches zero,
+for the event and for the flow table's time-solve stragglers.
 """
 
 from __future__ import annotations
@@ -22,77 +28,32 @@ import numpy as np
 
 from .errors import ModelError
 
-__all__ = ["brentq", "rk45", "rk45_dense", "cumulative_simpson", "hermite_coeffs",
-           "pchip_coeffs"]
-
-_EPS = float(np.finfo(float).eps)
-
-# --- brentq -----------------------------------------------------------------
+__all__ = ["rk45", "float_dense_output", "array_dense_output", "first_root",
+           "cumulative_simpson", "hermite_coeffs", "pchip_coeffs"]
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
-    """scipy's ``brentq`` (a port of its C routine): a root of f in [a, b],
-    for xtol > 0 and rtol >= 4 eps.
+# --- bisection --------------------------------------------------------------
 
-    ValueError if f(a) and f(b) have the same sign or f returns NaN, and
-    RuntimeError if maxiter iterations do not converge, as scipy raises.
+
+def first_root(f, lo, hi):
+    """The first float r in (lo, hi] with f(r) >= 0, for f nondecreasing,
+    elementwise over arrays lo < hi; hi where f < 0 on all of (lo, hi].
+
+    f maps an array of points to an array of values.  Each pass halves the
+    brackets at the float nearest their midpoints, keeping f < 0 at a moved
+    lo and f >= 0 at a moved hi, until lo and hi are adjacent floats.  So
+    for any f, f(r) >= 0 unless r is hi unmoved, and f < 0 at the float
+    below r unless that is lo unmoved.
     """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:  # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _div(a, b):
-    """a / b in IEEE arithmetic, as C divides: +-inf or NaN where b is zero."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # the halves are exact, so mid rounds once
+        wide = (lo < mid) & (mid < hi)  # else lo and hi are adjacent
+        if not wide.any():
+            return hi
+        up = f(mid) >= 0.0
+        hi = np.where(wide & up, mid, hi)
+        lo = np.where(wide & ~up, mid, lo)
 
 
 # --- RK45 ---------------------------------------------------------------------
@@ -136,7 +97,7 @@ def _norm(x):
 def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     """``solve_ivp(fun, (0, t_bound), [y0], method="RK45", rtol=rtol, atol=atol,
     dense_output=True, events=hit)`` for a scalar state, where ``hit`` is the
-    terminal event ``y - y_stop`` crossed upward, and its dense output.
+    terminal event ``y - y_stop`` crossed upward, as a segment table.
 
     ``fun(t, y)`` takes and returns floats (scipy's ``fun`` is
     ``lambda t, y: [fun(t, y[0])]``).  The state steps on Python floats, which
@@ -148,10 +109,13 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
     ZeroDivisionError on floats; and rtol must be at least 100 eps, where
     scipy would raise it.
     Returns the segment table
-    ``(ts, segs)``: the solution's segment bounds (the last one the time the
-    event stopped the solve, or t_bound) and, per segment, the floats
-    ``(t_old, h, y_old, q1, q2, q3, q4)`` of scipy's ``RkDenseOutput``,
-    whose value is ``y_old + h * (Q . [x, x^2, x^3, x^4])``, x = (t - t_old)/h.
+    ``(ts, segs)``: the solution's segment bounds and, per segment, the
+    floats ``(t_old, h, y_old, q1, q2, q3, q4)`` of scipy's
+    ``RkDenseOutput``, which :func:`_dense` evaluates.  All are scipy's bit
+    for bit but an event end: the last bound is t_bound or, where the event
+    stopped the solve, the first float of the last step at which
+    :func:`_dense` reaches y_stop (:func:`first_root`), a few ulps from scipy's
+    ``brentq`` root.
     ModelError if y0 is not finite or the step size falls below the spacing
     of floats (scipy's failure status).
     """
@@ -176,8 +140,8 @@ def rk45(fun, t_bound, y0, rtol, atol, y_stop):
         seg = (t_old, t - t_old, y_old, *Q[0].tolist())
         end = t
         g_new = y - y_stop
-        if g <= 0 and g_new >= 0:  # the terminal event
-            end = _event_time(t_old, t, y_old, Q, y_stop)
+        if g <= 0 and g_new >= 0:  # the terminal event, on the step's dense output
+            end = float(first_root(lambda u: _dense(seg, u) - y_stop, t_old, t))
             finished = True
         g = g_new
         # like scipy, drop a segment whose end repeats the last bound
@@ -251,46 +215,53 @@ def _step(fun, t, y, f, h_abs, t_bound, rtol, atol, k, KT):
         rejected = True
 
 
-def _event_time(t_old, t, y_old, Q, y_stop):
-    """scipy's ``solve_event_equation``: brentq for y - y_stop = 0 on the
-    step's dense output (``RkDenseOutput`` at a scalar time) over [t_old, t]."""
-    h = t - t_old
+def _dense(seg, t):
+    """One segment's dense output at t, on floats or elementwise on arrays.
 
-    def event(u):
-        x = (np.asarray(u) - t_old) / h
-        y = h * np.dot(Q, np.cumprod(np.tile(x, 4)))
-        y += y_old
-        return y[0] - y_stop
+    scipy's ``RkDenseOutput`` value y_old + h * (Q . [x, x^2, x^3, x^4]),
+    x = (t - t_old) / h, summed left to right instead of by its cumprod and
+    dot, so the float and the array evaluation round alike; values can
+    differ from scipy's in the last ulp.
+    """
+    t_old, h, y_old, q1, q2, q3, q4 = seg
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
 
-    return brentq(event, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
 
+def float_dense_output(table):
+    """y(t) of the :func:`rk45` segment table on Python floats, for ascending t.
 
-def rk45_dense(table, t):
-    """The dense output of :func:`rk45` at a 1-D array of times: scipy's
-    ``OdeSolution`` call.
-
-    A time on a segment bound belongs to the segment that ends there
-    (``searchsorted(side="left")``), times outside clip to the end segments,
-    and each run of sorted times in one segment is one ``RkDenseOutput``
-    call, so the values are scipy's bit for bit.
+    A segment pointer moves forward with t; like scipy (side="left"), a time
+    on a segment bound belongs to the segment that ends there.
     """
     ts, segs = table
-    t = np.asarray(t, dtype=float)
-    order = np.argsort(t)
-    reverse = np.empty_like(order)
-    reverse[order] = np.arange(order.shape[0])
-    t_sorted = t[order]
-    seg = np.clip(np.searchsorted(np.asarray(ts), t_sorted, side="left") - 1, 0, len(segs) - 1)
-    starts = np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
-    ys = []
-    for lo, hi in zip(starts, [*starts[1:], len(t_sorted)]):
-        t_old, h, y_old, *q = segs[seg[lo]]
-        x = (t_sorted[lo:hi] - t_old) / h
-        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-        y = h * np.dot(np.array([q]), p)
-        y += y_old
-        ys.append(y)
-    return np.hstack(ys)[0, reverse]
+    last = len(segs) - 1
+    k = 0
+
+    def y_at(t):
+        nonlocal k
+        while k < last and t > ts[k + 1]:
+            k += 1
+        return _dense(segs[k], t)
+
+    return y_at
+
+
+def array_dense_output(table):
+    """The numpy twin of :func:`float_dense_output`: y at an array of times,
+    in any order, by the same segment rule and formula, so bit for bit alike."""
+    ts, segs = table
+    ends = np.asarray(ts[1:])
+    cols = np.asarray(segs).T
+    last = len(segs) - 1
+
+    def ys_at(t):
+        k = np.minimum(np.searchsorted(ends, t, side="left"), last)
+        return _dense([c[k] for c in cols], t)
+
+    return ys_at
 
 
 # --- cumulative Simpson -----------------------------------------------------------

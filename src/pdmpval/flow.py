@@ -12,12 +12,13 @@ a cubic Hermite of t(y) with the exact slopes 1/drift(y) (accurate to about
 1e-11) polished by one Newton step on P, with a residual check and a
 bisection fallback, so the semigroup identity holds to machine precision.
 
-The build runs on numpy alone: the RK45 solve, its event root, the reward
-quadrature and the spline coefficients come from :mod:`pdmpval._numerics`,
-twins of scipy's routines that reproduce their results bit for bit, so a
-build and an estimate load no scipy.  The lookups evaluate the coefficients
-with scipy's interval rule and summation order, so every value is
-bit-identical to calling scipy's splines.
+The build runs on numpy alone, on :mod:`pdmpval._numerics`: the RK45
+segment table, the reward quadrature and the spline coefficients are
+scipy's bit for bit; the grid march and the grid's positions read the
+segment table through one dense-output formula, and the straggler fallback
+is that module's one bisection.  So a build and an estimate load no scipy.
+The lookups evaluate the coefficients with scipy's interval rule and
+summation order, so every value is bit-identical to calling scipy's splines.
 
 Every query but ``pos_at(u)`` runs the lookup chain of :class:`FlowTable`,
 whose interval lookups are guide tables (:class:`_Guide`), not binary
@@ -58,8 +59,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import (brentq, cumulative_simpson, hermite_coeffs, pchip_coeffs, rk45,
-                        rk45_dense)
+from ._numerics import (array_dense_output, cumulative_simpson, first_root, float_dense_output,
+                        hermite_coeffs, pchip_coeffs, rk45)
 from .errors import InputError, ModelError
 
 __all__ = ["FlowTable", "build_flow_table"]
@@ -245,9 +246,10 @@ class FlowTable:
         t's shape, bit for bit.
 
         The reward is the table lookup up to the tail anchor plus the
-        frozen-rate closed form beyond it; t may be +inf.  For a nonnegative
-        reward whose features the build's ``refine_y`` names (the loan
-        tables), it is nondecreasing in t and in y and bounded by
+        frozen-rate closed form beyond it; t may be +inf, and a negative or
+        NaN t is an InputError (NaN would read the table end).  For a
+        nonnegative reward whose features the build's ``refine_y`` names (the
+        loan tables), it is nondecreasing in t and in y and bounded by
         sup(reward)/delta.  A feature the grid does not resolve is integrated
         across coarse knots, and the value can then dip below zero (a step
         reward on a four-knot table reads -0.112 where the exact integral
@@ -257,8 +259,8 @@ class FlowTable:
         if np.ndim(T0):
             T0, k0, t = np.broadcast_arrays(T0, k0, t)
             T0, k0 = T0.ravel(), k0.ravel()
-        if np.any(t < 0.0):
-            raise InputError("flow time must be nonnegative")
+        if not np.all(t >= 0.0):
+            raise InputError("flow time must be nonnegative, not NaN")
         shape = t.shape
         t = t.ravel()
         te = T0 + t
@@ -309,7 +311,9 @@ class FlowTable:
             return -np.inf, 0.0
         t_cut = float(self.grid_t[kz])
         y_round = 16.0 * _EPS * max(abs(self.y_start), abs(self.y_end))
-        # a time sum's rounding, and brentq's xtol (1e-14) and rtol on a straggler
+        # a time sum's rounding, and a straggler's bisection root: the first
+        # float at which the position reaches y overshoots by about an ulp, less
+        # than the brentq tolerance (xtol 1e-14, rtol 4 eps) this was set for
         t_round = 16.0 * _EPS * t_cut + 1e-13
         return t_cut, (self._resid_tol() + 2.0 * y_round) / slope + t_round
 
@@ -350,14 +354,14 @@ class FlowTable:
         slope = np.maximum(c2 + (2.0 * c1) * s + (3.0 * c0) * s2, 1e-300)
         t = np.clip(t - (pos - yc) / slope, 0.0, self.horizon)
         k = settle(k, t)
-        # polish stragglers (flat top of the curve) by bisection
+        # solve stragglers (flat top of the curve) by bisection: the first
+        # float at which the position reaches y
         resid = np.abs(self._position(t, k) - yc)
         bad = np.flatnonzero((resid > self._resid_tol()) & (yc < self.y_end)
                              & (yc > self.y_start))
         if bad.size:
-            for i in bad:
-                t[i] = brentq(lambda u, yy=yc[i]: self.pos_at(u) - yy,
-                              0.0, self.horizon, xtol=1e-14)
+            yb = yc[bad]
+            t[bad] = first_root(lambda u: self.pos_at(u) - yb, np.zeros(bad.size), self.horizon)
             k[bad] = self._t_guide.find(t[bad])
         return t, k
 
@@ -602,8 +606,9 @@ def build_flow_table(
     # shape guard: refine any interval violating the Fritsch-Carlson monotone
     # bound for Hermite data (exact slopes of a monotone trajectory satisfy it
     # once the interval is short enough)
+    ys_at = array_dense_output(segments)
     for _ in range(6):
-        grid_y = rk45_dense(segments, grid_t)
+        grid_y = ys_at(grid_t)
         grid_y = np.minimum.accumulate(np.minimum(grid_y, upper)[::-1])[::-1]  # clip overshoot
         grid_t, grid_y = _strictly_increasing(grid_t, grid_y, span)
         grid_dy = np.maximum(np.asarray(drift(grid_y), dtype=float), 0.0)
@@ -672,8 +677,8 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     windows, and a guard that never jumps over an upcoming feature window in
     one step.  The loop is sequential, so it runs on Python floats: the
     dense output of the solver's segment table through
-    :func:`_float_dense_output` and three scalar drift calls per step for the
-    central differences.
+    :func:`~pdmpval._numerics.float_dense_output` and three scalar drift
+    calls per step for the central differences.
 
     The window and guard terms come from two bisections over the window
     ends, sorted once per build (:func:`_window_step`), instead of a scan of
@@ -696,8 +701,8 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     batch that takes nothing (a step in the margin zone) starts no new batch
     until a step falls below the cap.
     """
-    y_at = _float_dense_output(segments)
-    ys_at = _array_dense_output(segments)
+    y_at = float_dense_output(segments)
+    ys_at = array_dense_output(segments)
     hy = max(_STENCIL * fs, 1e-9)
     los, his = _feature_windows(refine, fs)
     pieces = []  # finished stretches of the grid, in order
@@ -804,56 +809,6 @@ def _capped_prefix(times, ys_at, drift, upper, hy, fs, los, his, g_max):
         ok &= ~inside | (fs / (16.0 * np.maximum(g, 1e-300)) >= bar)
         ok &= (lo[np.searchsorted(lo[:-1], y, side="right")] - y) / g_max >= bar
     return n if ok.all() else int(np.argmin(ok))
-
-
-def _float_dense_output(segments):
-    """y(t) of the RK45 segment table on Python floats, for ascending t.
-
-    Takes each segment's (t_old, h, y_old, Q) from :func:`rk45` and
-    evaluates y_old + h * (Q . [x, x^2, x^3, x^4]), x = (t - t_old)/h, in
-    the order of scipy's ``RkDenseOutput`` (cumprod, then dot).  BLAS may
-    fuse that dot, so values can differ from :func:`rk45_dense` in the last
-    ulps.  A segment pointer moves forward with t; like scipy (side="left"),
-    a time on a segment boundary belongs to the segment that ends there.
-    """
-    ts, segs = segments
-    last = len(segs) - 1
-    k = 0
-
-    def y_at(t):
-        nonlocal k
-        while k < last and t > ts[k + 1]:
-            k += 1
-        t_old, h, y_old, q1, q2, q3, q4 = segs[k]
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
-
-    return y_at
-
-
-def _array_dense_output(segments):
-    """The numpy twin of :func:`_float_dense_output`: y at an array of times.
-
-    The same segment rule (a time on a boundary belongs to the segment that
-    ends there) and the same operations in the same order, elementwise, so
-    every value equals the float function's bit for bit.
-    """
-    ts, segs = segments
-    ends = np.asarray(ts[1:])
-    cols = np.asarray(segs).T
-    last = len(segs) - 1
-
-    def ys_at(t):
-        k = np.minimum(np.searchsorted(ends, t, side="left"), last)
-        t_old, h, y_old, q1, q2, q3, q4 = (c[k] for c in cols)
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        return h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x)) + y_old
-
-    return ys_at
 
 
 def _strictly_increasing(ts, ys, span):

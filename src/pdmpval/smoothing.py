@@ -8,6 +8,7 @@ join of piecewise functions is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,11 +107,18 @@ def _drift_taper(y, c, b, eps):
 
 def smoothed_reward_loan(y, c, b, eps):
     """Dividend rate ramp: 0 below b - 2 eps, c at and above b, C2 monotone."""
-    if eps <= 0.0:
-        raise InputError(f"smoothing width must be positive, got eps={eps}")
+    _check_width(eps)
     y = np.asarray(y, dtype=float)
     out = c * heaviside((y - b + eps) / eps)
     return out if np.ndim(out) else float(out)
+
+
+def _check_width(eps, unsmoothed_ok=False):
+    """InputError unless the smoothing width is finite and positive, or 0
+    where ``unsmoothed_ok``."""
+    if not (math.isfinite(eps) and (eps > 0.0 or unsmoothed_ok and eps == 0.0)):
+        least = ">= 0" if unsmoothed_ok else "positive"
+        raise InputError(f"smoothing width must be finite and {least}, got eps={eps}")
 
 
 _valid_loan_params = None  # the (c, rho, b, eps) that last passed _check_loan_eps
@@ -165,8 +173,7 @@ class JumpKernelSpec:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise InputError(f"smoothing width must be >= 0, got {self.eps}")
+        _check_width(self.eps, unsmoothed_ok=True)
         object.__setattr__(self, "branches", tuple(self.branches))
 
     def cumulative(self) -> np.ndarray:
@@ -184,8 +191,7 @@ def smoothed_branch_weight(u0, j, q, eps):
     an interior cut point, and the weights over all branches sum to 1 as long
     as every branch is wider than 2*eps.
     """
-    if eps <= 0.0:
-        raise InputError(f"smoothing width must be positive, got eps={eps}")
+    _check_width(eps)
     q = np.asarray(q, dtype=float)
     if np.any(np.diff(q) < 0.0):
         raise InputError("cumulative branch masses must be nondecreasing")

@@ -1,10 +1,13 @@
-"""The flow build's numerical routines against scipy's, bit for bit.
+"""The flow build's numerical routines against scipy's: bit for bit, but for
+the RK45 event end and the root finder, which is the package's own rule.
 
 scipy stays installed as the oracle: the package's build no longer calls it.
 The RK45 solve is compared on the build's own drifts in test_flow.py.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,60 +24,53 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _outcome(solve, *args, **kwargs):
-    """The root as ``float.hex``, or the type and message of the error raised."""
-    try:
-        return float(solve(*args, **kwargs)).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def _families(rng):
-    """A random root-finding problem: f and a bracket around its root."""
-    c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+def _families(rng, n):
+    """n random root-finding problems of one kind: f on arrays, nondecreasing
+    but for the sine kind, and brackets (a, b) around its root."""
+    c, s = rng.uniform(-3.0, 3.0, n), rng.uniform(0.1, 5.0, n)
     kind = rng.integers(6)
     f = [
-        lambda x: math.tanh(s * (x - c)),
+        lambda x: np.tanh(s * (x - c)),
         lambda x: (x - c) ** 3 + 1e-3 * (x - c),
-        lambda x: math.expm1(x - c),
-        lambda x: 1e-200 * (x - c),  # products of f values underflow
-        lambda x: math.atan(s * (x - c)) + 0.3 * math.sin(7.0 * x),
-        lambda x: -math.copysign(abs(x - c) ** 0.25, x - c),
+        lambda x: np.expm1(x - c),
+        lambda x: 1e-200 * (x - c),  # values near the underflow
+        lambda x: np.arctan(s * (x - c)) + 0.3 * np.sin(7.0 * x),
+        lambda x: np.copysign(np.abs(x - c) ** 0.25, x - c),
     ][kind]
-    return f, c - rng.uniform(1e-3, 4.0), c + rng.uniform(1e-3, 4.0)
+    return kind, f, c - rng.uniform(1e-3, 4.0, n), c + rng.uniform(1e-3, 4.0, n)
 
 
-class TestBrentq:
+class TestFirstRoot:
     def test_random_brackets(self):
+        # any f with f(a) < 0 <= f(b) gets a root r with f(r) >= 0 and f < 0
+        # at the float below it; a nondecreasing f gets scipy's root to brentq's
+        # tolerance
         rng = np.random.default_rng(11)
-        for _ in range(5_000):
-            f, a, b = _families(rng)
-            xtol = float(rng.choice([2e-12, 1e-14, 1e-6, 4 * np.finfo(float).eps]))
-            want = _outcome(brentq, f, a, b, xtol=xtol)
-            assert _outcome(_numerics.brentq, f, a, b, xtol=xtol) == want
+        for _ in range(200):
+            kind, f, a, b = _families(rng, 25)
+            r = _numerics.first_root(f, a, b)
+            ok = (f(a) < 0.0) & (f(b) >= 0.0)
+            assert ok.any()
+            assert np.all((a < r) & (r <= b))
+            assert np.all(f(r)[ok] >= 0.0) and np.all(f(np.nextafter(r, -np.inf))[ok] < 0.0)
+            if kind != 4:
+                for i in np.flatnonzero(ok):
+                    root = brentq(lambda x: float(f(np.full(25, x))[i]), a[i], b[i], xtol=1e-14)
+                    assert abs(r[i] - root) <= 1e-14 + 8.0 * np.finfo(float).eps * abs(root)
 
-    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0), (1.0, 1.0)])
-    def test_root_at_an_endpoint(self, a, b):
+    def test_root_at_an_end_and_no_root(self):
         f = lambda x: x - 1.0
-        assert _outcome(_numerics.brentq, f, a, b) == _outcome(brentq, f, a, b)
-        assert _numerics.brentq(f, a, b) == 1.0
+        lo = np.array([0.0, 1.0, -2.0, 3.0, 1.0])
+        hi = np.array([1.0, 3.0, 0.5, 4.0, np.nextafter(1.0, 2.0)])
+        # root at hi; root at lo, so lo's neighbour; no root, so hi; f >= 0
+        # everywhere, so lo's neighbour; adjacent lo and hi, so hi
+        want = [1.0, np.nextafter(1.0, 2.0), 0.5, np.nextafter(3.0, 4.0),
+                np.nextafter(1.0, 2.0)]
+        assert _same_bits(_numerics.first_root(f, lo, hi), want)
 
-    def test_same_sign_rejected(self):
-        f = lambda x: x * x + 1.0
-        assert _outcome(_numerics.brentq, f, -1.0, 2.0) == _outcome(brentq, f, -1.0, 2.0)
-        with pytest.raises(ValueError, match="different signs"):
-            _numerics.brentq(f, -1.0, 2.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            _numerics.brentq(lambda x: math.nan, 0.0, 1.0)
-
-    def test_no_convergence_raises(self):
-        f = lambda x: math.tanh(50.0 * (x - 0.3))
-        assert (_outcome(_numerics.brentq, f, 0.0, 1.0, maxiter=3)
-                == _outcome(brentq, f, 0.0, 1.0, maxiter=3))
-        with pytest.raises(RuntimeError, match="converge after 3 iterations"):
-            _numerics.brentq(f, 0.0, 1.0, maxiter=3)
+    def test_scalar_bracket(self):
+        r = _numerics.first_root(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
+        assert r.shape == () and r == 1.0 / 3.0
 
 
 class TestCumulativeSimpson:
@@ -144,8 +140,9 @@ def _scipy_rk45(fun, t_bound, y0, rtol, atol, y_stop):
 
 class TestRk45Event:
     def test_random_event_stops_bit_identical(self):
-        # the event time is a brentq root on the last step's dense output, so
-        # a solve that stops at the event pins both
+        # every segment and every bound but the event end are scipy's bit for
+        # bit; the end is the first float of the last step at which the
+        # dense output reaches y_stop, within 3 ulps of scipy's brentq root
         rng = np.random.default_rng(21)
         for _ in range(40):
             a, b, c = rng.uniform(0.6, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.3)
@@ -154,9 +151,13 @@ class TestRk45Event:
             sol = _scipy_rk45(fun, 100.0, 0.0, rtol, rtol * 1e-2, y_stop)
             ts, segs = _numerics.rk45(fun, 100.0, 0.0, rtol, rtol * 1e-2, y_stop)
             assert sol.status == 1
-            assert _same_bits(ts, sol.sol.ts) and _same_bits(ts[-1], sol.t_events[0][0])
+            assert _same_bits(ts[:-1], sol.sol.ts[:-1])
             assert _same_bits(segs, [(sp.t_old, sp.h, sp.y_old[0], *sp.Q[0])
                                      for sp in sol.sol.interpolants])
+            end, want = ts[-1], sol.t_events[0][0]
+            assert abs(end - want) <= 3.0 * np.spacing(want)
+            y = _numerics.array_dense_output((ts, segs))
+            assert y(np.array([end])) >= y_stop > y(np.array([np.nextafter(end, 0.0)]))
 
 
 class TestRk45Failures:
@@ -181,3 +182,13 @@ class TestRk45Failures:
         assert sol.status == 0 and ts[-1] == 3.0
         assert _same_bits(ts, sol.sol.ts)
         assert _same_bits([s[3:] for s in segs], [sp.Q[0] for sp in sol.sol.interpolants])
+
+
+def test_every_export_has_a_caller():
+    # a routine whose last caller in the package goes must go too
+    imported = set()
+    for path in Path(_numerics.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "_numerics":
+                imported.update(alias.name for alias in node.names)
+    assert set(_numerics.__all__) <= imported

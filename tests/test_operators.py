@@ -373,6 +373,20 @@ class TestEstimateValue:
     def test_shallow_gauss_goldens(self, loan_model, n, m, x0):
         assert gauss_value(x0, n, m, loan_model).hex() == self._GAUSS_GOLDENS[n, m, x0]
 
+    # n = 2 Sobol' value and std_error at the ends of the epsilon study, whose
+    # tables the published-width goldens above do not read; recorded when the
+    # flow build still read scipy's OdeSolution and brentq twins
+    _WIDTH_GOLDENS = {
+        0.08: ("0x1.28f561a9026fcp-2", "0x1.62ba43716aa7ap-9"),
+        5e-4: ("0x1.1610ec9df6f1ep-2", "0x1.3956e8057e190p-9"),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(_WIDTH_GOLDENS))
+    def test_width_goldens(self, eps):
+        rule = CubatureSpec(kind=RuleKind.SOBOL, M=16384, d=4, seed=3, replicates=10)
+        est = estimate_value(0.0, 2, rule, SmoothedLoanModel.build(eps=eps))
+        assert (est.value.hex(), est.std_error.hex()) == self._WIDTH_GOLDENS[eps]
+
     def test_deep_estimate_bits_independent_of_workers(self, loan_model):
         # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not
         rule = CubatureSpec(kind=RuleKind.SOBOL, M=8192 + 512, d=64, seed=3, replicates=2)

@@ -159,8 +159,9 @@ class TestSmoothedReward:
         assert np.all(np.diff(smoothed_reward_loan(ys, C, B, EPS)) >= 0.0)
 
     def test_bad_eps(self):
-        with pytest.raises(InputError):
-            smoothed_reward_loan(0.0, C, B, -1.0)
+        for eps in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="finite and positive"):
+                smoothed_reward_loan([0.0, B], C, B, eps)
 
 
 class TestBranchWeights:
@@ -196,8 +197,9 @@ class TestBranchWeights:
             smoothed_branch_weight(0.5, 1, [0.0, 0.6, 0.4], 0.05)
         with pytest.raises(InputError):
             smoothed_branch_weight(0.5, 3, [0.0, 0.5, 1.0], 0.05)
-        with pytest.raises(InputError):
-            smoothed_branch_weight(0.5, 1, [0.0, 1.0], 0.0)
+        for eps in (-0.05, 0.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="finite and positive"):
+                smoothed_branch_weight(0.5, 1, [0.0, 0.5, 1.0], eps)
 
 
 def _mixture_spec(eps):
@@ -246,6 +248,11 @@ class TestKernelIntegrate:
     def test_eps_zero_recovers_exact_mixture(self):
         val = smoothed_kernel_integrate(lambda y: math.exp(-y), 0.0, _mixture_spec(0.0))
         assert val == pytest.approx(MIXTURE_EXACT, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [-0.01, math.nan, math.inf])
+    def test_width_finite_and_nonnegative(self, eps):
+        with pytest.raises(InputError, match="finite and >= 0"):
+            _mixture_spec(eps)
 
     def test_probability_overflow_rejected(self):
         spec = JumpKernelSpec(
