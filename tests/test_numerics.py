@@ -73,6 +73,30 @@ class TestFirstRoot:
         assert r.shape == () and r == 1.0 / 3.0
 
 
+class TestBrentq:
+    """first_root on the brackets that scipy's brentq answers at an end or
+    refuses: the package's root finder is held to the oracle's edge cases."""
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0), (1.0, 1.0)])
+    def test_root_at_an_endpoint(self, a, b):
+        f = lambda x: x - 1.0
+        root = brentq(f, a, b)
+        assert root == 1.0
+        # first_root searches (a, b], so a root at a < b moves to a's neighbour
+        want = np.nextafter(root, np.inf) if root == a < b else root
+        r = _numerics.first_root(f, a, b)
+        assert _same_bits(r, want) and f(r) >= 0.0
+
+    def test_same_sign_rejected(self):
+        f = lambda x: x * x + 1.0
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(f, -1.0, 2.0)
+        # no sign change shows in first_root's answer: lo's neighbour where
+        # f >= 0 on the whole bracket, hi where f < 0 on it
+        assert _same_bits(_numerics.first_root(f, -1.0, 2.0), np.nextafter(-1.0, 2.0))
+        assert _same_bits(_numerics.first_root(lambda x: -f(x), -1.0, 2.0), 2.0)
+
+
 class TestCumulativeSimpson:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10, 11, 100, 1001])
     def test_random_unequal_grids(self, n):
