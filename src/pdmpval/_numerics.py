@@ -23,6 +23,7 @@ for the event and for the flow table's time-solve stragglers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -231,22 +232,14 @@ def _dense(seg, t):
 
 
 def float_dense_output(table):
-    """y(t) of the :func:`rk45` segment table on Python floats, for ascending t.
+    """y(t) of the :func:`rk45` segment table on Python floats.
 
-    A segment pointer moves forward with t; like scipy (side="left"), a time
-    on a segment bound belongs to the segment that ends there.
+    Like scipy (side="left"), a time on a segment bound belongs to the
+    segment that ends there; times outside the table read its end segments.
     """
     ts, segs = table
     last = len(segs) - 1
-    k = 0
-
-    def y_at(t):
-        nonlocal k
-        while k < last and t > ts[k + 1]:
-            k += 1
-        return _dense(segs[k], t)
-
-    return y_at
+    return lambda t: _dense(segs[min(bisect_left(ts, t, 1) - 1, last)], t)
 
 
 def array_dense_output(table):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import InputError, ModelError
 from .harness import (
@@ -29,14 +29,16 @@ _DEFAULT_EPS_SCHEDULE = (0.08, 0.04, 0.02, 0.01)
 
 
 def _add_common(sub):
+    """The flags of value, convergence and epsilon-study.  Each but --config
+    stores into the ExperimentConfig field it sets, and only when given."""
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    sub.add_argument("--method", action="append", metavar="{mc|sobol|halton|gauss}",
-                     help="integration method (repeatable)")
-    sub.add_argument("--points", type=int, metavar="M", help="node count")
+    sub.add_argument("--method", dest="methods", action="append",
+                     metavar="{mc|sobol|halton|gauss}", help="integration method (repeatable)")
+    sub.add_argument("--points", dest="m_schedule", type=int, metavar="M", help="node count")
     sub.add_argument("--jumps", type=int, metavar="n", help="jump-count truncation (d = 2n)")
     sub.add_argument("--replicates", type=int, metavar="R", help="randomised replicates")
     sub.add_argument("--seed", type=int, metavar="S", help="base seed")
-    sub.add_argument("--epsilon", action="append", type=float, metavar="E",
+    sub.add_argument("--epsilon", dest="eps", action="append", type=float, metavar="E",
                      help="smoothing width; value and convergence use the last one given, "
                           "epsilon-study runs all of them (at least two) as its schedule")
     sub.add_argument("--x0", type=float, help="start value of the surplus")
@@ -46,31 +48,18 @@ def _add_common(sub):
                      help="record wall-clock times in the CSV (not reproducible)")
 
 
+# a flag's parsed value -> its field's value, where the two differ
+_FIELD_VALUE = {"methods": tuple, "m_schedule": lambda m: (m,), "eps": lambda eps: eps[-1]}
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+
 def _build_config(args, cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
-    if args.config:
-        cfg = config_from_mapping(parse_config_file(args.config), cfg)
-    updates = {}
-    if args.method:
-        updates["methods"] = tuple(args.method)
-    if args.points is not None:
-        updates["m_schedule"] = (args.points,)
-    if args.jumps is not None:
-        updates["jumps"] = args.jumps
-    if args.replicates is not None:
-        updates["replicates"] = args.replicates
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.epsilon:
-        updates["eps"] = args.epsilon[-1]
-    if args.x0 is not None:
-        updates["x0"] = args.x0
-    if args.out:
-        updates["out"] = args.out
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.timings:
-        updates["timings"] = True
-    cfg = replace(cfg, **updates)
+    flags = vars(args)
+    if flags.get("config"):
+        cfg = config_from_mapping(parse_config_file(flags["config"]), cfg)
+    # an empty --out, like an empty --config, leaves the configured value
+    cfg = replace(cfg, **{k: _FIELD_VALUE.get(k, lambda v: v)(v) for k, v in flags.items()
+                          if k in _FIELDS and v != ""})
     env_seed = os.environ.get("PDMPVAL_SEED")
     if env_seed is not None:
         try:
@@ -99,7 +88,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_epsilon_study(args) -> int:
     cfg = _build_config(args)
-    schedule = tuple(args.epsilon) if args.epsilon else _DEFAULT_EPS_SCHEDULE
+    schedule = tuple(getattr(args, "eps", _DEFAULT_EPS_SCHEDULE))
     csv_path, _, slope, flag = run_epsilon_study(cfg, schedule)
     print(f"wrote {csv_path} (log-log slope {slope:.3f}, {flag})")
     return 0
@@ -109,7 +98,7 @@ def _cmd_validate(args) -> int:
     return run_validate()
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmpval",
         description="Valuation of PDMP cost functionals by smoothed iterated "
@@ -121,11 +110,15 @@ def main(argv=None) -> int:
         ("convergence", _cmd_convergence),
         ("epsilon-study", _cmd_epsilon_study),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # flags not given stay unset
         _add_common(p)
         p.set_defaults(handler=handler)
     sub.add_parser("validate").set_defaults(handler=_cmd_validate)  # reads no flags
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InputError, ModelError) as exc:

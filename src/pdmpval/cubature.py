@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -88,6 +87,10 @@ class CubatureSpec:
                 f"Sobol dimension {self.d} exceeds the shipped direction table "
                 f"({sobol_max_dim()})"
             )
+        # the nodes are the points of indices 1..M of the 32-bit sequence
+        if self.kind is RuleKind.SOBOL and self.M >= 1 << _NBITS:
+            raise InputError(f"Sobol node count M = {self.M} exceeds the 32-bit sequence "
+                             f"(at most {(1 << _NBITS) - 1})")
         if self.kind is RuleKind.GAUSS_PRODUCT and not 1 <= self.M <= 64:
             raise InputError(f"Gauss rule size must be in 1..64, got {self.M}")
 
@@ -185,14 +188,12 @@ def first_primes(n: int) -> np.ndarray:
         limit *= 2
 
 
-def halton_permutations(d: int, seed: Optional[int]):
-    """Per-base digit permutations pi_b fixing 0; None seed means identity.
+def halton_permutations(d: int, seed: int):
+    """Per-base digit permutations pi_b fixing 0.
 
     Fixing the digit 0 keeps the points off the origin corner and leaves
     each coordinate's equidistribution unchanged.
     """
-    if seed is None:
-        return None
     perms = []
     for j, base in enumerate(first_primes(d)):
         rng = keyed_stream(_HALTON_TAG, seed, j)

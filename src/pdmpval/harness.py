@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -124,27 +125,14 @@ def parse_config_file(path) -> dict:
 
 
 def config_from_mapping(raw: dict, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
-    """Apply string key/value pairs (config-file keys) onto a config."""
-    cfg = base if base is not None else ExperimentConfig()
+    """Apply string key/value pairs (config-file keys, see ``_CONFIG_KEYS``) onto a config."""
     updates = {}
     for key, value in raw.items():
-        if key in ("c", "rho", "b", "alpha", "delta", "x0"):
-            updates[key] = _parse(key, value, float)
-        elif key == "lambda":
-            updates["lam"] = _parse(key, value, float)
-        elif key == "epsilon":
-            updates["eps"] = _parse(key, value, float)
-        elif key == "methods":
-            updates["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
-        elif key == "m_schedule":
-            updates["m_schedule"] = tuple(_parse(key, v, int) for v in value.split(","))
-        elif key in ("jumps", "replicates", "seed", "mc_paths", "workers"):
-            updates[key] = _parse(key, value, int)
-        elif key == "out":
-            updates["out"] = value
-        else:
+        if key not in _CONFIG_KEYS:
             raise InputError(f"unknown config key '{key}'")
-    return replace(cfg, **updates)
+        field, parse = _CONFIG_KEYS[key]
+        updates[field] = parse(key, value)
+    return replace(base if base is not None else ExperimentConfig(), **updates)
 
 
 def _parse(key: str, value: str, kind: type):
@@ -153,6 +141,21 @@ def _parse(key: str, value: str, kind: type):
         return kind(value)
     except ValueError as exc:
         raise InputError(f"config key '{key}': expected {kind.__name__}, got '{value}'") from exc
+
+
+_FLOAT, _INT = partial(_parse, kind=float), partial(_parse, kind=int)
+
+# config-file key -> (the ExperimentConfig field it sets, parser of its string
+# value); every field but ``timings``, a command-line flag only, has a key
+_CONFIG_KEYS = {
+    **{key: (key, _FLOAT) for key in ("c", "rho", "b", "alpha", "delta", "x0")},
+    "lambda": ("lam", _FLOAT),
+    "epsilon": ("eps", _FLOAT),
+    "methods": ("methods", lambda key, v: tuple(m.strip() for m in v.split(",") if m.strip())),
+    "m_schedule": ("m_schedule", lambda key, v: tuple(_INT(key, m) for m in v.split(","))),
+    **{key: (key, _INT) for key in ("jumps", "replicates", "seed", "mc_paths", "workers")},
+    "out": ("out", partial(_parse, kind=str)),
+}
 
 
 def _fmt(x) -> str:
@@ -199,9 +202,7 @@ def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
     a rule that cannot be formed or exceeds the Gauss budget and an ``out``
     that cannot be written are InputErrors, raised before the build.
     """
-    if method not in _METHODS:
-        raise InputError(f"unknown method '{method}'; choose from {_METHODS}")
-    rule = CubatureSpec(kind=RuleKind(method), M=config.m_schedule[-1],
+    rule = CubatureSpec(kind=method, M=config.m_schedule[-1],
                         d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
     check_gauss_budget(rule)
     if out:
@@ -223,7 +224,7 @@ def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel]
     CSV's directory made and checked writable, before the build and the
     first estimate.  Returns (csv_path, rows).
     """
-    rules = [(method, CubatureSpec(kind=RuleKind(method), M=m_nodes, d=2 * config.jumps,
+    rules = [(method, CubatureSpec(kind=method, M=m_nodes, d=2 * config.jumps,
                                    seed=config.seed, replicates=config.replicates))
              for method in config.methods for m_nodes in config.m_schedule]
     for _, rule in rules:

@@ -60,7 +60,7 @@ def _sobol_matrix(m, d):
 
 def _halton_matrix(m, d, seed=None):
     """The first m (scrambled) Halton points (indices 1..m) in dimension d."""
-    perms = halton_permutations(d, seed)
+    perms = None if seed is None else halton_permutations(d, seed)
     return np.stack([halton_column(j + 1, 1, m + 1, perms) for j in range(d)], axis=1)
 
 
@@ -199,7 +199,7 @@ class TestHalton:
     def test_column_matches_digit_loop(self, seed):
         # ranges in one block of the low table, across block and digit-count
         # boundaries, far from the origin, of one node and empty
-        perms = halton_permutations(64, seed)
+        perms = None if seed is None else halton_permutations(64, seed)
         ranges = [(0, 1), (1, 2), (1, 4097), (8193, 16385), (45057, 51201),
                   (2 ** 20 + 17, 2 ** 20 + 8209), (7, 7)]
         for dim in range(1, 65):
@@ -403,6 +403,18 @@ class TestCubatureSpec:
     def test_gauss_size_capped(self):
         with pytest.raises(InputError):
             CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=65, d=2)
+
+    def test_sobol_node_count_within_the_sequence(self):
+        # the nodes are indices 1..M, so the last one must be a 32-bit index
+        for M in (2 ** 32, 2 ** 33):
+            with pytest.raises(InputError, match=f"M = {M} exceeds the 32-bit sequence"):
+                CubatureSpec(kind="sobol", M=M, d=2)
+        assert CubatureSpec(kind="sobol", M=2 ** 32 - 1, d=2).M == 2 ** 32 - 1
+        assert sobol_column(1, 2 ** 32 - 1, 2 ** 32).shape == (1,)
+        with pytest.raises(InputError, match="32-bit sequence"):
+            sobol_column(1, 2 ** 32, 2 ** 32 + 1)
+        for kind in ("mc", "halton"):
+            assert CubatureSpec(kind=kind, M=2 ** 32, d=2).M == 2 ** 32
 
     @pytest.mark.parametrize("field,value", [
         ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
