@@ -55,11 +55,13 @@ _FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 def _build_config(args, cfg: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
     flags = vars(args)
-    if flags.get("config"):
+    for flag in ("config", "out"):
+        if flags.get(flag) == "":
+            raise InputError(f"--{flag} must name a path, got an empty one")
+    if "config" in flags:
         cfg = config_from_mapping(parse_config_file(flags["config"]), cfg)
-    # an empty --out, like an empty --config, leaves the configured value
     cfg = replace(cfg, **{k: _FIELD_VALUE.get(k, lambda v: v)(v) for k, v in flags.items()
-                          if k in _FIELDS and v != ""})
+                          if k in _FIELDS})
     env_seed = os.environ.get("PDMPVAL_SEED")
     if env_seed is not None:
         try:
@@ -72,7 +74,7 @@ def _build_config(args, cfg: ExperimentConfig = ExperimentConfig()) -> Experimen
 
 def _cmd_value(args) -> int:
     cfg = _build_config(args, ExperimentConfig(methods=("sobol",), out=""))
-    est = run_value(cfg, cfg.methods[0], out=cfg.out or None)
+    est = run_value(cfg)
     se = "n/a" if est.std_error is None else f"{est.std_error:.6g}"
     print(f"value={est.value:.10g} std_error={se} bias_bound={est.bias_bound:.6g} "
           f"M={est.M} d={est.d} replicates={est.replicates}")

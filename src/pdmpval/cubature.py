@@ -64,7 +64,8 @@ class RuleKind(Enum):
 @dataclass(frozen=True)
 class CubatureSpec:
     """Rule selection: kind, node count M (points per axis for the Gauss
-    product rule), dimension, seed and replicate count."""
+    product rule), dimension, seed and replicate count.  A rule that cannot
+    run, a Gauss product rule over 1e7 nodes among them, is refused here."""
 
     kind: RuleKind
     M: int
@@ -93,6 +94,11 @@ class CubatureSpec:
                              f"(at most {(1 << _NBITS) - 1})")
         if self.kind is RuleKind.GAUSS_PRODUCT and not 1 <= self.M <= 64:
             raise InputError(f"Gauss rule size must be in 1..64, got {self.M}")
+        # on the d - 1 live dimensions (z_n is never read), in Python integers
+        # (numpy's wrap), the exponent capped at 24: M^24 >= 2^24 > 1e7 for M >= 2
+        if (self.kind is RuleKind.GAUSS_PRODUCT
+                and int(self.M) ** min(int(self.d) - 1, 24) > 10 ** 7):
+            raise InputError(f"Gauss product budget exceeded: {self.M}^{self.d - 1} > 1e7 nodes")
 
 
 # --- Sobol' ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from .cubature import CubatureSpec, RuleKind
 from .errors import InputError, ModelError, require_int
 from .loan import LoanParams, SmoothedLoanModel
 from .mc import MCResume, mc_reference
-from .operators import Estimate, _integrand_batch, check_gauss_budget, estimate_value
+from .operators import Estimate, _integrand_batch, estimate_value
 
 __all__ = ["ExperimentConfig", "CSV_HEADER", "EPS_CSV_HEADER", "parse_config_file",
            "run_value", "run_convergence", "run_epsilon_study", "run_validate"]
@@ -94,10 +94,9 @@ class ExperimentConfig:
         require_int("seed", self.seed, 0)
         require_int("workers", self.workers, 1)
 
-    def loan_params(self, eps: Optional[float] = None) -> LoanParams:
+    def loan_params(self) -> LoanParams:
         return LoanParams(c=self.c, rho=self.rho, b=self.b, lam=self.lam,
-                          alpha=self.alpha, delta=self.delta,
-                          eps=self.eps if eps is None else eps)
+                          alpha=self.alpha, delta=self.delta, eps=self.eps)
 
 
 def parse_config_file(path) -> dict:
@@ -145,14 +144,24 @@ def _parse(key: str, value: str, kind: type):
 
 _FLOAT, _INT = partial(_parse, kind=float), partial(_parse, kind=int)
 
+
+def _list(key: str, value: str, parse=lambda key, entry: entry) -> tuple:
+    """A comma-separated value: its entries, stripped and parsed.  An empty
+    entry is refused, but a value with no entry at all is the empty tuple,
+    which the config refuses in its own words."""
+    entries = [entry.strip() for entry in value.split(",")]
+    if any(entries) and not all(entries):
+        raise InputError(f"config key '{key}': empty entry in '{value}'")
+    return tuple(parse(key, entry) for entry in entries if entry)
+
 # config-file key -> (the ExperimentConfig field it sets, parser of its string
 # value); every field but ``timings``, a command-line flag only, has a key
 _CONFIG_KEYS = {
     **{key: (key, _FLOAT) for key in ("c", "rho", "b", "alpha", "delta", "x0")},
     "lambda": ("lam", _FLOAT),
     "epsilon": ("eps", _FLOAT),
-    "methods": ("methods", lambda key, v: tuple(m.strip() for m in v.split(",") if m.strip())),
-    "m_schedule": ("m_schedule", lambda key, v: tuple(_INT(key, m) for m in v.split(","))),
+    "methods": ("methods", _list),
+    "m_schedule": ("m_schedule", partial(_list, parse=_INT)),
     **{key: (key, _INT) for key in ("jumps", "replicates", "seed", "mc_paths", "workers")},
     "out": ("out", partial(_parse, kind=str)),
 }
@@ -194,55 +203,56 @@ def _write_lines(path, lines) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def run_value(config: ExperimentConfig, method: str, out=None) -> Estimate:
-    """One valuation of ``method`` at the schedule's largest node count.
+def _estimates(configs: Sequence[ExperimentConfig], methods, m_nodes, out="", also=()):
+    """The run plan of value, convergence and the epsilon study: for each
+    config (the study's smoothing widths, which differ in eps only; one
+    otherwise) one model, and on it one estimate of each method at each
+    node count, in that order.
 
-    ``estimate_value`` prices a start above the barrier as a lump sum.
-    Writes the one-row CSV to ``out`` when given.  An unknown ``method``,
-    a rule that cannot be formed or exceeds the Gauss budget and an ``out``
-    that cannot be written are InputErrors, raised before the build.
+    Every rule is formed (a rule that cannot be formed, or a Gauss rule over
+    budget, is an InputError), and ``out`` and the paths in ``also`` (which
+    the caller writes afterwards) made and checked writable, before the
+    first build.  ``estimate_value`` prices a start above the barrier as a
+    lump sum.  Writes the CSV rows to ``out`` unless it is empty, and
+    returns them with the [(method, Estimate)] pairs.
     """
-    rule = CubatureSpec(kind=method, M=config.m_schedule[-1],
-                        d=2 * config.jumps, seed=config.seed, replicates=config.replicates)
-    check_gauss_budget(rule)
+    config = configs[0]
+    rules = [(method, CubatureSpec(kind=method, M=m, d=2 * config.jumps, seed=config.seed,
+                                   replicates=config.replicates))
+             for method in methods for m in m_nodes]
+    for path in filter(None, (out, *also)):
+        _check_out(path)
+    runs = []
+    for config in configs:
+        model = SmoothedLoanModel.build(**asdict(config.loan_params()))
+        runs += [(method, estimate_value(config.x0, config.jumps, rule, model,
+                                         workers=config.workers)) for method, rule in rules]
+    rows = [CSV_HEADER, *(_estimate_row(method, est, config.seed, config.timings)
+                          for method, est in runs)]
     if out:
-        _check_out(out)
-    model = SmoothedLoanModel.build(**asdict(config.loan_params()))
-    est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
-    if out:
-        _write_lines(out, [CSV_HEADER, _estimate_row(method, est, config.seed, config.timings)])
+        _write_lines(out, rows)
+    return rows, runs
+
+
+def run_value(config: ExperimentConfig) -> Estimate:
+    """One valuation of the first method at the schedule's largest node
+    count; writes the one-row CSV to config.out unless it is empty."""
+    _, [(_, est)] = _estimates([config], config.methods[:1], config.m_schedule[-1:], config.out)
     return est
 
 
-def run_convergence(config: ExperimentConfig, model: Optional[SmoothedLoanModel] = None):
+def run_convergence(config: ExperimentConfig):
     """Estimate the value for every (method, M) of the schedule.
 
-    ``estimate_value`` prices a start above the barrier as a lump sum.
     Writes the CSV at config.out plus one two-column `M std_error` plot-data file
-    per method (same stem, `_<method>.dat` suffix) for log-log plots.
-    Every rule is formed, and checked against the Gauss budget, and the
-    CSV's directory made and checked writable, before the build and the
-    first estimate.  Returns (csv_path, rows).
+    per method (same stem, `_<method>.dat` suffix) for log-log plots; all
+    are checked writable before the build.  Returns (csv_path, rows).
     """
-    rules = [(method, CubatureSpec(kind=method, M=m_nodes, d=2 * config.jumps,
-                                   seed=config.seed, replicates=config.replicates))
-             for method in config.methods for m_nodes in config.m_schedule]
-    for _, rule in rules:
-        check_gauss_budget(rule)
     csv_path = Path(config.out)
-    _check_out(csv_path)
-    if model is None:
-        model = SmoothedLoanModel.build(**asdict(config.loan_params()))
-    rows = [CSV_HEADER]
-    plot_data = {m: [] for m in config.methods}
-    for method, rule in rules:
-        est = estimate_value(config.x0, config.jumps, rule, model, workers=config.workers)
-        rows.append(_estimate_row(method, est, config.seed, config.timings))
-        plot_data[method].append((rule.M, est.std_error))
-    _write_lines(csv_path, rows)
-    for method, pairs in plot_data.items():
-        dat = [f"{m} {_fmt(se)}" for m, se in pairs]
-        _write_lines(csv_path.with_name(csv_path.stem + f"_{method}.dat"), dat)
+    dats = {method: csv_path.parent / f"{csv_path.stem}_{method}.dat" for method in config.methods}
+    rows, runs = _estimates([config], config.methods, config.m_schedule, csv_path, dats.values())
+    for method, dat in dats.items():
+        _write_lines(dat, [f"{est.M} {_fmt(est.std_error)}" for m, est in runs if m == method])
     return csv_path, rows
 
 
@@ -273,29 +283,25 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
         raise InputError(f"epsilon schedule must hold at least two widths, got {eps_schedule}")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InputError("epsilon schedule must be strictly decreasing")
-    widths = [config.loan_params(eps=eps) for eps in eps_schedule]  # all checked up front
+    widths = [replace(config, eps=eps) for eps in eps_schedule]
+    # every width is checked before any build; the unsmoothed reference,
+    # which ignores eps, takes the last
+    params = [width.loan_params() for width in widths][-1]
     require_int("replicates", config.replicates, 2)  # Sobol' error bars, whatever the methods
     if config.x0 > config.b:
         raise InputError(f"start value x0 = {config.x0} lies above the barrier b = {config.b}; "
                          "the epsilon study's Monte Carlo reference starts at or below it")
 
-    n = config.jumps
-    rule = CubatureSpec(kind=RuleKind.SOBOL, M=config.m_schedule[-1], d=2 * n,
-                        seed=config.seed, replicates=config.replicates)
     csv_path = Path(config.out)
-    _check_out(csv_path)
-    estimates = []
-    for params in widths:
-        model = SmoothedLoanModel.build(**asdict(params))
-        estimates.append(estimate_value(config.x0, n, rule, model, workers=config.workers))
+    _, runs = _estimates(widths, ("sobol",), config.m_schedule[-1:], also=(csv_path,))
+    estimates = [est for _, est in runs]
 
-    params = widths[-1]  # the unsmoothed reference ignores eps
     mc_paths = config.mc_paths
-    resume = MCResume(params, config.x0, seed=config.seed, max_jumps=n)
+    resume = MCResume(params, config.x0, seed=config.seed, max_jumps=config.jumps)
     for attempt in range(3):
         if attempt:
             mc_paths *= 4
-        ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=n,
+        ref = mc_reference(params, config.x0, mc_paths, seed=config.seed, max_jumps=config.jumps,
                            resume=resume)
         gaps = [abs(e.value - ref.value) for e in estimates]
         noisy = max(e.std_error + ref.std_error for e in estimates) >= 0.2 * min(gaps)

@@ -371,14 +371,13 @@ def test_criterion_09_epsilon_stability(eps_study):
     assert time.perf_counter() - started < 1200.0
 
 
-def test_criterion_10_determinism(tmp_path, loan_model):
+def test_criterion_10_determinism(tmp_path):
     started = time.perf_counter()
     base = ExperimentConfig(methods=("mc", "sobol"), m_schedule=(256, 512), jumps=4,
                             replicates=3, seed=SEED, out=str(tmp_path / "w1.csv"),
                             workers=1)
-    run_convergence(base, model=loan_model)
-    run_convergence(replace(base, workers=8, out=str(tmp_path / "w8.csv")),
-                    model=loan_model)
+    run_convergence(base)
+    run_convergence(replace(base, workers=8, out=str(tmp_path / "w8.csv")))
     b1 = (tmp_path / "w1.csv").read_bytes()
     b8 = (tmp_path / "w8.csv").read_bytes()
     ok = b1 == b8

@@ -62,7 +62,7 @@ def test_value_above_the_barrier_records_one_estimate_span(tmp_path):
     # nested call would record two spans and double the traced node stages
     cfg = ExperimentConfig(x0=LoanParams.b + 0.5, methods=("sobol",), m_schedule=(64,),
                            jumps=1, replicates=2, out=str(tmp_path / "value.csv"))
-    spans = _traced(lambda: harness.run_value(cfg, "sobol")).spans
+    spans = _traced(lambda: harness.run_value(cfg)).spans
     est = [s for s in spans if s[0] == "operators.estimate_value"]
     assert len(est) == 1
     assert est[0][3] == -1  # no enclosing estimate span

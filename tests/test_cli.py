@@ -93,8 +93,18 @@ def test_a_flag_overrides_only_its_own_key(tmp_path, monkeypatch, argv, field, v
                                                            **{field: value})
 
 
-def test_an_empty_out_flag_keeps_the_configured_path(tmp_path, monkeypatch):
-    assert _build(tmp_path, monkeypatch, "--out", "").out == "file.csv"
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_empty_path_flag_is_refused(tmp_path, monkeypatch, capsys, command, flag):
+    # an empty --out used to fall back to the configured path, an empty
+    # --config to no file: each ran the study and wrote where it was not told
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                        lambda **kw: pytest.fail("built"))
+    code = main([command, "--points", "16", "--jumps", "1", "--replicates", "2", flag, ""])
+    assert code == 2
+    assert f"error: {flag} must name a path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _readme_list(label: str) -> str:

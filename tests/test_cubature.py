@@ -404,6 +404,23 @@ class TestCubatureSpec:
         with pytest.raises(InputError):
             CubatureSpec(kind=RuleKind.GAUSS_PRODUCT, M=65, d=2)
 
+    def test_gauss_budget_checked_when_formed(self):
+        # at most 1e7 nodes on the d - 1 live dimensions (z_n is never read)
+        with pytest.raises(InputError,
+                           match=r"^Gauss product budget exceeded: 64\^7 > 1e7 nodes$"):
+            CubatureSpec(kind="gauss", M=64, d=8)
+        assert CubatureSpec(kind="gauss", M=57, d=4).M == 57  # 57^3 live nodes
+        assert CubatureSpec(kind="gauss", M=10, d=8).M == 10  # 10^7: at the budget
+        assert CubatureSpec(kind="gauss", M=1, d=80).d == 80
+        assert CubatureSpec(kind="gauss", M=1, d=10 ** 12).d == 10 ** 12
+
+    def test_gauss_budget_is_exact_for_any_integer_type_and_size(self):
+        # 64^11 wraps to 0 in int64; a trillion dimensions must not build 2^(1e12)
+        with pytest.raises(InputError, match=r"64\^11"):
+            CubatureSpec(kind="gauss", M=np.int64(64), d=np.int64(12))
+        with pytest.raises(InputError, match=r"2\^999999999999 > 1e7"):
+            CubatureSpec(kind="gauss", M=2, d=10 ** 12)
+
     def test_sobol_node_count_within_the_sequence(self):
         # the nodes are indices 1..M, so the last one must be a 32-bit index
         for M in (2 ** 32, 2 ** 33):

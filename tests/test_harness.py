@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,16 @@ class TestConfig:
         assert cfg.m_schedule == (50, 100)
         assert (cfg.jumps, cfg.replicates, cfg.seed, cfg.out) == (4, 5, 99, "here.csv")
 
+    @pytest.mark.parametrize("line", ["methods = sobol,,halton", "m_schedule = 16,,32",
+                                      "methods = sobol,", "m_schedule = ,16"])
+    def test_empty_list_entry_rejected(self, tmp_path, line):
+        # one rule for both list keys: methods used to drop the empty entry
+        path = tmp_path / "exp.cfg"
+        path.write_text(line + "\n")
+        key, value = line.split(" = ")
+        with pytest.raises(InputError, match=f"^config key '{key}': empty entry in '{value}'$"):
+            config_from_mapping(parse_config_file(path))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("frob = 3\n")
@@ -159,12 +170,12 @@ class TestConfig:
 
 class TestRunValue:
     def test_csv_written_only_when_asked(self, tmp_path):
-        cfg = tiny_config(tmp_path, m_schedule=(4,))
-        est = run_value(cfg, "gauss")
+        cfg = tiny_config(tmp_path, methods=("gauss", "sobol"), m_schedule=(4,), out="")
+        est = run_value(cfg)
         assert est.replicates == 1 and est.std_error is None
         assert list(tmp_path.iterdir()) == []
         out_csv = tmp_path / "value.csv"
-        assert run_value(cfg, "gauss", out=out_csv).value == est.value
+        assert run_value(replace(cfg, out=str(out_csv))).value == est.value
         rows = out_csv.read_text().splitlines()
         assert rows == [CSV_HEADER, f"gauss,4,4,1,{est.value:.17g},,{est.bias_bound:.17g},7,0"]
 
@@ -174,14 +185,14 @@ class TestRunValue:
                             lambda **kw: builds.append(kw) or pytest.fail("built"))
         cfg = ExperimentConfig(methods=("sobol",), m_schedule=(16,), jumps=1, replicates=2)
         with pytest.raises(InputError, match=r"'bogus'.*choose from \['gauss', 'halton'"):
-            run_value(cfg, "bogus")
+            run_value(replace(cfg, methods=("bogus",)))
         assert builds == []
 
 
 class TestRunConvergence:
-    def test_structure_and_determinism(self, tmp_path, loan_model):
+    def test_structure_and_determinism(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        csv_path, rows = run_convergence(cfg, model=loan_model)
+        csv_path, rows = run_convergence(cfg)
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 2 * 3
         for method, start in (("mc", 1), ("sobol", 4)):
@@ -189,28 +200,28 @@ class TestRunConvergence:
             assert ms == [64, 128, 256]
             assert all(r.split(",")[0] == method for r in rows[start:start + 3])
         body1 = Path(csv_path).read_bytes()
-        run_convergence(cfg, model=loan_model)
+        run_convergence(cfg)
         assert Path(csv_path).read_bytes() == body1
 
-    def test_worker_count_invariance(self, tmp_path, loan_model):
+    def test_worker_count_invariance(self, tmp_path):
         cfg1 = tiny_config(tmp_path, out=str(tmp_path / "w1.csv"), workers=1)
         cfg8 = tiny_config(tmp_path, out=str(tmp_path / "w8.csv"), workers=8)
-        run_convergence(cfg1, model=loan_model)
-        run_convergence(cfg8, model=loan_model)
+        run_convergence(cfg1)
+        run_convergence(cfg8)
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w8.csv").read_bytes()
 
-    def test_plot_data_emitted(self, tmp_path, loan_model):
+    def test_plot_data_emitted(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        run_convergence(cfg, model=loan_model)
+        run_convergence(cfg)
         for method in ("mc", "sobol"):
             dat = (tmp_path / f"conv_{method}.dat").read_text().strip().splitlines()
             assert len(dat) == 3
             assert [int(line.split()[0]) for line in dat] == [64, 128, 256]
             assert all(float(line.split()[1]) >= 0.0 for line in dat)
 
-    def test_csv_schema_fields(self, tmp_path, loan_model):
+    def test_csv_schema_fields(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        _, rows = run_convergence(cfg, model=loan_model)
+        _, rows = run_convergence(cfg)
         header = rows[0].split(",")
         assert header == ["method", "M", "d", "replicates", "mean", "std_error",
                           "bias_bound", "seed", "wall_ms"]
@@ -221,17 +232,17 @@ class TestRunConvergence:
         assert first[7] == "7"
         assert first[8] == "0"  # timings off by default: reproducible bytes
 
-    def test_timings_flag_populates_wall_ms(self, tmp_path, loan_model):
+    def test_timings_flag_populates_wall_ms(self, tmp_path):
         cfg = tiny_config(tmp_path, m_schedule=(64,), methods=("sobol",), timings=True)
-        _, rows = run_convergence(cfg, model=loan_model)
+        _, rows = run_convergence(cfg)
         assert int(rows[1].split(",")[8]) >= 0
 
     def test_start_above_the_barrier_is_a_lump_sum(self, tmp_path, loan_model):
         # as in run_value: the excess over b is paid at once, the rest is the
         # value at b with the same error bar
         b = loan_model.params.b
-        _, at_b = run_convergence(tiny_config(tmp_path, x0=b), model=loan_model)
-        _, above = run_convergence(tiny_config(tmp_path, x0=b + 0.5), model=loan_model)
+        _, at_b = run_convergence(tiny_config(tmp_path, x0=b))
+        _, above = run_convergence(tiny_config(tmp_path, x0=b + 0.5))
         assert len(above) == len(at_b)
         for row_b, row in zip(at_b[1:], above[1:]):
             fields_b, fields = row_b.split(","), row.split(",")
@@ -244,6 +255,45 @@ class TestRunConvergence:
                      "--jumps", "1", "--replicates", "2", "--out", str(out)])
         assert code == 0 and "wrote" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 2
+
+
+class TestRunPlan:
+    """value, convergence and the epsilon study share one plan: every rule
+    formed and every output path checked, then one build per smoothing width."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        real = harness.SmoothedLoanModel.build
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: calls.append(kw["eps"]) or real(**kw))
+        return calls
+
+    def test_one_build_per_run(self, tmp_path, builds):
+        cfg = tiny_config(tmp_path, m_schedule=(16, 32, 64))
+        run_value(cfg)
+        assert builds == [cfg.eps]
+        _, rows = run_convergence(cfg)
+        assert len(rows) == 1 + 2 * 3 and builds == [cfg.eps] * 2
+
+    def test_one_build_per_width(self, tmp_path, builds):
+        cfg = tiny_config(tmp_path, m_schedule=(64,), replicates=2, mc_paths=200)
+        run_epsilon_study(cfg, (0.08, 0.04, 0.02))
+        assert builds == [0.08, 0.04, 0.02]
+
+    def test_plot_data_paths_checked_before_the_build(self, tmp_path, monkeypatch, capsys):
+        # a directory where a .dat file goes used to fail only after every
+        # estimate, with the CSV already written
+        builds = []
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: builds.append(kw) or pytest.fail("built"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conv_sobol.dat").mkdir()
+        code = main(["convergence", "--method", "sobol", "--points", "64", "--jumps", "1",
+                     "--replicates", "2", "--out", "conv.csv"])
+        assert code == 2
+        assert "error: cannot write conv_sobol.dat" in capsys.readouterr().err
+        assert builds == [] and not (tmp_path / "conv.csv").exists()
 
 
 class TestRunEpsilonStudy:
@@ -337,7 +387,8 @@ class TestRunEpsilonStudy:
         resume = calls[0][1]["resume"]
         assert all(kwargs["resume"] is resume for _, kwargs in calls)
         assert len(resume.sums) == 16
-        fresh = real(cfg.loan_params(0.02), cfg.x0, 131_072, seed=cfg.seed, max_jumps=cfg.jumps)
+        fresh = real(replace(cfg, eps=0.02).loan_params(), cfg.x0, 131_072, seed=cfg.seed,
+                     max_jumps=cfg.jumps)
         for row in rows[1:-1]:
             assert row.split(",")[4:6] == [f"{fresh.value:.17g}", f"{fresh.std_error:.17g}"]
 
@@ -652,8 +703,10 @@ class TestCLI:
          "Gauss rule size"),
         (["convergence", "--method", "sobol", "--method", "gauss", "--points", "64",
           "--jumps", "4"], "Gauss product budget exceeded: 64^7"),
+        (["convergence", "--method", "mc", "--method", "sobol", "--points", "16",
+          "--jumps", "600"], "Sobol dimension 1200"),
     ], ids=["value-gauss-size", "value-gauss-budget", "value-sobol-dim", "epsilon-sobol-dim",
-            "convergence-gauss-size", "convergence-gauss-budget"])
+            "convergence-gauss-size", "convergence-gauss-budget", "convergence-sobol-dim"])
     def test_bad_rule_fails_before_any_build(self, tmp_path, monkeypatch, capsys, argv,
                                              message):
         builds = []
