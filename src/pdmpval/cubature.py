@@ -31,6 +31,7 @@ __all__ = [
     "sobol_column",
     "sobol_max_dim",
     "halton_column",
+    "halton_permutation",
     "halton_permutations",
     "mc_chunk",
     "keyed_stream",
@@ -194,18 +195,22 @@ def first_primes(n: int) -> np.ndarray:
         limit *= 2
 
 
-def halton_permutations(d: int, seed: int):
-    """Per-base digit permutations pi_b fixing 0.
+def halton_permutation(dim: int, seed: int) -> np.ndarray:
+    """The digit permutation pi_b of Halton coordinate ``dim`` (1-based), fixing 0.
 
-    Fixing the digit 0 keeps the points off the origin corner and leaves
-    each coordinate's equidistribution unchanged.
+    Each coordinate draws from its own keyed stream, so a permutation does
+    not depend on which other coordinates are built.  Fixing the digit 0
+    keeps the points off the origin corner and leaves each coordinate's
+    equidistribution unchanged.
     """
-    perms = []
-    for j, base in enumerate(first_primes(d)):
-        rng = keyed_stream(_HALTON_TAG, seed, j)
-        perm = np.concatenate([[0], 1 + rng.permutation(int(base) - 1)])
-        perms.append(perm.astype(np.int64))
-    return perms
+    rng = keyed_stream(_HALTON_TAG, seed, dim - 1)
+    perm = np.concatenate([[0], 1 + rng.permutation(_halton_base(dim) - 1)])
+    return perm.astype(np.int64)
+
+
+def halton_permutations(d: int, seed: int):
+    """The digit permutations of Halton coordinates 1..d, in order."""
+    return [halton_permutation(dim, seed) for dim in range(1, d + 1)]
 
 
 @lru_cache(maxsize=2048)
@@ -216,6 +221,10 @@ def _halton_base(dim: int) -> int:
 
 def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
     """Coordinate ``dim`` (1-based) of (scrambled) Halton points, indices [start, stop).
+
+    ``perms[dim - 1]`` is the coordinate's digit permutation (a list from
+    ``halton_permutations`` or a dict keyed by the 0-based dimension); with
+    ``perms`` None the digits are unpermuted.
 
     Index i maps to the left-to-right sum, lowest digit first, of the terms
     pi(a_j) * s_j over its base-b digits a_j, where s_0 = 1/b and
@@ -271,7 +280,8 @@ def keyed_stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=entropy)))
 
 
-def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0) -> np.ndarray:
+def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The first ``rows`` nodes of one fixed-size chunk of the (seed, replicate)
     uniform stream.
 
@@ -279,13 +289,20 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0)
     own stream, filled row by row, so its first rows are a prefix of that
     stream: every node's coordinates depend only on (seed, replicate, node
     index), never on how many nodes the caller uses.  The stream is drawn in
-    tiles of rows and each tile is stored transposed, so the (rows, d) result
-    is a view of a (d, rows) array and each of its columns is contiguous.
+    tiles of rows and each tile is stored transposed into a (d, rows) array,
+    ``out`` if given (a float64 array of that shape, for example one
+    replicate's column slice of a wider stacked block) or else a new one.
+    The (rows, d) result is that array's transpose view: its column ``dim``
+    is the array's row ``dim``, contiguous when the array's rows are.
     """
     if rows < 1 or rows > MC_CHUNK_NODES:
         raise InputError(f"rows must be in 1..{MC_CHUNK_NODES}")
+    if out is None:
+        out = np.empty((d, rows))
+    elif not (isinstance(out, np.ndarray) and out.shape == (d, rows)
+              and out.dtype == np.float64):
+        raise InputError(f"out must be a float64 array of shape ({d}, {rows})")
     stream = keyed_stream(_MC_TAG, seed, replicate, chunk_index)
-    out = np.empty((d, rows))
     tile = np.empty((min(_MC_TILE_ROWS, rows), d))
     for r0 in range(0, rows, _MC_TILE_ROWS):
         part = tile[:min(_MC_TILE_ROWS, rows - r0)]

@@ -154,6 +154,14 @@ def _list(key: str, value: str, parse=lambda key, entry: entry) -> tuple:
         raise InputError(f"config key '{key}': empty entry in '{value}'")
     return tuple(parse(key, entry) for entry in entries if entry)
 
+
+def _path(key: str, value: str) -> str:
+    """A path value; an empty one is refused, as the empty ``--out`` flag is."""
+    if not value:
+        raise InputError(f"config key '{key}' must name a path, got an empty one")
+    return value
+
+
 # config-file key -> (the ExperimentConfig field it sets, parser of its string
 # value); every field but ``timings``, a command-line flag only, has a key
 _CONFIG_KEYS = {
@@ -163,7 +171,7 @@ _CONFIG_KEYS = {
     "methods": ("methods", _list),
     "m_schedule": ("m_schedule", partial(_list, parse=_INT)),
     **{key: (key, _INT) for key in ("jumps", "replicates", "seed", "mc_paths", "workers")},
-    "out": ("out", partial(_parse, kind=str)),
+    "out": ("out", _path),
 }
 
 

@@ -88,7 +88,7 @@ from .cubature import (
     cranley_patterson_shift,
     gauss_product_chunk,
     halton_column,
-    halton_permutations,
+    halton_permutation,
     mc_chunk,
     sobol_column,
 )
@@ -216,8 +216,11 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
     columns laid end to end, at most ``_STACK`` nodes, so the per-call cost of
     a stage is paid once per stack instead of once per replicate.  A Sobol'/
     Halton stack holds the Cranley-Patterson shifts of the chunk's unshifted
-    columns, each generated once on first use; an MC stack holds the
-    replicates' Philox blocks.  The integrand is elementwise, and each
+    columns, each generated once on first use (and a Halton digit
+    permutation the first time any chunk reads its dimension).  An MC stack
+    is one (d, stack size * rows) block that ``mc_chunk`` fills replicate by
+    replicate, each into its own column slice, so a stack column is one
+    contiguous row of it.  The integrand is elementwise, and each
     replicate's chunk sum reduces its own contiguous slice, so every sum is
     the one-replicate batch's bit for bit.  Each chunk accumulates in index
     order and each replicate's chunk sums combine in index order, so the
@@ -230,7 +233,7 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
     if rule.kind in (RuleKind.SOBOL, RuleKind.SCRAMBLED_HALTON):
         shifts = np.stack([cp_shift_vector(d, rule.seed, rep) for rep in range(reps)])
     if rule.kind is RuleKind.SCRAMBLED_HALTON:
-        perms = halton_permutations(d, rule.seed)
+        perms = {}  # 0-based dimension -> its digit permutation, built on first read
 
     def chunk_sums(ci: int) -> list:
         i0 = ci * _CHUNK
@@ -244,8 +247,12 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
 
         def column(dim: int) -> np.ndarray:
             if dim not in base:
-                base[dim] = (sobol_column(dim + 1, i0 + 1, i1 + 1) if perms is None
-                             else halton_column(dim + 1, i0 + 1, i1 + 1, perms))
+                if perms is None:
+                    base[dim] = sobol_column(dim + 1, i0 + 1, i1 + 1)
+                else:
+                    if dim not in perms:  # threads that race here store equal arrays
+                        perms[dim] = halton_permutation(dim + 1, rule.seed)
+                    base[dim] = halton_column(dim + 1, i0 + 1, i1 + 1, perms)
             return base[dim]
 
         per_stack = _STACK // rows
@@ -253,10 +260,12 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
         for r0 in range(0, reps, per_stack):
             stack = range(r0, min(r0 + per_stack, reps))
             if rule.kind is RuleKind.MC:
-                blocks = [mc_chunk(ci, rows, d, rule.seed, rep) for rep in stack]
+                block = np.empty((d, len(stack) * rows))
+                for i, rep in enumerate(stack):
+                    mc_chunk(ci, rows, d, rule.seed, rep, out=block[:, i * rows:(i + 1) * rows])
 
                 def cols(dim: int) -> np.ndarray:
-                    return np.concatenate([block[:, dim] for block in blocks])
+                    return block[dim]  # the stack's column: one contiguous row
             else:
                 rep_shifts = shifts[stack.start:stack.stop]
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from pdmpval import harness, mc
+from pdmpval import harness, mc, operators
+from pdmpval.cubature import CubatureSpec, RuleKind
 from pdmpval.harness import ExperimentConfig
 from pdmpval.loan import LoanParams
 from test_mc import _simulate_chunk_oracle
@@ -83,6 +84,19 @@ def test_epsilon_study_call_contract(tmp_path):
     assert 1 <= len(refs) <= 3 and all(s[3] == study[0] for s in refs)
     # path_jumps reads n_paths = args[2]: 200 paths, then x4 per escalation, 1 jump
     assert [s[5] for s in refs] == [200 * 4 ** k for k in range(len(refs))]
+
+
+def test_every_monte_carlo_node_block_is_traced(loan_model):
+    # M = 10,000 is a full chunk, run as stacks of 4 and 1 replicates, and a
+    # partial one of 1808 nodes, one stack of 5: mc_chunk fills each
+    # (chunk, replicate) block of a stack through the wrapped name
+    rule = CubatureSpec(kind=RuleKind.MC, M=10_000, d=2, seed=3, replicates=5)
+    tracer = _traced(lambda: operators.estimate_value(0.0, 1, rule, loan_model))
+    est = [i for i, s in enumerate(tracer.spans) if s[0] == "operators.estimate_value"]
+    blocks = [s for s in tracer.spans if s[0] == "cubature.mc_chunk"]
+    assert len(est) == 1 and len(blocks) == 10 and all(s[3] == est[0] for s in blocks)
+    assert sorted(s[5] for s in blocks) == [1808 * 2] * 5 + [8192 * 2] * 5
+    assert tracer.counts["operators.chunks"] == 10
 
 
 @pytest.mark.parametrize("x0", [0.0, -90.0])

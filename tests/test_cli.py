@@ -107,6 +107,21 @@ def test_an_empty_path_flag_is_refused(tmp_path, monkeypatch, capsys, command, f
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_empty_out_key_is_refused(tmp_path, monkeypatch, capsys, command):
+    # one reading for all three: `value` would take an empty path as "no
+    # CSV", the other two as the working directory ("cannot write .")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                        lambda **kw: pytest.fail("built"))
+    (tmp_path / "exp.cfg").write_text("jumps = 1\nout =\n")
+    code = main([command, "--points", "16", "--replicates", "2", "--config", "exp.cfg"])
+    assert code == 2
+    assert "error: config key 'out' must name a path, got an empty one" \
+        in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 def _readme_list(label: str) -> str:
     """The README's sentence that starts with ``label``, up to its full stop."""
     match = re.search(rf"^{label} (.*?)\.\s", README.read_text(), re.M | re.S)

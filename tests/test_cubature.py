@@ -14,6 +14,7 @@ from pdmpval.cubature import (
     first_primes,
     gauss_legendre,
     halton_column,
+    halton_permutation,
     halton_permutations,
     mc_chunk,
     sobol_column,
@@ -176,6 +177,20 @@ class TestHalton:
             assert perm[0] == 0
             assert sorted(perm) == list(range(len(perm)))
 
+    @pytest.mark.parametrize("seed", [5, 77])
+    def test_permutation_per_dimension(self, seed):
+        # each coordinate's permutation from its own stream, as one loop over
+        # the first 64 bases drew them: a chunk builds only the ones it reads
+        want = [np.concatenate([[0], 1 + cubature.keyed_stream(cubature._HALTON_TAG, seed, j)
+                                .permutation(int(base) - 1)]).astype(np.int64)
+                for j, base in enumerate(first_primes(64))]
+        got = halton_permutations(64, seed)
+        assert len(got) == 64
+        for dim in range(1, 65):
+            one = halton_permutation(dim, seed)
+            for perm in (one, got[dim - 1]):
+                assert perm.dtype == np.int64 and perm.tobytes() == want[dim - 1].tobytes()
+
     def test_log_rate_bound_first_two_bases(self):
         # D*(M) * M / (1 + log2 M) <= 2 for dyadic prefix sizes
         for dim in (1, 2):
@@ -254,6 +269,30 @@ class TestMC:
         want = [cubature.keyed_stream(cubature._MC_TAG, 9, 1, ci).random((rows, d))
                 for ci, rows in ((0, MC_CHUNK_NODES), (1, 300))]
         assert full.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_out_is_a_column_slice_of_a_wider_block(self, d):
+        # a stack's block holds k replicates' chunks side by side: filling
+        # one replicate's column slice writes the bytes of a fresh call there
+        # and nothing anywhere else
+        k = 3
+        for rows in (1, 255, 256, 257, 4096, MC_CHUNK_NODES):
+            block = np.full((d, k * rows), -1.0)
+            want = mc_chunk(2, rows, d, seed=9, replicate=1)
+            got = mc_chunk(2, rows, d, seed=9, replicate=1, out=block[:, rows:2 * rows])
+            assert got.shape == (rows, d) and got.tobytes() == want.tobytes()
+            assert block[:, rows:2 * rows].tobytes() == want.T.tobytes()
+            assert np.all(block[:, :rows] == -1.0) and np.all(block[:, 2 * rows:] == -1.0)
+            assert all(block[dim].flags.c_contiguous for dim in range(d))
+
+    @pytest.mark.parametrize("out", [np.empty((8, 3)), np.empty((3, 9)),
+                                     np.empty((3, 8), np.float32), np.empty((3, 8), np.int64),
+                                     [[0.0] * 8] * 3],
+                             ids=["transposed", "wide", "float32", "int64", "list"])
+    def test_out_of_the_wrong_shape_or_dtype_refused_before_any_draw(self, out, monkeypatch):
+        monkeypatch.setattr(cubature, "keyed_stream", lambda *key: pytest.fail("drew"))
+        with pytest.raises(InputError, match="out must be a float64 array of shape"):
+            mc_chunk(0, 8, 3, seed=1, out=out)
 
     def test_replicates_differ(self):
         a = _mc_matrix(128, 3, seed=0, replicate=0)

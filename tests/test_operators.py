@@ -388,11 +388,31 @@ class TestEstimateValue:
         assert (est.value.hex(), est.std_error.hex()) == self._WIDTH_GOLDENS[eps]
 
     def test_deep_estimate_bits_independent_of_workers(self, loan_model):
-        # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not
-        rule = CubatureSpec(kind=RuleKind.SOBOL, M=8192 + 512, d=64, seed=3, replicates=2)
-        a = estimate_value(0.0, 32, rule, loan_model, workers=1)
-        b = estimate_value(0.0, 32, rule, loan_model, workers=2)
-        assert a.value.hex() == b.value.hex() and a.std_error.hex() == b.std_error.hex()
+        # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not:
+        # with two workers each thread fills its own stacked MC block and
+        # the Halton permutations are built by whichever thread reads first
+        for kind in ("sobol", "halton", "mc"):
+            rule = CubatureSpec(kind=RuleKind(kind), M=8192 + 512, d=64, seed=3, replicates=2)
+            a = estimate_value(0.0, 32, rule, loan_model, workers=1)
+            b = estimate_value(0.0, 32, rule, loan_model, workers=2)
+            assert (a.value.hex(), a.std_error.hex()) == (b.value.hex(), b.std_error.hex()), kind
+
+    def test_halton_permutations_built_once_for_the_dimensions_read(self, loan_model,
+                                                                       monkeypatch):
+        built = []
+        real = pdmpval.operators.halton_permutation
+        monkeypatch.setattr(pdmpval.operators, "halton_permutation",
+                            lambda dim, seed: built.append(dim) or real(dim, seed))
+        read = set()
+        real_column = pdmpval.operators.halton_column
+        monkeypatch.setattr(pdmpval.operators, "halton_column",
+                            lambda dim, *args: read.add(dim) or real_column(dim, *args))
+        # the deep-qmc shape over two chunks: the drops end the stage loop
+        # early, so the z columns of the deep stages are never read
+        rule = CubatureSpec(kind=RuleKind.SCRAMBLED_HALTON, M=8192 + 512, d=64, seed=3,
+                            replicates=2)
+        estimate_value(0.0, 32, rule, loan_model)
+        assert sorted(built) == sorted(read) and len(built) == len(read) < 64
 
     def test_one_time_solve_and_two_guided_lookups_per_stage(self, loan_model, monkeypatch):
         calls = {"locate": 0, "start": 0, "stage": 0, "position": 0, "find": 0}
