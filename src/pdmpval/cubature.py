@@ -32,7 +32,6 @@ __all__ = [
     "sobol_max_dim",
     "halton_column",
     "halton_permutation",
-    "halton_permutations",
     "mc_chunk",
     "keyed_stream",
     "MC_CHUNK_NODES",
@@ -195,22 +194,22 @@ def first_primes(n: int) -> np.ndarray:
         limit *= 2
 
 
+@lru_cache(maxsize=2048, typed=True)
 def halton_permutation(dim: int, seed: int) -> np.ndarray:
     """The digit permutation pi_b of Halton coordinate ``dim`` (1-based), fixing 0.
 
     Each coordinate draws from its own keyed stream, so a permutation does
-    not depend on which other coordinates are built.  Fixing the digit 0
-    keeps the points off the origin corner and leaves each coordinate's
-    equidistribution unchanged.
+    not depend on which other coordinates are built, and it is built once
+    per (dimension, seed) and process: the array is cached, and read-only.
+    Fixing the digit 0 keeps the points off the origin corner and leaves
+    each coordinate's equidistribution unchanged.
     """
+    if dim < 1:
+        raise InputError(f"Halton dimension must be >= 1, got {dim}")
     rng = keyed_stream(_HALTON_TAG, seed, dim - 1)
-    perm = np.concatenate([[0], 1 + rng.permutation(_halton_base(dim) - 1)])
-    return perm.astype(np.int64)
-
-
-def halton_permutations(d: int, seed: int):
-    """The digit permutations of Halton coordinates 1..d, in order."""
-    return [halton_permutation(dim, seed) for dim in range(1, d + 1)]
+    perm = np.concatenate([[0], 1 + rng.permutation(_halton_base(dim) - 1)]).astype(np.int64)
+    perm.flags.writeable = False
+    return perm
 
 
 @lru_cache(maxsize=2048)
@@ -219,12 +218,11 @@ def _halton_base(dim: int) -> int:
     return int(first_primes(dim)[-1])
 
 
-def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
+def halton_column(dim: int, start: int, stop: int, seed: int | None = None) -> np.ndarray:
     """Coordinate ``dim`` (1-based) of (scrambled) Halton points, indices [start, stop).
 
-    ``perms[dim - 1]`` is the coordinate's digit permutation (a list from
-    ``halton_permutations`` or a dict keyed by the 0-based dimension); with
-    ``perms`` None the digits are unpermuted.
+    The digits are permuted by ``halton_permutation(dim, seed)``; with
+    ``seed`` None they are unpermuted.
 
     Index i maps to the left-to-right sum, lowest digit first, of the terms
     pi(a_j) * s_j over its base-b digits a_j, where s_0 = 1/b and
@@ -240,7 +238,7 @@ def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
     if start < 0:
         raise InputError(f"Halton index range must start at >= 0, got {start}")
     base = _halton_base(dim)
-    perm = np.arange(base) if perms is None else perms[dim - 1]
+    perm = np.arange(base) if seed is None else halton_permutation(dim, seed)
     digits = np.asarray(perm, dtype=float)  # pi(a) for every digit a
     n = max(stop - start, 0)
     if n == 0:
@@ -275,8 +273,11 @@ def halton_column(dim: int, start: int, stop: int, perms=None) -> np.ndarray:
 
 def keyed_stream(*key: int) -> np.random.Generator:
     """The Philox stream keyed by a tuple of integers: a stream-domain tag,
-    then the indices that pick the stream (seed, replicate, chunk, ...)."""
-    entropy = tuple(int(k) for k in key)
+    the seed, then the indices that pick the stream (replicate, chunk, ...).
+    Each must be an integer >= 0, and a bool is not one: a float, which
+    would truncate, or a negative key is an InputError naming its entry."""
+    names = ("stream tag", "seed") + ("stream index",) * (len(key) - 2)
+    entropy = tuple(int(require_int(name, k, 0)) for name, k in zip(names, key))
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=entropy)))
 
 

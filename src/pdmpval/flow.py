@@ -370,36 +370,31 @@ class FlowTable:
 
         A point whose end interval lies in the zero stretch (ke < _kz) has
         collected +0.0: t >= 0 puts k0 <= ke, so both reward values are +-0
-        and the core adds +0, and te < t_tail leaves out the tail.  The
-        formulas run on the other points only, picked by index; T0, t and k0
-        may be scalars, and the formulas are elementwise, so every value is
-        the full batch's bit for bit.
+        and the core adds +0, and te < t_tail leaves out the tail.  So the
+        core and the frozen-rate tail run on the other points only, picked
+        by index, and their sum goes into a zero array; T0, t and k0 may be
+        scalars, and the formulas are elementwise, so every value is the
+        full batch's bit for bit.
         """
         live = np.flatnonzero(ke >= self._kz)
         out = np.zeros(te.shape)
-        if live.size:
-            pick = lambda a: a.take(live) if np.ndim(a) else a
-            np.put(out, live, self._reward_full(pick(T0), pick(t), te.take(live), pick(k0),
-                                                ke.take(live)))
-        return out
-
-    def _reward_full(self, T0, t, te, k0, ke):
-        """The reward formulas of :meth:`_reward` on every point."""
-        out = np.zeros(te.shape, dtype=float)
+        if not live.size:
+            return out
+        T0, t, k0 = (a.take(live) if np.ndim(a) else a for a in (T0, t, k0))
+        te, ke = te.take(live), ke.take(live)
         # reward_t is a prefix of grid_t ending at t_tail, so the reward
         # intervals of the clipped times are the grid intervals capped
         last = len(self.reward_t) - 2
         k1, k0 = np.minimum(ke, last), np.minimum(k0, last)
-        t1 = np.clip(np.minimum(te, self.t_tail), 0.0, self.t_tail)
+        t1 = np.clip(te, 0.0, self.t_tail)
         t0c = np.clip(T0, 0.0, self.t_tail)
         core = np.exp(self.delta * t0c) * (
             _ppoly(self._reward_c, k1, t1 - self.reward_t[k1])
             - _ppoly(self._reward_c, k0, t0c - self.reward_t[k0]))
-        out += np.where(T0 < self.t_tail, core, 0.0)
         lead = np.maximum(self.t_tail - T0, 0.0)
         with np.errstate(invalid="ignore"):
             tail = self.l_tail / self.delta * (np.exp(-self.delta * lead) - np.exp(-self.delta * t))
-        out += np.where(te > self.t_tail, tail, 0.0)
+        out[live] = np.where(T0 < self.t_tail, core, 0.0) + np.where(te > self.t_tail, tail, 0.0)
         return out
 
 

@@ -203,6 +203,14 @@ def _check_out(path) -> None:
         raise InputError(f"cannot write {path}: its directory is not writable")
 
 
+def _csv_path(config: ExperimentConfig, command: str) -> Path:
+    """config.out for a subcommand that always writes its CSV; an empty one,
+    which ``run_value`` reads as "no CSV", is refused before any build."""
+    if not config.out:
+        raise InputError(f"{command} writes a CSV: 'out' must name a path, got an empty one")
+    return Path(config.out)
+
+
 def _write_lines(path, lines) -> None:
     path = Path(path)
     try:
@@ -256,7 +264,7 @@ def run_convergence(config: ExperimentConfig):
     per method (same stem, `_<method>.dat` suffix) for log-log plots; all
     are checked writable before the build.  Returns (csv_path, rows).
     """
-    csv_path = Path(config.out)
+    csv_path = _csv_path(config, "convergence")
     dats = {method: csv_path.parent / f"{csv_path.stem}_{method}.dat" for method in config.methods}
     rows, runs = _estimates([config], config.methods, config.m_schedule, csv_path, dats.values())
     for method, dat in dats.items():
@@ -300,7 +308,7 @@ def run_epsilon_study(config: ExperimentConfig, eps_schedule: Sequence[float]):
         raise InputError(f"start value x0 = {config.x0} lies above the barrier b = {config.b}; "
                          "the epsilon study's Monte Carlo reference starts at or below it")
 
-    csv_path = Path(config.out)
+    csv_path = _csv_path(config, "epsilon-study")
     _, runs = _estimates(widths, ("sobol",), config.m_schedule[-1:], also=(csv_path,))
     estimates = [est for _, est in runs]
 
@@ -457,8 +465,7 @@ def run_validate() -> int:
           max(float(np.max(np.abs(hal[0] - [0.5, 0.25, 0.75, 0.125]))),
               abs(hal[1][0] - 1.0 / 3.0)), 1e-15)
     plain = cubature.star_discrepancy_1d(cubature.halton_column(2, 1, 28))
-    scr = cubature.star_discrepancy_1d(
-        cubature.halton_column(2, 1, 28, cubature.halton_permutations(2, 7)))
+    scr = cubature.star_discrepancy_1d(cubature.halton_column(2, 1, 28, seed=7))
     check("halton scrambling keeps base-3 prefix discrepancy", abs(plain - scr), 1e-12)
     a1 = cubature.mc_chunk(0, 64, 3, 5)
     a2 = cubature.mc_chunk(0, 64, 3, 5)

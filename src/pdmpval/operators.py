@@ -88,7 +88,6 @@ from .cubature import (
     cranley_patterson_shift,
     gauss_product_chunk,
     halton_column,
-    halton_permutation,
     mc_chunk,
     sobol_column,
 )
@@ -216,24 +215,23 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
     columns laid end to end, at most ``_STACK`` nodes, so the per-call cost of
     a stage is paid once per stack instead of once per replicate.  A Sobol'/
     Halton stack holds the Cranley-Patterson shifts of the chunk's unshifted
-    columns, each generated once on first use (and a Halton digit
-    permutation the first time any chunk reads its dimension).  An MC stack
-    is one (d, stack size * rows) block that ``mc_chunk`` fills replicate by
-    replicate, each into its own column slice, so a stack column is one
-    contiguous row of it.  The integrand is elementwise, and each
-    replicate's chunk sum reduces its own contiguous slice, so every sum is
-    the one-replicate batch's bit for bit.  Each chunk accumulates in index
-    order and each replicate's chunk sums combine in index order, so the
-    result is bit identical for any worker count.
+    columns, each generated once on first use; a Halton column takes the
+    rule's seed, as a Sobol' column takes its index range, and reads its
+    digit permutation from ``halton_permutation``'s per-process cache.  An
+    MC stack is one (d, stack size * rows) block that ``mc_chunk`` fills
+    replicate by replicate, each into its own column slice, so a stack
+    column is one contiguous row of it.  The integrand is elementwise, and
+    each replicate's chunk sum reduces its own contiguous slice, so every
+    sum is the one-replicate batch's bit for bit.  Each chunk accumulates in
+    index order and each replicate's chunk sums combine in index order, so
+    the result is bit identical for any worker count.
     """
     d = rule.d
     gauss = rule.kind is RuleKind.GAUSS_PRODUCT
     size = rule.M ** (d - 1) if gauss else rule.M
-    shifts = perms = None
+    shifts = None
     if rule.kind in (RuleKind.SOBOL, RuleKind.SCRAMBLED_HALTON):
         shifts = np.stack([cp_shift_vector(d, rule.seed, rep) for rep in range(reps)])
-    if rule.kind is RuleKind.SCRAMBLED_HALTON:
-        perms = {}  # 0-based dimension -> its digit permutation, built on first read
 
     def chunk_sums(ci: int) -> list:
         i0 = ci * _CHUNK
@@ -247,12 +245,8 @@ def _replicate_means(model: SmoothedLoanModel, x0: float, n: int, rule: Cubature
 
         def column(dim: int) -> np.ndarray:
             if dim not in base:
-                if perms is None:
-                    base[dim] = sobol_column(dim + 1, i0 + 1, i1 + 1)
-                else:
-                    if dim not in perms:  # threads that race here store equal arrays
-                        perms[dim] = halton_permutation(dim + 1, rule.seed)
-                    base[dim] = halton_column(dim + 1, i0 + 1, i1 + 1, perms)
+                base[dim] = (sobol_column(dim + 1, i0 + 1, i1 + 1) if rule.kind is RuleKind.SOBOL
+                             else halton_column(dim + 1, i0 + 1, i1 + 1, rule.seed))
             return base[dim]
 
         per_stack = _STACK // rows

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cubature import gauss_legendre
 from .errors import InputError, ModelError
 
 __all__ = [
@@ -201,22 +202,20 @@ def smoothed_branch_weight(u0, j, q, eps):
 
 
 def _weight_mass(a: float, b: float, eps: float) -> float:
-    """Integral over [0,1] of the mollified indicator of [a, b)."""
+    """Integral over [0,1] of the mollified indicator of [a, b), exact.
+
+    Between the ramp ends a +- eps and b +- eps, clipped to [0, 1], each
+    ramp is constant or a quintic, so the weight is a polynomial of degree
+    <= 10 there, and a 6-point Gauss-Legendre rule on each piece integrates
+    it exactly, up to rounding.
+    """
     if eps == 0.0:
         return b - a
-    from scipy.integrate import quad
-
-    pts = sorted({min(max(p, 0.0), 1.0) for p in (a - eps, a + eps, b - eps, b + eps)})
-    val, _ = quad(
-        lambda u: heaviside((u - a) / eps) * heaviside((b - u) / eps),
-        0.0,
-        1.0,
-        points=pts,
-        limit=200,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    return val
+    nodes, weights = gauss_legendre(6)
+    ends = np.unique(np.clip([0.0, a - eps, a + eps, b - eps, b + eps, 1.0], 0.0, 1.0))
+    width = np.diff(ends)[:, None]
+    u = ends[:-1, None] + width * nodes
+    return float(np.sum(width * weights * smoothed_branch_weight(u, 1, (a, b), eps)))
 
 
 def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec):
@@ -224,8 +223,8 @@ def smoothed_kernel_integrate(f, y, spec: JumpKernelSpec):
 
     The mollified weight does not depend on the inner coordinate and the
     branch integrand does not depend on u0, so the double integral factors
-    into (weight mass) x (branch integral).  Both are computed by adaptive
-    quadrature, the weight masses with the ramp breakpoints supplied.
+    into (weight mass) x (branch integral).  The weight masses are exact
+    (:func:`_weight_mass`); the branch integrals are adaptive quadratures.
 
     As eps -> 0 the result converges to the unsmoothed integral with error
     at most (5/8) * eps * n * sup|f| for n branches.

@@ -99,6 +99,20 @@ def test_every_monte_carlo_node_block_is_traced(loan_model):
     assert tracer.counts["operators.chunks"] == 10
 
 
+def test_every_halton_column_is_traced(loan_model):
+    # the estimator passes the rule's seed as halton_column's fourth
+    # argument; the tracer's column work function still reads the dimension
+    # as args[0], and dimension 1 opens each of the two chunks (n = 1 reads
+    # v_1 only)
+    rule = CubatureSpec(kind=RuleKind.SCRAMBLED_HALTON, M=10_000, d=2, seed=3, replicates=5)
+    tracer = _traced(lambda: operators.estimate_value(0.0, 1, rule, loan_model))
+    est = [i for i, s in enumerate(tracer.spans) if s[0] == "operators.estimate_value"]
+    cols = [s for s in tracer.spans if s[0] == "cubature.halton_column"]
+    assert len(est) == 1 and all(s[3] == est[0] for s in cols)
+    assert sorted(s[5] for s in cols) == [1808, 8192]
+    assert tracer.counts["operators.chunks"] == 2
+
+
 @pytest.mark.parametrize("x0", [0.0, -90.0])
 def test_monte_carlo_chunk_contract(x0):
     # chunk_jumps reads rows = args[2] and max_jumps = args[5] of the

@@ -100,9 +100,8 @@ def test_cli_exits_without_scipy(argv, code):
 
 
 # the only functions of the package that may import scipy: the adaptive
-# quadratures of the kernel smoothing and the validation battery
+# quadrature of the kernel branch integrals and the validation battery
 SCIPY_IMPORTERS = {
-    ("smoothing.py", "_weight_mass"),
     ("smoothing.py", "_branch_integral"),
     ("harness.py", "run_validate"),
 }

@@ -15,7 +15,6 @@ from pdmpval.cubature import (
     gauss_legendre,
     halton_column,
     halton_permutation,
-    halton_permutations,
     mc_chunk,
     sobol_column,
     sobol_max_dim,
@@ -37,10 +36,10 @@ def _sobol_column_by_bits(dim, start, stop):
     return acc.astype(np.float64) * 2.0 ** -32
 
 
-def _halton_column_by_digits(dim, start, stop, perms=None):
+def _halton_column_by_digits(dim, start, stop, seed=None):
     """Oracle: each index's digits one position at a time, lowest first."""
     base = cubature._halton_base(dim)
-    perm = None if perms is None else perms[dim - 1]
+    perm = None if seed is None else halton_permutation(dim, seed)
     rem = np.arange(start, stop, dtype=np.int64)
     out = np.zeros(rem.shape, dtype=float)
     scale = 1.0 / base
@@ -61,8 +60,7 @@ def _sobol_matrix(m, d):
 
 def _halton_matrix(m, d, seed=None):
     """The first m (scrambled) Halton points (indices 1..m) in dimension d."""
-    perms = None if seed is None else halton_permutations(d, seed)
-    return np.stack([halton_column(j + 1, 1, m + 1, perms) for j in range(d)], axis=1)
+    return np.stack([halton_column(j + 1, 1, m + 1, seed) for j in range(d)], axis=1)
 
 
 def _mc_matrix(m, d, seed, replicate=0):
@@ -172,24 +170,33 @@ class TestHalton:
         assert not np.array_equal(a, c)
 
     def test_permutations_fix_zero(self):
-        perms = halton_permutations(8, seed=5)
-        for perm in perms:
+        for dim in range(1, 9):
+            perm = halton_permutation(dim, 5)
             assert perm[0] == 0
             assert sorted(perm) == list(range(len(perm)))
 
     @pytest.mark.parametrize("seed", [5, 77])
     def test_permutation_per_dimension(self, seed):
         # each coordinate's permutation from its own stream, as one loop over
-        # the first 64 bases drew them: a chunk builds only the ones it reads
+        # the first 64 bases drew them: a chunk builds only the ones it reads,
+        # and a cold cache builds the same bytes as a warm one
         want = [np.concatenate([[0], 1 + cubature.keyed_stream(cubature._HALTON_TAG, seed, j)
                                 .permutation(int(base) - 1)]).astype(np.int64)
                 for j, base in enumerate(first_primes(64))]
-        got = halton_permutations(64, seed)
-        assert len(got) == 64
+        warm = [halton_permutation(dim, seed) for dim in range(1, 65)]
+        halton_permutation.cache_clear()
         for dim in range(1, 65):
-            one = halton_permutation(dim, seed)
-            for perm in (one, got[dim - 1]):
+            for perm in (halton_permutation(dim, seed), warm[dim - 1]):
                 assert perm.dtype == np.int64 and perm.tobytes() == want[dim - 1].tobytes()
+
+    def test_cached_permutation_is_read_only(self):
+        # every column of the process reads the one cached array: a caller
+        # that writes to it must fail, not scramble the later columns
+        perm = halton_permutation(3, 11)
+        assert halton_permutation(3, 11) is perm
+        with pytest.raises(ValueError, match="read-only"):
+            perm[1] = 2
+        assert sorted(halton_permutation(3, 11)) == [0, 1, 2, 3, 4]
 
     def test_log_rate_bound_first_two_bases(self):
         # D*(M) * M / (1 + log2 M) <= 2 for dyadic prefix sizes
@@ -206,21 +213,19 @@ class TestHalton:
             m = 3 ** k
             plain = star_discrepancy_bruteforce(halton_column(2, 1, m + 1))
             for seed in (1, 2, 77):
-                perms = halton_permutations(2, seed=seed)
-                scr = star_discrepancy_bruteforce(halton_column(2, 1, m + 1, perms))
+                scr = star_discrepancy_bruteforce(halton_column(2, 1, m + 1, seed=seed))
                 assert scr == pytest.approx(plain, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [None, 3, 41])
     def test_column_matches_digit_loop(self, seed):
         # ranges in one block of the low table, across block and digit-count
         # boundaries, far from the origin, of one node and empty
-        perms = None if seed is None else halton_permutations(64, seed)
         ranges = [(0, 1), (1, 2), (1, 4097), (8193, 16385), (45057, 51201),
                   (2 ** 20 + 17, 2 ** 20 + 8209), (7, 7)]
         for dim in range(1, 65):
             for start, stop in ranges:
-                got = halton_column(dim, start, stop, perms)
-                assert got.tobytes() == _halton_column_by_digits(dim, start, stop, perms).tobytes()
+                got = halton_column(dim, start, stop, seed)
+                assert got.tobytes() == _halton_column_by_digits(dim, start, stop, seed).tobytes()
                 assert got.shape == (stop - start,)
 
     def test_column_refuses_bad_arguments(self):
@@ -340,6 +345,36 @@ class TestCranleyPatterson:
     def test_seeded_shift_reproducible(self):
         assert np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 1))
         assert not np.array_equal(cp_shift_vector(6, 3, 1), cp_shift_vector(6, 3, 2))
+
+
+class TestStreamKeys:
+    """Every key of a keyed stream is an integer >= 0: a float seed used to
+    truncate silently, True read as 1, and a negative key raised numpy's
+    bare ValueError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: mc_chunk(0, 4, 2, 2.5), "seed must be an integer >= 0, got 2.5"),
+        (lambda: mc_chunk(0, 4, 2, True), "seed must be an integer >= 0, got True"),
+        (lambda: mc_chunk(0, 4, 2, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: mc_chunk(-1, 4, 2, 0), "stream index must be an integer >= 0, got -1"),
+        (lambda: mc_chunk(0, 4, 2, 0, replicate=1.0), "stream index .* got 1.0"),
+        (lambda: cp_shift_vector(3, -2), "seed must be an integer >= 0, got -2"),
+        (lambda: halton_permutation(1, -5), "seed must be an integer >= 0, got -5"),
+        (lambda: halton_permutation(1, 5.0), "seed must be an integer >= 0, got 5.0"),
+        (lambda: halton_permutation(0, 5), "Halton dimension must be >= 1, got 0"),
+        (lambda: halton_column(1, 1, 5, seed=-1), "seed must be an integer >= 0, got -1"),
+    ], ids=["mc-float-seed", "mc-bool-seed", "mc-negative-seed", "mc-negative-chunk",
+            "mc-float-replicate", "cp-negative-seed", "halton-negative-seed",
+            "halton-float-seed", "halton-dim-0", "column-negative-seed"])
+    def test_bad_key_is_an_input_error_naming_it(self, call, message):
+        halton_permutation(1, 5)  # a cached int key must not answer for 5.0
+        with pytest.raises(InputError, match=message):
+            call()
+
+    def test_integer_keys_of_any_integer_type_draw_one_stream(self):
+        want = mc_chunk(1, 16, 3, 7, 2)
+        got = mc_chunk(np.int64(1), 16, 3, np.uint32(7), np.int8(2))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGaussLegendre:

@@ -296,6 +296,23 @@ class TestRunPlan:
         assert builds == [] and not (tmp_path / "conv.csv").exists()
 
 
+    @pytest.mark.parametrize("command, run", [
+        ("convergence", run_convergence),
+        ("epsilon-study", lambda cfg: run_epsilon_study(cfg, (0.08, 0.04))),
+    ], ids=["convergence", "epsilon-study"])
+    def test_an_empty_out_set_in_code_is_refused_before_the_build(self, tmp_path, monkeypatch,
+                                                                  command, run):
+        # run_value reads out="" as "no CSV"; the two subcommands that always
+        # write one used to fail with "cannot write .: it is a directory"
+        monkeypatch.setattr(harness.SmoothedLoanModel, "build",
+                            lambda **kw: pytest.fail("built"))
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_config(tmp_path, methods=("sobol",), replicates=2, out="")
+        with pytest.raises(InputError, match=f"^{command} writes a CSV: 'out' must name a path"):
+            run(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRunEpsilonStudy:
     def test_structure(self, tmp_path):
         cfg = tiny_config(tmp_path, m_schedule=(2048,), replicates=4,

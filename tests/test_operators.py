@@ -1,12 +1,14 @@
 import math
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PPoly
 
+import pdmpval.cubature
 import pdmpval.flow
 import pdmpval.harness
 import pdmpval.operators
@@ -19,7 +21,6 @@ from pdmpval.cubature import (
     gauss_legendre,
     gauss_product_chunk,
     halton_column,
-    halton_permutations,
     mc_chunk,
     sobol_column,
 )
@@ -390,7 +391,7 @@ class TestEstimateValue:
     def test_deep_estimate_bits_independent_of_workers(self, loan_model):
         # the deep-qmc shape (n=32, d=64) over two chunks, threaded or not:
         # with two workers each thread fills its own stacked MC block and
-        # the Halton permutations are built by whichever thread reads first
+        # reads the Halton permutations from the one per-process cache
         for kind in ("sobol", "halton", "mc"):
             rule = CubatureSpec(kind=RuleKind(kind), M=8192 + 512, d=64, seed=3, replicates=2)
             a = estimate_value(0.0, 32, rule, loan_model, workers=1)
@@ -399,20 +400,30 @@ class TestEstimateValue:
 
     def test_halton_permutations_built_once_for_the_dimensions_read(self, loan_model,
                                                                        monkeypatch):
-        built = []
-        real = pdmpval.operators.halton_permutation
-        monkeypatch.setattr(pdmpval.operators, "halton_permutation",
-                            lambda dim, seed: built.append(dim) or real(dim, seed))
+        # a permutation is drawn from its own keyed stream once per
+        # (dimension, seed) and process, and only for the dimensions read
+        drawn = []
+        real = pdmpval.cubature.keyed_stream
+        monkeypatch.setattr(pdmpval.cubature, "keyed_stream",
+                            lambda *key: (key[0] == pdmpval.cubature._HALTON_TAG
+                                          and drawn.append(key[1:])) or real(*key))
         read = set()
         real_column = pdmpval.operators.halton_column
         monkeypatch.setattr(pdmpval.operators, "halton_column",
                             lambda dim, *args: read.add(dim) or real_column(dim, *args))
+        pdmpval.cubature.halton_permutation.cache_clear()
         # the deep-qmc shape over two chunks: the drops end the stage loop
         # early, so the z columns of the deep stages are never read
         rule = CubatureSpec(kind=RuleKind.SCRAMBLED_HALTON, M=8192 + 512, d=64, seed=3,
                             replicates=2)
-        estimate_value(0.0, 32, rule, loan_model)
-        assert sorted(built) == sorted(read) and len(built) == len(read) < 64
+        first = estimate_value(0.0, 32, rule, loan_model)
+        assert sorted(drawn) == [(3, dim - 1) for dim in sorted(read)] and len(read) < 64
+        drawn.clear()
+        again = estimate_value(0.0, 32, rule, loan_model)
+        assert drawn == [] and again.value.hex() == first.value.hex()
+        read.clear()  # the drops, and so the dimensions read, depend on the seed
+        estimate_value(0.0, 32, replace(rule, seed=4), loan_model)
+        assert sorted(drawn) == [(4, dim - 1) for dim in sorted(read)]
 
     def test_one_time_solve_and_two_guided_lookups_per_stage(self, loan_model, monkeypatch):
         calls = {"locate": 0, "start": 0, "stage": 0, "position": 0, "find": 0}
@@ -569,7 +580,6 @@ def naive_replicate_means(model, x0, n, rule):
     """Each replicate's mean from one integrand batch per replicate and chunk,
     with the replicate's own node columns, chunk sums combined in order."""
     d = rule.d
-    perms = halton_permutations(d, rule.seed) if rule.kind is RuleKind.SCRAMBLED_HALTON else None
     means = []
     for rep in range(rule.replicates):
         shift = cp_shift_vector(d, rule.seed, rep)
@@ -581,8 +591,8 @@ def naive_replicate_means(model, x0, n, rule):
                 cols = lambda dim, block=block: block[:, dim]
             else:
                 def cols(dim, i0=i0, i1=i1, shift=shift):
-                    base = (sobol_column(dim + 1, i0 + 1, i1 + 1) if perms is None
-                            else halton_column(dim + 1, i0 + 1, i1 + 1, perms))
+                    base = (sobol_column(dim + 1, i0 + 1, i1 + 1) if rule.kind is RuleKind.SOBOL
+                            else halton_column(dim + 1, i0 + 1, i1 + 1, rule.seed))
                     return cranley_patterson_shift(base, shift=shift[dim])
             vals = pdmpval.operators._integrand_batch(model, x0, n, cols)
             total += float(np.add.reduce(vals))

@@ -281,3 +281,56 @@ class TestKernelIntegrate:
             eps=0.0,
         )
         assert smoothed_kernel_integrate(lambda y: 1.0, 0.0, spec) == pytest.approx(0.5, abs=1e-12)
+
+
+def _quad_weight_mass(a, b, eps):
+    """The adaptive quadrature of the weight mass that the exact rule replaced,
+    with its ramp breakpoints and tolerances."""
+    from scipy.integrate import quad
+
+    pts = sorted({min(max(p, 0.0), 1.0) for p in (a - eps, a + eps, b - eps, b + eps)})
+    return quad(lambda u: heaviside((u - a) / eps) * heaviside((b - u) / eps), 0.0, 1.0,
+                points=pts, limit=200, epsabs=1e-13, epsrel=1e-12)[0]
+
+
+class TestWeightMass:
+    """The mass of a mollified branch indicator is exact: a Gauss rule on each
+    polynomial piece between the clipped ramp ends."""
+
+    @pytest.mark.parametrize("a, b, eps", [(0.2, 0.7, 0.05), (0.3, 0.4, 0.01),
+                                           (0.1, 0.9, 0.1), (0.45, 0.55, 0.05),
+                                           (0.001, 0.999, 1e-3)])
+    def test_interior_branch_keeps_its_width(self, a, b, eps):
+        # each ramp lies inside [0, 1] and h(t) + h(-t) = 1: the ramps
+        # move as much mass out of [a, b) as into it
+        assert smoothing._weight_mass(a, b, eps) == pytest.approx(b - a, abs=2e-16)
+
+    @pytest.mark.parametrize("a, b, eps", [(0.0, 0.5, 0.05), (0.5, 1.0, 0.05),
+                                           (0.0, 0.3, 0.01), (0.6, 1.0, 0.2)])
+    def test_one_ramp_clipped_loses_five_thirty_seconds_of_a_width(self, a, b, eps):
+        # the half ramp inside [0, 1] integrates to eps * 27/32, not eps
+        assert smoothing._weight_mass(a, b, eps) == pytest.approx(b - a - 5.0 * eps / 32.0,
+                                                                  abs=2e-16)
+
+    def test_both_ramps_clipped(self):
+        assert smoothing._weight_mass(0.0, 1.0, 0.1) == pytest.approx(1.0 - 10.0 * 0.1 / 32.0,
+                                                                      abs=2e-16)
+
+    def test_published_check(self):
+        assert smoothing._weight_mass(0.0, 0.5, 0.05) == pytest.approx(0.4921875, abs=1e-16)
+
+    def test_narrow_branches_match_the_adaptive_quadrature(self, rng):
+        # branches narrower than 2 eps, where the ramps overlap, inside
+        # [0, 1], clipped at either end, and empty
+        cases = [(0.4, 0.45, 0.05), (0.0, 0.05, 0.04), (0.98, 1.0, 0.03), (0.5, 0.5, 0.1),
+                 (0.3, 0.35, 0.3), (0.0, 0.01, 0.3)]
+        for _ in range(40):
+            eps = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+            a = rng.uniform(-0.5 * eps, 1.0)
+            cases.append((max(a, 0.0), min(a + rng.uniform(0.0, 2.0 * eps), 1.0), eps))
+        for a, b, eps in cases:
+            assert smoothing._weight_mass(a, b, eps) == pytest.approx(
+                _quad_weight_mass(a, b, eps), abs=1e-13), (a, b, eps)
+
+    def test_unsmoothed_mass_is_the_width(self):
+        assert smoothing._weight_mass(0.25, 0.75, 0.0) == 0.5
