@@ -13,9 +13,11 @@ scalar state, a forward solve from t = 0, one terminal upward crossing, 1-D
 data.  The tests compare each routine with scipy's.
 
 Two routines are the package's own.  The solve's dense output is one
-formula, :func:`_dense`, evaluated on Python floats by
-:func:`float_dense_output` and on arrays by :func:`array_dense_output`, bit
-for bit alike; the event reads it too.  And :func:`first_root` is the one root
+formula, :func:`_dense`, evaluated on Python floats by the flow table's
+grid march and on arrays by :func:`array_dense_output`, bit for bit alike;
+the event reads it too.  :func:`float_dense_output`, the float reading by
+bisection, is not exported: it is the reference the tests hold the march
+and :func:`array_dense_output` to.  And :func:`first_root` is the one root
 finder: the first float at which a nondecreasing function reaches zero,
 for the event and for the flow table's time-solve stragglers.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ModelError
 
-__all__ = ["rk45", "float_dense_output", "array_dense_output", "first_root",
+__all__ = ["rk45", "array_dense_output", "first_root",
            "cumulative_simpson", "hermite_coeffs", "pchip_coeffs"]
 
 

@@ -145,11 +145,20 @@ def _direction_integers(dim: int) -> np.ndarray:
     return v
 
 
+def _check_range(dim_name, dim, start, stop):
+    """InputError, naming the argument, unless the dimension is an integer
+    >= 1 and the index range [start, stop) one of integers 0 <= start <= stop."""
+    require_int(dim_name, dim, 1)
+    require_int("start", start, 0)
+    require_int("stop", stop, start)
+
+
 def sobol_column(dim: int, start: int, stop: int) -> np.ndarray:
     """Coordinate ``dim`` (1-based) of Sobol' points with indices [start, stop)."""
-    if dim < 1 or dim > sobol_max_dim():
+    _check_range("Sobol dimension", dim, start, stop)
+    if dim > sobol_max_dim():
         raise InputError(f"Sobol dimension {dim} outside 1..{sobol_max_dim()}")
-    if start < 0 or stop > 1 << _NBITS:
+    if stop > 1 << _NBITS:
         raise InputError("Sobol index range outside the 32-bit sequence")
     v = _direction_integers(dim)
     # The integer of index i is the XOR of v[b] over the set bits b of i, so
@@ -157,7 +166,7 @@ def sobol_column(dim: int, start: int, stop: int) -> np.ndarray:
     # doubling, low[j + 2^b] = low[j] ^ v[b]; with 2^k <= stop - start the
     # range meets at most three blocks of 2^k indices, each one XOR of a
     # slice of the table with that block's high part.
-    n = max(stop - start, 0)
+    n = stop - start
     k = max(n.bit_length() - 1, 0)
     low = np.zeros(1 << k, dtype=np.uint64)
     for b in range(k):
@@ -233,14 +242,11 @@ def halton_column(dim: int, start: int, stop: int, seed: int | None = None) -> n
     bit for bit: a position beyond an index's top digit adds +0.0 to a sum
     >= +0.0, which changes nothing.
     """
-    if dim < 1:
-        raise InputError(f"Halton dimension must be >= 1, got {dim}")
-    if start < 0:
-        raise InputError(f"Halton index range must start at >= 0, got {start}")
+    _check_range("Halton dimension", dim, start, stop)
     base = _halton_base(dim)
     perm = np.arange(base) if seed is None else halton_permutation(dim, seed)
     digits = np.asarray(perm, dtype=float)  # pi(a) for every digit a
-    n = max(stop - start, 0)
+    n = stop - start
     if n == 0:
         return np.empty(0)
     scales = []  # s_j for every digit position of the largest index
@@ -296,8 +302,9 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0,
     The (rows, d) result is that array's transpose view: its column ``dim``
     is the array's row ``dim``, contiguous when the array's rows are.
     """
-    if rows < 1 or rows > MC_CHUNK_NODES:
+    if require_int("rows", rows, 1) > MC_CHUNK_NODES:
         raise InputError(f"rows must be in 1..{MC_CHUNK_NODES}")
+    require_int("dimension d", d, 1)
     if out is None:
         out = np.empty((d, rows))
     elif not (isinstance(out, np.ndarray) and out.shape == (d, rows)
@@ -314,6 +321,7 @@ def mc_chunk(chunk_index: int, rows: int, d: int, seed: int, replicate: int = 0,
 
 def cp_shift_vector(d: int, seed: int, replicate: int = 0) -> np.ndarray:
     """The Cranley-Patterson shift vector of one replicate."""
+    require_int("dimension d", d, 1)
     return keyed_stream(_CP_TAG, seed, replicate).random(d)
 
 

@@ -39,7 +39,9 @@ finite on the domain.
 
 The time grid is marched one step at a time on Python floats from a bound on
 the trajectory's third derivative, with a step cap and fine steps in windows
-around the features, found by bisection over their sorted ends.  Most of the
+around the features, found by bisection over their sorted ends.  Time only
+moves forward, so the march reads the solver's segments through a forward
+pointer instead of a bisection per step.  Most of the
 barrier tail is one run of capped steps: there each capped step predicts the
 next times by adding the cap, as the loop would, and one array pass of the
 same step rule takes the prefix of them that is certainly capped, so the
@@ -59,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import (array_dense_output, cumulative_simpson, first_root, float_dense_output,
+from ._numerics import (_dense, array_dense_output, cumulative_simpson, first_root,
                         hermite_coeffs, pchip_coeffs, rk45)
 from .errors import InputError, ModelError
 
@@ -593,7 +595,7 @@ def build_flow_table(
     cap = 1e3 * span / g_max
     y_stop = upper - _PROXIMITY * span
 
-    segments = rk45(lambda t, y: float(drift(min(y, upper))), cap, y_start,
+    segments = rk45(lambda t, y: float(drift(upper if upper < y else y)), cap, y_start,
                     _RK_TOL, _RK_TOL * span * 1e-2, y_stop)
     t_end = segments[0][-1]
 
@@ -671,9 +673,16 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     discounted reward quadrature accurate), fine stepping inside feature
     windows, and a guard that never jumps over an upcoming feature window in
     one step.  The loop is sequential, so it runs on Python floats: the
-    dense output of the solver's segment table through
-    :func:`~pdmpval._numerics.float_dense_output` and three scalar drift
-    calls per step for the central differences.
+    dense output of the solver's segment table, one
+    :func:`~pdmpval._numerics._dense` call per step, and three scalar drift
+    calls per step for the central differences.  t never decreases, so the
+    loop keeps a forward pointer to its segment, the first that does not end
+    before t (scipy's side="left" rule, as in
+    :func:`~pdmpval._numerics.float_dense_output`), instead of a bisection
+    per step.  The loop's constants are formed once, and it takes minima and
+    maxima of two floats by conditional expressions: the builtins ``min`` and
+    ``max`` cost several comparisons each, and ``b if b < a else a`` is
+    ``min(a, b)`` bit for bit, the first argument on ties and NaN.
 
     The window and guard terms come from two bisections over the window
     ends, sorted once per build (:func:`_window_step`), instead of a scan of
@@ -696,9 +705,13 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     batch that takes nothing (a step in the margin zone) starts no new batch
     until a step falls below the cap.
     """
-    y_at = float_dense_output(segments)
+    ends, segs = segments[0][1:], segments[1]
+    last = len(segs) - 1
+    k = 0  # t's segment: the first not ending before t, or the last
     ys_at = array_dense_output(segments)
     hy = max(_STENCIL * fs, 1e-9)
+    hy2, hy_sq = 2.0 * hy, hy * hy
+    tol, third, h_min = 96.0 * _POS_TOL, 1.0 / 3.0, max(1e-7, 1e-12 * t_end)
     los, his = _feature_windows(refine, fs)
     pieces = []  # finished stretches of the grid, in order
     ts = [0.0]
@@ -706,15 +719,18 @@ def _march_grid(segments, drift, upper, t_end, fs, refine, g_max):
     t = 0.0
     batching = True  # off after a batch takes nothing, until a step falls below the cap
     while t < t_end:
-        y = min(y_at(t), upper)
+        while k < last and ends[k] < t:
+            k += 1
+        y = _dense(segs[k], t)
+        y = upper if upper < y else y
         g_lo, g, g_hi = float(drift(y - hy)), float(drift(y)), float(drift(y + hy))
-        gp = (g_hi - g_lo) / (2.0 * hy)
-        gpp = (g_hi - 2.0 * g + g_lo) / (hy * hy)
+        gp = (g_hi - g_lo) / hy2
+        gpp = (g_hi - 2.0 * g + g_lo) / hy_sq
         y3 = abs((gpp * g + gp * gp) * g)
-        h = (96.0 * _POS_TOL / (y3 + 1e-300)) ** (1.0 / 3.0)
-        h = _window_step(min(h, _H_CAP), y, g, los, his, fs, g_max)
-        h = max(h, 1e-7, 1e-12 * t_end)
-        t = min(t + h, t_end)
+        h = (tol / (y3 + 1e-300)) ** third
+        h = _window_step(_H_CAP if _H_CAP < h else h, y, g, los, his, fs, g_max)
+        h = h_min if h_min > h else h
+        t = t_end if t_end < t + h else t + h
         ts.append(t)
         count += 1
         if count > _MAX_NODES:
@@ -767,12 +783,19 @@ def _window_step(h, y, g, los, his, fs, g_max):
     lies in the first window not wholly below it, i = bisect_left(his, y),
     that is when los[i] <= y (the +inf end closes ``los`` when there is
     none).  The guard is monotone in lo, so of the windows above y only the
-    lowest, los[bisect_right(los, y)], can bind, and min is exact.
+    lowest, los[bisect_right(los, y)], can bind, and min is exact.  Below
+    every window, as on most of a loan build's steps, both bisections give 0
+    and are skipped.
     """
-    if los[bisect_left(his, y)] <= y:
-        h = min(h, fs / (16.0 * max(g, 1e-300)), _H_CAP)
+    lo = los[0]
+    if not y < lo:
+        if los[bisect_left(his, y)] <= y:
+            h = min(h, fs / (16.0 * max(g, 1e-300)), _H_CAP)
+        lo = los[bisect_right(los, y, 0, len(his))]
     if g > 0.0:
-        h = min(h, max((los[bisect_right(los, y, 0, len(his))] - y) / g_max, 1e-7))
+        guard = (lo - y) / g_max
+        guard = 1e-7 if 1e-7 > guard else guard
+        h = guard if guard < h else h
     return h
 
 

@@ -416,7 +416,7 @@ def run_validate() -> int:
     # loan drift: band equality and knot smoothness
     published = LoanParams()
     c, rho, b, eps = published.c, published.rho, published.b, published.eps
-    g = lambda y: smoothing.smoothed_drift_loan(y, c, rho, b, eps)
+    g = smoothing.loan_drift(c, rho, b, eps)
     ys = np.concatenate([np.linspace(-c / rho + 1e-6, -eps - 1e-9, 300),
                          np.linspace(eps + 1e-9, b - eps, 300)])
     check("smoothed drift equals unsmoothed outside bands",

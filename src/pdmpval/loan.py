@@ -20,7 +20,9 @@ import numpy as np
 from .errors import InputError
 from .flow import FlowTable, build_flow_table
 from .model import ModelSpec, bias_bound
-from .smoothing import _check_loan_eps, smoothed_drift_loan, smoothed_reward_loan
+# the build calls loan_drift, not smoothed_drift_loan; that name stays
+# importable here because the benchmark's tracer wraps loan.smoothed_drift_loan
+from .smoothing import _check_loan_eps, loan_drift, smoothed_drift_loan, smoothed_reward_loan
 
 __all__ = ["LoanParams", "SmoothedLoanModel"]
 
@@ -115,13 +117,13 @@ class SmoothedLoanModel:
                 "is unbounded near v = 0",
                 stacklevel=2,
             )
-        drift = lambda y: smoothed_drift_loan(y, c, rho, b, eps)
-        # one binding of the reward for the table and the spec; it holds the
-        # parameters, not the model, so a dropped model is freed at once with
-        # its table instead of at the next cyclic garbage collection
+        # one binding of the reward for the table and the spec; it and the
+        # drift hold the parameters, not the model, so a dropped model is
+        # freed at once with its table instead of at the next cyclic garbage
+        # collection
         reward = partial(smoothed_reward_loan, c=c, b=b, eps=eps)
         table = build_flow_table(
-            drift,
+            loan_drift(c, rho, b, eps),
             (p.ruin_level, b),
             p.delta,
             reward,

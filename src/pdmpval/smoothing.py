@@ -21,6 +21,7 @@ __all__ = [
     "heaviside",
     "unsmoothed_drift_loan",
     "smoothed_drift_loan",
+    "loan_drift",
     "smoothed_reward_loan",
     "KernelBranch",
     "JumpKernelSpec",
@@ -57,53 +58,64 @@ def unsmoothed_drift_loan(y, c, rho, b):
 
 
 def smoothed_drift_loan(y, c, rho, b, eps):
-    """C2 drift of the smoothed loan model (five-piece closed form).
+    """C2 drift of the smoothed loan model (five-piece closed form) at y:
+    ``loan_drift(c, rho, b, eps)(y)``."""
+    return loan_drift(c, rho, b, eps)(y)
+
+
+def loan_drift(c, rho, b, eps):
+    """The drift y -> g(y) of the smoothed loan model, its width checked once.
 
     Equals the unsmoothed drift outside the two width-eps bands around 0 and
     b; blends with a quartic around 0 and tapers to zero with a quintic just
     below the barrier.  Nonnegative everywhere, zero at and above b.
 
-    A Python float (the flow builder's per-step calls) takes an if-chain and
+    A float y (the flow builder's per-step calls) takes an if-chain and
     returns a float; anything else goes through np.select.  Both evaluate the
-    same piece formulas, so they agree bit for bit.  The width is checked
-    once per parameter set: the flow builder calls this for every grid step.
+    same piece formulas on the same piece constants, made once here, so they
+    agree bit for bit.  The returned function holds the parameters and those
+    constants, no model.  InputError here, not at the first call, if eps
+    does not fit the bands.
     """
-    if (c, rho, b, eps) != _valid_loan_params:
-        _check_loan_eps(c, rho, b, eps)
-    if isinstance(y, float):
-        y = float(y)  # np.float64 is a float subclass with slow arithmetic
-        if y <= -c / rho:
-            return 0.0
-        if y < -eps:
-            return c + rho * y
-        if y <= eps:
-            return _drift_blend(y, c, rho, eps)
-        if y <= b - eps:
-            return float(c)
-        if y < b:
-            return _drift_taper(y, c, b, eps)
-        return 0.0  # at or above the barrier, and NaN as in np.select
-    y = np.asarray(y, dtype=float)
-    out = np.select(
-        [y <= -c / rho, y < -eps, y <= eps, y <= b - eps, y < b],
-        [0.0, c + rho * y, _drift_blend(y, c, rho, eps), c, _drift_taper(y, c, b, eps)],
-        default=0.0,
-    )
-    return out if out.ndim else float(out)
+    _check_loan_eps(c, rho, b, eps)
+    ruin, lo, hi, c_float = -c / rho, -eps, b - eps, float(c)
+    three_eps, cube_16 = 3.0 * eps, 16.0 * eps ** 3
+    fifteen_eps, ten_eps_sq, fifth = 15.0 * eps, 10.0 * eps * eps, eps ** 5
 
+    # The two polynomial pieces.  Cubes are explicit products: numpy's array
+    # power and libm pow differ in the last ulp on some points, which would
+    # split the two paths.
+    def blend(y):
+        d = y - eps
+        return c + rho * (y + three_eps) * (d * d * d) / cube_16
 
-# The two polynomial pieces, shared by the float and the array path.  Cubes
-# are explicit products: numpy's array power and libm pow differ in the last
-# ulp on some points, which would split the two paths.
+    def taper(y):
+        w = b - y
+        return c * (w * w * w) * (fifteen_eps * (y - b) + 6.0 * w * w + ten_eps_sq) / fifth
 
-def _drift_blend(y, c, rho, eps):
-    d = y - eps
-    return c + rho * (y + 3.0 * eps) * (d * d * d) / (16.0 * eps ** 3)
+    def drift(y):
+        if isinstance(y, float):
+            y = float(y)  # np.float64 is a float subclass with slow arithmetic
+            if y <= ruin:
+                return 0.0
+            if y < lo:
+                return c + rho * y
+            if y <= eps:
+                return blend(y)
+            if y <= hi:
+                return c_float
+            if y < b:
+                return taper(y)
+            return 0.0  # at or above the barrier, and NaN as in np.select
+        y = np.asarray(y, dtype=float)
+        out = np.select(
+            [y <= ruin, y < lo, y <= eps, y <= hi, y < b],
+            [0.0, c + rho * y, blend(y), c, taper(y)],
+            default=0.0,
+        )
+        return out if out.ndim else float(out)
 
-
-def _drift_taper(y, c, b, eps):
-    w = b - y
-    return c * (w * w * w) * (15.0 * eps * (y - b) + 6.0 * w * w + 10.0 * eps * eps) / eps ** 5
+    return drift
 
 
 def smoothed_reward_loan(y, c, b, eps):
@@ -122,14 +134,10 @@ def _check_width(eps, unsmoothed_ok=False):
         raise InputError(f"smoothing width must be finite and {least}, got eps={eps}")
 
 
-_valid_loan_params = None  # the (c, rho, b, eps) that last passed _check_loan_eps
-
-
 def _check_loan_eps(c, rho, b, eps):
     # eps < b/4 keeps the two bands disjoint, eps < c/(2 rho) keeps the
     # blended drift positive on the band around 0, and b - eps < b keeps a
     # float inside the taper band below the barrier.
-    global _valid_loan_params
     limit = min(b / 4.0, c / (2.0 * rho))
     if not 0.0 < eps < limit:
         raise InputError(
@@ -137,7 +145,6 @@ def _check_loan_eps(c, rho, b, eps):
         )
     if not b - eps < b:
         raise InputError(f"smoothing width eps={eps} is below the float resolution at b={b}")
-    _valid_loan_params = (c, rho, b, eps)
 
 
 # --- mixture jump kernels -------------------------------------------------

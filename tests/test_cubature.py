@@ -377,6 +377,40 @@ class TestStreamKeys:
         assert got.tobytes() == want.tobytes()
 
 
+class TestProducerArguments:
+    """The node producers check their integer arguments: a float or a
+    negative dimension, a float end or an inverted index range used to raise
+    TypeError, IndexError, AttributeError or numpy's bare ValueError, or to
+    return an empty column or a (4, 0) block."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: halton_column(1.5, 1, 5), "Halton dimension must be an integer >= 1, got 1.5"),
+        (lambda: halton_column(0, 1, 5), "Halton dimension must be an integer >= 1, got 0"),
+        (lambda: halton_column(2, 1, 5.5), "stop must be an integer >= 1, got 5.5"),
+        (lambda: halton_column(1, -1, 5), "start must be an integer >= 0, got -1"),
+        (lambda: halton_column(1, 5, 1), "stop must be an integer >= 5, got 1"),
+        (lambda: sobol_column(1, 1, 5.5), "stop must be an integer >= 1, got 5.5"),
+        (lambda: sobol_column(True, 1, 5), "Sobol dimension must be an integer >= 1, got True"),
+        (lambda: sobol_column(1, 2.0, 5), "start must be an integer >= 0, got 2.0"),
+        (lambda: sobol_column(1, 5, 1), "stop must be an integer >= 5, got 1"),
+        (lambda: mc_chunk(0, 4, -1, 1), "dimension d must be an integer >= 1, got -1"),
+        (lambda: mc_chunk(0, 4, 0, 1), "dimension d must be an integer >= 1, got 0"),
+        (lambda: mc_chunk(0, 4.0, 2, 1), "rows must be an integer >= 1, got 4.0"),
+        (lambda: cp_shift_vector(-1, 1), "dimension d must be an integer >= 1, got -1"),
+        (lambda: cp_shift_vector(2.0, 1), "dimension d must be an integer >= 1, got 2.0"),
+    ], ids=["halton-float-dim", "halton-dim-0", "halton-float-stop", "halton-negative-start",
+            "halton-inverted", "sobol-float-stop", "sobol-bool-dim", "sobol-float-start",
+            "sobol-inverted", "mc-negative-d", "mc-d-0", "mc-float-rows", "cp-negative-d",
+            "cp-float-d"])
+    def test_bad_argument_is_an_input_error_naming_it(self, call, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
+
+    def test_empty_range_is_an_empty_column(self):
+        assert sobol_column(1, 5, 5).shape == (0,)
+        assert halton_column(1, 5, 5, seed=3).shape == (0,)
+
+
 class TestGaussLegendre:
     def test_midpoint_rule(self):
         nodes, weights = gauss_legendre(1)

@@ -292,9 +292,9 @@ def _flat_reward(y):
 
 
 _MARCH_BUILDS = {
-    # the epsilon study's four widths
+    # the epsilon study's four widths and three narrower ones
     **{f"loan-{eps}": lambda eps=eps: SmoothedLoanModel.build(eps=eps)
-       for eps in (0.08, 0.04, 0.02, 0.01)},
+       for eps in (0.08, 0.04, 0.02, 0.01, 0.005, 0.0025, 5e-4)},
     # every step capped, t_end inside the first batch
     "constant": _build_const_table,
     # a 500-step capped run cut by the guard and the window around y = 5
@@ -381,9 +381,13 @@ class TestBatchedMarch:
 
     def test_loan_build_takes_capped_runs_as_batches(self, monkeypatch):
         calls = []
-        real = pdmpval.loan.smoothed_drift_loan
-        monkeypatch.setattr(pdmpval.loan, "smoothed_drift_loan",
-                            lambda *a: calls.append(1) or real(*a))
+        real = pdmpval.loan.loan_drift
+
+        def loan_drift(*params):
+            drift = real(*params)
+            return lambda y: calls.append(1) or drift(y)
+
+        monkeypatch.setattr(pdmpval.loan, "loan_drift", loan_drift)
         table = SmoothedLoanModel.build().table
         assert len(calls) <= 15_000  # 42.7k one step at a time
         assert np.sum(np.diff(table.grid_t) == pdmpval.flow._H_CAP) > 10_000
@@ -402,6 +406,19 @@ class TestBatchedMarch:
             monkeypatch.setattr(pdmpval.flow, "_MAX_NODES", limit)
             with pytest.raises(ModelError, match="did not terminate"):
                 pdmpval.flow._march_grid(*args)
+
+
+def test_march_reads_a_segment_end_from_the_segment_it_ends():
+    # the first capped step lands on t = 2.0, the end of the first segment,
+    # where the two segments disagree: the side="left" rule reads the first
+    # (y = 1.0, inside the window around 1.0, so the next step is short),
+    # the second would read y = 0.5 (below the window, a capped step)
+    segments = ([0.0, 2.0, 10.0], [(0.0, 2.0, 0.0, 0.5, 0.0, 0.0, 0.0),
+                                   (2.0, 8.0, 0.5, 0.1, 0.0, 0.0, 0.0)])
+    args = (segments, _slow_drift, 2.0, 10.0, 0.01, np.array([1.0]), 0.01)
+    got = pdmpval.flow._march_grid(*args)
+    assert got[:3].tolist() == [0.0, 2.0, 2.0 + 0.01 / (16.0 * 0.01)]
+    assert np.array_equal(got, _scalar_march_grid(*args))
 
 
 def _scan_window_step(h, y, g, windows, fs, g_max):
@@ -480,16 +497,10 @@ class TestWindowLookup:
         assert 0 < sum(taken) < len(taken) if refine else all(taken)
 
 
-# the loan drift at six widths and every march table's drift
-_SOLVE_BUILDS = {**_MARCH_BUILDS,
-                 **{f"loan-{eps}": lambda eps=eps: SmoothedLoanModel.build(eps=eps)
-                    for eps in (0.0025, 5e-4)}}
-
-
-@pytest.fixture(scope="module", params=sorted(_SOLVE_BUILDS))
+@pytest.fixture(scope="module", params=sorted(_MARCH_BUILDS))
 def solve_case(request):
     """A build's RK45 segment table and table, with scipy's solve of the same problem."""
-    (solve,), built = _capture(_SOLVE_BUILDS[request.param], "rk45")
+    (solve,), built = _capture(_MARCH_BUILDS[request.param], "rk45")
     return pdmpval._numerics.rk45(*solve), _scipy_solve(*solve), getattr(built, "table", built)
 
 

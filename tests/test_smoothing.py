@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import pdmpval.loan
 from pdmpval import smoothing
 from pdmpval.errors import InputError, ModelError
 from pdmpval.smoothing import (
     JumpKernelSpec,
     KernelBranch,
     heaviside,
+    loan_drift,
     smoothed_branch_weight,
     smoothed_drift_loan,
     smoothed_kernel_integrate,
@@ -101,9 +103,10 @@ class TestSmoothedDrift:
                 scale = max(abs(left), abs(right), C / EPS if order == 1 else C / EPS ** 2)
                 assert abs(left - right) <= 1e-5 * scale
 
-    @pytest.mark.parametrize("eps", (0.08, 0.04, 0.02, 0.01))
+    @pytest.mark.parametrize("eps", (0.08, 0.04, 0.02, 0.01, 0.005, 0.0025, 5e-4))
     def test_float_path_matches_array_path(self, eps):
         # every piece, every knot and its float neighbours, the study's widths
+        # and narrower ones, through the function and the drift it makes
         rng = np.random.default_rng(31)
         knots = np.array([-C / RHO, -eps, eps, B - eps, B])
         edges = np.concatenate([[-C / RHO - 5.0], knots, [B + 5.0]])
@@ -111,11 +114,12 @@ class TestSmoothedDrift:
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
             *(rng.uniform(lo, hi, 5_000) for lo, hi in zip(edges[:-1], edges[1:])),
         ])
-        arr = smoothed_drift_loan(ys, C, RHO, B, eps)
-        flt = [smoothed_drift_loan(float(y), C, RHO, B, eps) for y in ys]
-        assert all(type(v) is float for v in flt)
-        assert np.array_equal(np.array(flt).view(np.int64), arr.view(np.int64))
-        assert type(smoothed_drift_loan(np.float64(0.5), C, RHO, B, eps)) is float
+        for g in (lambda y: smoothed_drift_loan(y, C, RHO, B, eps), loan_drift(C, RHO, B, eps)):
+            arr = g(ys)
+            flt = [g(float(y)) for y in ys]
+            assert all(type(v) is float for v in flt)
+            assert np.array_equal(np.array(flt).view(np.int64), arr.view(np.int64))
+            assert type(g(np.float64(0.5))) is float
 
     def test_eps_window_validated(self):
         with pytest.raises(InputError):
@@ -125,25 +129,26 @@ class TestSmoothedDrift:
         with pytest.raises(InputError):
             smoothed_drift_loan(0.0, 0.01, 10.0, B, 0.01)  # eps >= c/(2 rho)
 
-    def test_eps_checked_once_per_parameter_set(self, monkeypatch):
+    def test_eps_checked_when_the_drift_is_made(self, monkeypatch):
         checks = []
         real = smoothing._check_loan_eps
-        monkeypatch.setattr(smoothing, "_check_loan_eps",
-                            lambda *a: checks.append(a) or real(*a))
-        monkeypatch.setattr(smoothing, "_valid_loan_params", None)
-        for y in np.linspace(-C / RHO, B, 500):
-            smoothed_drift_loan(float(y), C, RHO, B, EPS)
-        smoothed_drift_loan(np.array([0.0, 1.0]), C, RHO, B, EPS)
-        assert checks == [(C, RHO, B, EPS)]
-        smoothed_drift_loan(0.5, C, RHO, B, 0.02)
-        smoothed_drift_loan(0.5, C, RHO, B, EPS)
-        assert len(checks) == 3
-        # a bad width raises on every call, also right after a good one
+        for module in (smoothing, pdmpval.loan):
+            monkeypatch.setattr(module, "_check_loan_eps", lambda *a: checks.append(a) or real(*a))
+        # a bad width raises when the drift is made, not at its first call
         for bad in (0.0, -EPS, B / 2.0, math.nan):
-            for y in (0.5, np.array([0.5])):
-                with pytest.raises(InputError):
-                    smoothed_drift_loan(y, C, RHO, B, bad)
-            smoothed_drift_loan(0.5, C, RHO, B, EPS)
+            with pytest.raises(InputError):
+                loan_drift(C, RHO, B, bad)
+        checks.clear()
+        g = loan_drift(C, RHO, B, EPS)
+        assert checks == [(C, RHO, B, EPS)]
+        checks.clear()
+        for y in np.linspace(-C / RHO, B, 500):
+            g(float(y))
+        g(np.array([0.0, 1.0]))
+        assert checks == []
+        # one build checks twice: in LoanParams and in loan_drift
+        pdmpval.loan.SmoothedLoanModel.build(eps=EPS)
+        assert checks == [(C, RHO, B, EPS)] * 2
 
 
 class TestSmoothedReward:
